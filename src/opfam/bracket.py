@@ -169,6 +169,20 @@ class EquivalenceReport:
     diagnostics: str
 
 
+def slopes_log10(values: np.ndarray) -> np.ndarray:
+    """Least-squares slope of log10(values) per step, column-wise.
+
+    values has shape (m, n): m consecutive samples of n independent
+    sequences.  Both the h -> 0 tail verdicts and the root test use it.
+    """
+    m = values.shape[0]
+    k = np.arange(m, dtype=float)
+    kc = k - k.mean()
+    denom = float((kc**2).sum())
+    logs = np.log10(np.maximum(values, 1e-300))
+    return (kc[:, None] * (logs - logs.mean(axis=0))).sum(axis=0) / denom
+
+
 def root_test(roots: np.ndarray, params: QnParams) -> EquivalenceReport:
     """Classify one root sequence rho_n, n = 1..n_max.
 
@@ -194,8 +208,7 @@ def root_test(roots: np.ndarray, params: QnParams) -> EquivalenceReport:
         )
     final_root = float(roots[-1])
     window = roots[-params.window :]
-    logs = np.log10(np.maximum(window, 1e-300))
-    slope = float(np.polyfit(np.arange(len(window), dtype=float), logs, 1)[0])
+    slope = float(slopes_log10(window[:, None])[0])
     ratio = float(10.0**slope)
     if final_root < params.eps_q:
         verdict = EQUIVALENT

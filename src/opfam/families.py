@@ -30,6 +30,7 @@ from .bracket import (
     bracket_norm_sequence,
     combine_order_reports,
     root_test,
+    slopes_log10,
 )
 from .errors import DimensionMismatchError, InputError, OpfamError
 from .linalg import as_matrix, as_vector, op_norm
@@ -143,6 +144,21 @@ def _merge_terms(terms, zero_norm):
     return tuple(out)
 
 
+def _vec_norm(v: np.ndarray) -> float:
+    return float(np.linalg.norm(v))
+
+
+def _null_certificate(terms, zero_norm) -> bool | None:
+    """Decay certificate of a term sum: every nonzero merged term is null.
+
+    None as soon as a nonzero term is sampled-only; the zero family is null.
+    """
+    flags = [c.is_null for c, _ in _merge_terms(terms, zero_norm)]
+    if any(f is None for f in flags):
+        return None
+    return all(flags)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
     """h |-> sum_j c_j(h) * A_j with constant square matrices A_j."""
@@ -230,13 +246,7 @@ class OperatorFamily:
 
     def null_certificate(self) -> bool | None:
         """True: provably null; False: provably not; None: undecidable."""
-        terms = self.canonical().terms
-        flags = [c.is_null for c, m in terms if op_norm(m) > 0.0]
-        if not flags:
-            return True
-        if any(f is None for f in flags):
-            return None
-        return all(flags)
+        return _null_certificate(self.terms, op_norm)
 
     def _check_dim(self, other) -> None:
         if self.dim != other.dim:
@@ -299,19 +309,13 @@ class VectorFamily:
         return self + (-other)
 
     def canonical(self) -> "VectorFamily":
-        merged = _merge_terms(self.terms, lambda v: float(np.linalg.norm(v)))
+        merged = _merge_terms(self.terms, _vec_norm)
         if not merged:
             merged = ((CoeffFn.const(), np.zeros(self.dim, dtype=complex)),)
         return VectorFamily(dim=self.dim, terms=merged)
 
     def null_certificate(self) -> bool | None:
-        terms = self.canonical().terms
-        flags = [c.is_null for c, v in terms if np.linalg.norm(v) > 0.0]
-        if not flags:
-            return True
-        if any(f is None for f in flags):
-            return None
-        return all(flags)
+        return _null_certificate(self.terms, _vec_norm)
 
 
 @dataclass(frozen=True)
@@ -335,6 +339,11 @@ class HGrid:
             raise InputError("tail must be >= 3")
         if self.count < self.tail:
             raise InputError("count must be >= tail")
+        if self.h0 * self.ratio ** (self.count - 1) < np.finfo(float).tiny:
+            raise InputError(
+                "smallest sample h0 * ratio**(count-1) underflows "
+                "(below the smallest normal float)"
+            )
 
     def samples(self) -> np.ndarray:
         return self.h0 * self.ratio ** np.arange(self.count)
@@ -374,46 +383,15 @@ class TailStats:
     note: str = ""
 
 
-def _slope_log10(values: np.ndarray) -> float:
-    logs = np.log10(np.maximum(values, 1e-300))
-    k = np.arange(len(values), dtype=float)
-    return float(np.polyfit(k, logs, 1)[0])
-
-
-def slopes_log10(values: np.ndarray) -> np.ndarray:
-    """Least-squares slope of log10(values) per step, column-wise.
-
-    values has shape (m, n): m tail samples of n independent sequences.
-    """
-    m = values.shape[0]
-    k = np.arange(m, dtype=float)
-    kc = k - k.mean()
-    denom = float((kc**2).sum())
-    logs = np.log10(np.maximum(values, 1e-300))
-    return (kc[:, None] * (logs - logs.mean(axis=0))).sum(axis=0) / denom
-
-
-def verdict_of(
-    tail_max: float, tail_min: float, trend: float, eps_tail: float
-) -> str:
-    """The shared verdict rule behind every tail test."""
-    if tail_max < eps_tail and trend < 0.0:
-        return TO_ZERO
-    if tail_min >= eps_tail and abs(trend) <= TREND_FLAT_TOL:
-        return BOUNDED_POSITIVE
-    if trend >= TREND_GROWTH_TOL and tail_max >= UNBOUNDED_MIN:
-        return UNBOUNDED
-    return INCONCLUSIVE
-
-
 def verdict_arrays(
     values: np.ndarray, eps_tail: float, zero_floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized tail verdicts for many sequences at once.
+    """The tail verdict rule behind every tail test, for n sequences at once.
 
     values has shape (m, n); returns (codes, tail_max, tail_min, trend)
     with codes 0=ToZero, 1=BoundedPositive, 2=Unbounded, 3=Inconclusive,
-    matching `verdict_of` exactly.
+    the lowest code whose condition holds winning.  The trend is -inf
+    where the whole tail sits at or below zero_floor.
     """
     tail_max = values.max(axis=0)
     tail_min = values.min(axis=0)
@@ -440,23 +418,18 @@ def tail_stats(
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < tail or tail < 3:
         raise InputError("need a 1-d sample array with at least `tail` >= 3 entries")
-    t = v[-tail:]
-    tail_max = float(t.max())
-    tail_min = float(t.min())
-    if tail_max <= zero_floor:
-        trend = float("-inf")
-    else:
-        trend = _slope_log10(t)
-    verdict = verdict_of(tail_max, tail_min, trend, eps_tail)
+    codes, tail_max, tail_min, trend = verdict_arrays(
+        v[-tail:, None], eps_tail, zero_floor
+    )
     return TailStats(
         values=v,
         tail=tail,
         eps_tail=eps_tail,
         zero_floor=zero_floor,
-        tail_max=tail_max,
-        tail_min=tail_min,
-        tail_trend=trend,
-        limit_verdict=verdict,
+        tail_max=float(tail_max[0]),
+        tail_min=float(tail_min[0]),
+        tail_trend=float(trend[0]),
+        limit_verdict=VERDICT_CODES[int(codes[0])],
         note=note,
     )
 
@@ -467,31 +440,36 @@ def norm_samples(fam: OperatorFamily, grid: HGrid) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
+def vector_norm_samples(v: VectorFamily, grid: HGrid) -> np.ndarray:
+    return np.linalg.norm(v.eval_stack(grid.samples()), axis=1)
+
+
 def limsup_norm(fam: OperatorFamily, grid: HGrid) -> float:
     """Tail maximum of ||F(h_k)||: the sampled stand-in for limsup at 0."""
     return float(norm_samples(fam, grid)[-grid.tail :].max())
 
 
-def is_null_family(fam: OperatorFamily, grid: HGrid) -> TailStats:
-    """Decide membership in the null ideal (norm -> 0 at h -> 0).
+def _certified(stats: TailStats, cert: bool | None) -> TailStats:
+    """Combine a norm-tail verdict with the family's decay certificate.
 
-    ToZero requires both the sampled tail test and the catalog decay
-    certificate; when the two disagree, or no certificate exists, the
-    verdict degrades to Inconclusive (BoundedPositive survives on a
-    positive certificate).
+    ToZero requires both the sampled tail test and the decay certificate.
+    A certified-null family whose tail did not vanish, or a certified
+    non-null family whose tail did, is Inconclusive; a certified non-null
+    family is otherwise BoundedPositive.  Without a certificate
+    (sampled-only terms) ToZero degrades to Inconclusive, and the other
+    verdicts pass through.
     """
-    stats = tail_stats(norm_samples(fam, grid), grid.tail)
-    cert = fam.null_certificate()
+    verdict = stats.limit_verdict
     if cert is True:
-        if stats.limit_verdict == TO_ZERO:
+        if verdict == TO_ZERO:
             return replace(stats, note="certified null; tail test agrees")
         return replace(
             stats,
             limit_verdict=INCONCLUSIVE,
-            note=f"certified null but tail verdict was {stats.limit_verdict}",
+            note=f"certified null but tail verdict was {verdict}",
         )
     if cert is False:
-        if stats.limit_verdict == TO_ZERO:
+        if verdict == TO_ZERO:
             return replace(
                 stats,
                 limit_verdict=INCONCLUSIVE,
@@ -502,13 +480,20 @@ def is_null_family(fam: OperatorFamily, grid: HGrid) -> TailStats:
             limit_verdict=BOUNDED_POSITIVE,
             note="certificate: non-null constant part persists",
         )
-    if stats.limit_verdict == TO_ZERO:
+    if verdict == TO_ZERO:
         return replace(
             stats,
             limit_verdict=INCONCLUSIVE,
             note="sampled-only terms: decay observed but uncertified",
         )
     return replace(stats, note="sampled-only terms: no certificate")
+
+
+def is_null_family(fam: OperatorFamily, grid: HGrid) -> TailStats:
+    """Decide membership in the null ideal (norm -> 0 at h -> 0) by `_certified`."""
+    return _certified(
+        tail_stats(norm_samples(fam, grid), grid.tail), fam.null_certificate()
+    )
 
 
 def asymptotically_equivalent(
@@ -548,10 +533,10 @@ class QuotientBounds:
 
 
 def quotient_norm_bounds(fam: OperatorFamily, grid: HGrid) -> QuotientBounds:
-    lower = limsup_norm(fam, grid)
-    raw_upper = float(norm_samples(fam, grid).max())
-    refined = fam.drop_null_terms()
-    upper = float(norm_samples(refined, grid).max())
+    norms = norm_samples(fam, grid)
+    lower = float(norms[-grid.tail :].max())
+    raw_upper = float(norms.max())
+    upper = float(norm_samples(fam.drop_null_terms(), grid).max())
     if lower > upper + EPS_TAIL and lower > raw_upper:
         raise OpfamError("quotient bounds inverted beyond tolerance")
     return QuotientBounds(lower=lower, upper=upper, raw_upper=raw_upper)
@@ -577,7 +562,7 @@ def module_action(
         hs = grid.tail_samples()
         left = float(np.linalg.norm(out.eval_stack(hs), axis=1).max())
         f_lim = limsup_norm(f, grid)
-        v_lim = float(np.linalg.norm(v.eval_stack(grid.samples()), axis=1)[-grid.tail :].max())
+        v_lim = float(vector_norm_samples(v, grid)[-grid.tail :].max())
         if left > f_lim * v_lim + EPS_TAIL:
             raise OpfamError(
                 f"module action bound violated: {left:.3e} > {f_lim:.3e} * {v_lim:.3e}"
@@ -585,29 +570,11 @@ def module_action(
     return out
 
 
-def vector_norm_samples(v: VectorFamily, grid: HGrid) -> np.ndarray:
-    return np.linalg.norm(v.eval_stack(grid.samples()), axis=1)
-
-
 def is_null_vector_family(v: VectorFamily, grid: HGrid) -> TailStats:
-    """Null test for vector families, certificate-aware like is_null_family."""
-    stats = tail_stats(vector_norm_samples(v, grid), grid.tail)
-    cert = v.null_certificate()
-    if cert is True and stats.limit_verdict == TO_ZERO:
-        return replace(stats, note="certified null; tail test agrees")
-    if cert is True:
-        return replace(
-            stats,
-            limit_verdict=INCONCLUSIVE,
-            note=f"certified null but tail verdict was {stats.limit_verdict}",
-        )
-    if cert is False and stats.limit_verdict != TO_ZERO:
-        return replace(stats, limit_verdict=BOUNDED_POSITIVE,
-                       note="certificate: non-null constant part persists")
-    if cert is False:
-        return replace(stats, limit_verdict=INCONCLUSIVE,
-                       note="certificate says positive but tail decayed")
-    return replace(stats, limit_verdict=INCONCLUSIVE, note="sampled-only terms")
+    """Null test for vector families, by the same rule as is_null_family."""
+    return _certified(
+        tail_stats(vector_norm_samples(v, grid), grid.tail), v.null_certificate()
+    )
 
 
 def _inner_limit_estimate(vals: np.ndarray, zero_floor: float) -> tuple[float, str]:

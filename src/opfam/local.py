@@ -55,8 +55,9 @@ from .spectra import (
     GridThresholds,
     RegionGrid,
     _dip_mask,
+    _scan_setup,
+    _tail_eval,
     _validate_rect,
-    family_scale,
     spectral_radius_bound,
 )
 from .regions import Region, parse_region
@@ -201,22 +202,19 @@ _CHUNK = 4096
 
 
 def _probe_samples(
-    fam: OperatorFamily, x: np.ndarray, points: np.ndarray, grid: HGrid
+    mats: np.ndarray, x: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solution norms and residuals at every probe point over the tail.
+    """Solution norms and residuals at every probe point over the tail matrices.
 
-    Returns (norms, residuals), each of shape (tail, len(points)).
+    Returns (norms, residuals), each of shape (len(mats), len(points)).
     """
-    hs = grid.tail_samples()
-    d = fam.dim
-    mats = fam.eval_stack(hs)
-    ident = np.eye(d, dtype=complex)
-    norms = np.empty((len(hs), len(points)))
-    resids = np.empty((len(hs), len(points)))
+    ident = np.eye(mats.shape[-1], dtype=complex)
+    norms = np.empty((len(mats), len(points)))
+    resids = np.empty((len(mats), len(points)))
     for lo in range(0, len(points), _CHUNK):
         pts = points[lo : lo + _CHUNK]
         shifted_base = pts[:, None, None] * ident
-        for i in range(len(hs)):
+        for i in range(len(mats)):
             stack = shifted_base - mats[i]
             y = _min_norm_solve_stack(stack, x)
             norms[i, lo : lo + _CHUNK] = np.linalg.norm(y, axis=1)
@@ -236,12 +234,24 @@ def _point_flags(
     eps_res = EPS_TAIL * max(1.0, xnorm)
     floor_res = ZERO_FLOOR * max(1.0, xnorm)
     res_codes, _, _, _ = verdict_arrays(resids, eps_res, floor_res)
-    norm_codes, norm_max, _, norm_trend = verdict_arrays(
-        norms, EPS_TAIL * max(1.0, xnorm), floor_res
-    )
+    norm_codes, norm_max, _, norm_trend = verdict_arrays(norms, eps_res, floor_res)
     good = (res_codes == 0) & (norm_max <= b_max) & (norm_trend <= TREND_FLAT_TOL)
     bad = np.isin(res_codes, (1, 2)) | (norm_codes == 2) | (norm_max > b_max)
     return good, bad, res_codes, norm_codes, norm_max
+
+
+def _local_setup(fam: OperatorFamily, x, grid: HGrid, b_max: float | None):
+    """(x, ||x||, tail matrices, scale, b_max) for a local probe or scan.
+
+    The family is evaluated once; b_max defaults to
+    B_MAX_FACTOR * ||x|| / scale.
+    """
+    v = as_vector(x, dim=fam.dim)
+    xnorm = float(np.linalg.norm(v))
+    mats, _, scale = _tail_eval(fam, grid)
+    if b_max is None:
+        b_max = B_MAX_FACTOR * max(xnorm, 1e-300) / scale
+    return v, xnorm, mats, scale, b_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,11 +286,7 @@ def family_local_probe(
     """
     if nbhd_r <= 0:
         raise InputError("nbhd_r must be > 0")
-    v = as_vector(x, dim=fam.dim)
-    xnorm = float(np.linalg.norm(v))
-    scale = family_scale(fam, grid)
-    if b_max is None:
-        b_max = B_MAX_FACTOR * max(xnorm, 1e-300) / scale
+    v, xnorm, mats, _, b_max = _local_setup(fam, x, grid, b_max)
     points = lam0 + _ring_offsets(nbhd_r)
     if xnorm == 0.0:
         return LocalProbe(
@@ -294,7 +300,7 @@ def family_local_probe(
             point_norm_max=np.zeros(len(points)),
             point_res_verdicts=tuple([TO_ZERO] * len(points)),
         )
-    norms, resids = _probe_samples(fam, v, points, grid)
+    norms, resids = _probe_samples(mats, v, points)
     good, bad, res_codes, _, norm_max = _point_flags(norms, resids, xnorm, b_max)
     if bad.any():
         cls = LOCAL_SPECTRUM
@@ -333,18 +339,8 @@ def family_local_spectrum_grid(
     minimum of the score field.  LocalResolvent requires every probe point
     to pass; the rest is Undetermined.
     """
-    rect = _validate_rect(rect)
-    if nx < 8 or ny < 8:
-        raise InputError("need nx, ny >= 8")
-    v = as_vector(x, dim=fam.dim)
-    xnorm = float(np.linalg.norm(v))
-    scale = family_scale(fam, grid)
-    if b_max is None:
-        b_max = B_MAX_FACTOR * max(xnorm, 1e-300) / scale
-    re_min, re_max, im_min, im_max = rect
-    w = (re_max - re_min) / nx
-    h = (im_max - im_min) / ny
-    rcell = 0.5 * float(np.hypot(w, h))
+    rect, w, h, rcell, centers = _scan_setup(rect, nx, ny)
+    v, xnorm, mats, scale, b_max = _local_setup(fam, x, grid, b_max)
     ring_r = 0.5 * min(w, h)
     thresholds = GridThresholds(sigma_spec=LOCAL_CAL_FACTOR * rcell)
 
@@ -361,13 +357,10 @@ def family_local_spectrum_grid(
             grid=grid,
         )
 
-    res = re_min + (np.arange(nx) + 0.5) * w
-    ims = im_min + (np.arange(ny) + 0.5) * h
-    centers = (res[None, :] + 1j * ims[:, None]).ravel()
     offsets = _ring_offsets(ring_r)
     points = (centers[:, None] + offsets[None, :]).ravel()
 
-    norms, resids = _probe_samples(fam, v, points, grid)
+    norms, resids = _probe_samples(mats, v, points)
     good, bad, _, _, norm_max = _point_flags(norms, resids, xnorm, b_max)
 
     n_cells = len(centers)
@@ -517,12 +510,10 @@ class SvepReport:
 
 
 def _family_tail_values(
-    fam: OperatorFamily, vf: VectorFamily, lam: complex, grid: HGrid
+    mats: np.ndarray, vf: VectorFamily, lam: complex, hs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(residual, norm) tails of one witness at one lambda."""
-    hs = grid.tail_samples()
-    mats = fam.eval_stack(hs)
-    ident = np.eye(fam.dim, dtype=complex)
+    ident = np.eye(mats.shape[-1], dtype=complex)
     vals = vf.eval_stack(hs)
     resid = ((lam * ident - mats) @ vals[..., None])[..., 0]
     return np.linalg.norm(resid, axis=1), np.linalg.norm(vals, axis=1)
@@ -543,6 +534,8 @@ def svep_falsification_probe(
     mesh = [complex(z) for z in mesh]
     if not mesh:
         raise InputError("empty lambda mesh")
+    hs = grid.tail_samples()
+    mats = fam.eval_stack(hs)
     results = []
     for w in witnesses:
         res_verdicts = []
@@ -551,7 +544,7 @@ def svep_falsification_probe(
             vf = w.fn(lam)
             if vf.dim != fam.dim:
                 raise InputError(f"witness {w.name} has dim {vf.dim} != {fam.dim}")
-            rvals, nvals = _family_tail_values(fam, vf, lam, grid)
+            rvals, nvals = _family_tail_values(mats, vf, lam, hs)
             res_verdicts.append(tail_stats(rvals, tail=grid.tail).limit_verdict)
             norm_verdicts.append(tail_stats(nvals, tail=grid.tail).limit_verdict)
         res_ok = all(v == TO_ZERO for v in res_verdicts)

@@ -33,10 +33,8 @@ from .families import (
     OperatorFamily,
     TailStats,
     asymptotically_equivalent,
-    limsup_norm,
-    norm_samples,
-    slopes_log10,
     tail_stats,
+    verdict_arrays,
 )
 from .linalg import as_matrix
 
@@ -82,28 +80,39 @@ class ResolventProbe:
     max_inverse_residual: float
 
 
-def family_scale(fam: OperatorFamily, grid: HGrid) -> float:
-    """max(1, tail limsup of the family norm); normalizes delta_res."""
-    return max(1.0, limsup_norm(fam, grid))
+def _tail_eval(fam: OperatorFamily, grid: HGrid) -> tuple[np.ndarray, np.ndarray, float]:
+    """The one evaluation of a family a scan or probe needs.
 
-
-def _sigma_tail_stack(fam: OperatorFamily, lams: np.ndarray, grid: HGrid) -> np.ndarray:
-    """Smallest singular values of (lam I - F(h)) over the grid tail.
-
-    Returns shape (tail, len(lams)); chunked to bound memory.
+    Returns (tail matrices F(h) over the grid tail, their norms, scale),
+    with scale = max(1, tail limsup of the family norm), which normalizes
+    delta_res.
     """
-    hs = grid.tail_samples()
-    d = fam.dim
-    mats = fam.eval_stack(hs)
-    ident = np.eye(d, dtype=complex)
-    out = np.empty((len(hs), len(lams)))
+    mats = fam.eval_stack(grid.tail_samples())
+    norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    return mats, norms, max(1.0, float(norms.max()))
+
+
+def _sigma_tail_stack(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Smallest singular values of (lam I - F(h)) over the tail matrices.
+
+    Returns shape (len(mats), len(lams)); chunked to bound memory.
+    """
+    ident = np.eye(mats.shape[-1], dtype=complex)
+    out = np.empty((len(mats), len(lams)))
     for lo in range(0, len(lams), _CHUNK):
         lam_chunk = lams[lo : lo + _CHUNK]
         shifted = lam_chunk[:, None, None] * ident
-        for i in range(len(hs)):
+        for i in range(len(mats)):
             sig = np.linalg.svd(shifted - mats[i], compute_uv=False)
             out[i, lo : lo + _CHUNK] = sig[:, -1]
     return out
+
+
+def _tail_inverses(mats: np.ndarray, lam: complex) -> np.ndarray:
+    """Exact inverses of lam I - F(h) over the tail matrices."""
+    ident = np.eye(mats.shape[-1], dtype=complex)
+    shifted = lam * ident - mats
+    return np.linalg.solve(shifted, np.broadcast_to(ident, shifted.shape))
 
 
 def probe_resolvent(
@@ -120,29 +129,30 @@ def probe_resolvent(
     checked.  Spectrum when the sigma tail vanishes.  Undetermined absorbs
     the rest.
     """
-    scale = family_scale(fam, grid)
-    hs = grid.tail_samples()
-    sig = _sigma_tail_stack(fam, np.array([lam], dtype=complex), grid)[:, 0]
+    return _probe(_tail_eval(fam, grid), lam, delta_res)
+
+
+def _probe(tail, lam: complex, delta_res: float) -> ResolventProbe:
+    """probe_resolvent on an evaluated tail (see `_tail_eval`)."""
+    mats, tail_norms, scale = tail
+    sig = _sigma_tail_stack(mats, np.array([lam], dtype=complex))[:, 0]
     stats = tail_stats(
         sig,
-        tail=grid.tail,
+        tail=len(sig),
         eps_tail=delta_res * scale,
         zero_floor=SIGMA_FLOOR_REL * scale,
     )
-    tail_norms = norm_samples(fam, grid)[-grid.tail :]
     neumann = bool(tail_norms.max() < abs(lam) * (1.0 - NEUMANN_MARGIN))
 
-    mats = fam.eval_stack(hs)
-    ident = np.eye(fam.dim, dtype=complex)
-    shifted = lam * ident - mats
-    resnorm = np.full(len(hs), np.nan)
+    ident = np.eye(mats.shape[-1], dtype=complex)
+    resnorm = np.full(len(mats), np.nan)
     max_residual = np.nan
     invs = None
     if sig.min() > 0.0:
         try:
-            invs = np.linalg.solve(shifted, np.broadcast_to(ident, shifted.shape))
+            invs = _tail_inverses(mats, lam)
             resnorm = np.linalg.svd(invs, compute_uv=False)[:, 0]
-            residuals = shifted @ invs - ident
+            residuals = (lam * ident - mats) @ invs - ident
             max_residual = float(np.linalg.svd(residuals, compute_uv=False)[:, 0].max())
         except np.linalg.LinAlgError:
             invs = None
@@ -165,6 +175,28 @@ def probe_resolvent(
         neumann=neumann,
         max_inverse_residual=max_residual,
     )
+
+
+def _cell_grid(rect, nx: int, ny: int) -> tuple[float, float, np.ndarray]:
+    """Cell width and height, and the (ny, nx) cell centers of a scan."""
+    re_min, re_max, im_min, im_max = rect
+    w = (re_max - re_min) / nx
+    h = (im_max - im_min) / ny
+    res = re_min + (np.arange(nx) + 0.5) * w
+    ims = im_min + (np.arange(ny) + 0.5) * h
+    return w, h, res[None, :] + 1j * ims[:, None]
+
+
+def _scan_setup(rect, nx: int, ny: int):
+    """Validated scan geometry: (rect, w, h, rcell, raveled cell centers).
+
+    rcell is the cell half-diagonal.
+    """
+    rect = _validate_rect(rect)
+    if nx < 8 or ny < 8:
+        raise InputError("need nx, ny >= 8")
+    w, h, centers = _cell_grid(rect, nx, ny)
+    return rect, w, h, 0.5 * float(np.hypot(w, h)), centers.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,15 +222,10 @@ class RegionGrid:
     grid: HGrid
 
     def cell_size(self) -> tuple[float, float]:
-        re_min, re_max, im_min, im_max = self.rect
-        return (re_max - re_min) / self.nx, (im_max - im_min) / self.ny
+        return _cell_grid(self.rect, self.nx, self.ny)[:2]
 
     def centers(self) -> np.ndarray:
-        re_min, re_max, im_min, im_max = self.rect
-        w, h = self.cell_size()
-        res = re_min + (np.arange(self.nx) + 0.5) * w
-        ims = im_min + (np.arange(self.ny) + 0.5) * h
-        return res[None, :] + 1j * ims[:, None]
+        return _cell_grid(self.rect, self.nx, self.ny)[2]
 
     def cells_with_class(self, cls: int) -> np.ndarray:
         """Centers of all cells carrying the given class code."""
@@ -267,34 +294,19 @@ def family_spectrum_grid(
     the scan's resolution).  Resolvent requires the Neumann certificate or
     a sigma tail bounded below by delta_res * scale.  Rest: Undetermined.
     """
-    rect = _validate_rect(rect)
-    if nx < 8 or ny < 8:
-        raise InputError("need nx, ny >= 8")
-    scale = family_scale(fam, grid)
-    re_min, re_max, im_min, im_max = rect
-    w = (re_max - re_min) / nx
-    h = (im_max - im_min) / ny
-    rcell = 0.5 * float(np.hypot(w, h))
+    rect, _, _, rcell, lams = _scan_setup(rect, nx, ny)
+    mats, tail_norms, scale = _tail_eval(fam, grid)
     thresholds = GridThresholds(delta_res=delta_res, sigma_spec=rcell)
 
-    res = re_min + (np.arange(nx) + 0.5) * w
-    ims = im_min + (np.arange(ny) + 0.5) * h
-    lams = (res[None, :] + 1j * ims[:, None]).ravel()
-
-    sig = _sigma_tail_stack(fam, lams, grid)
-    tail_max = sig.max(axis=0)
-    tail_min = sig.min(axis=0)
-    floor = SIGMA_FLOOR_REL * scale
-    trend = slopes_log10(sig)
-    trend = np.where(tail_max <= floor, -np.inf, trend)
-
-    to_zero = (tail_max < delta_res * scale) & (trend < 0.0)
+    sig = _sigma_tail_stack(mats, lams)
+    codes, tail_max, tail_min, trend = verdict_arrays(
+        sig, delta_res * scale, SIGMA_FLOOR_REL * scale
+    )
     flat_low = (tail_max <= rcell) & (trend <= TREND_FLAT_TOL)
     score = tail_min.reshape(ny, nx)
     dip = _dip_mask(score).ravel()
-    spectrum_mark = to_zero | (flat_low & dip)
+    spectrum_mark = (codes == 0) | (flat_low & dip)
 
-    tail_norms = norm_samples(fam, grid)[-grid.tail :]
     neumann = np.abs(lams) * (1.0 - NEUMANN_MARGIN) > tail_norms.max()
     resolvent_mark = neumann | (tail_min >= delta_res * scale)
 
@@ -371,13 +383,6 @@ def spectral_radius_bound(
     )
 
 
-def _tail_inverses(fam: OperatorFamily, lam: complex, grid: HGrid) -> np.ndarray:
-    hs = grid.tail_samples()
-    ident = np.eye(fam.dim, dtype=complex)
-    shifted = lam * ident - fam.eval_stack(hs)
-    return np.linalg.solve(shifted, np.broadcast_to(ident, shifted.shape))
-
-
 def resolvent_identity_residual(
     fam: OperatorFamily, lam: complex, mu: complex, grid: HGrid
 ) -> TailStats:
@@ -386,14 +391,15 @@ def resolvent_identity_residual(
     Both points must classify Resolvent; the residual
     R(lam,h) - R(mu,h) - (mu - lam) R(lam,h) R(mu,h) then vanishes.
     """
+    tail = _tail_eval(fam, grid)
     for point in (lam, mu):
-        probe = probe_resolvent(fam, point, grid)
+        probe = _probe(tail, point, DELTA_RES)
         if probe.classification != RESOLVENT:
             raise PreconditionError(
                 f"{point} classified {probe.classification}, needs Resolvent"
             )
-    r_lam = _tail_inverses(fam, lam, grid)
-    r_mu = _tail_inverses(fam, mu, grid)
+    r_lam = _tail_inverses(tail[0], lam)
+    r_mu = _tail_inverses(tail[0], mu)
     resid = r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)
     vals = np.linalg.svd(resid, compute_uv=False)[:, 0]
     return tail_stats(vals, tail=grid.tail)
@@ -424,14 +430,14 @@ def resolvent_uniqueness_residual(
     """
     fam._check_dim(r1)
     fam._check_dim(r2)
-    scale = family_scale(fam, grid)
+    mats, _, scale = _tail_eval(fam, grid)
     hs = grid.tail_samples()
     ident = np.eye(fam.dim, dtype=complex)
-    shifted = lam * ident - fam.eval_stack(hs)
+    shifted = lam * ident - mats
+    stacks = (r1.eval_stack(hs), r2.eval_stack(hs))
     notes = []
     ok = True
-    for name, cand in (("R1", r1), ("R2", r2)):
-        stack = cand.eval_stack(hs)
+    for name, stack in zip(("R1", "R2"), stacks):
         right = np.linalg.svd(shifted @ stack - ident, compute_uv=False)[:, 0]
         left = np.linalg.svd(stack @ shifted - ident, compute_uv=False)[:, 0]
         worst = max(right.max(), left.max())
@@ -440,8 +446,7 @@ def resolvent_uniqueness_residual(
             notes.append(
                 f"{name} residual tail {worst:.3e} exceeds {delta_res * scale:.3e}"
             )
-    diff = r1.eval_stack(hs) - r2.eval_stack(hs)
-    vals = np.linalg.svd(diff, compute_uv=False)[:, 0]
+    vals = np.linalg.svd(stacks[0] - stacks[1], compute_uv=False)[:, 0]
     stats = tail_stats(vals, tail=grid.tail)
     return ResidualCheck(
         stats=stats,

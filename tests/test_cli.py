@@ -157,6 +157,20 @@ def test_input_errors_exit_2(workdir, tmp_path, capsys):
     assert rc == 2
 
 
+def test_underflowing_grid_exits_2(workdir, capsys):
+    rc = main(
+        [
+            "spectrum",
+            "--family", str(workdir / "d.fam"),
+            "--rect", "-2:2:-2:2",
+            "--res", "16",
+            "--grid", "1:0.5:1100:6",
+        ]
+    )
+    assert rc == 2
+    assert "underflow" in capsys.readouterr().err
+
+
 def test_verify_subset(workdir, capsys, tmp_path):
     rc = main(
         [

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfam.bracket import EQUIVALENT, NOT_EQUIVALENT
 from opfam.errors import DimensionMismatchError, InputError
 from opfam.families import (
     BOUNDED_POSITIVE,
+    EPS_TAIL,
     INCONCLUSIVE,
     TO_ZERO,
+    TREND_FLAT_TOL,
+    TREND_GROWTH_TOL,
     UNBOUNDED,
+    UNBOUNDED_MIN,
+    ZERO_FLOOR,
     CoeffFn,
     HGrid,
     OperatorFamily,
@@ -22,6 +29,12 @@ from opfam.families import (
     norm_samples,
     quotient_norm_bounds,
     tail_stats,
+)
+from opfam.local import family_local_probe, family_local_spectrum_grid
+from opfam.spectra import (
+    family_spectrum_grid,
+    probe_resolvent,
+    resolvent_identity_residual,
 )
 
 SEED = 31415
@@ -60,6 +73,14 @@ def test_hgrid_validation_and_parse():
         HGrid.parse("1:0.5:40")
 
 
+def test_hgrid_rejects_underflowing_samples():
+    # 0.5**1022 is the smallest normal float; one more halving is subnormal.
+    assert HGrid(count=1023).samples()[-1] == np.finfo(float).tiny
+    for count in (1024, 1100):
+        with pytest.raises(InputError):
+            HGrid(count=count)
+
+
 def test_tail_stats_verdicts(grid):
     k = np.arange(40)
     decaying = 0.5**k
@@ -84,6 +105,71 @@ def test_tail_stats_invariant(grid):
         if st.limit_verdict == TO_ZERO:
             assert st.tail_max < st.eps_tail
             assert st.tail_trend < 0
+
+
+def _polyfit_trend(tail: np.ndarray) -> float:
+    """Reference slope: least-squares fit of log10(tail) per grid step."""
+    logs = np.log10(np.maximum(tail, 1e-300))
+    return float(np.polyfit(np.arange(len(tail), dtype=float), logs, 1)[0])
+
+
+def _documented_verdict(tail_max, tail_min, trend, eps_tail=EPS_TAIL):
+    """The tail rule as the README states it, first match wins."""
+    if tail_max < eps_tail and trend < 0.0:
+        return TO_ZERO
+    if tail_min >= eps_tail and abs(trend) <= TREND_FLAT_TOL:
+        return BOUNDED_POSITIVE
+    if trend >= TREND_GROWTH_TOL and tail_max >= UNBOUNDED_MIN:
+        return UNBOUNDED
+    return INCONCLUSIVE
+
+
+TREND_TOL = 1e-10
+THRESHOLDS = (0.0, TREND_FLAT_TOL, -TREND_FLAT_TOL, TREND_GROWTH_TOL)
+
+# Tails spanning 1e-300..1e300: free log10 values, and near-geometric
+# tails whose slope sits at or next to one of the trend thresholds.
+_free_tails = st.lists(st.floats(-300.0, 300.0), min_size=3, max_size=12).map(
+    lambda logs: 10.0 ** np.array(logs)
+)
+
+
+def _near_geometric(start, slope, jitter, m):
+    k = np.arange(m)
+    return 10.0 ** (start + slope * k + jitter * np.sin(k))
+
+
+_threshold_tails = st.builds(
+    _near_geometric,
+    st.floats(-300.0, 290.0),
+    st.sampled_from(THRESHOLDS).flatmap(
+        lambda c: st.floats(c - 1e-3, c + 1e-3) | st.just(c)
+    ),
+    st.floats(0.0, 1e-4) | st.just(0.0),
+    st.integers(3, 12),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_free_tails | _threshold_tails)
+def test_tail_rule_matches_polyfit_reference(tail):
+    stats = tail_stats(tail, len(tail))
+    if tail.max() <= ZERO_FLOOR:
+        assert stats.tail_trend == float("-inf")
+        return
+    ref = _polyfit_trend(tail)
+    assert abs(stats.tail_trend - ref) <= TREND_TOL
+    if min(abs(ref - c) for c in THRESHOLDS) > TREND_TOL:
+        expected = _documented_verdict(tail.max(), tail.min(), ref)
+        assert stats.limit_verdict == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, ZERO_FLOOR), min_size=3, max_size=12))
+def test_tail_below_floor_reports_minus_inf(values):
+    stats = tail_stats(values, len(values))
+    assert stats.tail_trend == float("-inf")
+    assert stats.limit_verdict == TO_ZERO
 
 
 def test_limsup_norm_examples(grid):
@@ -141,6 +227,20 @@ def test_is_null_family(grid):
     # Sampled-only coefficients decay but carry no certificate.
     sampled = OperatorFamily.from_terms(3, [(CoeffFn.custom(lambda h: h), a)])
     assert is_null_family(sampled, grid).limit_verdict == INCONCLUSIVE
+
+
+def test_null_test_same_rule_for_vector_families(grid):
+    # Sampled-only terms carry no certificate: a persistent tail passes
+    # through as BoundedPositive, an observed decay is Inconclusive, for
+    # operator and vector families alike.
+    for fn, expected in ((lambda h: 1.0, BOUNDED_POSITIVE), (lambda h: h, INCONCLUSIVE)):
+        coeff = CoeffFn.custom(fn)
+        op = is_null_family(OperatorFamily.from_terms(2, [(coeff, np.eye(2))]), grid)
+        vec = is_null_vector_family(
+            VectorFamily.from_terms(2, [(coeff, np.array([1.0, 0.0]))]), grid
+        )
+        assert vec.limit_verdict == op.limit_verdict == expected
+        assert vec.note == op.note
 
 
 def test_asymptotic_equivalence_examples(grid):
@@ -260,3 +360,55 @@ def test_family_eval_against_direct_sum(grid):
         assert np.allclose(fam(h), a + np.exp(-2.0 / h) * b)
     stack = fam.eval_stack(np.array([1.0, 0.3]))
     assert np.allclose(stack[1], fam(0.3))
+
+
+@pytest.fixture()
+def eval_calls(monkeypatch):
+    """Families passed to OperatorFamily.eval_stack, one entry per call."""
+    calls = []
+    original = OperatorFamily.eval_stack
+
+    def counting(self, hs):
+        calls.append(self)
+        return original(self, hs)
+
+    monkeypatch.setattr(OperatorFamily, "eval_stack", counting)
+    return calls
+
+
+_RECT = (-3.0, 3.0, -3.0, 3.0)
+_X = np.array([1.0, 0.5, 0.0], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda fam, grid: probe_resolvent(fam, 2.5 + 0.5j, grid), 1),
+        (lambda fam, grid: family_spectrum_grid(fam, _RECT, 8, 8, grid), 1),
+        (lambda fam, grid: family_local_probe(fam, _X, 0.5, 0.1, grid), 1),
+        (lambda fam, grid: family_local_spectrum_grid(fam, _X, _RECT, 8, 8, grid), 1),
+        (lambda fam, grid: resolvent_identity_residual(fam, 8.0, 9.0j, grid), 1),
+        # The family and its refined representative.
+        (lambda fam, grid: quotient_norm_bounds(fam, grid), 2),
+    ],
+    ids=[
+        "probe_resolvent",
+        "family_spectrum_grid",
+        "family_local_probe",
+        "family_local_spectrum_grid",
+        "resolvent_identity_residual",
+        "quotient_norm_bounds",
+    ],
+)
+def test_family_evaluated_once_per_call(grid, eval_calls, call, expected):
+    rng = np.random.default_rng(SEED)
+    fam = OperatorFamily.from_terms(
+        3,
+        [
+            (CoeffFn.const(), np.diag([1.0, -1.0, 0.5j])),
+            (CoeffFn.pow_h(1.0), _rand(rng, 3)),
+            (CoeffFn.exp_inv(1.0), _rand(rng, 3)),
+        ],
+    )
+    call(fam, grid)
+    assert len(eval_calls) == expected

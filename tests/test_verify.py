@@ -1,10 +1,12 @@
 import pytest
 
+from opfam import verify
 from opfam.errors import InputError
 from opfam.verify import (
     ALL_SUITES,
     ANCHOR_TABLE,
     CHECKS,
+    FAIL,
     PASS,
     ScenarioConfig,
     _cells_match_one_off,
@@ -64,3 +66,32 @@ def test_report_files_written(tmp_path):
     summary = (tmp_path / "rep" / "summary.txt").read_text()
     assert report == bundle.render_machine()
     assert "verification summary" in summary
+
+
+def test_crashing_check_becomes_one_fail_record(monkeypatch, tmp_path, capsys):
+    cfg = ScenarioConfig(seed=5, suites=("linalg",), out_dir=str(tmp_path / "rep"))
+    clean = run_suite(cfg)
+    pos, (crash_id, suite, _) = next(
+        (k, entry) for k, entry in enumerate(CHECKS) if entry[1] == "linalg"
+    )
+
+    def crash(cfg, idx):
+        raise RuntimeError("synthetic crash")
+
+    patched = list(CHECKS)
+    patched[pos] = (crash_id, suite, crash)
+    monkeypatch.setattr(verify, "CHECKS", tuple(patched))
+    bundle = run_suite(cfg)
+
+    kept = [r for r in clean.results if r.check_id != crash_id]
+    assert [r for r in bundle.results if r.check_id != crash_id] == kept
+    (failed,) = [r for r in bundle.results if r.check_id == crash_id]
+    assert failed.verdict == FAIL
+    assert failed.details == "RuntimeError: synthetic crash"
+    assert bundle.exit_code == 1
+    assert "Traceback" in capsys.readouterr().err
+    report = (tmp_path / "rep" / "report.txt").read_text()
+    assert report == bundle.render_machine()
+    assert f"check={crash_id}|" in report
+    assert "repro=opfam verify --seed 5 --suite linalg" in report
+    assert crash_id in (tmp_path / "rep" / "summary.txt").read_text()
