@@ -42,7 +42,6 @@ from .families import (
     asymptotically_equivalent,
     commute_in_limit,
     is_null_family,
-    is_null_vector_family,
     limsup_norm,
     module_action,
     quotient_norm_bounds,

@@ -12,13 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .families import HGrid
 from .spectra import (
     CLASS_CHARS,
     CLS_RESOLVENT,
     CLS_SPECTRUM,
     CLS_UNDETERMINED,
-    GridThresholds,
     RegionGrid,
 )
 
@@ -131,14 +129,4 @@ def read_grid_csv(path: str) -> RegionGrid:
     for r, i, ch, s in zip(res, ims, chars, scores):
         classes[im_idx[i], re_idx[r]] = _CHAR_CLS[ch]
         score[im_idx[i], re_idx[r]] = s
-    return RegionGrid(
-        kind="loaded",
-        rect=rect,
-        nx=nx,
-        ny=ny,
-        classes=classes,
-        score=score,
-        scale=1.0,
-        thresholds=GridThresholds(),
-        grid=HGrid(),
-    )
+    return RegionGrid(rect=rect, nx=nx, ny=ny, classes=classes, score=score)

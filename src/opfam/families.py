@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .bracket import (
 )
 from .errors import DimensionMismatchError, InputError, OpfamError
 from .linalg import as_matrix, as_vector, op_norm
+
+if TYPE_CHECKING:
+    from typing import Self  # Python >= 3.11; used in annotations only
 
 EPS_TAIL = 1e-7
 ZERO_FLOOR = 1e-10
@@ -63,14 +66,14 @@ class CoeffFn:
 
     @staticmethod
     def pow_h(p: float) -> "CoeffFn":
-        if p < 0:
-            raise InputError("pow exponent must be >= 0")
+        if not 0.0 <= p < math.inf:
+            raise InputError("pow exponent must be finite and >= 0")
         return CoeffFn(exponent=float(p))
 
     @staticmethod
     def exp_inv(a: float) -> "CoeffFn":
-        if a <= 0:
-            raise InputError("expinv rate must be > 0")
+        if not 0.0 < a < math.inf:
+            raise InputError("expinv rate must be finite and > 0")
         return CoeffFn(rate=float(a))
 
     @staticmethod
@@ -126,113 +129,125 @@ class CoeffFn:
         return " * ".join(parts) if parts else "const"
 
 
-def _merge_terms(terms, zero_norm):
-    """Sum coefficient-equal terms, drop terms whose array is zero."""
-    merged: dict[CoeffFn, np.ndarray] = {}
-    order: list[CoeffFn] = []
-    for coeff, arr in terms:
-        if coeff in merged:
-            merged[coeff] = merged[coeff] + arr
-        else:
-            merged[coeff] = arr
-            order.append(coeff)
-    out = []
-    for coeff in order:
-        arr = merged[coeff]
-        if zero_norm(arr) > 0.0:
-            out.append((coeff, arr))
-    return tuple(out)
-
-
-def _vec_norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
-
-
-def _null_certificate(terms, zero_norm) -> bool | None:
-    """Decay certificate of a term sum: every nonzero merged term is null.
-
-    None as soon as a nonzero term is sampled-only; the zero family is null.
-    """
-    flags = [c.is_null for c, _ in _merge_terms(terms, zero_norm)]
-    if any(f is None for f in flags):
-        return None
-    return all(flags)
-
-
 @dataclass(frozen=True, eq=False)
-class OperatorFamily:
-    """h |-> sum_j c_j(h) * A_j with constant square matrices A_j."""
+class _TermSum:
+    """h |-> sum_j c_j(h) * T_j with constant arrays T_j: the term algebra.
+
+    Operator and vector families share everything here.  A subclass names
+    its arrays: `_check_array` validates one term array against the family
+    dim (None: any dim), `_norm` is the norm of one array and `_norms` the
+    norms of a stack of them along axis 0.
+    """
 
     dim: int
     terms: tuple[tuple[CoeffFn, np.ndarray], ...]
 
-    @staticmethod
-    def from_terms(dim: int, terms) -> "OperatorFamily":
+    @classmethod
+    def from_terms(cls, dim: int, terms) -> Self:
         checked = []
-        for coeff, mat in terms:
-            m = as_matrix(mat)
-            if m.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"term matrix dim {m.shape[0]} != family dim {dim}"
-                )
-            m = m.copy()
-            m.setflags(write=False)
-            checked.append((coeff, m))
+        for coeff, arr in terms:
+            a = cls._check_array(arr, dim).copy()
+            a.setflags(write=False)
+            checked.append((coeff, a))
         if not checked:
             raise InputError("family needs at least one term")
-        return OperatorFamily(dim=dim, terms=tuple(checked))
+        return cls(dim=dim, terms=tuple(checked))
 
-    @staticmethod
-    def constant(a) -> "OperatorFamily":
-        m = as_matrix(a)
-        return OperatorFamily.from_terms(m.shape[0], [(CoeffFn.const(), m)])
+    @classmethod
+    def constant(cls, a) -> Self:
+        arr = cls._check_array(a, None)
+        return cls.from_terms(arr.shape[0], [(CoeffFn.const(), arr)])
+
+    def _zeros(self, *lead: int) -> np.ndarray:
+        return np.zeros(lead + self.terms[0][1].shape, dtype=complex)
 
     def __call__(self, h: float) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for coeff, mat in self.terms:
-            out += coeff(h) * mat
+        out = self._zeros()
+        for coeff, arr in self.terms:
+            out += coeff(h) * arr
         return out
 
     def eval_stack(self, hs: np.ndarray) -> np.ndarray:
-        """Evaluate at many h values at once; returns shape (len(hs), d, d)."""
+        """Evaluate at many h values at once; returns shape (len(hs), *term shape)."""
         hs = np.asarray(hs, dtype=float)
-        out = np.zeros((hs.shape[0], self.dim, self.dim), dtype=complex)
-        for coeff, mat in self.terms:
-            out += coeff.eval_many(hs)[:, None, None] * mat
+        out = self._zeros(hs.shape[0])
+        for coeff, arr in self.terms:
+            out += coeff.eval_many(hs).reshape((-1,) + (1,) * arr.ndim) * arr
         return out
 
-    def __add__(self, other: "OperatorFamily") -> "OperatorFamily":
+    def __add__(self, other: Self) -> Self:
         self._check_dim(other)
-        return OperatorFamily.from_terms(self.dim, self.terms + other.terms)
+        return self.from_terms(self.dim, self.terms + other.terms)
 
-    def __sub__(self, other: "OperatorFamily") -> "OperatorFamily":
+    def __sub__(self, other: Self) -> Self:
         return self + (-other)
 
-    def __neg__(self) -> "OperatorFamily":
-        return OperatorFamily.from_terms(
-            self.dim, [(c, -m) for c, m in self.terms]
-        )
+    def __neg__(self) -> Self:
+        return self.from_terms(self.dim, [(c, -a) for c, a in self.terms])
 
-    def scaled(self, alpha: complex) -> "OperatorFamily":
-        return OperatorFamily.from_terms(
-            self.dim, [(c, alpha * m) for c, m in self.terms]
-        )
+    def _check_dim(self, other) -> None:
+        if self.dim != other.dim:
+            raise DimensionMismatchError(
+                f"family dims differ: {self.dim} vs {other.dim}"
+            )
 
-    def canonical(self) -> "OperatorFamily":
-        """Merge coefficient-equal terms and drop zero matrices."""
-        merged = _merge_terms(self.terms, op_norm)
-        if not merged:
-            z = np.zeros((self.dim, self.dim), dtype=complex)
-            merged = ((CoeffFn.const(), z),)
-        return OperatorFamily(dim=self.dim, terms=merged)
+    def _merged(self) -> tuple[tuple[CoeffFn, np.ndarray], ...]:
+        """Coefficient-equal terms summed, zero arrays dropped; may be empty."""
+        merged: dict[CoeffFn, np.ndarray] = {}
+        for coeff, arr in self.terms:
+            merged[coeff] = merged[coeff] + arr if coeff in merged else arr
+        return tuple((c, a) for c, a in merged.items() if self._norm(a) > 0.0)
+
+    def canonical(self) -> Self:
+        """Merge coefficient-equal terms and drop zero arrays."""
+        return self._with_terms(self._merged())
+
+    def _with_terms(self, terms) -> Self:
+        """The family of these (unchecked) terms; one zero term if there are none."""
+        if not terms:
+            terms = [(CoeffFn.const(), self._zeros())]
+        return type(self)(dim=self.dim, terms=tuple(terms))
+
+    def null_certificate(self) -> bool | None:
+        """True: provably null; False: provably not; None: undecidable.
+
+        Null means every nonzero merged term is null, so the zero family is
+        null; None as soon as a nonzero term is sampled-only.
+        """
+        flags = [c.is_null for c, _ in self._merged()]
+        if any(f is None for f in flags):
+            return None
+        return all(flags)
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorFamily(_TermSum):
+    """h |-> sum_j c_j(h) * A_j with constant square matrices A_j."""
+
+    @staticmethod
+    def _check_array(a, dim: int | None) -> np.ndarray:
+        m = as_matrix(a)
+        if dim is not None and m.shape[0] != dim:
+            raise DimensionMismatchError(
+                f"term matrix dim {m.shape[0]} != family dim {dim}"
+            )
+        return m
+
+    _norm = staticmethod(op_norm)
+
+    @staticmethod
+    def _norms(stack: np.ndarray) -> np.ndarray:
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+    # Bound in each class body: the benchmark tracer wraps
+    # vars(cls)["eval_stack"] class by class.
+    eval_stack = _TermSum.eval_stack
 
     def drop_null_terms(self) -> "OperatorFamily":
         """Canonical representative with certified-null terms removed."""
-        kept = [(c, m) for c, m in self.canonical().terms if c.is_null is not True]
-        if not kept:
-            z = np.zeros((self.dim, self.dim), dtype=complex)
-            kept = [(CoeffFn.const(), z)]
-        return OperatorFamily(dim=self.dim, terms=tuple(kept))
+        return self._with_terms(
+            [(c, m) for c, m in self._merged() if c.is_null is not True]
+        )
 
     def sup_bound(self) -> float | None:
         """Upper bound for sup_h ||F(h)||; None if a sampled-only term is present."""
@@ -244,78 +259,25 @@ class OperatorFamily:
             total += b * op_norm(mat)
         return total
 
-    def null_certificate(self) -> bool | None:
-        """True: provably null; False: provably not; None: undecidable."""
-        return _null_certificate(self.terms, op_norm)
-
-    def _check_dim(self, other) -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"family dims differ: {self.dim} vs {other.dim}"
-            )
-
     def describe(self) -> str:
         return " + ".join(f"[{c.describe()}]*A{j}" for j, (c, _) in enumerate(self.terms))
 
 
 @dataclass(frozen=True, eq=False)
-class VectorFamily:
+class VectorFamily(_TermSum):
     """h |-> sum_j c_j(h) * x_j with constant vectors x_j."""
 
-    dim: int
-    terms: tuple[tuple[CoeffFn, np.ndarray], ...]
+    _check_array = staticmethod(as_vector)
 
     @staticmethod
-    def from_terms(dim: int, terms) -> "VectorFamily":
-        checked = []
-        for coeff, vec in terms:
-            v = as_vector(vec, dim=dim)
-            v = v.copy()
-            v.setflags(write=False)
-            checked.append((coeff, v))
-        if not checked:
-            raise InputError("vector family needs at least one term")
-        return VectorFamily(dim=dim, terms=tuple(checked))
+    def _norm(v: np.ndarray) -> float:
+        return float(np.linalg.norm(v))
 
     @staticmethod
-    def constant(x) -> "VectorFamily":
-        v = as_vector(x)
-        return VectorFamily.from_terms(v.shape[0], [(CoeffFn.const(), v)])
+    def _norms(stack: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(stack, axis=1)
 
-    def __call__(self, h: float) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        for coeff, vec in self.terms:
-            out += coeff(h) * vec
-        return out
-
-    def eval_stack(self, hs: np.ndarray) -> np.ndarray:
-        hs = np.asarray(hs, dtype=float)
-        out = np.zeros((hs.shape[0], self.dim), dtype=complex)
-        for coeff, vec in self.terms:
-            out += coeff.eval_many(hs)[:, None] * vec
-        return out
-
-    def __add__(self, other: "VectorFamily") -> "VectorFamily":
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"vector family dims differ: {self.dim} vs {other.dim}"
-            )
-        return VectorFamily.from_terms(self.dim, self.terms + other.terms)
-
-    def __neg__(self) -> "VectorFamily":
-        return VectorFamily.from_terms(self.dim, [(c, -v) for c, v in self.terms])
-
-    def __sub__(self, other: "VectorFamily") -> "VectorFamily":
-        return self + (-other)
-
-    def canonical(self) -> "VectorFamily":
-        merged = _merge_terms(self.terms, _vec_norm)
-        if not merged:
-            merged = ((CoeffFn.const(), np.zeros(self.dim, dtype=complex)),)
-        return VectorFamily(dim=self.dim, terms=merged)
-
-    def null_certificate(self) -> bool | None:
-        return _null_certificate(self.terms, _vec_norm)
+    eval_stack = _TermSum.eval_stack  # see OperatorFamily
 
 
 @dataclass(frozen=True)
@@ -434,17 +396,12 @@ def tail_stats(
     )
 
 
-def norm_samples(fam: OperatorFamily, grid: HGrid) -> np.ndarray:
-    """||F(h_k)|| over the whole grid."""
-    stack = fam.eval_stack(grid.samples())
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+def norm_samples(fam: OperatorFamily | VectorFamily, grid: HGrid) -> np.ndarray:
+    """||F(h_k)|| (or ||x(h_k)||) over the whole grid."""
+    return fam._norms(fam.eval_stack(grid.samples()))
 
 
-def vector_norm_samples(v: VectorFamily, grid: HGrid) -> np.ndarray:
-    return np.linalg.norm(v.eval_stack(grid.samples()), axis=1)
-
-
-def limsup_norm(fam: OperatorFamily, grid: HGrid) -> float:
+def limsup_norm(fam: OperatorFamily | VectorFamily, grid: HGrid) -> float:
     """Tail maximum of ||F(h_k)||: the sampled stand-in for limsup at 0."""
     return float(norm_samples(fam, grid)[-grid.tail :].max())
 
@@ -489,8 +446,11 @@ def _certified(stats: TailStats, cert: bool | None) -> TailStats:
     return replace(stats, note="sampled-only terms: no certificate")
 
 
-def is_null_family(fam: OperatorFamily, grid: HGrid) -> TailStats:
-    """Decide membership in the null ideal (norm -> 0 at h -> 0) by `_certified`."""
+def is_null_family(fam: OperatorFamily | VectorFamily, grid: HGrid) -> TailStats:
+    """Decide membership in the null ideal (norm -> 0 at h -> 0) by `_certified`.
+
+    Operator and vector families go through the same rule.
+    """
     return _certified(
         tail_stats(norm_samples(fam, grid), grid.tail), fam.null_certificate()
     )
@@ -551,30 +511,21 @@ def module_action(
     again a finite-term family; on representatives the action satisfies
     limsup||F x|| <= limsup||F|| * limsup||x|| up to the tail tolerance.
     """
-    if f.dim != v.dim:
-        raise DimensionMismatchError(f"dims differ: {f.dim} vs {v.dim}")
+    f._check_dim(v)
     terms = []
     for cf, mat in f.terms:
         for cv, vec in v.terms:
             terms.append((cf * cv, mat @ vec))
     out = VectorFamily.from_terms(v.dim, terms).canonical()
     if grid is not None:
-        hs = grid.tail_samples()
-        left = float(np.linalg.norm(out.eval_stack(hs), axis=1).max())
+        left = float(out._norms(out.eval_stack(grid.tail_samples())).max())
         f_lim = limsup_norm(f, grid)
-        v_lim = float(vector_norm_samples(v, grid)[-grid.tail :].max())
+        v_lim = limsup_norm(v, grid)
         if left > f_lim * v_lim + EPS_TAIL:
             raise OpfamError(
                 f"module action bound violated: {left:.3e} > {f_lim:.3e} * {v_lim:.3e}"
             )
     return out
-
-
-def is_null_vector_family(v: VectorFamily, grid: HGrid) -> TailStats:
-    """Null test for vector families, by the same rule as is_null_family."""
-    return _certified(
-        tail_stats(vector_norm_samples(v, grid), grid.tail), v.null_certificate()
-    )
 
 
 def _inner_limit_estimate(vals: np.ndarray, zero_floor: float) -> tuple[float, str]:

@@ -162,8 +162,8 @@ def _parse_coeff(reader: _LineReader, tokens: list[str]) -> CoeffFn:
             p = float(tokens[1])
         except ValueError:
             reader.fail(f"bad pow parameter {tokens[1]!r}")
-        if p < 0:
-            reader.fail("pow parameter must be >= 0")
+        if not 0.0 <= p < math.inf:
+            reader.fail("pow parameter must be finite and >= 0")
         return CoeffFn.pow_h(p)
     if kind == "expinv":
         if len(tokens) != 2:
@@ -172,8 +172,8 @@ def _parse_coeff(reader: _LineReader, tokens: list[str]) -> CoeffFn:
             a = float(tokens[1])
         except ValueError:
             reader.fail(f"bad expinv parameter {tokens[1]!r}")
-        if a <= 0:
-            reader.fail("expinv parameter must be > 0")
+        if not 0.0 < a < math.inf:
+            reader.fail("expinv parameter must be finite and > 0")
         return CoeffFn.exp_inv(a)
     reader.fail(f"unknown coefficient kind {kind!r}")
 

@@ -52,7 +52,6 @@ from .spectra import (
     CLS_RESOLVENT,
     CLS_SPECTRUM,
     CLS_UNDETERMINED,
-    GridThresholds,
     RegionGrid,
     _dip_mask,
     _scan_setup,
@@ -241,17 +240,17 @@ def _point_flags(
 
 
 def _local_setup(fam: OperatorFamily, x, grid: HGrid, b_max: float | None):
-    """(x, ||x||, tail matrices, scale, b_max) for a local probe or scan.
+    """(x, ||x||, tail matrices, b_max) for a local probe or scan.
 
     The family is evaluated once; b_max defaults to
-    B_MAX_FACTOR * ||x|| / scale.
+    B_MAX_FACTOR * ||x|| / scale, with the family scale of `_tail_eval`.
     """
     v = as_vector(x, dim=fam.dim)
     xnorm = float(np.linalg.norm(v))
     mats, _, scale = _tail_eval(fam, grid)
     if b_max is None:
         b_max = B_MAX_FACTOR * max(xnorm, 1e-300) / scale
-    return v, xnorm, mats, scale, b_max
+    return v, xnorm, mats, b_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +285,7 @@ def family_local_probe(
     """
     if nbhd_r <= 0:
         raise InputError("nbhd_r must be > 0")
-    v, xnorm, mats, _, b_max = _local_setup(fam, x, grid, b_max)
+    v, xnorm, mats, b_max = _local_setup(fam, x, grid, b_max)
     points = lam0 + _ring_offsets(nbhd_r)
     if xnorm == 0.0:
         return LocalProbe(
@@ -340,21 +339,16 @@ def family_local_spectrum_grid(
     to pass; the rest is Undetermined.
     """
     rect, w, h, rcell, centers = _scan_setup(rect, nx, ny)
-    v, xnorm, mats, scale, b_max = _local_setup(fam, x, grid, b_max)
+    v, xnorm, mats, b_max = _local_setup(fam, x, grid, b_max)
     ring_r = 0.5 * min(w, h)
-    thresholds = GridThresholds(sigma_spec=LOCAL_CAL_FACTOR * rcell)
 
     if xnorm == 0.0:
         return RegionGrid(
-            kind="local",
             rect=rect,
             nx=nx,
             ny=ny,
             classes=np.full((ny, nx), CLS_RESOLVENT, dtype=np.int8),
             score=np.full((ny, nx), np.inf),
-            scale=scale,
-            thresholds=thresholds,
-            grid=grid,
         )
 
     offsets = _ring_offsets(ring_r)
@@ -381,15 +375,7 @@ def family_local_spectrum_grid(
     classes[all_good] = CLS_RESOLVENT
     classes[marked] = CLS_SPECTRUM
     return RegionGrid(
-        kind="local",
-        rect=rect,
-        nx=nx,
-        ny=ny,
-        classes=classes.reshape(ny, nx),
-        score=score,
-        scale=scale,
-        thresholds=thresholds,
-        grid=grid,
+        rect=rect, nx=nx, ny=ny, classes=classes.reshape(ny, nx), score=score
     )
 
 
@@ -509,14 +495,10 @@ class SvepReport:
     note: str
 
 
-def _family_tail_values(
-    mats: np.ndarray, vf: VectorFamily, lam: complex, hs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(residual, norm) tails of one witness at one lambda."""
+def _residual_tail(mats: np.ndarray, vals: np.ndarray, lam: complex) -> np.ndarray:
+    """(lambda I - F(h)) y_h over the tail matrices, for evaluated y_h."""
     ident = np.eye(mats.shape[-1], dtype=complex)
-    vals = vf.eval_stack(hs)
-    resid = ((lam * ident - mats) @ vals[..., None])[..., 0]
-    return np.linalg.norm(resid, axis=1), np.linalg.norm(vals, axis=1)
+    return ((lam * ident - mats) @ vals[..., None])[..., 0]
 
 
 def svep_falsification_probe(
@@ -544,7 +526,9 @@ def svep_falsification_probe(
             vf = w.fn(lam)
             if vf.dim != fam.dim:
                 raise InputError(f"witness {w.name} has dim {vf.dim} != {fam.dim}")
-            rvals, nvals = _family_tail_values(mats, vf, lam, hs)
+            vals = vf.eval_stack(hs)
+            rvals = np.linalg.norm(_residual_tail(mats, vals, lam), axis=1)
+            nvals = np.linalg.norm(vals, axis=1)
             res_verdicts.append(tail_stats(rvals, tail=grid.tail).limit_verdict)
             norm_verdicts.append(tail_stats(nvals, tail=grid.tail).limit_verdict)
         res_ok = all(v == TO_ZERO for v in res_verdicts)
@@ -599,7 +583,8 @@ def local_extension_uniqueness_check(
 
     Rejects (PreconditionError) unless both candidates have vanishing
     residual tails ||(lambda I - F(h)) y_h(lambda) - x|| at every mesh
-    point; then tests ||x_h(lambda) - y_h(lambda)|| -> 0 pointwise.
+    point; then tests ||x_h(lambda) - y_h(lambda)|| -> 0 pointwise.  Each
+    candidate is evaluated once per mesh point.
     """
     v = as_vector(x, dim=fam.dim)
     mesh = [complex(z) for z in mesh]
@@ -607,12 +592,13 @@ def local_extension_uniqueness_check(
         raise InputError("empty lambda mesh")
     hs = grid.tail_samples()
     mats = fam.eval_stack(hs)
-    ident = np.eye(fam.dim, dtype=complex)
     eps_res = EPS_TAIL * max(1.0, float(np.linalg.norm(v)))
+    # Keyed by mesh position, not by lambda: a mesh may repeat a point.
+    stacks = {}
     for name, sol in (("first", sol1), ("second", sol2)):
-        for lam in mesh:
-            vals = sol(lam).eval_stack(hs)
-            resid = ((lam * ident - mats) @ vals[..., None])[..., 0] - v
+        for k, lam in enumerate(mesh):
+            vals = stacks[name, k] = sol(lam).eval_stack(hs)
+            resid = _residual_tail(mats, vals, lam) - v
             stats = tail_stats(
                 np.linalg.norm(resid, axis=1), tail=grid.tail, eps_tail=eps_res
             )
@@ -624,8 +610,8 @@ def local_extension_uniqueness_check(
                 )
     verdicts = []
     worst = 0.0
-    for lam in mesh:
-        diff = sol1(lam).eval_stack(hs) - sol2(lam).eval_stack(hs)
+    for k in range(len(mesh)):
+        diff = stacks["first", k] - stacks["second", k]
         stats = tail_stats(np.linalg.norm(diff, axis=1), tail=grid.tail)
         verdicts.append(stats.limit_verdict)
         worst = max(worst, stats.tail_max)

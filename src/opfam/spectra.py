@@ -12,9 +12,9 @@ Grid scans classify cell centers.  Because a point test cannot see a
 measure-zero spectrum from a generic cell center, grids additionally mark
 cells whose sigma tail sits flat below the cell radius and is a local
 minimum of the sigma field: the pseudospectral reading of "the spectrum
-meets this cell" at the grid's resolution.  All thresholds are recorded on
-the grid, and classification is deterministic given family, grid,
-rectangle, resolution and thresholds.
+meets this cell" at the grid's resolution.  The thresholds are the module
+constants (and `delta_res`), and classification is deterministic given
+family, h-grid, rectangle, resolution and thresholds.
 """
 
 from __future__ import annotations
@@ -54,16 +54,6 @@ DIP_MIN_SLACK = 0.05
 DIP_MEDIAN_BETA = 0.6
 
 _CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class GridThresholds:
-    """Classification thresholds; sigma_spec is the pseudospectral cell test."""
-
-    delta_res: float = DELTA_RES
-    sigma_spec: float = 0.0
-    dip_min_slack: float = DIP_MIN_SLACK
-    dip_median_beta: float = DIP_MEDIAN_BETA
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,15 +201,11 @@ class RegionGrid:
     centers sit at the cell midpoints.
     """
 
-    kind: str
     rect: tuple[float, float, float, float]
     nx: int
     ny: int
     classes: np.ndarray
     score: np.ndarray
-    scale: float
-    thresholds: GridThresholds
-    grid: HGrid
 
     def cell_size(self) -> tuple[float, float]:
         return _cell_grid(self.rect, self.nx, self.ny)[:2]
@@ -296,8 +282,6 @@ def family_spectrum_grid(
     """
     rect, _, _, rcell, lams = _scan_setup(rect, nx, ny)
     mats, tail_norms, scale = _tail_eval(fam, grid)
-    thresholds = GridThresholds(delta_res=delta_res, sigma_spec=rcell)
-
     sig = _sigma_tail_stack(mats, lams)
     codes, tail_max, tail_min, trend = verdict_arrays(
         sig, delta_res * scale, SIGMA_FLOOR_REL * scale
@@ -315,15 +299,7 @@ def family_spectrum_grid(
     classes[spectrum_mark] = CLS_SPECTRUM
 
     out = RegionGrid(
-        kind="spectrum",
-        rect=rect,
-        nx=nx,
-        ny=ny,
-        classes=classes.reshape(ny, nx),
-        score=score,
-        scale=scale,
-        thresholds=thresholds,
-        grid=grid,
+        rect=rect, nx=nx, ny=ny, classes=classes.reshape(ny, nx), score=score
     )
     spec_cells = np.abs(lams[classes == CLS_SPECTRUM])
     if spec_cells.size and spec_cells.max() > tail_norms.max() + 2.0 * rcell + 1e-9:

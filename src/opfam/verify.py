@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .families import (
     asym_qn_equivalent,
     asymptotically_equivalent,
     commute_in_limit,
-    is_null_vector_family,
+    is_null_family,
     module_action,
     norm_samples,
     quotient_norm_bounds,
@@ -116,6 +116,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One record; `run_suite` stamps `suite` from the CHECKS registry."""
+
     check_id: str
     suite: str
     anchor: str
@@ -123,21 +125,18 @@ class CheckResult:
     verdict: str
     metrics: tuple[tuple[str, float], ...]
     details: str = ""
-    repro: str = ""
 
 
-def _result(check_id, suite, anchor, instance, ok, metrics, details="", inconclusive=False):
+def _result(check_id, anchor, instance, ok, metrics, details="", inconclusive=False):
     verdict = PASS if ok else (INCONCLUSIVE_VERDICT if inconclusive else FAIL)
-    repro = f"opfam verify --seed {{seed}} --suite {suite}"
     return CheckResult(
         check_id=check_id,
-        suite=suite,
+        suite="",
         anchor=anchor,
         instance=instance,
         verdict=verdict,
         metrics=tuple((k, float(v)) for k, v in metrics),
         details=details,
-        repro=repro,
     )
 
 
@@ -216,7 +215,6 @@ def check_bracket_recurrence(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac01-bracket-recurrence",
-            "bracket",
             "bracket-binomial-identity",
             "200 random 4x4 complex pairs, orders 1..12",
             worst <= 1e-8,
@@ -269,7 +267,6 @@ def check_qn_pairs(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac02-qn-pairs",
-            "bracket",
             "qn-equivalence-preserves-spectrum-and-local-spectrum",
             "scalar-vs-jordan(3) plus 20 commuting-nilpotent pairs, 20 x each",
             ok,
@@ -297,7 +294,6 @@ def check_non_equivalence_control(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac03-non-equivalence-control",
-            "bracket",
             "qn-root-test-control",
             "diag(0,1) vs diag(0,2), orders up to 40",
             ok,
@@ -330,7 +326,6 @@ def check_spectrum_grid_oracle(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac04-spectrum-grid-oracle",
-            "spectra",
             "family-spectrum-vs-eigenvalues",
             f"{trials} conditioned diagonalizable constants, 64x64 on {RECT}",
             n_ok == trials,
@@ -368,7 +363,6 @@ def check_asymptotic_pseudospectrum(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac05-asymptotic-pseudospectrum",
-            "spectra",
             "family-spectrum-definition",
             "flip family [[0,1],[h,0]], 128x128 on [-2,2]^2",
             ok,
@@ -415,7 +409,6 @@ def check_quotient_sandwich(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac06-quotient-sandwich",
-            "family",
             "quotient-norm-sandwich",
             f"{trials} catalog families plus the (1+exp(-1/h)) I example",
             ok,
@@ -471,7 +464,6 @@ def check_resolvent_identity_uniqueness(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac07a-resolvent-identity",
-            "spectra",
             "asymptotic-resolvent-identity",
             f"{trials} (family, lam, mu) triples with both points Resolvent",
             id_ok == trials,
@@ -480,7 +472,6 @@ def check_resolvent_identity_uniqueness(cfg: ScenarioConfig, idx: int):
         ),
         _result(
             "ac07b-resolvent-uniqueness",
-            "spectra",
             "approximate-resolvent-uniqueness",
             f"{trials} truncated-series resolvents vs null perturbations, "
             "plus constant-offset contrapositives",
@@ -514,7 +505,6 @@ def check_spectrum_invariance(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac08-spectrum-invariance",
-            "spectra",
             "spectrum-invariant-under-asymptotic-equivalence",
             f"{trials} certified null-difference pairs, 64x64 grids",
             n_ok == trials,
@@ -523,7 +513,6 @@ def check_spectrum_invariance(cfg: ScenarioConfig, idx: int):
         ),
         _result(
             "ac08b-spectrum-quotient-invariance",
-            "spectra",
             "spectrum-quotient-invariance",
             "5 families vs their null-refined representatives",
             quot_ok == 5,
@@ -556,7 +545,6 @@ def check_local_oracle(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac09-local-oracle",
-            "local",
             "family-local-spectrum-vs-exact",
             f"{trials} conditioned diagonalizable constants, 64x64 grids",
             n_ok == trials,
@@ -669,7 +657,6 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac10-commuting-local-invariance",
-            "local",
             "local-spectrum-commuting-invariance",
             f"{trials} commuting asymptotically-qn-equivalent pairs, 20 x each, "
             f"{res}x{res} grids",
@@ -679,7 +666,6 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
         ),
         _result(
             "ac10b-spectral-space-equality",
-            "local",
             "spectral-space-commuting-equality",
             "10 random region descriptors per agreeing pair",
             member_ok == member_total and member_total > 0,
@@ -804,7 +790,6 @@ def check_local_remark_chain(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac11-local-remark-chain",
-            "local",
             "local-remark-chain",
             "10 pairs x 2 vectors: inclusion, truncation, uniqueness, equivalence",
             ok,
@@ -841,7 +826,6 @@ def check_norm_algebra(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup01-norm-algebra",
-            "linalg",
             "operator-norm-inequalities",
             "1000 random pairs, dims 2..6",
             worst <= 1e-9,
@@ -870,7 +854,6 @@ def check_neumann_solve(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup02-neumann-solve",
-            "linalg",
             "resolvent-neumann-series",
             "50 random matrices, |lam| = 1.6 ||A||",
             worst <= 1e-6,
@@ -894,7 +877,6 @@ def check_spectral_projections(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup03-spectral-projections",
-            "linalg",
             "riesz-projection-invariants",
             "20 diagonalizable instances, gap >= 0.5, d <= 8",
             worst <= 1e-7 and center_gap <= 1e-4,
@@ -924,7 +906,6 @@ def check_qn_laws(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup04-qn-laws",
-            "bracket",
             "qn-equivalence-relation-laws",
             "reflexivity, scalar-shift controls, commuting-nilpotent zeros",
             bool(ok),
@@ -955,7 +936,6 @@ def check_family_relation_laws(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup05-family-relation-laws",
-            "family",
             "asymptotic-equivalence-relation-laws",
             "reflexive, symmetric, transitive on catalog triples; controls",
             bool(ok),
@@ -976,7 +956,6 @@ def check_bounded_asym_implies_qn(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup06-bounded-asym-implies-qn",
-            "family",
             "asymptotic-implies-quasinilpotent-equivalence",
             f"{trials} certified asymptotically equivalent pairs",
             n_ok == trials,
@@ -1002,7 +981,6 @@ def check_class_representative_stability(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup07-class-representative-stability",
-            "family",
             "class-level-equivalence-descends",
             f"{trials} pairs vs null-perturbed representatives",
             n_ok == trials,
@@ -1035,7 +1013,6 @@ def check_commute_quotient(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup08-commute-quotient",
-            "family",
             "limit-commutation-class-invariance",
             f"{trials} commuting pairs under representative change",
             n_ok == trials,
@@ -1062,12 +1039,11 @@ def check_module_action(cfg: ScenarioConfig, idx: int):
         w = _null_vec_family(rng, d)
         out2 = module_action(f + u, v + w, cfg.grid)
         diff = out2 - out
-        if is_null_vector_family(diff, cfg.grid).limit_verdict == TO_ZERO:
+        if is_null_family(diff, cfg.grid).limit_verdict == TO_ZERO:
             n_ok += 1
     return [
         _result(
             "sup09-module-action",
-            "family",
             "banach-module-action",
             f"{trials} random catalog instances",
             n_ok == trials,
@@ -1123,7 +1099,6 @@ def check_radius_remarks(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup10-radius-remarks",
-            "spectra",
             "family-spectrum-growth-and-neumann-remarks",
             "radius bound on 10 grids; Neumann exterior on 50 points; "
             "resolvent tails on 20 points",
@@ -1163,7 +1138,6 @@ def check_open_set(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup11-open-set",
-            "spectra",
             "family-resolvent-open-set",
             f"{trials} random catalog families, 24x24 vs 48x48",
             n_ok == trials,
@@ -1225,7 +1199,6 @@ def check_svep(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup12-svep",
-            "local",
             "family-svep-falsification",
             f"{families} catalog families x {witnesses_per} witnesses",
             n_ok == families,
@@ -1255,7 +1228,6 @@ def check_svep_transfer(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup13-svep-transfer",
-            "local",
             "svep-asymptotic-and-quotient-transfer",
             f"{trials} asymptotically equivalent pairs, shared witnesses",
             n_ok == trials,
@@ -1303,7 +1275,6 @@ def check_local_exact(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup14-local-exact",
-            "local",
             "exact-local-spectrum-support",
             "component examples, 50 linearity trials, zero vector",
             examples_ok and linear_ok and zero.zero_vector and not zero.support,
@@ -1342,7 +1313,6 @@ def check_extension(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup15-extension",
-            "local",
             "maximal-extension-partial-fractions",
             "diagonal examples plus 30 random agreement trials",
             examples_ok and agree_ok,
@@ -1399,7 +1369,6 @@ def check_member_monotone(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup16-member-monotone",
-            "local",
             "spectral-space-monotone-and-linear",
             f"{trials} trials of region enlargement and linear combination",
             n_ok == trials and linear_ok == trials,
@@ -1435,7 +1404,6 @@ def check_constant_class_embedding(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup17-constant-class-embedding",
-            "local",
             "constant-class-embedding",
             f"{trials} resolvent solves with null-perturbed right-hand sides",
             n_ok == trials,
@@ -1470,7 +1438,6 @@ def check_local_quotient(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup18-local-quotient",
-            "local",
             "local-resolvent-quotient-invariance",
             f"{trials} families vs null-perturbed representatives, probe points",
             n_ok == trials,
@@ -1557,7 +1524,7 @@ class ReportBundle:
                 f"details={_clean(r.details)}",
             ]
             if r.verdict == FAIL:
-                fields.append(f"repro={_clean(r.repro.format(seed=cfg.seed))}")
+                fields.append(f"repro=opfam verify --seed {cfg.seed} --suite {r.suite}")
             lines.append("|".join(fields))
         counts = self.counts()
         lines.append(
@@ -1604,20 +1571,20 @@ def run_suite(cfg: ScenarioConfig) -> ReportBundle:
         if suite not in wanted:
             continue
         try:
-            results.extend(fn(cfg, pos))
+            records = list(fn(cfg, pos))
         except Exception as exc:
             traceback.print_exc(file=sys.stderr)
-            results.append(
+            records = [
                 _result(
                     check_id,
-                    suite,
                     "check-raised",
                     "check raised an exception",
                     False,
                     [],
                     details=f"{type(exc).__name__}: {exc}",
                 )
-            )
+            ]
+        results.extend(replace(r, suite=suite) for r in records)
     bundle = ReportBundle(config=cfg, results=tuple(results))
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)

@@ -155,6 +155,11 @@ def test_input_errors_exit_2(workdir, tmp_path, capsys):
         ]
     )
     assert rc == 2
+    nan_fam = tmp_path / "nan.fam"
+    nan_fam.write_text("dim 2\nterm pow nan\n2\n1.0+0.0i 0.0+0.0i\n0.0+0.0i 1.0+0.0i\n")
+    rc = main(["spectrum", "--family", str(nan_fam), "--rect", "-3:3:-3:3", "--res", "8"])
+    assert rc == 2
+    assert "nan.fam:2" in capsys.readouterr().err
 
 
 def test_underflowing_grid_exits_2(workdir, capsys):

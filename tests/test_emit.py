@@ -3,12 +3,10 @@ import pytest
 
 from opfam.emit import emit_plot, grid_to_csv, grid_to_pgm, grid_to_svg, read_grid_csv
 from opfam.errors import InputError
-from opfam.families import HGrid
 from opfam.spectra import (
     CLS_RESOLVENT,
     CLS_SPECTRUM,
     CLS_UNDETERMINED,
-    GridThresholds,
     RegionGrid,
 )
 
@@ -17,15 +15,11 @@ def _tiny_grid(classes):
     classes = np.asarray(classes, dtype=np.int8)
     ny, nx = classes.shape
     return RegionGrid(
-        kind="spectrum",
         rect=(0.0, float(nx), 0.0, float(ny)),
         nx=nx,
         ny=ny,
         classes=classes,
         score=np.arange(classes.size, dtype=float).reshape(ny, nx),
-        scale=1.0,
-        thresholds=GridThresholds(),
-        grid=HGrid(),
     )
 
 

@@ -23,14 +23,17 @@ from opfam.families import (
     asymptotically_equivalent,
     commute_in_limit,
     is_null_family,
-    is_null_vector_family,
     limsup_norm,
     module_action,
     norm_samples,
     quotient_norm_bounds,
     tail_stats,
 )
-from opfam.local import family_local_probe, family_local_spectrum_grid
+from opfam.local import (
+    family_local_probe,
+    family_local_spectrum_grid,
+    local_extension_uniqueness_check,
+)
 from opfam.spectra import (
     family_spectrum_grid,
     probe_resolvent,
@@ -54,10 +57,12 @@ def test_coeff_catalog():
     # Catalog functions all bounded by 1 on (0, 1].
     for fn in (CoeffFn.const(), CoeffFn.pow_h(3.0), CoeffFn.exp_inv(0.5)):
         assert fn.sup_bound <= 1.0
-    with pytest.raises(InputError):
-        CoeffFn.pow_h(-1.0)
-    with pytest.raises(InputError):
-        CoeffFn.exp_inv(0.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            CoeffFn.pow_h(bad)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            CoeffFn.exp_inv(bad)
 
 
 def test_hgrid_validation_and_parse():
@@ -236,7 +241,7 @@ def test_null_test_same_rule_for_vector_families(grid):
     for fn, expected in ((lambda h: 1.0, BOUNDED_POSITIVE), (lambda h: h, INCONCLUSIVE)):
         coeff = CoeffFn.custom(fn)
         op = is_null_family(OperatorFamily.from_terms(2, [(coeff, np.eye(2))]), grid)
-        vec = is_null_vector_family(
+        vec = is_null_family(
             VectorFamily.from_terms(2, [(coeff, np.array([1.0, 0.0]))]), grid
         )
         assert vec.limit_verdict == op.limit_verdict == expected
@@ -320,7 +325,7 @@ def test_module_action(grid):
 
     hi = OperatorFamily.from_terms(2, [(CoeffFn.pow_h(1.0), np.eye(2))])
     out = module_action(hi, v, grid)
-    assert is_null_vector_family(out, grid).limit_verdict == TO_ZERO
+    assert is_null_family(out, grid).limit_verdict == TO_ZERO
 
     # Well-definedness under representative change of the vector argument.
     a, b = _rand(rng, 2), _rand(rng, 2)
@@ -328,7 +333,7 @@ def test_module_action(grid):
     w = rng.normal(size=2) + 1j * rng.normal(size=2)
     pert = VectorFamily.from_terms(2, [(CoeffFn.pow_h(1.0), w)])
     diff = module_action(fam, v + pert, grid) - module_action(fam, v, grid)
-    assert is_null_vector_family(diff, grid).limit_verdict == TO_ZERO
+    assert is_null_family(diff, grid).limit_verdict == TO_ZERO
 
 
 def test_module_action_submultiplicative(grid):
@@ -364,20 +369,40 @@ def test_family_eval_against_direct_sum(grid):
 
 @pytest.fixture()
 def eval_calls(monkeypatch):
-    """Families passed to OperatorFamily.eval_stack, one entry per call."""
+    """Families passed to OperatorFamily.eval_stack or VectorFamily.eval_stack,
+    one entry per call."""
     calls = []
-    original = OperatorFamily.eval_stack
 
-    def counting(self, hs):
-        calls.append(self)
-        return original(self, hs)
+    def counting(original):
+        def wrapper(self, hs):
+            calls.append(self)
+            return original(self, hs)
 
-    monkeypatch.setattr(OperatorFamily, "eval_stack", counting)
+        return wrapper
+
+    for cls in (OperatorFamily, VectorFamily):
+        monkeypatch.setattr(cls, "eval_stack", counting(cls.eval_stack))
     return calls
 
 
 _RECT = (-3.0, 3.0, -3.0, 3.0)
 _X = np.array([1.0, 0.5, 0.0], dtype=complex)
+_MESH = (2.5 + 0.5j, -2.0j, 2.5 + 0.5j)  # repeats a point
+
+
+def _uniqueness_check(fam, grid):
+    # Two candidates whose residuals vanish at h -> 0: the solution for the
+    # constant part A_0 of the family, and that solution plus h * x.
+    a0 = fam.terms[0][1]
+
+    def sol1(lam):
+        return VectorFamily.constant(np.linalg.solve(lam * np.eye(3) - a0, _X))
+
+    def sol2(lam):
+        return sol1(lam) + VectorFamily.from_terms(3, [(CoeffFn.pow_h(1.0), _X)])
+
+    report = local_extension_uniqueness_check(fam, _X, sol1, sol2, _MESH, grid)
+    assert report.all_to_zero
 
 
 @pytest.mark.parametrize(
@@ -390,6 +415,8 @@ _X = np.array([1.0, 0.5, 0.0], dtype=complex)
         (lambda fam, grid: resolvent_identity_residual(fam, 8.0, 9.0j, grid), 1),
         # The family and its refined representative.
         (lambda fam, grid: quotient_norm_bounds(fam, grid), 2),
+        # The family, and each candidate once per mesh point.
+        (_uniqueness_check, 1 + 2 * len(_MESH)),
     ],
     ids=[
         "probe_resolvent",
@@ -398,6 +425,7 @@ _X = np.array([1.0, 0.5, 0.0], dtype=complex)
         "family_local_spectrum_grid",
         "resolvent_identity_residual",
         "quotient_norm_bounds",
+        "local_extension_uniqueness_check",
     ],
 )
 def test_family_evaluated_once_per_call(grid, eval_calls, call, expected):

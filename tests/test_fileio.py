@@ -119,3 +119,48 @@ def test_family_file_comments_and_errors():
         read_family(io.StringIO("dim 2\nterm const\n1\n1.0+0.0i\n"))
     with pytest.raises(FileFormatError):
         read_family(io.StringIO("dim 2\n"))
+
+
+@pytest.mark.parametrize(
+    "term", ["pow nan", "pow inf", "pow -1", "expinv nan", "expinv inf", "expinv 0"]
+)
+def test_family_file_rejects_bad_coefficient_parameters(term):
+    text = f"dim 1\nterm const\n1\n1.0+0.0i\nterm {term}\n1\n1.0+0.0i\n"
+    with pytest.raises(FileFormatError) as err:
+        read_family(io.StringIO(text), path="f.fam")
+    assert err.value.line == 5
+    assert "f.fam:5" in str(err.value)
+
+
+_catalog_coeffs = st.one_of(
+    st.just(CoeffFn.const()),
+    st.floats(0.0, 1e6).map(CoeffFn.pow_h),
+    st.floats(0.0, 1e6, exclude_min=True).map(CoeffFn.exp_inv),
+)
+
+
+@st.composite
+def _catalog_families(draw):
+    d = draw(st.integers(1, 4))
+    entries = st.lists(
+        st.tuples(finite_doubles, finite_doubles), min_size=d * d, max_size=d * d
+    )
+    terms = [
+        (coeff, np.array([complex(a, b) for a, b in draw(entries)]).reshape(d, d))
+        for coeff in draw(st.lists(_catalog_coeffs, min_size=1, max_size=4))
+    ]
+    return OperatorFamily.from_terms(d, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_catalog_families())
+def test_family_file_roundtrip_bit_exact(fam):
+    buf = io.StringIO()
+    write_family(fam, buf)
+    back = read_family(io.StringIO(buf.getvalue()))
+    assert back.dim == fam.dim
+    assert len(back.terms) == len(fam.terms)
+    for (c1, m1), (c2, m2) in zip(fam.terms, back.terms):
+        assert _bits(c1.exponent) == _bits(c2.exponent)
+        assert _bits(c1.rate) == _bits(c2.rate)
+        assert m1.tobytes() == m2.tobytes()
