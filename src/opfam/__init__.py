@@ -22,6 +22,7 @@ from .errors import (
     EigenConvergenceError,
     FileFormatError,
     InputError,
+    InvariantError,
     OpfamError,
     PoleProximityError,
     PreconditionError,

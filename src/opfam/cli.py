@@ -2,7 +2,7 @@
 
 Verbs: spectrum, local-spectrum, local-member, bracket, equivalence,
 verify, plot.  Exit codes: 0 success / all checks pass, 1 verification
-check failure, 2 input error.
+check failure, 2 input error, 3 internal error (a broken invariant).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 
 from .bracket import QnParams, bracket_seq, qn_equivalent
 from .emit import FORMATS, emit_plot, grid_to_csv, read_grid_csv
-from .errors import InputError, OpfamError
+from .errors import InputError, InvariantError, OpfamError
 from .families import HGrid, asym_qn_equivalent, asymptotically_equivalent
 from .fileio import load_family, load_matrix, load_vector
 from .local import family_local_spectrum_grid, local_spectral_space_member
@@ -271,6 +271,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_normalize_argv(argv))
     try:
         return _COMMANDS[args.command](args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except OpfamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

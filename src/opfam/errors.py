@@ -26,6 +26,13 @@ class FileFormatError(InputError):
         self.line = line
 
 
+class InvariantError(OpfamError):
+    """An internal consistency check failed: a defect, not bad input.
+
+    CLI maps this to exit code 3.
+    """
+
+
 class SingularMatrixError(OpfamError):
     """Linear solve hit a numerically singular matrix; carries the pivot."""
 

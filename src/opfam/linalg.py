@@ -57,6 +57,11 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def op_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of matrices, one per leading index."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
 def sigma_min(a) -> float:
     """Smallest singular value; 0.0 for exactly singular input."""
     m = as_matrix(a)

@@ -33,7 +33,6 @@ from .families import (
     TO_ZERO,
     TREND_FLAT_TOL,
     UNBOUNDED,
-    VERDICT_CODES,
     ZERO_FLOOR,
     HGrid,
     OperatorFamily,
@@ -69,6 +68,12 @@ TOL_LOC = 1e-8
 TOL_EXT = 1e-6
 B_MAX_FACTOR = 1e8
 LOCAL_CAL_FACTOR = 8.0
+
+_LOCAL_NAMES = {
+    CLS_SPECTRUM: LOCAL_SPECTRUM,
+    CLS_UNDETERMINED: UNDETERMINED,
+    CLS_RESOLVENT: LOCAL_RESOLVENT,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +182,12 @@ def maximal_extension_eval(
     return ExtensionEval(lam=complex(lam), value=value, pole_data=tuple(pole_data))
 
 
+_RING_POINTS = 8
+
+
 def _ring_offsets(radius: float) -> np.ndarray:
-    """The probe stencil: the center plus 8 points on a circle."""
-    angles = 2.0 * np.pi * np.arange(8) / 8
+    """The probe stencil: the center plus _RING_POINTS points on a circle."""
+    angles = 2.0 * np.pi * np.arange(_RING_POINTS) / _RING_POINTS
     return np.concatenate(([0.0 + 0.0j], radius * np.exp(1j * angles)))
 
 
@@ -223,22 +231,6 @@ def _probe_samples(
     return norms, resids
 
 
-def _point_flags(
-    norms: np.ndarray,
-    resids: np.ndarray,
-    xnorm: float,
-    b_max: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Classify probe points: (good, bad, res_codes, norm_codes, norm_max)."""
-    eps_res = EPS_TAIL * max(1.0, xnorm)
-    floor_res = ZERO_FLOOR * max(1.0, xnorm)
-    res_codes, _, _, _ = verdict_arrays(resids, eps_res, floor_res)
-    norm_codes, norm_max, _, norm_trend = verdict_arrays(norms, eps_res, floor_res)
-    good = (res_codes == 0) & (norm_max <= b_max) & (norm_trend <= TREND_FLAT_TOL)
-    bad = np.isin(res_codes, (1, 2)) | (norm_codes == 2) | (norm_max > b_max)
-    return good, bad, res_codes, norm_codes, norm_max
-
-
 def _local_setup(fam: OperatorFamily, x, grid: HGrid, b_max: float | None):
     """(x, ||x||, tail matrices, b_max) for a local probe or scan.
 
@@ -253,6 +245,42 @@ def _local_setup(fam: OperatorFamily, x, grid: HGrid, b_max: float | None):
     return v, xnorm, mats, b_max
 
 
+def _local_cells(
+    mats: np.ndarray,
+    v: np.ndarray,
+    xnorm: float,
+    b_max: float,
+    centers: np.ndarray,
+    ring_r: float,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The point rule of `family_local_probe` for every cell center.
+
+    Each cell is probed at its center and on a circle of radius ring_r
+    around it.  Returns (class codes, tau, number of failing probe
+    points), where tau is the stencil median of ||x|| over the norm tail
+    max; the zero vector is LocalResolvent everywhere with tau = inf.
+    """
+    if xnorm == 0.0:
+        n = len(centers)
+        return np.full(n, CLS_RESOLVENT, dtype=np.int8), np.full(n, np.inf), 0
+    offsets = _ring_offsets(ring_r)
+    norms, resids = _probe_samples(mats, v, (centers[:, None] + offsets).ravel())
+    eps_res = EPS_TAIL * max(1.0, xnorm)
+    floor_res = ZERO_FLOOR * max(1.0, xnorm)
+    res_codes, _, _, _ = verdict_arrays(resids, eps_res, floor_res)
+    norm_codes, norm_max, _, norm_trend = verdict_arrays(norms, eps_res, floor_res)
+    stencil = (len(centers), len(offsets))
+    good = (res_codes == 0) & (norm_max <= b_max) & (norm_trend <= TREND_FLAT_TOL)
+    bad = np.isin(res_codes, (1, 2)) | (norm_codes == 2) | (norm_max > b_max)
+    # Median over the stencil: robust against isolated zeros of the local
+    # extension, which can make single probe points look deceptively tame.
+    tau = np.median((xnorm / np.maximum(norm_max, 1e-300)).reshape(stencil), axis=1)
+    classes = np.full(len(centers), CLS_UNDETERMINED, dtype=np.int8)
+    classes[good.reshape(stencil).all(axis=1)] = CLS_RESOLVENT
+    classes[bad.reshape(stencil).any(axis=1)] = CLS_SPECTRUM
+    return classes, tau, int(bad.sum())
+
+
 @dataclass(frozen=True, eq=False)
 class LocalProbe:
     """Neighborhood probe of one lambda0 for the family local resolvent."""
@@ -260,12 +288,7 @@ class LocalProbe:
     lam: complex
     nbhd_r: float
     classification: str
-    good_points: int
     bad_points: int
-    score: float
-    b_max: float
-    point_norm_max: np.ndarray
-    point_res_verdicts: tuple[str, ...]
 
 
 def family_local_probe(
@@ -282,42 +305,20 @@ def family_local_probe(
     vanishing residual tails and bounded, non-increasing norm tails.
     LocalSpectrum: some probe point definitely fails (persistent residual
     or norm blowup).  Undetermined absorbs the mixed cases.
+    `family_local_spectrum_grid` applies the same rule at every cell, plus
+    its dip test.
     """
     if nbhd_r <= 0:
         raise InputError("nbhd_r must be > 0")
     v, xnorm, mats, b_max = _local_setup(fam, x, grid, b_max)
-    points = lam0 + _ring_offsets(nbhd_r)
-    if xnorm == 0.0:
-        return LocalProbe(
-            lam=complex(lam0),
-            nbhd_r=nbhd_r,
-            classification=LOCAL_RESOLVENT,
-            good_points=len(points),
-            bad_points=0,
-            score=float("inf"),
-            b_max=b_max,
-            point_norm_max=np.zeros(len(points)),
-            point_res_verdicts=tuple([TO_ZERO] * len(points)),
-        )
-    norms, resids = _probe_samples(mats, v, points)
-    good, bad, res_codes, _, norm_max = _point_flags(norms, resids, xnorm, b_max)
-    if bad.any():
-        cls = LOCAL_SPECTRUM
-    elif good.all():
-        cls = LOCAL_RESOLVENT
-    else:
-        cls = UNDETERMINED
-    tau = float((xnorm / np.maximum(norm_max, 1e-300)).max())
+    classes, _, bad = _local_cells(
+        mats, v, xnorm, b_max, np.array([lam0], dtype=complex), nbhd_r
+    )
     return LocalProbe(
         lam=complex(lam0),
         nbhd_r=nbhd_r,
-        classification=cls,
-        good_points=int(good.sum()),
-        bad_points=int(bad.sum()),
-        score=tau,
-        b_max=b_max,
-        point_norm_max=norm_max,
-        point_res_verdicts=tuple(VERDICT_CODES[int(c)] for c in res_codes),
+        classification=_LOCAL_NAMES[int(classes[0])],
+        bad_points=bad,
     )
 
 
@@ -332,48 +333,17 @@ def family_local_spectrum_grid(
 ) -> RegionGrid:
     """Per-cell local probes over a rectangle.
 
-    A cell is LocalSpectrum when a probe point definitely fails, or when
-    its distance-like score (||x|| over the largest solution norm among
-    its probe points) sits below LOCAL_CAL_FACTOR cell radii at a local
-    minimum of the score field.  LocalResolvent requires every probe point
-    to pass; the rest is Undetermined.
+    Each cell gets the point rule of `family_local_probe`, with the ring
+    radius half the smaller cell side.  A cell is LocalSpectrum too when
+    its distance-like score (the stencil median of ||x|| over the
+    solution norm) sits below LOCAL_CAL_FACTOR cell radii at a local
+    minimum of the score field.
     """
-    rect, w, h, rcell, centers = _scan_setup(rect, nx, ny)
+    rect, w, h, rcell, centers = _scan_setup(rect, nx, ny, grid.tail * (1 + _RING_POINTS))
     v, xnorm, mats, b_max = _local_setup(fam, x, grid, b_max)
-    ring_r = 0.5 * min(w, h)
-
-    if xnorm == 0.0:
-        return RegionGrid(
-            rect=rect,
-            nx=nx,
-            ny=ny,
-            classes=np.full((ny, nx), CLS_RESOLVENT, dtype=np.int8),
-            score=np.full((ny, nx), np.inf),
-        )
-
-    offsets = _ring_offsets(ring_r)
-    points = (centers[:, None] + offsets[None, :]).ravel()
-
-    norms, resids = _probe_samples(mats, v, points)
-    good, bad, _, _, norm_max = _point_flags(norms, resids, xnorm, b_max)
-
-    n_cells = len(centers)
-    good = good.reshape(n_cells, len(offsets))
-    bad = bad.reshape(n_cells, len(offsets))
-    # Median over the stencil: robust against isolated zeros of the local
-    # extension, which can make single probe points look deceptively tame.
-    tau = np.median(
-        (xnorm / np.maximum(norm_max, 1e-300)).reshape(n_cells, len(offsets)), axis=1
-    )
+    classes, tau, _ = _local_cells(mats, v, xnorm, b_max, centers, 0.5 * min(w, h))
     score = tau.reshape(ny, nx)
-    detected = bad.any(axis=1)
-    all_good = good.all(axis=1)
-    dip = _dip_mask(score).ravel()
-    marked = detected | ((tau <= LOCAL_CAL_FACTOR * rcell) & dip)
-
-    classes = np.full(n_cells, CLS_UNDETERMINED, dtype=np.int8)
-    classes[all_good] = CLS_RESOLVENT
-    classes[marked] = CLS_SPECTRUM
+    classes[(tau <= LOCAL_CAL_FACTOR * rcell) & _dip_mask(score).ravel()] = CLS_SPECTRUM
     return RegionGrid(
         rect=rect, nx=nx, ny=ny, classes=classes.reshape(ny, nx), score=score
     )

@@ -43,7 +43,8 @@ class Disc(Region):
         return np.abs(np.asarray(z, dtype=complex) - self.center) <= self.radius
 
     def describe(self):
-        return f"disc {self.center.real:g},{self.center.imag:g},{self.radius:g}"
+        parts = (self.center.real, self.center.imag, self.radius)
+        return "disc " + ",".join(repr(float(v)) for v in parts)
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,8 @@ class Rect(Region):
         )
 
     def describe(self):
-        return f"rect {self.re_min:g}:{self.re_max:g}:{self.im_min:g}:{self.im_max:g}"
+        parts = (self.re_min, self.re_max, self.im_min, self.im_max)
+        return "rect " + ":".join(repr(float(v)) for v in parts)
 
 
 @dataclass(frozen=True)

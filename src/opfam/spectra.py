@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, OpfamError, PreconditionError
+from .errors import InputError, InvariantError, PreconditionError
 from .families import (
     TO_ZERO,
     TREND_FLAT_TOL,
@@ -36,7 +36,7 @@ from .families import (
     tail_stats,
     verdict_arrays,
 )
-from .linalg import as_matrix
+from .linalg import as_matrix, op_norms
 
 RESOLVENT = "Resolvent"
 SPECTRUM = "Spectrum"
@@ -46,12 +46,19 @@ CLS_SPECTRUM = 0
 CLS_UNDETERMINED = 1
 CLS_RESOLVENT = 2
 CLASS_CHARS = {CLS_SPECTRUM: "S", CLS_UNDETERMINED: "U", CLS_RESOLVENT: "R"}
+_CLASS_NAMES = {
+    CLS_SPECTRUM: SPECTRUM,
+    CLS_UNDETERMINED: UNDETERMINED,
+    CLS_RESOLVENT: RESOLVENT,
+}
 
 DELTA_RES = 1e-6
 NEUMANN_MARGIN = 1e-6
 SIGMA_FLOOR_REL = 1e-10
 DIP_MIN_SLACK = 0.05
 DIP_MEDIAN_BETA = 0.6
+# Most tail samples (tail length x probe points) one grid scan may hold.
+SCAN_SAMPLE_BUDGET = 2**24
 
 _CHUNK = 8192
 
@@ -64,10 +71,8 @@ class ResolventProbe:
     tail_sigma: np.ndarray
     tail_resnorm: np.ndarray
     classification: str
-    scale: float
     sigma_stats: TailStats
     neumann: bool
-    max_inverse_residual: float
 
 
 def _tail_eval(fam: OperatorFamily, grid: HGrid) -> tuple[np.ndarray, np.ndarray, float]:
@@ -75,11 +80,15 @@ def _tail_eval(fam: OperatorFamily, grid: HGrid) -> tuple[np.ndarray, np.ndarray
 
     Returns (tail matrices F(h) over the grid tail, their norms, scale),
     with scale = max(1, tail limsup of the family norm), which normalizes
-    delta_res.
+    delta_res.  A family whose tail values or norms overflow to a
+    non-finite number is an input error: every threshold would be inf.
     """
     mats = fam.eval_stack(grid.tail_samples())
-    norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    return mats, norms, max(1.0, float(norms.max()))
+    if np.isfinite(mats).all():
+        norms = op_norms(mats)
+        if np.isfinite(norms).all():
+            return mats, norms, max(1.0, float(norms.max()))
+    raise InputError("family values overflow on the h-grid tail")
 
 
 def _sigma_tail_stack(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -96,6 +105,21 @@ def _sigma_tail_stack(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
             sig = np.linalg.svd(shifted - mats[i], compute_uv=False)
             out[i, lo : lo + _CHUNK] = sig[:, -1]
     return out
+
+
+def _classify(sig, tail_norms, scale: float, lams: np.ndarray, delta_res: float):
+    """The point rule of `probe_resolvent` at every point of lams.
+
+    sig holds the sigma tails, one column per point.  Returns (class
+    codes, the `verdict_arrays` of sig, Neumann mask).
+    """
+    verdicts = verdict_arrays(sig, delta_res * scale, SIGMA_FLOOR_REL * scale)
+    codes, _, tail_min, _ = verdicts
+    neumann = np.abs(lams) * (1.0 - NEUMANN_MARGIN) > tail_norms.max()
+    classes = np.full(lams.shape, CLS_UNDETERMINED, dtype=np.int8)
+    classes[neumann | (tail_min >= delta_res * scale)] = CLS_RESOLVENT
+    classes[(codes == 0) & ~neumann] = CLS_SPECTRUM
+    return classes, verdicts, neumann
 
 
 def _tail_inverses(mats: np.ndarray, lam: complex) -> np.ndarray:
@@ -115,9 +139,10 @@ def probe_resolvent(
 
     Resolvent either by the Neumann certificate (tail norms strictly below
     |lambda|) or by a sigma tail bounded below by delta_res * scale, in
-    which case the exact inverses are constructed and their residuals
-    checked.  Spectrum when the sigma tail vanishes.  Undetermined absorbs
-    the rest.
+    which case the exact inverses must also be constructible.  Spectrum
+    when the sigma tail vanishes and the Neumann certificate does not
+    hold.  Undetermined absorbs the rest.  `family_spectrum_grid` applies
+    the same rule at every cell center, plus its dip test.
     """
     return _probe(_tail_eval(fam, grid), lam, delta_res)
 
@@ -125,45 +150,33 @@ def probe_resolvent(
 def _probe(tail, lam: complex, delta_res: float) -> ResolventProbe:
     """probe_resolvent on an evaluated tail (see `_tail_eval`)."""
     mats, tail_norms, scale = tail
-    sig = _sigma_tail_stack(mats, np.array([lam], dtype=complex))[:, 0]
+    lams = np.array([lam], dtype=complex)
+    sig = _sigma_tail_stack(mats, lams)
+    classes, _, neumann = _classify(sig, tail_norms, scale, lams, delta_res)
+    sig, cls, neumann = sig[:, 0], int(classes[0]), bool(neumann[0])
+    resnorm = None
+    if sig.min() > 0.0:
+        try:
+            resnorm = op_norms(_tail_inverses(mats, lam))
+        except np.linalg.LinAlgError:
+            pass
+    if resnorm is None:
+        resnorm = np.full(len(mats), np.nan)
+        if cls == CLS_RESOLVENT and not neumann:
+            cls = CLS_UNDETERMINED
     stats = tail_stats(
         sig,
         tail=len(sig),
         eps_tail=delta_res * scale,
         zero_floor=SIGMA_FLOOR_REL * scale,
     )
-    neumann = bool(tail_norms.max() < abs(lam) * (1.0 - NEUMANN_MARGIN))
-
-    ident = np.eye(mats.shape[-1], dtype=complex)
-    resnorm = np.full(len(mats), np.nan)
-    max_residual = np.nan
-    invs = None
-    if sig.min() > 0.0:
-        try:
-            invs = _tail_inverses(mats, lam)
-            resnorm = np.linalg.svd(invs, compute_uv=False)[:, 0]
-            residuals = (lam * ident - mats) @ invs - ident
-            max_residual = float(np.linalg.svd(residuals, compute_uv=False)[:, 0].max())
-        except np.linalg.LinAlgError:
-            invs = None
-
-    if neumann:
-        cls = RESOLVENT
-    elif stats.limit_verdict == TO_ZERO:
-        cls = SPECTRUM
-    elif sig.min() >= delta_res * scale and invs is not None:
-        cls = RESOLVENT
-    else:
-        cls = UNDETERMINED
     return ResolventProbe(
         lam=complex(lam),
         tail_sigma=sig,
         tail_resnorm=resnorm,
-        classification=cls,
-        scale=scale,
+        classification=_CLASS_NAMES[cls],
         sigma_stats=stats,
         neumann=neumann,
-        max_inverse_residual=max_residual,
     )
 
 
@@ -177,14 +190,21 @@ def _cell_grid(rect, nx: int, ny: int) -> tuple[float, float, np.ndarray]:
     return w, h, res[None, :] + 1j * ims[:, None]
 
 
-def _scan_setup(rect, nx: int, ny: int):
+def _scan_setup(rect, nx: int, ny: int, samples_per_cell: int):
     """Validated scan geometry: (rect, w, h, rcell, raveled cell centers).
 
-    rcell is the cell half-diagonal.
+    rcell is the cell half-diagonal.  A scan needing more than
+    SCAN_SAMPLE_BUDGET tail samples is rejected before anything is
+    allocated.
     """
     rect = _validate_rect(rect)
     if nx < 8 or ny < 8:
         raise InputError("need nx, ny >= 8")
+    if nx * ny * samples_per_cell > SCAN_SAMPLE_BUDGET:
+        raise InputError(
+            f"a {nx}x{ny} scan needs {nx * ny * samples_per_cell} tail samples, "
+            f"over the budget of {SCAN_SAMPLE_BUDGET}; lower the resolution"
+        )
     w, h, centers = _cell_grid(rect, nx, ny)
     return rect, w, h, 0.5 * float(np.hypot(w, h)), centers.ravel()
 
@@ -274,40 +294,30 @@ def family_spectrum_grid(
 ) -> RegionGrid:
     """Classify every cell center of an nx-by-ny scan over `rect`.
 
-    A cell is Spectrum when its sigma tail vanishes, or when the tail sits
-    flat at or below the cell half-diagonal and the cell is a local
-    minimum of the sigma field (the spectrum, if any, meets this cell at
-    the scan's resolution).  Resolvent requires the Neumann certificate or
-    a sigma tail bounded below by delta_res * scale.  Rest: Undetermined.
+    Each center gets the point rule of `probe_resolvent`.  A cell is
+    Spectrum too when its sigma tail sits flat at or below the cell
+    half-diagonal and the cell is a local minimum of the sigma field (the
+    spectrum, if any, meets this cell at the scan's resolution).
     """
-    rect, _, _, rcell, lams = _scan_setup(rect, nx, ny)
+    rect, _, _, rcell, lams = _scan_setup(rect, nx, ny, grid.tail)
     mats, tail_norms, scale = _tail_eval(fam, grid)
     sig = _sigma_tail_stack(mats, lams)
-    codes, tail_max, tail_min, trend = verdict_arrays(
-        sig, delta_res * scale, SIGMA_FLOOR_REL * scale
+    classes, (_, tail_max, tail_min, trend), _ = _classify(
+        sig, tail_norms, scale, lams, delta_res
     )
-    flat_low = (tail_max <= rcell) & (trend <= TREND_FLAT_TOL)
     score = tail_min.reshape(ny, nx)
-    dip = _dip_mask(score).ravel()
-    spectrum_mark = (codes == 0) | (flat_low & dip)
+    flat_low = (tail_max <= rcell) & (trend <= TREND_FLAT_TOL)
+    classes[flat_low & _dip_mask(score).ravel()] = CLS_SPECTRUM
 
-    neumann = np.abs(lams) * (1.0 - NEUMANN_MARGIN) > tail_norms.max()
-    resolvent_mark = neumann | (tail_min >= delta_res * scale)
-
-    classes = np.full(lams.shape, CLS_UNDETERMINED, dtype=np.int8)
-    classes[resolvent_mark] = CLS_RESOLVENT
-    classes[spectrum_mark] = CLS_SPECTRUM
-
-    out = RegionGrid(
-        rect=rect, nx=nx, ny=ny, classes=classes.reshape(ny, nx), score=score
-    )
     spec_cells = np.abs(lams[classes == CLS_SPECTRUM])
     if spec_cells.size and spec_cells.max() > tail_norms.max() + 2.0 * rcell + 1e-9:
-        raise OpfamError(
+        raise InvariantError(
             "spectrum cell found outside the norm-bound disk; "
             "classification is inconsistent"
         )
-    return out
+    return RegionGrid(
+        rect=rect, nx=nx, ny=ny, classes=classes.reshape(ny, nx), score=score
+    )
 
 
 @dataclass(frozen=True)
@@ -341,7 +351,7 @@ def spectral_radius_bound(
     for n in range(1, n_max + 1):
         if n > 1:
             power = power @ mats
-        norms = np.linalg.svd(power, compute_uv=False)[:, 0]
+        norms = op_norms(power)
         if not np.all(np.isfinite(norms)) or norms.max() > 1e300:
             return RadiusBound(
                 value=float("inf"),
@@ -377,8 +387,7 @@ def resolvent_identity_residual(
     r_lam = _tail_inverses(tail[0], lam)
     r_mu = _tail_inverses(tail[0], mu)
     resid = r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)
-    vals = np.linalg.svd(resid, compute_uv=False)[:, 0]
-    return tail_stats(vals, tail=grid.tail)
+    return tail_stats(op_norms(resid), tail=grid.tail)
 
 
 @dataclass(frozen=True)
@@ -414,18 +423,16 @@ def resolvent_uniqueness_residual(
     notes = []
     ok = True
     for name, stack in zip(("R1", "R2"), stacks):
-        right = np.linalg.svd(shifted @ stack - ident, compute_uv=False)[:, 0]
-        left = np.linalg.svd(stack @ shifted - ident, compute_uv=False)[:, 0]
+        right = op_norms(shifted @ stack - ident)
+        left = op_norms(stack @ shifted - ident)
         worst = max(right.max(), left.max())
         if worst > delta_res * scale:
             ok = False
             notes.append(
                 f"{name} residual tail {worst:.3e} exceeds {delta_res * scale:.3e}"
             )
-    vals = np.linalg.svd(stacks[0] - stacks[1], compute_uv=False)[:, 0]
-    stats = tail_stats(vals, tail=grid.tail)
     return ResidualCheck(
-        stats=stats,
+        stats=tail_stats(op_norms(stacks[0] - stacks[1]), tail=grid.tail),
         precondition_ok=ok,
         notes="; ".join(notes) if notes else "approximate-inverse preconditions hold",
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opfam.cli import main
+from opfam.errors import InvariantError
 from opfam.families import CoeffFn, OperatorFamily
 from opfam.fileio import save_family, save_matrix, save_vector
 
@@ -174,6 +175,27 @@ def test_underflowing_grid_exits_2(workdir, capsys):
     )
     assert rc == 2
     assert "underflow" in capsys.readouterr().err
+
+
+def test_overflowing_family_exits_2(workdir, capsys):
+    save_family(OperatorFamily.constant(np.full((2, 2), 1e308)), workdir / "huge.fam")
+    scan = ["--family", str(workdir / "huge.fam"), "--rect", "-3:3:-3:3", "--res", "8"]
+    for argv in (
+        ["spectrum", *scan],
+        ["local-spectrum", *scan, "--x", str(workdir / "e1.vec")],
+    ):
+        assert main(argv) == 2
+        assert "overflow" in capsys.readouterr().err
+
+
+def test_broken_invariant_exits_3(workdir, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantError("classification is inconsistent")
+
+    monkeypatch.setattr("opfam.cli.family_spectrum_grid", broken)
+    scan = ["--family", str(workdir / "d.fam"), "--rect", "-2:2:-2:2", "--res", "8"]
+    assert main(["spectrum", *scan]) == 3
+    assert "internal error: classification is inconsistent" in capsys.readouterr().err
 
 
 def test_verify_subset(workdir, capsys, tmp_path):

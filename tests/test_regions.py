@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opfam.errors import InputError
 from opfam.regions import Disc, Empty, Rect, Union, parse_region
@@ -49,3 +51,43 @@ def test_parse_errors():
 def test_describe_roundtrip():
     for text in ("disc 1,0,0.5", "rect -1:2:-0.5:0.5", "empty"):
         assert parse_region(parse_region(text).describe()) == parse_region(text)
+
+
+_coords = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _ordered(a, b):
+    return min(a, b), max(a, b)
+
+
+_leaves = st.one_of(
+    st.just(Empty()),
+    st.builds(
+        lambda re, im, r: Disc(center=complex(re, im), radius=r),
+        _coords,
+        _coords,
+        st.floats(min_value=0.0, allow_infinity=False),
+    ),
+    st.builds(
+        lambda a, b, c, d: Rect(*_ordered(a, b), *_ordered(c, d)),
+        _coords,
+        _coords,
+        _coords,
+        _coords,
+    ),
+)
+_regions = st.recursive(
+    _leaves,
+    lambda parts: st.lists(parts, min_size=1, max_size=4).map(
+        lambda ps: Union(parts=tuple(ps))
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regions)
+@example(Disc(0j, 1.015625))  # seven significant digits
+@example(Rect(*np.array([-1.0, 1.0, 0.0, 0.5])))  # numpy scalars
+def test_describe_roundtrips_exactly(region):
+    assert parse_region(region.describe()) == region

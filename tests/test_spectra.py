@@ -9,12 +9,21 @@ from opfam.families import (
     OperatorFamily,
 )
 from opfam.linalg import op_norm
+from opfam.local import (
+    LOCAL_RESOLVENT,
+    LOCAL_SPECTRUM,
+    family_local_probe,
+    family_local_spectrum_grid,
+)
 from opfam.spectra import (
     CLS_RESOLVENT,
     CLS_SPECTRUM,
+    CLS_UNDETERMINED,
+    DELTA_RES,
     RESOLVENT,
     SPECTRUM,
     UNDETERMINED,
+    _classify,
     class_invariance_check,
     compare_grids,
     family_spectrum_grid,
@@ -26,6 +35,10 @@ from opfam.spectra import (
 )
 
 SEED = 2718
+
+
+def _rand(rng, d):
+    return rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
 
 
 def flip_family():
@@ -173,3 +186,89 @@ def test_compare_grids_ignores_undetermined(grid):
     rep = compare_grids(a, b)
     assert rep.identical
     assert rep.n_cells == 256
+
+
+def test_neumann_certificate_beats_a_vanishing_tail():
+    # ||F|| = 0.5 < |lam| < 1: the sigma tail may then vanish below
+    # delta_res * scale = 1e-6 while staying above |lam| - ||F|| > 0.
+    sig = np.linspace(9e-7, 6e-7, 6)[:, None]
+    lams = np.array([0.5000012 + 0.0j])
+    classes, (codes, _, _, _), neumann = _classify(
+        sig, np.array([0.5]), 1.0, lams, DELTA_RES
+    )
+    assert codes[0] == 0 and neumann[0]
+    assert classes[0] == CLS_RESOLVENT
+
+
+def test_probe_rejects_an_overflowing_family(grid):
+    fam = OperatorFamily.constant(np.full((2, 2), 1e308))
+    with pytest.raises(InputError, match="overflow"):
+        probe_resolvent(fam, 0.5, grid)
+
+
+def test_scan_budget_is_checked_before_the_family_is_evaluated(grid, monkeypatch):
+    fam = OperatorFamily.constant(np.eye(2))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("family evaluated")
+
+    monkeypatch.setattr(OperatorFamily, "eval_stack", unreachable)
+    with pytest.raises(InputError, match="budget"):
+        family_spectrum_grid(fam, (-1, 1, -1, 1), 4096, 4096, grid)
+    # A local scan probes 9 points per cell, so 1024^2 is already too much.
+    with pytest.raises(InputError, match="budget"):
+        family_local_spectrum_grid(fam, [1.0, 0.0], (-1, 1, -1, 1), 1024, 1024, grid)
+
+
+def _drift_family(rng, d, eig):
+    """A + h B where A has the eigenvalue eig, B and the rest random."""
+    rest = rng.uniform(-1.5, 1.5, d - 1) + 1j * rng.uniform(-1.5, 1.5, d - 1)
+    v = np.eye(d) + 0.3 * _rand(rng, d)
+    a = v @ np.diag(np.concatenate(([eig], rest))) @ np.linalg.inv(v)
+    b = 0.5 * _rand(rng, d)
+    return OperatorFamily.from_terms(d, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
+
+
+_LOCAL_CODES = {
+    LOCAL_SPECTRUM: CLS_SPECTRUM,
+    UNDETERMINED: CLS_UNDETERMINED,
+    LOCAL_RESOLVENT: CLS_RESOLVENT,
+}
+_CODES = {SPECTRUM: CLS_SPECTRUM, UNDETERMINED: CLS_UNDETERMINED, RESOLVENT: CLS_RESOLVENT}
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "local"])
+def test_probe_is_the_grid_rule_at_a_cell_centre(grid, kind):
+    """Outside the dip marks, a probe at a cell centre repeats the grid's class."""
+    rng = np.random.default_rng(SEED)
+    rect = (-2.0, 2.0, -2.0, 2.0)
+    n = 16
+    probe_spectrum = 0
+    for d in (2, 3, 4, 2, 3, 4):
+        # Put one eigenvalue of A at a cell centre, so that some probe
+        # classifies Spectrum and the Spectrum direction is exercised.
+        jx, jy = rng.integers(2, n - 2, size=2)
+        fam = _drift_family(rng, d, complex(-1.875 + 0.25 * jx, -1.875 + 0.25 * jy))
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        if kind == "spectrum":
+            g = family_spectrum_grid(fam, rect, n, n, grid)
+
+            def probe(lam):
+                return _CODES[probe_resolvent(fam, lam, grid).classification]
+
+        else:
+            g = family_local_spectrum_grid(fam, x, rect, n, n, grid)
+            ring_r = 0.5 * min(g.cell_size())
+
+            def probe(lam):
+                cls = family_local_probe(fam, x, lam, ring_r, grid).classification
+                return _LOCAL_CODES[cls]
+
+        for (iy, ix), lam in np.ndenumerate(g.centers()):
+            cls = probe(complex(lam))
+            if g.classes[iy, ix] != CLS_SPECTRUM:
+                assert cls == g.classes[iy, ix], (d, iy, ix)
+            if cls == CLS_SPECTRUM:
+                probe_spectrum += 1
+                assert g.classes[iy, ix] == CLS_SPECTRUM, (d, iy, ix)
+    assert probe_spectrum > 0
