@@ -10,7 +10,6 @@ spectra via contour-integral spectral projections.
 from .bracket import (
     BracketSeq,
     EquivalenceReport,
-    QnParams,
     bracket,
     bracket_binomial,
     bracket_seq,

@@ -25,6 +25,12 @@ from .linalg import as_matrix, op_norm
 EPS_ZERO = 1e-300
 OVERFLOW_LIMIT = 1e300
 MAX_BRACKET_ORDER = 64
+# Root-test calibration: Equivalent below EPS_Q, NotEquivalent when the
+# trailing ROOT_WINDOW roots stay at or above DELTA_Q; orders 1..N_MAX.
+EPS_Q = 0.05
+DELTA_Q = 0.2
+ROOT_WINDOW = 5
+N_MAX = 40
 
 EQUIVALENT = "Equivalent"
 NOT_EQUIVALENT = "NotEquivalent"
@@ -109,26 +115,20 @@ def _roots_from_norms(norms: np.ndarray) -> np.ndarray:
     return roots
 
 
-def bracket_seq(t, s, n_max: int, cross_check: bool = False) -> BracketSeq:
-    """Bracket norms/roots for (T, S) and (S, T), orders 1..n_max.
+def _check_n_max(n_max: int) -> None:
+    """The one bound on a bracket order count: the root test needs a full window."""
+    if n_max < ROOT_WINDOW:
+        raise InputError(
+            f"n_max must be >= {ROOT_WINDOW} (the root-test window), got {n_max}"
+        )
 
-    With cross_check=True every recurrence bracket up to order 12 is
-    verified against the explicit binomial sum to 1e-8 relative accuracy.
-    """
-    if n_max < 4:
-        raise InputError(f"n_max must be >= 4, got {n_max}")
+
+def bracket_seq(t, s, n_max: int) -> BracketSeq:
+    """Bracket norms/roots for (T, S) and (S, T), orders 1..n_max."""
+    _check_n_max(n_max)
     tm, sm = _check_pair(t, s)
     norms, ok_f = bracket_norm_sequence(tm, sm, n_max)
     rev_norms, ok_r = bracket_norm_sequence(sm, tm, n_max)
-    if cross_check:
-        scale = (op_norm(tm) + op_norm(sm)) or 1.0
-        for n in range(1, min(n_max, 12) + 1):
-            ref = bracket_binomial(tm, sm, n)
-            err = op_norm(bracket(tm, sm, n) - ref)
-            if err > 1e-8 * scale**n:
-                raise InputError(
-                    f"recurrence/binomial mismatch at order {n}: {err:.3e}"
-                )
     return BracketSeq(
         n_max=n_max,
         norms=norms,
@@ -137,22 +137,6 @@ def bracket_seq(t, s, n_max: int, cross_check: bool = False) -> BracketSeq:
         rev_roots=_roots_from_norms(rev_norms),
         overflow=not (ok_f and ok_r),
     )
-
-
-@dataclass(frozen=True)
-class QnParams:
-    """Root-test calibration for the equivalence verdict."""
-
-    n_max: int = 40
-    eps_q: float = 0.05
-    delta_q: float = 0.2
-    window: int = 5
-
-    def __post_init__(self):
-        if self.n_max < 4 or self.window < 2 or self.window > self.n_max:
-            raise InputError("need n_max >= 4 and 2 <= window <= n_max")
-        if not (0 < self.eps_q < self.delta_q):
-            raise InputError("need 0 < eps_q < delta_q")
 
 
 @dataclass(frozen=True)
@@ -183,12 +167,12 @@ def slopes_log10(values: np.ndarray) -> np.ndarray:
     return (kc[:, None] * (logs - logs.mean(axis=0))).sum(axis=0) / denom
 
 
-def root_test(roots: np.ndarray, params: QnParams) -> EquivalenceReport:
+def root_test(roots: np.ndarray) -> EquivalenceReport:
     """Classify one root sequence rho_n, n = 1..n_max.
 
     Equivalent: an exact zero appears (and persists), or the final root is
-    below eps_q.  NotEquivalent: the trailing window stays at or above
-    delta_q with a non-decreasing fit.  Everything else: Inconclusive.
+    below EPS_Q.  NotEquivalent: the trailing ROOT_WINDOW roots stay at or
+    above DELTA_Q with a non-decreasing fit.  Everything else: Inconclusive.
     """
     roots = np.asarray(roots, dtype=float)
     if not np.all(np.isfinite(roots)):
@@ -207,16 +191,16 @@ def root_test(roots: np.ndarray, params: QnParams) -> EquivalenceReport:
             diagnostics=f"bracket vanishes exactly from order {k + 1}",
         )
     final_root = float(roots[-1])
-    window = roots[-params.window :]
+    window = roots[-ROOT_WINDOW:]
     slope = float(slopes_log10(window[:, None])[0])
     ratio = float(10.0**slope)
-    if final_root < params.eps_q:
+    if final_root < EPS_Q:
         verdict = EQUIVALENT
-        note = f"final root {final_root:.3e} < eps_q {params.eps_q}"
-    elif window.min() >= params.delta_q and slope >= -1e-4:
+        note = f"final root {final_root:.3e} < eps_q {EPS_Q}"
+    elif window.min() >= DELTA_Q and slope >= -1e-4:
         verdict = NOT_EQUIVALENT
         note = (
-            f"window >= delta_q {params.delta_q} with non-decreasing fit "
+            f"window >= delta_q {DELTA_Q} with non-decreasing fit "
             f"(ratio {ratio:.4f})"
         )
     else:
@@ -245,13 +229,13 @@ def combine_order_reports(
     )
 
 
-def qn_equivalent(t, s, params: QnParams = QnParams()) -> EquivalenceReport:
+def qn_equivalent(t, s, n_max: int = N_MAX) -> EquivalenceReport:
     """Quasinilpotent-equivalence verdict for a single operator pair.
 
     Symmetric by construction: both operand orders are tested and the
     verdicts conjoined.
     """
-    seq = bracket_seq(t, s, params.n_max)
+    seq = bracket_seq(t, s, n_max)
     if seq.overflow:
         return EquivalenceReport(
             verdict=INCONCLUSIVE,
@@ -259,6 +243,6 @@ def qn_equivalent(t, s, params: QnParams = QnParams()) -> EquivalenceReport:
             trend=float("inf"),
             diagnostics="bracket norms overflow",
         )
-    rep_f = root_test(seq.roots, params)
-    rep_r = root_test(seq.rev_roots, params)
+    rep_f = root_test(seq.roots)
+    rep_r = root_test(seq.rev_roots)
     return combine_order_reports(rep_f, rep_r)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bracket import QnParams, bracket_seq, qn_equivalent
+from .bracket import N_MAX, bracket_seq, qn_equivalent
 from .emit import FORMATS, emit_plot, grid_to_csv, read_grid_csv
 from .errors import InputError, InvariantError, OpfamError
 from .families import HGrid, asym_qn_equivalent, asymptotically_equivalent
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bracket", help="bracket root table and equivalence verdict")
     p.add_argument("--t", required=True, help="matrix file for the first operator")
     p.add_argument("--s", required=True, help="matrix file for the second operator")
-    p.add_argument("--nmax", type=int, default=40)
+    p.add_argument("--nmax", type=int, default=N_MAX)
     p.add_argument("--emit", choices=("csv",), help="also print a CSV root table")
     p.add_argument("--out", help="write the CSV table to this path")
 
@@ -110,7 +110,7 @@ def _cmd_bracket(args) -> int:
     t = load_matrix(args.t)
     s = load_matrix(args.s)
     seq = bracket_seq(t, s, args.nmax)
-    rep = qn_equivalent(t, s, QnParams(n_max=max(args.nmax, 4)))
+    rep = qn_equivalent(t, s, args.nmax)
     print(f"{'n':>4} {'norm':>14} {'root':>12} {'rev norm':>14} {'rev root':>12}")
     for n in range(seq.n_max):
         print(

@@ -26,6 +26,7 @@ _PGM_LEVELS = {CLS_SPECTRUM: 0, CLS_UNDETERMINED: 128, CLS_RESOLVENT: 255}
 _SVG_COLORS = {CLS_SPECTRUM: "#1f2430", CLS_UNDETERMINED: "#9aa0ab", CLS_RESOLVENT: "#f4f4ef"}
 _SVG_LABELS = {CLS_SPECTRUM: "spectrum", CLS_UNDETERMINED: "undetermined", CLS_RESOLVENT: "resolvent"}
 _CHAR_CLS = {v: k for k, v in CLASS_CHARS.items()}
+_SVG_CELL_PX = 4
 
 
 def grid_to_csv(grid: RegionGrid) -> str:
@@ -49,9 +50,9 @@ def grid_to_pgm(grid: RegionGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grid_to_svg(grid: RegionGrid, cell_px: int = 4) -> str:
-    width = grid.nx * cell_px
-    height = grid.ny * cell_px
+def grid_to_svg(grid: RegionGrid) -> str:
+    width = grid.nx * _SVG_CELL_PX
+    height = grid.ny * _SVG_CELL_PX
     legend_h = 18
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -60,12 +61,12 @@ def grid_to_svg(grid: RegionGrid, cell_px: int = 4) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height + legend_h}" fill="#ffffff"/>',
     ]
     for iy in range(grid.ny):
-        yy = (grid.ny - 1 - iy) * cell_px
+        yy = (grid.ny - 1 - iy) * _SVG_CELL_PX
         for ix in range(grid.nx):
             color = _SVG_COLORS[int(grid.classes[iy, ix])]
             parts.append(
-                f'<rect x="{ix * cell_px}" y="{yy}" width="{cell_px}" '
-                f'height="{cell_px}" fill="{color}"/>'
+                f'<rect x="{ix * _SVG_CELL_PX}" y="{yy}" width="{_SVG_CELL_PX}" '
+                f'height="{_SVG_CELL_PX}" fill="{color}"/>'
             )
     x = 2
     for cls in (CLS_SPECTRUM, CLS_UNDETERMINED, CLS_RESOLVENT):

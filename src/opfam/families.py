@@ -7,10 +7,6 @@ h**p * exp(-a/h).  Catalog coefficients are continuous, nondecreasing in h,
 and bounded by 1 on (0, 1], so every family is bounded; coefficients with
 p > 0 or a > 0 carry a decay certificate (they vanish as h -> 0).
 
-Arbitrary user coefficients are accepted in sampled-only mode: they carry
-no certificate and limit verdicts involving them may come back
-Inconclusive.
-
 Limits at h -> 0 are estimated from a geometric sample grid; verdicts are
 `ToZero`, `BoundedPositive`, `Unbounded` or `Inconclusive`, never an
 asserted limit.
@@ -20,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bracket import (
+    N_MAX,
     EquivalenceReport,
-    QnParams,
+    _check_n_max,
     bracket_norm_sequence,
     combine_order_reports,
     root_test,
@@ -54,11 +51,10 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class CoeffFn:
-    """Scalar coefficient h -> h**exponent * exp(-rate/h) * prod(customs)."""
+    """Scalar coefficient h -> h**exponent * exp(-rate/h)."""
 
     exponent: float = 0.0
     rate: float = 0.0
-    customs: tuple[Callable[[float], complex], ...] = ()
 
     @staticmethod
     def const() -> "CoeffFn":
@@ -76,16 +72,10 @@ class CoeffFn:
             raise InputError("expinv rate must be finite and > 0")
         return CoeffFn(rate=float(a))
 
-    @staticmethod
-    def custom(fn: Callable[[float], complex]) -> "CoeffFn":
-        return CoeffFn(customs=(fn,))
-
     def __call__(self, h: float) -> complex:
         value = complex(h**self.exponent)
         if self.rate:
             value *= math.exp(-self.rate / h)
-        for fn in self.customs:
-            value *= fn(h)
         return value
 
     def eval_many(self, hs: np.ndarray) -> np.ndarray:
@@ -93,40 +83,23 @@ class CoeffFn:
         value = value.astype(complex)
         if self.rate:
             value *= np.exp(-self.rate / np.asarray(hs, dtype=float))
-        for fn in self.customs:
-            value *= np.array([fn(float(h)) for h in hs], dtype=complex)
         return value
 
     def __mul__(self, other: "CoeffFn") -> "CoeffFn":
         return CoeffFn(
             exponent=self.exponent + other.exponent,
             rate=self.rate + other.rate,
-            customs=self.customs + other.customs,
         )
 
     @property
-    def is_null(self) -> bool | None:
-        """True/False when the h->0 decay is decidable, None for sampled-only."""
-        if self.customs:
-            return None
+    def is_null(self) -> bool:
+        """The decay certificate: True iff the coefficient vanishes as h -> 0."""
         return self.exponent > 0 or self.rate > 0
 
     @property
-    def sup_bound(self) -> float | None:
-        """sup over (0,1] of |coefficient|; None for sampled-only."""
-        if self.customs:
-            return None
+    def sup_bound(self) -> float:
+        """sup over (0,1] of |coefficient|."""
         return math.exp(-self.rate)
-
-    def describe(self) -> str:
-        parts = []
-        if self.exponent:
-            parts.append(f"pow {self.exponent:g}")
-        if self.rate:
-            parts.append(f"expinv {self.rate:g}")
-        if self.customs:
-            parts.append(f"sampled*{len(self.customs)}")
-        return " * ".join(parts) if parts else "const"
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,16 +181,9 @@ class _TermSum:
             terms = [(CoeffFn.const(), self._zeros())]
         return type(self)(dim=self.dim, terms=tuple(terms))
 
-    def null_certificate(self) -> bool | None:
-        """True: provably null; False: provably not; None: undecidable.
-
-        Null means every nonzero merged term is null, so the zero family is
-        null; None as soon as a nonzero term is sampled-only.
-        """
-        flags = [c.is_null for c, _ in self._merged()]
-        if any(f is None for f in flags):
-            return None
-        return all(flags)
+    def null_certificate(self) -> bool:
+        """True iff every nonzero merged term is null (so the zero family is)."""
+        return all(c.is_null for c, _ in self._merged())
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,21 +209,12 @@ class OperatorFamily(_TermSum):
     def drop_null_terms(self) -> "OperatorFamily":
         """Canonical representative with certified-null terms removed."""
         return self._with_terms(
-            [(c, m) for c, m in self._merged() if c.is_null is not True]
+            [(c, m) for c, m in self._merged() if not c.is_null]
         )
 
-    def sup_bound(self) -> float | None:
-        """Upper bound for sup_h ||F(h)||; None if a sampled-only term is present."""
-        total = 0.0
-        for coeff, mat in self.terms:
-            b = coeff.sup_bound
-            if b is None:
-                return None
-            total += b * op_norm(mat)
-        return total
-
-    def describe(self) -> str:
-        return " + ".join(f"[{c.describe()}]*A{j}" for j, (c, _) in enumerate(self.terms))
+    def sup_bound(self) -> float:
+        """Upper bound for sup_h ||F(h)||."""
+        return sum(c.sup_bound * op_norm(m) for c, m in self.terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +328,6 @@ def tail_stats(
     tail: int,
     eps_tail: float = EPS_TAIL,
     zero_floor: float = ZERO_FLOOR,
-    note: str = "",
 ) -> TailStats:
     """Classify the h -> 0 behavior of sampled nonnegative values."""
     v = np.asarray(values, dtype=float)
@@ -389,7 +345,6 @@ def tail_stats(
         tail_min=float(tail_min[0]),
         tail_trend=float(trend[0]),
         limit_verdict=VERDICT_CODES[int(codes[0])],
-        note=note,
     )
 
 
@@ -403,18 +358,16 @@ def limsup_norm(fam: OperatorFamily | VectorFamily, grid: HGrid) -> float:
     return float(norm_samples(fam, grid)[-grid.tail :].max())
 
 
-def _certified(stats: TailStats, cert: bool | None) -> TailStats:
+def _certified(stats: TailStats, cert: bool) -> TailStats:
     """Combine a norm-tail verdict with the family's decay certificate.
 
     ToZero requires both the sampled tail test and the decay certificate.
     A certified-null family whose tail did not vanish, or a certified
     non-null family whose tail did, is Inconclusive; a certified non-null
-    family is otherwise BoundedPositive.  Without a certificate
-    (sampled-only terms) ToZero degrades to Inconclusive, and the other
-    verdicts pass through.
+    family is otherwise BoundedPositive.
     """
     verdict = stats.limit_verdict
-    if cert is True:
+    if cert:
         if verdict == TO_ZERO:
             return replace(stats, note="certified null; tail test agrees")
         return replace(
@@ -422,25 +375,17 @@ def _certified(stats: TailStats, cert: bool | None) -> TailStats:
             limit_verdict=INCONCLUSIVE,
             note=f"certified null but tail verdict was {verdict}",
         )
-    if cert is False:
-        if verdict == TO_ZERO:
-            return replace(
-                stats,
-                limit_verdict=INCONCLUSIVE,
-                note="certificate says limit is positive but tail test saw decay",
-            )
-        return replace(
-            stats,
-            limit_verdict=BOUNDED_POSITIVE,
-            note="certificate: non-null constant part persists",
-        )
     if verdict == TO_ZERO:
         return replace(
             stats,
             limit_verdict=INCONCLUSIVE,
-            note="sampled-only terms: decay observed but uncertified",
+            note="certificate says limit is positive but tail test saw decay",
         )
-    return replace(stats, note="sampled-only terms: no certificate")
+    return replace(
+        stats,
+        limit_verdict=BOUNDED_POSITIVE,
+        note="certificate: non-null constant part persists",
+    )
 
 
 def is_null_family(fam: OperatorFamily | VectorFamily, grid: HGrid) -> TailStats:
@@ -546,7 +491,7 @@ def asym_qn_equivalent(
     f: OperatorFamily,
     g: OperatorFamily,
     grid: HGrid,
-    params: QnParams = QnParams(),
+    n_max: int = N_MAX,
 ) -> EquivalenceReport:
     """Asymptotic quasinilpotent equivalence test for two families.
 
@@ -557,16 +502,17 @@ def asym_qn_equivalent(
     single-operator case, in both operand orders.
     """
     f._check_dim(g)
+    _check_n_max(n_max)
     hs = grid.tail_samples()
     fs = f.eval_stack(hs)
     gs = g.eval_stack(hs)
 
     reports = []
     for left, right, tag in ((fs, gs, "F,G"), (gs, fs, "G,F")):
-        per_h = np.empty((len(hs), params.n_max))
+        per_h = np.empty((len(hs), n_max))
         overflow = False
         for i in range(len(hs)):
-            norms, ok = bracket_norm_sequence(left[i], right[i], params.n_max)
+            norms, ok = bracket_norm_sequence(left[i], right[i], n_max)
             per_h[i] = norms
             overflow = overflow or not ok
         if overflow:
@@ -579,17 +525,17 @@ def asym_qn_equivalent(
                 )
             )
             continue
-        sigmas = np.empty(params.n_max)
+        sigmas = np.empty(n_max)
         labels = []
-        for n in range(params.n_max):
+        for n in range(n_max):
             sigmas[n], label = _inner_limit_estimate(per_h[:, n], ZERO_FLOOR)
             labels.append(label)
         roots = np.where(
             sigmas > 0.0,
-            np.maximum(sigmas, 1e-300) ** (1.0 / np.arange(1, params.n_max + 1)),
+            np.maximum(sigmas, 1e-300) ** (1.0 / np.arange(1, n_max + 1)),
             0.0,
         )
-        rep = root_test(roots, params)
+        rep = root_test(roots)
         zero_by = {"floor": labels.count("floor"), "decay": labels.count("decay")}
         reports.append(
             replace(

@@ -138,8 +138,6 @@ def read_vector(fh: TextIO, path: str = "") -> np.ndarray:
 
 
 def _coeff_descriptor(c: CoeffFn) -> str:
-    if c.customs:
-        raise FileFormatError("sampled-only coefficients have no file form")
     if c.rate == 0.0 and c.exponent == 0.0:
         return "const"
     if c.rate == 0.0:

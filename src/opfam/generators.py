@@ -41,6 +41,7 @@ CELL_MARGIN = 0.35
 VSTRENGTH = 0.17
 MIN_SUPPORT = 0.25
 BLOCK_COEFF = 0.6
+MAX_BLOCK = 3
 _MAX_TRIES = 20000
 
 
@@ -63,11 +64,11 @@ def jordan_block(lam: complex, dim: int) -> np.ndarray:
     return lam * np.eye(dim, dtype=complex) + np.eye(dim, k=1, dtype=complex)
 
 
-def _cell_margin_ok(z: complex, rect, n: int, margin: float) -> bool:
+def _cell_margin_ok(z: complex, rect, n: int) -> bool:
     re_min, re_max, im_min, im_max = rect
     for value, lo, hi in ((z.real, re_min, re_max), (z.imag, im_min, im_max)):
         pos = (value - lo) / ((hi - lo) / n)
-        if abs(pos - round(pos)) < margin:
+        if abs(pos - round(pos)) < CELL_MARGIN:
             return False
     return True
 
@@ -79,10 +80,10 @@ def draw_eigenvalues(
     disk: float = EIGEN_DISK,
     rect=None,
     n_cells: int | None = None,
-    margin: float = CELL_MARGIN,
 ) -> np.ndarray:
     """Eigenvalues uniform in a disk, pairwise gap-separated, optionally
-    kept away from the cell boundaries of an (rect, n_cells) scan."""
+    kept CELL_MARGIN cells away from the cell boundaries of an
+    (rect, n_cells) scan."""
     out: list[complex] = []
     tries = 0
     while len(out) < dim:
@@ -93,7 +94,7 @@ def draw_eigenvalues(
         if any(abs(z - w) < gap for w in out):
             continue
         if rect is not None and n_cells is not None:
-            if not _cell_margin_ok(z, rect, n_cells, margin):
+            if not _cell_margin_ok(z, rect, n_cells):
                 continue
         out.append(z)
     return np.array(out)
@@ -137,21 +138,20 @@ def commuting_toeplitz(
     rng: np.random.Generator,
     dim: int,
     n_nilpotents: int = 1,
-    max_block: int = 3,
     rect=None,
     n_cells: int | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """(T, [N_1, ..]) with [T, N_k] = [N_j, N_k] = 0 and every N_k nilpotent.
 
-    Block-diagonal; each block of T is a polynomial in its shift and the
-    N_k are blockwise strict polynomials in the same shifts, so everything
-    commutes and the eigenvalues of T are the gap-separated block
-    constants.
+    Block-diagonal with blocks of 1..MAX_BLOCK rows; each block of T is a
+    polynomial in its shift and the N_k are blockwise strict polynomials in
+    the same shifts, so everything commutes and the eigenvalues of T are
+    the gap-separated block constants.
     """
     blocks: list[int] = []
     left = dim
     while left > 0:
-        b = int(rng.integers(1, min(max_block, left) + 1))
+        b = int(rng.integers(1, min(MAX_BLOCK, left) + 1))
         blocks.append(b)
         left -= b
     lams = draw_eigenvalues(
@@ -178,14 +178,6 @@ def commuting_toeplitz(
         t[pos : pos + b, pos : pos + b] = tb
         pos += b
     return t, nilpotents
-
-
-def commuting_toeplitz_pair(
-    rng: np.random.Generator, dim: int, max_block: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
-    """(T, N) with [T, N] = 0, N nilpotent; see commuting_toeplitz."""
-    t, nilpotents = commuting_toeplitz(rng, dim, 1, max_block)
-    return t, nilpotents[0]
 
 
 @dataclass(frozen=True)
@@ -231,7 +223,7 @@ def generate_pair(kind: str, seed: int, dim: int) -> GeneratedPair:
         )
 
     if kind == "commuting-nilpotent":
-        t, n = commuting_toeplitz_pair(rng, dim)
+        t, (n,) = commuting_toeplitz(rng, dim, 1)
         return GeneratedPair(
             kind,
             OperatorFamily.constant(t),

@@ -21,8 +21,6 @@ from .errors import (
     SingularMatrixError,
 )
 
-TOL_SOLVE = 1e-12
-TOL_PROJ = 1e-7
 M_QUAD = 64
 EPS_PIVOT = 1e-13
 DEFAULT_CLUSTER_TOL = 1e-4
@@ -144,9 +142,6 @@ class SpectralDecomp:
     gap: float
     defect: float
 
-    def support_centers(self) -> np.ndarray:
-        return np.array([c.center for c in self.clusters])
-
 
 def _cluster_eigenvalues(w: np.ndarray, cluster_tol: float) -> list[np.ndarray]:
     """Group eigenvalues into connected components at distance cluster_tol."""
@@ -172,17 +167,13 @@ def _cluster_eigenvalues(w: np.ndarray, cluster_tol: float) -> list[np.ndarray]:
     return [w[idx] for idx in members]
 
 
-def spectral_decomp(
-    a,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    m_quad: int = M_QUAD,
-) -> SpectralDecomp:
+def spectral_decomp(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomp:
     """Cluster the eigenvalues of `a` and compute Riesz projections.
 
     Each projection is the trapezoid quadrature of the resolvent on a
     circle of radius min(gap/2, 0.5) around the cluster center; the
     quadrature error decays geometrically in the number of nodes, so the
-    stated projection tolerances are met comfortably at m_quad = 64.
+    stated projection tolerances are met comfortably at M_QUAD = 64 nodes.
 
     Raises DegenerateSpectrumError when clusters are not separated by more
     than 4 * cluster_tol (the caller must coarsen the clustering).
@@ -216,18 +207,18 @@ def spectral_decomp(
             )
 
     ident = np.eye(d, dtype=complex)
-    theta = 2.0 * np.pi * np.arange(m_quad) / m_quad
+    theta = 2.0 * np.pi * np.arange(M_QUAD) / M_QUAD
     phase = np.exp(1j * theta)
     clusters = []
     for g, c in zip(groups, centers):
         nodes = (c + radius * phase)[:, None, None] * ident - m
         try:
-            resolvents = np.linalg.solve(nodes, np.broadcast_to(ident, (m_quad, d, d)))
+            resolvents = np.linalg.solve(nodes, np.broadcast_to(ident, (M_QUAD, d, d)))
         except np.linalg.LinAlgError as exc:
             raise DegenerateSpectrumError(
                 "resolvent singular on a quadrature contour; coarsen clusters"
             ) from exc
-        proj = (radius / m_quad) * np.einsum("k,kij->ij", phase, resolvents)
+        proj = (radius / M_QUAD) * np.einsum("k,kij->ij", phase, resolvents)
         nilp = (m - c * ident) @ proj
         clusters.append(
             SpectralCluster(

@@ -93,14 +93,13 @@ class LocalSpectrumReport:
 def local_spectrum_exact(
     a,
     x,
-    tol_loc: float = TOL_LOC,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     decomp: SpectralDecomp | None = None,
 ) -> LocalSpectrumReport:
     """Exact local spectrum of a matrix at x via spectral projections.
 
     The support is the set of cluster centers with ||P_i x|| above
-    tol_loc * ||x||.  The zero vector has empty local spectrum by
+    TOL_LOC * ||x||.  The zero vector has empty local spectrum by
     convention and is flagged.
     """
     m = as_matrix(a)
@@ -119,7 +118,7 @@ def local_spectrum_exact(
     support = []
     for cluster in decomp.clusters:
         weight = float(np.linalg.norm(cluster.projection @ v))
-        if weight > tol_loc * xnorm:
+        if weight > TOL_LOC * xnorm:
             support.append((cluster.center, weight))
     return LocalSpectrumReport(
         subject=f"matrix dim {m.shape[0]}",
@@ -135,17 +134,9 @@ class ExtensionEval:
 
     lam: complex
     value: np.ndarray
-    pole_data: tuple[tuple[complex, tuple[float, ...]], ...]
 
 
-def maximal_extension_eval(
-    a,
-    x,
-    lam: complex,
-    tol_loc: float = TOL_LOC,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    decomp: SpectralDecomp | None = None,
-) -> ExtensionEval:
+def maximal_extension_eval(a, x, lam: complex) -> ExtensionEval:
     """Evaluate the partial-fraction extension of the local resolvent.
 
     value = sum over supported clusters of
@@ -157,14 +148,11 @@ def maximal_extension_eval(
     m = as_matrix(a)
     v = as_vector(x, dim=m.shape[0])
     xnorm = float(np.linalg.norm(v))
-    if decomp is None:
-        decomp = spectral_decomp(m, cluster_tol=cluster_tol)
     value = np.zeros(m.shape[0], dtype=complex)
-    pole_data = []
-    for cluster in decomp.clusters:
+    for cluster in spectral_decomp(m).clusters:
         px = cluster.projection @ v
         weight = float(np.linalg.norm(px))
-        if xnorm == 0.0 or weight <= tol_loc * xnorm:
+        if xnorm == 0.0 or weight <= TOL_LOC * xnorm:
             continue
         dist = abs(lam - cluster.center)
         if dist <= cluster.radius:
@@ -173,13 +161,10 @@ def maximal_extension_eval(
                 f"cluster at {cluster.center}"
             )
         term = px
-        norms = []
         for j in range(cluster.multiplicity):
-            norms.append(float(np.linalg.norm(term)))
             value += term / (lam - cluster.center) ** (j + 1)
             term = cluster.nilpotent @ term
-        pole_data.append((cluster.center, tuple(norms)))
-    return ExtensionEval(lam=complex(lam), value=value, pole_data=tuple(pole_data))
+    return ExtensionEval(lam=complex(lam), value=value)
 
 
 _RING_POINTS = 8
@@ -231,25 +216,23 @@ def _probe_samples(
     return norms, resids
 
 
-def _local_setup(fam: OperatorFamily, x, grid: HGrid, b_max: float | None):
-    """(x, ||x||, tail matrices, b_max) for a local probe or scan.
+def _local_setup(fam: OperatorFamily, x, grid: HGrid):
+    """(x, ||x||, tail matrices, norm_cap) for a local probe or scan.
 
-    The family is evaluated once; b_max defaults to
+    The family is evaluated once; the solution-norm cap is
     B_MAX_FACTOR * ||x|| / scale, with the family scale of `_tail_eval`.
     """
     v = as_vector(x, dim=fam.dim)
     xnorm = float(np.linalg.norm(v))
     mats, _, scale = _tail_eval(fam, grid)
-    if b_max is None:
-        b_max = B_MAX_FACTOR * max(xnorm, 1e-300) / scale
-    return v, xnorm, mats, b_max
+    return v, xnorm, mats, B_MAX_FACTOR * max(xnorm, 1e-300) / scale
 
 
 def _local_cells(
     mats: np.ndarray,
     v: np.ndarray,
     xnorm: float,
-    b_max: float,
+    norm_cap: float,
     centers: np.ndarray,
     ring_r: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -270,8 +253,8 @@ def _local_cells(
     res_codes, _, _, _ = verdict_arrays(resids, eps_res, floor_res)
     norm_codes, norm_max, _, norm_trend = verdict_arrays(norms, eps_res, floor_res)
     stencil = (len(centers), len(offsets))
-    good = (res_codes == 0) & (norm_max <= b_max) & (norm_trend <= TREND_FLAT_TOL)
-    bad = np.isin(res_codes, (1, 2)) | (norm_codes == 2) | (norm_max > b_max)
+    good = (res_codes == 0) & (norm_max <= norm_cap) & (norm_trend <= TREND_FLAT_TOL)
+    bad = np.isin(res_codes, (1, 2)) | (norm_codes == 2) | (norm_max > norm_cap)
     # Median over the stencil: robust against isolated zeros of the local
     # extension, which can make single probe points look deceptively tame.
     tau = np.median((xnorm / np.maximum(norm_max, 1e-300)).reshape(stencil), axis=1)
@@ -297,7 +280,6 @@ def family_local_probe(
     lam0: complex,
     nbhd_r: float,
     grid: HGrid,
-    b_max: float | None = None,
 ) -> LocalProbe:
     """Probe lambda0 and its surrounding circle for local-resolvent membership.
 
@@ -310,9 +292,9 @@ def family_local_probe(
     """
     if nbhd_r <= 0:
         raise InputError("nbhd_r must be > 0")
-    v, xnorm, mats, b_max = _local_setup(fam, x, grid, b_max)
+    v, xnorm, mats, norm_cap = _local_setup(fam, x, grid)
     classes, _, bad = _local_cells(
-        mats, v, xnorm, b_max, np.array([lam0], dtype=complex), nbhd_r
+        mats, v, xnorm, norm_cap, np.array([lam0], dtype=complex), nbhd_r
     )
     return LocalProbe(
         lam=complex(lam0),
@@ -329,7 +311,6 @@ def family_local_spectrum_grid(
     nx: int,
     ny: int,
     grid: HGrid,
-    b_max: float | None = None,
 ) -> RegionGrid:
     """Per-cell local probes over a rectangle.
 
@@ -340,8 +321,8 @@ def family_local_spectrum_grid(
     minimum of the score field.
     """
     rect, w, h, rcell, centers = _scan_setup(rect, nx, ny, grid.tail * (1 + _RING_POINTS))
-    v, xnorm, mats, b_max = _local_setup(fam, x, grid, b_max)
-    classes, tau, _ = _local_cells(mats, v, xnorm, b_max, centers, 0.5 * min(w, h))
+    v, xnorm, mats, norm_cap = _local_setup(fam, x, grid)
+    classes, tau, _ = _local_cells(mats, v, xnorm, norm_cap, centers, 0.5 * min(w, h))
     score = tau.reshape(ny, nx)
     classes[(tau <= LOCAL_CAL_FACTOR * rcell) & _dip_mask(score).ravel()] = CLS_SPECTRUM
     return RegionGrid(
@@ -487,7 +468,7 @@ def svep_falsification_probe(
     if not mesh:
         raise InputError("empty lambda mesh")
     hs = grid.tail_samples()
-    mats = fam.eval_stack(hs)
+    mats = _tail_eval(fam, grid)[0]
     results = []
     for w in witnesses:
         res_verdicts = []
@@ -561,7 +542,7 @@ def local_extension_uniqueness_check(
     if not mesh:
         raise InputError("empty lambda mesh")
     hs = grid.tail_samples()
-    mats = fam.eval_stack(hs)
+    mats = _tail_eval(fam, grid)[0]
     eps_res = EPS_TAIL * max(1.0, float(np.linalg.norm(v)))
     # Keyed by mesh position, not by lambda: a mesh may repeat a point.
     stacks = {}

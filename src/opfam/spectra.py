@@ -13,8 +13,8 @@ measure-zero spectrum from a generic cell center, grids additionally mark
 cells whose sigma tail sits flat below the cell radius and is a local
 minimum of the sigma field: the pseudospectral reading of "the spectrum
 meets this cell" at the grid's resolution.  The thresholds are the module
-constants (and `delta_res`), and classification is deterministic given
-family, h-grid, rectangle, resolution and thresholds.
+constants, and classification is deterministic given family, h-grid,
+rectangle and resolution.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ DIP_MIN_SLACK = 0.05
 DIP_MEDIAN_BETA = 0.6
 # Most tail samples (tail length x probe points) one grid scan may hold.
 SCAN_SAMPLE_BUDGET = 2**24
+# spectral_radius_bound: powers F(h)**n for n = 1..RADIUS_ORDERS, bound
+# read off the trailing RADIUS_WINDOW roots.
+RADIUS_ORDERS = 16
+RADIUS_WINDOW = 5
 
 _CHUNK = 8192
 
@@ -80,7 +84,7 @@ def _tail_eval(fam: OperatorFamily, grid: HGrid) -> tuple[np.ndarray, np.ndarray
 
     Returns (tail matrices F(h) over the grid tail, their norms, scale),
     with scale = max(1, tail limsup of the family norm), which normalizes
-    delta_res.  A family whose tail values or norms overflow to a
+    DELTA_RES.  A family whose tail values or norms overflow to a
     non-finite number is an input error: every threshold would be inf.
     """
     mats = fam.eval_stack(grid.tail_samples())
@@ -107,17 +111,17 @@ def _sigma_tail_stack(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return out
 
 
-def _classify(sig, tail_norms, scale: float, lams: np.ndarray, delta_res: float):
+def _classify(sig, tail_norms, scale: float, lams: np.ndarray):
     """The point rule of `probe_resolvent` at every point of lams.
 
     sig holds the sigma tails, one column per point.  Returns (class
     codes, the `verdict_arrays` of sig, Neumann mask).
     """
-    verdicts = verdict_arrays(sig, delta_res * scale, SIGMA_FLOOR_REL * scale)
+    verdicts = verdict_arrays(sig, DELTA_RES * scale, SIGMA_FLOOR_REL * scale)
     codes, _, tail_min, _ = verdicts
     neumann = np.abs(lams) * (1.0 - NEUMANN_MARGIN) > tail_norms.max()
     classes = np.full(lams.shape, CLS_UNDETERMINED, dtype=np.int8)
-    classes[neumann | (tail_min >= delta_res * scale)] = CLS_RESOLVENT
+    classes[neumann | (tail_min >= DELTA_RES * scale)] = CLS_RESOLVENT
     classes[(codes == 0) & ~neumann] = CLS_SPECTRUM
     return classes, verdicts, neumann
 
@@ -129,30 +133,25 @@ def _tail_inverses(mats: np.ndarray, lam: complex) -> np.ndarray:
     return np.linalg.solve(shifted, np.broadcast_to(ident, shifted.shape))
 
 
-def probe_resolvent(
-    fam: OperatorFamily,
-    lam: complex,
-    grid: HGrid,
-    delta_res: float = DELTA_RES,
-) -> ResolventProbe:
+def probe_resolvent(fam: OperatorFamily, lam: complex, grid: HGrid) -> ResolventProbe:
     """Classify one lambda as Resolvent / Spectrum / Undetermined.
 
     Resolvent either by the Neumann certificate (tail norms strictly below
-    |lambda|) or by a sigma tail bounded below by delta_res * scale, in
+    |lambda|) or by a sigma tail bounded below by DELTA_RES * scale, in
     which case the exact inverses must also be constructible.  Spectrum
     when the sigma tail vanishes and the Neumann certificate does not
     hold.  Undetermined absorbs the rest.  `family_spectrum_grid` applies
     the same rule at every cell center, plus its dip test.
     """
-    return _probe(_tail_eval(fam, grid), lam, delta_res)
+    return _probe(_tail_eval(fam, grid), lam)
 
 
-def _probe(tail, lam: complex, delta_res: float) -> ResolventProbe:
+def _probe(tail, lam: complex) -> ResolventProbe:
     """probe_resolvent on an evaluated tail (see `_tail_eval`)."""
     mats, tail_norms, scale = tail
     lams = np.array([lam], dtype=complex)
     sig = _sigma_tail_stack(mats, lams)
-    classes, _, neumann = _classify(sig, tail_norms, scale, lams, delta_res)
+    classes, _, neumann = _classify(sig, tail_norms, scale, lams)
     sig, cls, neumann = sig[:, 0], int(classes[0]), bool(neumann[0])
     resnorm = None
     if sig.min() > 0.0:
@@ -167,7 +166,7 @@ def _probe(tail, lam: complex, delta_res: float) -> ResolventProbe:
     stats = tail_stats(
         sig,
         tail=len(sig),
-        eps_tail=delta_res * scale,
+        eps_tail=DELTA_RES * scale,
         zero_floor=SIGMA_FLOOR_REL * scale,
     )
     return ResolventProbe(
@@ -290,7 +289,6 @@ def family_spectrum_grid(
     nx: int,
     ny: int,
     grid: HGrid,
-    delta_res: float = DELTA_RES,
 ) -> RegionGrid:
     """Classify every cell center of an nx-by-ny scan over `rect`.
 
@@ -302,9 +300,7 @@ def family_spectrum_grid(
     rect, _, _, rcell, lams = _scan_setup(rect, nx, ny, grid.tail)
     mats, tail_norms, scale = _tail_eval(fam, grid)
     sig = _sigma_tail_stack(mats, lams)
-    classes, (_, tail_max, tail_min, trend), _ = _classify(
-        sig, tail_norms, scale, lams, delta_res
-    )
+    classes, (_, tail_max, tail_min, trend), _ = _classify(sig, tail_norms, scale, lams)
     score = tail_min.reshape(ny, nx)
     flat_low = (tail_max <= rcell) & (trend <= TREND_FLAT_TOL)
     classes[flat_low & _dip_mask(score).ravel()] = CLS_SPECTRUM
@@ -337,33 +333,28 @@ class RadiusBound:
         return self.value
 
 
-def spectral_radius_bound(
-    fam: OperatorFamily, grid: HGrid, n_max: int = 16
-) -> RadiusBound:
+def spectral_radius_bound(fam: OperatorFamily, grid: HGrid) -> RadiusBound:
     """Root-growth bound: every spectrum point satisfies |lambda| <= value."""
-    if n_max < 8:
-        raise InputError("n_max must be >= 8")
     hs = grid.tail_samples()
     mats = fam.eval_stack(hs)
     power = mats.copy()
-    roots = np.empty(n_max)
+    roots = np.empty(RADIUS_ORDERS)
     verdicts = []
-    for n in range(1, n_max + 1):
+    for n in range(1, RADIUS_ORDERS + 1):
         if n > 1:
             power = power @ mats
         norms = op_norms(power)
         if not np.all(np.isfinite(norms)) or norms.max() > 1e300:
             return RadiusBound(
                 value=float("inf"),
-                roots=np.full(n_max, np.inf),
+                roots=np.full(RADIUS_ORDERS, np.inf),
                 inner_verdicts=tuple(verdicts) + (UNBOUNDED,),
             )
         stats = tail_stats(norms, tail=grid.tail)
         verdicts.append(stats.limit_verdict)
         roots[n - 1] = stats.tail_max ** (1.0 / n) if stats.tail_max > 0 else 0.0
-    window = min(5, n_max)
     return RadiusBound(
-        value=float(roots[-window:].max()),
+        value=float(roots[-RADIUS_WINDOW:].max()),
         roots=roots,
         inner_verdicts=tuple(verdicts),
     )
@@ -379,7 +370,7 @@ def resolvent_identity_residual(
     """
     tail = _tail_eval(fam, grid)
     for point in (lam, mu):
-        probe = _probe(tail, point, DELTA_RES)
+        probe = _probe(tail, point)
         if probe.classification != RESOLVENT:
             raise PreconditionError(
                 f"{point} classified {probe.classification}, needs Resolvent"
@@ -405,12 +396,11 @@ def resolvent_uniqueness_residual(
     r1: OperatorFamily,
     r2: OperatorFamily,
     grid: HGrid,
-    delta_res: float = DELTA_RES,
 ) -> ResidualCheck:
     """Tail test of ||R1(h) - R2(h)|| for two approximate resolvents.
 
     Preconditions (two-sided approximate-inverse residual tails below
-    delta_res * scale) are verified first; on violation the op still runs
+    DELTA_RES * scale) are verified first; on violation the op still runs
     and reports it via the precondition flag.
     """
     fam._check_dim(r1)
@@ -426,10 +416,10 @@ def resolvent_uniqueness_residual(
         right = op_norms(shifted @ stack - ident)
         left = op_norms(stack @ shifted - ident)
         worst = max(right.max(), left.max())
-        if worst > delta_res * scale:
+        if worst > DELTA_RES * scale:
             ok = False
             notes.append(
-                f"{name} residual tail {worst:.3e} exceeds {delta_res * scale:.3e}"
+                f"{name} residual tail {worst:.3e} exceeds {DELTA_RES * scale:.3e}"
             )
     return ResidualCheck(
         stats=tail_stats(op_norms(stacks[0] - stacks[1]), tail=grid.tail),

@@ -25,7 +25,6 @@ from . import local as loc
 from .bracket import (
     EQUIVALENT,
     NOT_EQUIVALENT,
-    QnParams,
     bracket,
     bracket_binomial,
     bracket_seq,
@@ -92,22 +91,12 @@ class ScenarioConfig:
     dim_min: int = 2
     dim_max: int = 6
     grid: HGrid = field(default_factory=HGrid)
-    eps_q: float = 0.05
-    delta_q: float = 0.2
-    delta_res: float = 1e-6
-    tol_loc: float = 1e-8
     suites: tuple[str, ...] = ()
     out_dir: str | None = None
 
     def __post_init__(self):
         if not 2 <= self.dim_min <= self.dim_max <= 8:
             raise InputError("need 2 <= dim_min <= dim_max <= 8")
-        for name in ("eps_q", "delta_q", "delta_res", "tol_loc"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
-
-    def qn_params(self) -> QnParams:
-        return QnParams(eps_q=self.eps_q, delta_q=self.delta_q)
 
     def dims(self, k: int) -> int:
         span = self.dim_max - self.dim_min + 1
@@ -235,7 +224,7 @@ def check_qn_pairs(cfg: ScenarioConfig, idx: int):
     for pair in pairs:
         t = pair.f(1.0)
         s = pair.g(1.0)
-        rep = qn_equivalent(t, s, cfg.qn_params())
+        rep = qn_equivalent(t, s)
         if rep.verdict != EQUIVALENT:
             continue
         dt = spectral_decomp(t, cluster_tol=1e-3)
@@ -286,7 +275,7 @@ def check_non_equivalence_control(cfg: ScenarioConfig, idx: int):
     pair = generate_pair("non-equivalent", cfg.seed, 2)
     t = pair.f(1.0)
     s = pair.g(1.0)
-    rep = qn_equivalent(t, s, cfg.qn_params())
+    rep = qn_equivalent(t, s)
     seq = bracket_seq(t, s, 40)
     roots = np.concatenate([seq.roots, seq.rev_roots])
     in_band = bool(np.all((roots >= 0.999) & (roots <= 1.001)))
@@ -315,7 +304,7 @@ def check_spectrum_grid_oracle(cfg: ScenarioConfig, idx: int):
         d = cfg.dims(k)
         a, w, _ = random_diagonalizable(rng, d, rect=RECT, n_cells=64)
         fam = OperatorFamily.constant(a)
-        grid = family_spectrum_grid(fam, RECT, 64, 64, cfg.grid, delta_res=cfg.delta_res)
+        grid = family_spectrum_grid(fam, RECT, 64, 64, cfg.grid)
         marked = {
             (int(iy), int(ix))
             for iy, ix in np.argwhere(grid.classes == CLS_SPECTRUM)
@@ -347,12 +336,12 @@ def pseudospectrum_family() -> OperatorFamily:
 def check_asymptotic_pseudospectrum(cfg: ScenarioConfig, idx: int):
     fam = pseudospectrum_family()
     rect = (-2.0, 2.0, -2.0, 2.0)
-    grid = family_spectrum_grid(fam, rect, 128, 128, cfg.grid, delta_res=cfg.delta_res)
+    grid = family_spectrum_grid(fam, rect, 128, 128, cfg.grid)
     w, h = grid.cell_size()
     diag = math.hypot(w, h)
     centers = grid.cells_with_class(CLS_SPECTRUM)
     far = [c for c in centers.ravel() if abs(c) > diag]
-    probe = probe_resolvent(fam, 0.0, cfg.grid, delta_res=cfg.delta_res)
+    probe = probe_resolvent(fam, 0.0, cfg.grid)
     bound = spectral_radius_bound(fam, cfg.grid)
     ok = (
         len(far) == 0
@@ -452,13 +441,13 @@ def check_resolvent_identity_uniqueness(cfg: ScenarioConfig, idx: int):
             d, [(CoeffFn.pow_h(1.0), random_matrix(rng, d, scale=0.3))]
         )
         r2 = r1 + pert
-        chk = resolvent_uniqueness_residual(fam, lam, r1, r2, cfg.grid, cfg.delta_res)
+        chk = resolvent_uniqueness_residual(fam, lam, r1, r2, cfg.grid)
         if chk.precondition_ok and chk.stats.limit_verdict == TO_ZERO and chk.stats.tail_max <= 1e-8:
             uniq_ok += 1
         cmat = random_matrix(rng, d)
         cmat *= 1.0 / op_norm(cmat)
         r3 = r1 + OperatorFamily.constant(cmat)
-        chk3 = resolvent_uniqueness_residual(fam, lam, r1, r3, cfg.grid, cfg.delta_res)
+        chk3 = resolvent_uniqueness_residual(fam, lam, r1, r3, cfg.grid)
         if (not chk3.precondition_ok) and chk3.stats.limit_verdict == BOUNDED_POSITIVE:
             contra_ok += 1
     return [
@@ -533,7 +522,7 @@ def check_local_oracle(cfg: ScenarioConfig, idx: int):
         projections = [np.outer(v[:, i], vinv[i, :]) for i in range(d)]
         x = supported_vector(rng, projections)
         fam = OperatorFamily.constant(a)
-        report = loc.local_spectrum_exact(a, x, tol_loc=cfg.tol_loc)
+        report = loc.local_spectrum_exact(a, x)
         expected = {_cell_of(complex(z), RECT, 64, 64) for z in report.support_points()}
         grid = loc.family_local_spectrum_grid(fam, x, RECT, 64, 64, cfg.grid)
         marked = {
@@ -618,7 +607,7 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
         d = t.shape[0]
         rng = rng_for(cfg.seed, idx, 5000 + k)
         commute = commute_in_limit(f, g, cfg.grid)
-        qn = asym_qn_equivalent(f, g, cfg.grid, cfg.qn_params())
+        qn = asym_qn_equivalent(f, g, cfg.grid)
         if commute.limit_verdict != TO_ZERO or qn.verdict != EQUIVALENT:
             continue
         blocks = []
@@ -893,14 +882,14 @@ def check_qn_laws(cfg: ScenarioConfig, idx: int):
     for k in range(10):
         d = cfg.dims(k)
         t = random_matrix(rng, d)
-        ok &= qn_equivalent(t, t, cfg.qn_params()).verdict == EQUIVALENT
+        ok &= qn_equivalent(t, t).verdict == EQUIVALENT
         c = 0.5 + rng.uniform(0.0, 1.0)
         shifted = t + c * np.eye(d)
-        ok &= qn_equivalent(t, shifted, cfg.qn_params()).verdict == NOT_EQUIVALENT
+        ok &= qn_equivalent(t, shifted).verdict == NOT_EQUIVALENT
     for k in range(10):
         rng2 = rng_for(cfg.seed, idx, 99, k)
         t, (n,) = commuting_toeplitz(rng2, cfg.dims(k), 1)
-        rep = qn_equivalent(t, t + n, cfg.qn_params())
+        rep = qn_equivalent(t, t + n)
         seq = bracket_seq(t, t + n, 12)
         ok &= rep.verdict == EQUIVALENT and float(seq.roots[-1]) == 0.0
     return [
@@ -950,7 +939,7 @@ def check_bounded_asym_implies_qn(cfg: ScenarioConfig, idx: int):
     trials = 12
     for k in range(trials):
         pair = generate_pair(kinds[k % len(kinds)], cfg.seed + 40 + k, cfg.dims(k))
-        rep = asym_qn_equivalent(pair.f, pair.g, cfg.grid, cfg.qn_params())
+        rep = asym_qn_equivalent(pair.f, pair.g, cfg.grid)
         if rep.verdict == EQUIVALENT:
             n_ok += 1
     return [
@@ -974,8 +963,8 @@ def check_class_representative_stability(cfg: ScenarioConfig, idx: int):
         base = generate_pair("commuting-nilpotent", cfg.seed + 60 + k, d)
         f2 = base.f + _null_op_family(rng, d)
         g2 = base.g + _null_op_family(rng, d)
-        r0 = asym_qn_equivalent(base.f, base.g, cfg.grid, cfg.qn_params())
-        r1 = asym_qn_equivalent(f2, g2, cfg.grid, cfg.qn_params())
+        r0 = asym_qn_equivalent(base.f, base.g, cfg.grid)
+        r1 = asym_qn_equivalent(f2, g2, cfg.grid)
         if r0.verdict == r1.verdict == EQUIVALENT:
             n_ok += 1
     return [
@@ -1074,7 +1063,7 @@ def check_radius_remarks(cfg: ScenarioConfig, idx: int):
         sup = float(norm_samples(fam, cfg.grid).max())
         lam = (sup / (1.0 - 1e-6)) * (1.0 + float(rng.uniform(0.01, 1.0)))
         lam *= complex(np.cos(rng.uniform(0, 2 * np.pi)), np.sin(rng.uniform(0, 2 * np.pi)))
-        probe = probe_resolvent(fam, lam, cfg.grid, cfg.delta_res)
+        probe = probe_resolvent(fam, lam, cfg.grid)
         if probe.classification != RESOLVENT:
             neumann_ok = False
     tails_ok = True
@@ -1085,7 +1074,7 @@ def check_radius_remarks(cfg: ScenarioConfig, idx: int):
         lam = (sup + 0.5) * complex(
             np.cos(rng.uniform(0, 2 * np.pi)), np.sin(rng.uniform(0, 2 * np.pi))
         )
-        probe = probe_resolvent(fam, lam, cfg.grid, cfg.delta_res)
+        probe = probe_resolvent(fam, lam, cfg.grid)
         if probe.classification != RESOLVENT:
             tails_ok = False
             continue

@@ -8,13 +8,13 @@ from opfam.bracket import (
     EQUIVALENT,
     INCONCLUSIVE,
     NOT_EQUIVALENT,
-    QnParams,
     bracket,
     bracket_binomial,
     bracket_seq,
     qn_equivalent,
 )
 from opfam.errors import DimensionMismatchError, InputError
+from opfam.families import HGrid, OperatorFamily, asym_qn_equivalent
 from opfam.linalg import op_norm
 
 SEED = 777
@@ -72,7 +72,7 @@ def test_recurrence_matches_binomial_sum():
 def test_bracket_seq_examples():
     t = 2.0 * np.eye(3)
     s = _jordan(2.0, 3)
-    seq = bracket_seq(t, s, 8, cross_check=True)
+    seq = bracket_seq(t, s, 8)
     assert seq.roots[0] == pytest.approx(1.0)
     assert seq.roots[1] == pytest.approx(1.0)
     assert np.all(seq.roots[2:] == 0.0)
@@ -117,8 +117,18 @@ def test_qn_inconclusive_zone():
     assert 0.05 <= rep.final_root <= 0.2
 
 
-def test_qn_params_validation():
-    with pytest.raises(InputError):
-        QnParams(eps_q=0.3, delta_q=0.2)
-    with pytest.raises(InputError):
-        QnParams(n_max=3)
+def test_n_max_is_bounded_by_the_root_test_window():
+    t = 2.0 * np.eye(3)
+    s = _jordan(2.0, 3)
+    fams = (OperatorFamily.constant(t), OperatorFamily.constant(s))
+    message = "n_max must be >= 5 (the root-test window), got 4"
+    for call in (
+        lambda: bracket_seq(t, s, 4),
+        lambda: qn_equivalent(t, s, 4),
+        lambda: asym_qn_equivalent(*fams, HGrid(), 4),
+    ):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert qn_equivalent(t, s, 5).verdict == EQUIVALENT
+    assert asym_qn_equivalent(*fams, HGrid(), 5).verdict == EQUIVALENT

@@ -31,6 +31,14 @@ def test_bracket_command(workdir, capsys):
     assert "verdict: Equivalent" in out
 
 
+def test_bracket_nmax_below_the_root_test_window(workdir, capsys):
+    pair = ["--t", str(workdir / "t.mat"), "--s", str(workdir / "s.mat")]
+    assert main(["bracket", *pair, "--nmax", "4"]) == 2
+    assert "n_max must be >= 5 (the root-test window), got 4" in capsys.readouterr().err
+    assert main(["bracket", *pair, "--nmax", "5"]) == 0
+    assert "verdict: Equivalent" in capsys.readouterr().out
+
+
 def test_bracket_csv_output(workdir, capsys):
     out_path = workdir / "roots.csv"
     rc = main(

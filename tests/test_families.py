@@ -53,7 +53,6 @@ def test_coeff_catalog():
     assert c(0.5) == pytest.approx(0.25 * np.exp(-2.0))
     assert c.is_null is True
     assert CoeffFn.const().is_null is False
-    assert CoeffFn.custom(lambda h: h).is_null is None
     # Catalog functions all bounded by 1 on (0, 1].
     for fn in (CoeffFn.const(), CoeffFn.pow_h(3.0), CoeffFn.exp_inv(0.5)):
         assert fn.sup_bound <= 1.0
@@ -229,17 +228,12 @@ def test_is_null_family(grid):
         3, [(CoeffFn.const(), a), (CoeffFn.const(), -a), (CoeffFn.pow_h(1.0), a)]
     )
     assert is_null_family(cancel, grid).limit_verdict == TO_ZERO
-    # Sampled-only coefficients decay but carry no certificate.
-    sampled = OperatorFamily.from_terms(3, [(CoeffFn.custom(lambda h: h), a)])
-    assert is_null_family(sampled, grid).limit_verdict == INCONCLUSIVE
 
 
 def test_null_test_same_rule_for_vector_families(grid):
-    # Sampled-only terms carry no certificate: a persistent tail passes
-    # through as BoundedPositive, an observed decay is Inconclusive, for
+    # A certified non-null term persists, a certified null term decays, for
     # operator and vector families alike.
-    for fn, expected in ((lambda h: 1.0, BOUNDED_POSITIVE), (lambda h: h, INCONCLUSIVE)):
-        coeff = CoeffFn.custom(fn)
+    for coeff, expected in ((CoeffFn.const(), BOUNDED_POSITIVE), (CoeffFn.pow_h(1), TO_ZERO)):
         op = is_null_family(OperatorFamily.from_terms(2, [(coeff, np.eye(2))]), grid)
         vec = is_null_family(
             VectorFamily.from_terms(2, [(coeff, np.array([1.0, 0.0]))]), grid

@@ -70,7 +70,7 @@ def test_commuting_family_pair(grid):
 def test_draw_eigenvalues_conditioning():
     rng = rng_for(1, 2)
     rect = (-3.0, 3.0, -3.0, 3.0)
-    w = draw_eigenvalues(rng, 5, gap=1.0, rect=rect, n_cells=64, margin=0.35)
+    w = draw_eigenvalues(rng, 5, gap=1.0, rect=rect, n_cells=64)
     for i in range(5):
         for j in range(i + 1, 5):
             assert abs(w[i] - w[j]) >= 1.0

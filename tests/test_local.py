@@ -204,3 +204,19 @@ def test_uniqueness_check(grid):
 
     with pytest.raises(PreconditionError):
         local_extension_uniqueness_check(fam, x, sol1, sol3, mesh, grid)
+
+
+def test_svep_and_uniqueness_reject_an_overflowing_family(grid):
+    # Values of 1e308 overflow as soon as the residual multiplies them: the
+    # family is bad input, as it is for probe_resolvent, not a witness
+    # verdict or a failing candidate.
+    fam = OperatorFamily.constant(np.full((2, 2), 1e308))
+    x = np.array([1.0, 0.0], dtype=complex)
+
+    def sol(lam):
+        return VectorFamily.constant(x)
+
+    with pytest.raises(InputError, match="overflow"):
+        svep_falsification_probe(fam, [Witness("constant", sol)], [1.0 + 0.0j], grid)
+    with pytest.raises(InputError, match="overflow"):
+        local_extension_uniqueness_check(fam, x, sol, sol, [1.0 + 0.0j], grid)

@@ -19,7 +19,6 @@ from opfam.spectra import (
     CLS_RESOLVENT,
     CLS_SPECTRUM,
     CLS_UNDETERMINED,
-    DELTA_RES,
     RESOLVENT,
     SPECTRUM,
     UNDETERMINED,
@@ -126,8 +125,6 @@ def test_spectral_radius_examples(grid):
     assert spectral_radius_bound(flip_family(), grid).value <= 1e-3
     j = OperatorFamily.constant(np.eye(2, k=1))
     assert spectral_radius_bound(j, grid).value == 0.0
-    with pytest.raises(InputError):
-        spectral_radius_bound(j, grid, n_max=4)
 
 
 def test_resolvent_identity(grid):
@@ -190,12 +187,10 @@ def test_compare_grids_ignores_undetermined(grid):
 
 def test_neumann_certificate_beats_a_vanishing_tail():
     # ||F|| = 0.5 < |lam| < 1: the sigma tail may then vanish below
-    # delta_res * scale = 1e-6 while staying above |lam| - ||F|| > 0.
+    # DELTA_RES * scale = 1e-6 while staying above |lam| - ||F|| > 0.
     sig = np.linspace(9e-7, 6e-7, 6)[:, None]
     lams = np.array([0.5000012 + 0.0j])
-    classes, (codes, _, _, _), neumann = _classify(
-        sig, np.array([0.5]), 1.0, lams, DELTA_RES
-    )
+    classes, (codes, _, _, _), neumann = _classify(sig, np.array([0.5]), 1.0, lams)
     assert codes[0] == 0 and neumann[0]
     assert classes[0] == CLS_RESOLVENT
 

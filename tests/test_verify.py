@@ -1,13 +1,17 @@
+import dataclasses
+
 import pytest
 
 from opfam import verify
 from opfam.errors import InputError
+from opfam.families import HGrid
 from opfam.verify import (
     ALL_SUITES,
     ANCHOR_TABLE,
     CHECKS,
     FAIL,
     PASS,
+    ReportBundle,
     ScenarioConfig,
     _cells_match_one_off,
     run_suite,
@@ -24,8 +28,6 @@ def test_registry_sanity():
 def test_config_validation():
     with pytest.raises(InputError):
         ScenarioConfig(dim_min=1)
-    with pytest.raises(InputError):
-        ScenarioConfig(delta_res=0.0)
     cfg = ScenarioConfig(dim_min=2, dim_max=4)
     assert [cfg.dims(k) for k in range(4)] == [2, 3, 4, 2]
 
@@ -39,6 +41,28 @@ def test_subset_run_deterministic():
     assert all(r.verdict == PASS for r in b1.results)
     assert b1.exit_code == 0
     assert "schema=opfam-verify-v1" in b1.render_machine()
+
+
+def _header(cfg: ScenarioConfig) -> list[str]:
+    report = ReportBundle(config=cfg, results=()).render_machine()
+    return [line for line in report.splitlines() if not line.startswith("summary=")]
+
+
+def test_every_config_field_is_in_the_report_header():
+    # A setting that can change verdicts must show in the report it changes;
+    # out_dir only says where the report goes.
+    changed = {
+        "seed": 43,
+        "dim_min": 3,
+        "dim_max": 5,
+        "grid": HGrid(tail=7),
+        "suites": ("linalg",),
+    }
+    names = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"out_dir"}
+    assert names == set(changed)
+    base = ScenarioConfig()
+    for name, value in changed.items():
+        assert _header(dataclasses.replace(base, **{name: value})) != _header(base), name
 
 
 def test_unknown_suite_rejected():
