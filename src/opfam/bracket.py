@@ -115,17 +115,10 @@ def _roots_from_norms(norms: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _check_n_max(n_max: int) -> None:
-    """The one bound on a bracket order count: the root test needs a full window."""
-    if n_max < ROOT_WINDOW:
-        raise InputError(
-            f"n_max must be >= {ROOT_WINDOW} (the root-test window), got {n_max}"
-        )
-
-
 def bracket_seq(t, s, n_max: int) -> BracketSeq:
     """Bracket norms/roots for (T, S) and (S, T), orders 1..n_max."""
-    _check_n_max(n_max)
+    if n_max < 4:
+        raise InputError(f"n_max must be >= 4, got {n_max}")
     tm, sm = _check_pair(t, s)
     norms, ok_f = bracket_norm_sequence(tm, sm, n_max)
     rev_norms, ok_r = bracket_norm_sequence(sm, tm, n_max)
@@ -175,6 +168,10 @@ def root_test(roots: np.ndarray) -> EquivalenceReport:
     above DELTA_Q with a non-decreasing fit.  Everything else: Inconclusive.
     """
     roots = np.asarray(roots, dtype=float)
+    if len(roots) < ROOT_WINDOW:
+        raise InputError(
+            f"n_max must be >= {ROOT_WINDOW} (the root-test window), got {len(roots)}"
+        )
     if not np.all(np.isfinite(roots)):
         return EquivalenceReport(
             verdict=INCONCLUSIVE,

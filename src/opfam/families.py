@@ -23,7 +23,6 @@ import numpy as np
 from .bracket import (
     N_MAX,
     EquivalenceReport,
-    _check_n_max,
     bracket_norm_sequence,
     combine_order_reports,
     root_test,
@@ -491,7 +490,6 @@ def asym_qn_equivalent(
     f: OperatorFamily,
     g: OperatorFamily,
     grid: HGrid,
-    n_max: int = N_MAX,
 ) -> EquivalenceReport:
     """Asymptotic quasinilpotent equivalence test for two families.
 
@@ -502,17 +500,16 @@ def asym_qn_equivalent(
     single-operator case, in both operand orders.
     """
     f._check_dim(g)
-    _check_n_max(n_max)
     hs = grid.tail_samples()
     fs = f.eval_stack(hs)
     gs = g.eval_stack(hs)
 
     reports = []
     for left, right, tag in ((fs, gs, "F,G"), (gs, fs, "G,F")):
-        per_h = np.empty((len(hs), n_max))
+        per_h = np.empty((len(hs), N_MAX))
         overflow = False
         for i in range(len(hs)):
-            norms, ok = bracket_norm_sequence(left[i], right[i], n_max)
+            norms, ok = bracket_norm_sequence(left[i], right[i], N_MAX)
             per_h[i] = norms
             overflow = overflow or not ok
         if overflow:
@@ -525,14 +522,14 @@ def asym_qn_equivalent(
                 )
             )
             continue
-        sigmas = np.empty(n_max)
+        sigmas = np.empty(N_MAX)
         labels = []
-        for n in range(n_max):
+        for n in range(N_MAX):
             sigmas[n], label = _inner_limit_estimate(per_h[:, n], ZERO_FLOOR)
             labels.append(label)
         roots = np.where(
             sigmas > 0.0,
-            np.maximum(sigmas, 1e-300) ** (1.0 / np.arange(1, n_max + 1)),
+            np.maximum(sigmas, 1e-300) ** (1.0 / np.arange(1, N_MAX + 1)),
             0.0,
         )
         rep = root_test(roots)

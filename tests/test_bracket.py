@@ -12,9 +12,9 @@ from opfam.bracket import (
     bracket_binomial,
     bracket_seq,
     qn_equivalent,
+    root_test,
 )
 from opfam.errors import DimensionMismatchError, InputError
-from opfam.families import HGrid, OperatorFamily, asym_qn_equivalent
 from opfam.linalg import op_norm
 
 SEED = 777
@@ -120,15 +120,10 @@ def test_qn_inconclusive_zone():
 def test_n_max_is_bounded_by_the_root_test_window():
     t = 2.0 * np.eye(3)
     s = _jordan(2.0, 3)
-    fams = (OperatorFamily.constant(t), OperatorFamily.constant(s))
     message = "n_max must be >= 5 (the root-test window), got 4"
-    for call in (
-        lambda: bracket_seq(t, s, 4),
-        lambda: qn_equivalent(t, s, 4),
-        lambda: asym_qn_equivalent(*fams, HGrid(), 4),
-    ):
+    for call in (lambda: qn_equivalent(t, s, 4), lambda: root_test(np.ones(4))):
         with pytest.raises(InputError) as exc:
             call()
         assert str(exc.value) == message
+    assert bracket_seq(t, s, 4).n_max == 4
     assert qn_equivalent(t, s, 5).verdict == EQUIVALENT
-    assert asym_qn_equivalent(*fams, HGrid(), 5).verdict == EQUIVALENT
