@@ -347,9 +347,22 @@ def tail_stats(
     )
 
 
+def _finite_norms(stack: np.ndarray, norms, what: str) -> np.ndarray:
+    """norms(stack), or InputError when the stack or its norms are not finite.
+
+    The one overflow rule of sampled families: values that overflow make
+    every tail tolerance and verdict meaningless.
+    """
+    if np.isfinite(stack).all():
+        out = norms(stack)
+        if np.isfinite(out).all():
+            return out
+    raise InputError(f"{what} overflow on the h-grid")
+
+
 def norm_samples(fam: OperatorFamily | VectorFamily, grid: HGrid) -> np.ndarray:
     """||F(h_k)|| (or ||x(h_k)||) over the whole grid."""
-    return fam._norms(fam.eval_stack(grid.samples()))
+    return _finite_norms(fam.eval_stack(grid.samples()), fam._norms, "family values")
 
 
 def limsup_norm(fam: OperatorFamily | VectorFamily, grid: HGrid) -> float:
@@ -411,7 +424,10 @@ def commute_in_limit(f: OperatorFamily, g: OperatorFamily, grid: HGrid) -> TailS
     hs = grid.samples()
     fs = f.eval_stack(hs)
     gs = g.eval_stack(hs)
-    return tail_stats(op_norms(fs @ gs - gs @ fs), grid.tail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        commutators = fs @ gs - gs @ fs
+    norms = _finite_norms(commutators, op_norms, "commutator values")
+    return tail_stats(norms, grid.tail)
 
 
 @dataclass(frozen=True)

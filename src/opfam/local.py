@@ -51,9 +51,11 @@ from .spectra import (
     CLS_RESOLVENT,
     CLS_SPECTRUM,
     CLS_UNDETERMINED,
+    _CHUNK,
     RegionGrid,
     _dip_mask,
     _scan_setup,
+    _Tail,
     _tail_eval,
     _validate_rect,
     spectral_radius_bound,
@@ -190,46 +192,76 @@ def _min_norm_solve_stack(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (pinv @ rhs)[..., 0]
 
 
-_CHUNK = 4096
+def _triangular_probe(
+    t: np.ndarray, b: np.ndarray, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and residual norms of the solutions z of (lambda I - T) z = b.
+
+    T is upper triangular; every probe point lambda is solved at once by
+    back-substitution, with the points on the contiguous axis.  The
+    residual (lambda I - T) z - b is formed row by row from the same sums.
+    All arithmetic is elementwise numpy, so no BLAS thread count can
+    enter.  An exact eigenvalue hit leaves a non-finite norm at its point.
+    """
+    z = np.empty((len(b), len(points)), dtype=complex)
+    r = np.empty_like(z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(len(b) - 1, -1, -1):
+            rhs = b[k] + (t[k, k + 1 :, None] * z[k + 1 :]).sum(axis=0)
+            shift = points - t[k, k]
+            z[k] = rhs / shift
+            r[k] = shift * z[k] - rhs
+        return np.linalg.norm(z, axis=0), np.linalg.norm(r, axis=0)
 
 
 def _probe_samples(
-    mats: np.ndarray, x: np.ndarray, points: np.ndarray
+    tail: _Tail, x: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solution norms and residuals at every probe point over the tail matrices.
 
-    Returns (norms, residuals), each of shape (len(mats), len(points)).
+    Returns (norms, residuals), each of shape (len(tail.mats), len(points)).
+    With F(h) = Q T Q* (`_Tail.schur`), y = Q z solves
+    (lambda I - F(h)) y = x where (lambda I - T) z = Q* x, and Q is
+    unitary, so ||y|| = ||z|| and the residual has the norm of its
+    triangular counterpart.  Only the points where that is not finite (an
+    exact eigenvalue hit) are re-solved, by `_min_norm_solve_stack`.
     """
+    mats = tail.mats
     ident = np.eye(mats.shape[-1], dtype=complex)
     norms = np.empty((len(mats), len(points)))
     resids = np.empty((len(mats), len(points)))
-    for lo in range(0, len(points), _CHUNK):
-        pts = points[lo : lo + _CHUNK]
-        shifted_base = pts[:, None, None] * ident
-        for i in range(len(mats)):
-            stack = shifted_base - mats[i]
-            y = _min_norm_solve_stack(stack, x)
-            norms[i, lo : lo + _CHUNK] = np.linalg.norm(y, axis=1)
-            resids[i, lo : lo + _CHUNK] = np.linalg.norm(
-                (stack @ y[..., None])[..., 0] - x, axis=1
-            )
+    for i in tail.distinct:
+        t, q = tail.schur(i)
+        b = (q.conj() * x[:, None]).sum(axis=0)
+        for lo in range(0, len(points), _CHUNK):
+            pts = points[lo : lo + _CHUNK]
+            norm, resid = _triangular_probe(t, b, pts)
+            hit = ~(np.isfinite(norm) & np.isfinite(resid))
+            if hit.any():
+                stack = pts[hit, None, None] * ident - mats[i]
+                y = _min_norm_solve_stack(stack, x)
+                norm[hit] = np.linalg.norm(y, axis=1)
+                resid[hit] = np.linalg.norm((stack @ y[..., None])[..., 0] - x, axis=1)
+            norms[i, lo : lo + _CHUNK] = norm
+            resids[i, lo : lo + _CHUNK] = resid
+    tail.spread(norms, resids)
     return norms, resids
 
 
 def _local_setup(fam: OperatorFamily, x, grid: HGrid):
-    """(x, ||x||, tail matrices, norm_cap) for a local probe or scan.
+    """(x, ||x||, evaluated tail, norm_cap) for a local probe or scan.
 
     The family is evaluated once; the solution-norm cap is
     B_MAX_FACTOR * ||x|| / scale, with the family scale of `_tail_eval`.
     """
     v = as_vector(x, dim=fam.dim)
     xnorm = float(np.linalg.norm(v))
-    mats, _, scale = _tail_eval(fam, grid)
-    return v, xnorm, mats, B_MAX_FACTOR * max(xnorm, 1e-300) / scale
+    tail = _tail_eval(fam, grid)
+    return v, xnorm, tail, B_MAX_FACTOR * max(xnorm, 1e-300) / tail.scale
 
 
 def _local_cells(
-    mats: np.ndarray,
+    tail: _Tail,
     v: np.ndarray,
     xnorm: float,
     norm_cap: float,
@@ -247,7 +279,7 @@ def _local_cells(
         n = len(centers)
         return np.full(n, CLS_RESOLVENT, dtype=np.int8), np.full(n, np.inf), 0
     offsets = _ring_offsets(ring_r)
-    norms, resids = _probe_samples(mats, v, (centers[:, None] + offsets).ravel())
+    norms, resids = _probe_samples(tail, v, (centers[:, None] + offsets).ravel())
     eps_res = EPS_TAIL * max(1.0, xnorm)
     floor_res = ZERO_FLOOR * max(1.0, xnorm)
     res_codes, _, _, _ = verdict_arrays(resids, eps_res, floor_res)
@@ -292,9 +324,9 @@ def family_local_probe(
     """
     if nbhd_r <= 0:
         raise InputError("nbhd_r must be > 0")
-    v, xnorm, mats, norm_cap = _local_setup(fam, x, grid)
+    v, xnorm, tail, norm_cap = _local_setup(fam, x, grid)
     classes, _, bad = _local_cells(
-        mats, v, xnorm, norm_cap, np.array([lam0], dtype=complex), nbhd_r
+        tail, v, xnorm, norm_cap, np.array([lam0], dtype=complex), nbhd_r
     )
     return LocalProbe(
         lam=complex(lam0),
@@ -321,8 +353,8 @@ def family_local_spectrum_grid(
     minimum of the score field.
     """
     rect, w, h, rcell, centers = _scan_setup(rect, nx, ny, grid.tail * (1 + _RING_POINTS))
-    v, xnorm, mats, norm_cap = _local_setup(fam, x, grid)
-    classes, tau, _ = _local_cells(mats, v, xnorm, norm_cap, centers, 0.5 * min(w, h))
+    v, xnorm, tail, norm_cap = _local_setup(fam, x, grid)
+    classes, tau, _ = _local_cells(tail, v, xnorm, norm_cap, centers, 0.5 * min(w, h))
     score = tau.reshape(ny, nx)
     classes[(tau <= LOCAL_CAL_FACTOR * rcell) & _dip_mask(score).ravel()] = CLS_SPECTRUM
     return RegionGrid(
@@ -468,7 +500,7 @@ def svep_falsification_probe(
     if not mesh:
         raise InputError("empty lambda mesh")
     hs = grid.tail_samples()
-    mats = _tail_eval(fam, grid)[0]
+    mats = _tail_eval(fam, grid).mats
     results = []
     for w in witnesses:
         res_verdicts = []
@@ -542,7 +574,7 @@ def local_extension_uniqueness_check(
     if not mesh:
         raise InputError("empty lambda mesh")
     hs = grid.tail_samples()
-    mats = _tail_eval(fam, grid)[0]
+    mats = _tail_eval(fam, grid).mats
     eps_res = EPS_TAIL * max(1.0, float(np.linalg.norm(v)))
     # Keyed by mesh position, not by lambda: a mesh may repeat a point.
     stacks = {}

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InputError, InvariantError, PreconditionError
 from .families import (
@@ -32,6 +33,7 @@ from .families import (
     HGrid,
     OperatorFamily,
     TailStats,
+    _finite_norms,
     asymptotically_equivalent,
     tail_stats,
     verdict_arrays,
@@ -64,6 +66,7 @@ SCAN_SAMPLE_BUDGET = 2**24
 RADIUS_ORDERS = 16
 RADIUS_WINDOW = 5
 
+# Probe points one kernel pass holds (sigma and local solve kernels alike).
 _CHUNK = 8192
 
 
@@ -79,35 +82,66 @@ class ResolventProbe:
     neumann: bool
 
 
-def _tail_eval(fam: OperatorFamily, grid: HGrid) -> tuple[np.ndarray, np.ndarray, float]:
+class _Tail:
+    """A family evaluated over the h-grid tail: what every scan and probe reads.
+
+    mats are the tail matrices F(h), norms their operator norms and scale
+    = max(1, tail limsup of the family norm), which normalizes DELTA_RES.
+    first[i] is the index of the first tail matrix bytewise equal to
+    mats[i]; the kernels work once per distinct matrix (`distinct`) and
+    `spread` copies the rows of the repeats, so a constant family costs
+    one matrix, not one per tail sample.  `schur(i)` gives the complex
+    Schur factors (T, Q), F(h) = Q T Q*, of a distinct matrix, computed
+    on first use and kept.
+    """
+
+    def __init__(self, mats: np.ndarray, norms: np.ndarray):
+        self.mats = mats
+        self.norms = norms
+        self.scale = max(1.0, float(norms.max()))
+        seen: dict[bytes, int] = {}
+        self.first = [seen.setdefault(m.tobytes(), i) for i, m in enumerate(mats)]
+        self.distinct = sorted(seen.values())
+        self._schur: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def schur(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        if i not in self._schur:
+            self._schur[i] = scipy.linalg.schur(self.mats[i], output="complex")
+        return self._schur[i]
+
+    def spread(self, *rows: np.ndarray) -> None:
+        """Fill, in place, the rows of repeated matrices from their first copy."""
+        for i, j in enumerate(self.first):
+            if i != j:
+                for arr in rows:
+                    arr[i] = arr[j]
+
+
+def _tail_eval(fam: OperatorFamily, grid: HGrid) -> _Tail:
     """The one evaluation of a family a scan or probe needs.
 
-    Returns (tail matrices F(h) over the grid tail, their norms, scale),
-    with scale = max(1, tail limsup of the family norm), which normalizes
-    DELTA_RES.  A family whose tail values or norms overflow to a
-    non-finite number is an input error: every threshold would be inf.
+    A family whose tail values or norms overflow to a non-finite number
+    is an input error: every threshold would be inf.
     """
     mats = fam.eval_stack(grid.tail_samples())
-    if np.isfinite(mats).all():
-        norms = op_norms(mats)
-        if np.isfinite(norms).all():
-            return mats, norms, max(1.0, float(norms.max()))
-    raise InputError("family values overflow on the h-grid tail")
+    return _Tail(mats, _finite_norms(mats, op_norms, "family values"))
 
 
-def _sigma_tail_stack(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _sigma_tail_stack(tail: _Tail, lams: np.ndarray) -> np.ndarray:
     """Smallest singular values of (lam I - F(h)) over the tail matrices.
 
-    Returns shape (len(mats), len(lams)); chunked to bound memory.
+    Returns shape (len(tail.mats), len(lams)); chunked to bound memory.
     """
+    mats = tail.mats
     ident = np.eye(mats.shape[-1], dtype=complex)
     out = np.empty((len(mats), len(lams)))
     for lo in range(0, len(lams), _CHUNK):
         lam_chunk = lams[lo : lo + _CHUNK]
         shifted = lam_chunk[:, None, None] * ident
-        for i in range(len(mats)):
+        for i in tail.distinct:
             sig = np.linalg.svd(shifted - mats[i], compute_uv=False)
             out[i, lo : lo + _CHUNK] = sig[:, -1]
+    tail.spread(out)
     return out
 
 
@@ -146,28 +180,27 @@ def probe_resolvent(fam: OperatorFamily, lam: complex, grid: HGrid) -> Resolvent
     return _probe(_tail_eval(fam, grid), lam)
 
 
-def _probe(tail, lam: complex) -> ResolventProbe:
+def _probe(tail: _Tail, lam: complex) -> ResolventProbe:
     """probe_resolvent on an evaluated tail (see `_tail_eval`)."""
-    mats, tail_norms, scale = tail
     lams = np.array([lam], dtype=complex)
-    sig = _sigma_tail_stack(mats, lams)
-    classes, _, neumann = _classify(sig, tail_norms, scale, lams)
+    sig = _sigma_tail_stack(tail, lams)
+    classes, _, neumann = _classify(sig, tail.norms, tail.scale, lams)
     sig, cls, neumann = sig[:, 0], int(classes[0]), bool(neumann[0])
     resnorm = None
     if sig.min() > 0.0:
         try:
-            resnorm = op_norms(_tail_inverses(mats, lam))
+            resnorm = op_norms(_tail_inverses(tail.mats, lam))
         except np.linalg.LinAlgError:
             pass
     if resnorm is None:
-        resnorm = np.full(len(mats), np.nan)
+        resnorm = np.full(len(sig), np.nan)
         if cls == CLS_RESOLVENT and not neumann:
             cls = CLS_UNDETERMINED
     stats = tail_stats(
         sig,
         tail=len(sig),
-        eps_tail=DELTA_RES * scale,
-        zero_floor=SIGMA_FLOOR_REL * scale,
+        eps_tail=DELTA_RES * tail.scale,
+        zero_floor=SIGMA_FLOOR_REL * tail.scale,
     )
     return ResolventProbe(
         lam=complex(lam),
@@ -298,15 +331,17 @@ def family_spectrum_grid(
     spectrum, if any, meets this cell at the scan's resolution).
     """
     rect, _, _, rcell, lams = _scan_setup(rect, nx, ny, grid.tail)
-    mats, tail_norms, scale = _tail_eval(fam, grid)
-    sig = _sigma_tail_stack(mats, lams)
-    classes, (_, tail_max, tail_min, trend), _ = _classify(sig, tail_norms, scale, lams)
+    tail = _tail_eval(fam, grid)
+    sig = _sigma_tail_stack(tail, lams)
+    classes, (_, tail_max, tail_min, trend), _ = _classify(
+        sig, tail.norms, tail.scale, lams
+    )
     score = tail_min.reshape(ny, nx)
     flat_low = (tail_max <= rcell) & (trend <= TREND_FLAT_TOL)
     classes[flat_low & _dip_mask(score).ravel()] = CLS_SPECTRUM
 
     spec_cells = np.abs(lams[classes == CLS_SPECTRUM])
-    if spec_cells.size and spec_cells.max() > tail_norms.max() + 2.0 * rcell + 1e-9:
+    if spec_cells.size and spec_cells.max() > tail.norms.max() + 2.0 * rcell + 1e-9:
         raise InvariantError(
             "spectrum cell found outside the norm-bound disk; "
             "classification is inconsistent"
@@ -375,8 +410,8 @@ def resolvent_identity_residual(
             raise PreconditionError(
                 f"{point} classified {probe.classification}, needs Resolvent"
             )
-    r_lam = _tail_inverses(tail[0], lam)
-    r_mu = _tail_inverses(tail[0], mu)
+    r_lam = _tail_inverses(tail.mats, lam)
+    r_mu = _tail_inverses(tail.mats, mu)
     resid = r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)
     return tail_stats(op_norms(resid), tail=grid.tail)
 
@@ -405,10 +440,11 @@ def resolvent_uniqueness_residual(
     """
     fam._check_dim(r1)
     fam._check_dim(r2)
-    mats, _, scale = _tail_eval(fam, grid)
+    tail = _tail_eval(fam, grid)
+    scale = tail.scale
     hs = grid.tail_samples()
     ident = np.eye(fam.dim, dtype=complex)
-    shifted = lam * ident - mats
+    shifted = lam * ident - tail.mats
     stacks = (r1.eval_stack(hs), r2.eval_stack(hs))
     notes = []
     ok = True

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import opfam
 
 from opfam.families import HGrid
 
@@ -29,3 +35,28 @@ def blas_thread_env():
         return {var: str(n) for var in names}
 
     return env
+
+
+@pytest.fixture(scope="session")
+def thread_fingerprint(blas_thread_env):
+    """Return a function running a script in a fresh interpreter at n BLAS threads.
+
+    The script imports opfam from this checkout and prints one line (a
+    digest of what it computed), which the function returns.
+    """
+    src = os.path.dirname(os.path.dirname(opfam.__file__))
+
+    def run(script: str, n: int) -> str:
+        env = dict(os.environ, **blas_thread_env(n))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    return run

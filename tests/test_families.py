@@ -295,6 +295,26 @@ def test_quotient_norm_bounds(grid):
     assert qb.lower <= 1e-7
 
 
+def _overflowing_family():
+    # Finite entries whose norms and products overflow to inf.
+    return OperatorFamily.constant(np.full((2, 2), 1e308))
+
+
+def test_commute_in_limit_rejects_an_overflowing_family(grid):
+    big = _overflowing_family()
+    for other in (OperatorFamily.constant(np.diag([1.0, 2.0])), big):
+        with pytest.raises(InputError, match="overflow"):
+            commute_in_limit(big, other, grid)
+
+
+def test_norm_tests_reject_an_overflowing_family(grid):
+    big = _overflowing_family()
+    with pytest.raises(InputError, match="overflow"):
+        is_null_family(big, grid)
+    with pytest.raises(InputError, match="overflow"):
+        quotient_norm_bounds(big, grid)
+
+
 def test_commute_in_limit_examples(grid):
     rng = np.random.default_rng(SEED)
     a = _rand(rng, 3)

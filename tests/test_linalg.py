@@ -1,11 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import opfam
 from opfam.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
@@ -80,25 +75,10 @@ print(digest.hexdigest())
 """ % SEED
 
 
-def _solve_fingerprint(thread_env):
-    env = dict(os.environ, **thread_env)
-    src = os.path.dirname(os.path.dirname(opfam.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SOLVE_FINGERPRINT],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-def test_solve_bytes_independent_of_blas_threads(blas_thread_env):
+def test_solve_bytes_independent_of_blas_threads(thread_fingerprint):
     # The same resolvent solves as sup02, d = 2..16, at 1 and at 4 threads.
-    one = _solve_fingerprint(blas_thread_env(1))
-    four = _solve_fingerprint(blas_thread_env(4))
+    one = thread_fingerprint(_SOLVE_FINGERPRINT, 1)
+    four = thread_fingerprint(_SOLVE_FINGERPRINT, 4)
     assert len(one) == 64
     assert one == four, "solve() results differ between 1 and 4 BLAS threads"
 

@@ -195,6 +195,26 @@ def test_neumann_certificate_beats_a_vanishing_tail():
     assert classes[0] == CLS_RESOLVENT
 
 
+def test_spectrum_scan_runs_one_svd_pass_per_distinct_tail_matrix(grid, monkeypatch):
+    passes = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[0] == 64:  # the shifted stacks of an 8x8 scan
+            passes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(SEED)
+    a, b = _rand(rng, 3), _rand(rng, 3)
+    family_spectrum_grid(OperatorFamily.constant(a), (-3, 3, -3, 3), 8, 8, grid)
+    assert len(passes) == 1
+    passes.clear()
+    drift = OperatorFamily.from_terms(3, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
+    family_spectrum_grid(drift, (-3, 3, -3, 3), 8, 8, grid)
+    assert len(passes) == grid.tail
+
+
 def test_probe_rejects_an_overflowing_family(grid):
     fam = OperatorFamily.constant(np.full((2, 2), 1e308))
     with pytest.raises(InputError, match="overflow"):
