@@ -85,7 +85,7 @@ def bracket_norm_sequence(t, s, n_max: int) -> tuple[np.ndarray, bool]:
     b = np.eye(tm.shape[0], dtype=complex)
     for n in range(n_max):
         b = tm @ b - b @ sm
-        value = op_norm(b) if np.all(np.isfinite(b.view(float))) else float("inf")
+        value = op_norm(b) if np.isfinite(b).all() else float("inf")
         if value > OVERFLOW_LIMIT:
             norms[n:] = float("inf")
             return norms, False

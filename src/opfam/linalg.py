@@ -32,7 +32,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise InputError("matrix entries must be finite")
     return m
 
@@ -42,7 +42,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=complex)
     if v.ndim != 1 or v.shape[0] < 1:
         raise InputError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise InputError("vector entries must be finite")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatchError(f"expected dim {dim}, got {v.shape[0]}")

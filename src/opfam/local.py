@@ -51,7 +51,6 @@ from .spectra import (
     CLS_RESOLVENT,
     CLS_SPECTRUM,
     CLS_UNDETERMINED,
-    _CHUNK,
     RegionGrid,
     _dip_mask,
     _scan_setup,
@@ -170,6 +169,8 @@ def maximal_extension_eval(a, x, lam: complex) -> ExtensionEval:
 
 
 _RING_POINTS = 8
+# Probe points one pass of the local solve kernel holds.
+_CHUNK = 8192
 
 
 def _ring_offsets(radius: float) -> np.ndarray:
@@ -184,7 +185,7 @@ def _min_norm_solve_stack(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     rhs = np.broadcast_to(x[:, None], (n, d, 1))
     try:
         y = np.linalg.solve(mats, rhs)[..., 0]
-        if np.all(np.isfinite(y.real)) and np.all(np.isfinite(y.imag)):
+        if np.isfinite(y).all():
             return y
     except np.linalg.LinAlgError:
         pass

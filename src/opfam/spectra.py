@@ -19,6 +19,10 @@ rectangle and resolution.
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +70,13 @@ SCAN_SAMPLE_BUDGET = 2**24
 RADIUS_ORDERS = 16
 RADIUS_WINDOW = 5
 
-# Probe points one kernel pass holds (sigma and local solve kernels alike).
-_CHUNK = 8192
+# Probe points one sigma task holds.  Small and fixed: the split, and so
+# every result, is the same at any core count, and each worker keeps at
+# most one task's shifted stacks in memory.
+_SIGMA_TASK = 1024
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,20 +136,58 @@ def _tail_eval(fam: OperatorFamily, grid: HGrid) -> _Tail:
     return _Tail(mats, _finite_norms(mats, op_norms, "family values"))
 
 
+def _sigma_pool() -> ThreadPoolExecutor:
+    """The sigma kernel's thread pool, one thread per usable core.
+
+    Created on first use, never at import.  numpy's batched SVD releases
+    the GIL, so the threads run on separate cores.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            if hasattr(os, "sched_getaffinity"):
+                cores = len(os.sched_getaffinity(0))
+            else:
+                cores = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(cores, thread_name_prefix="opfam-sigma")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _sigma_task(tail: _Tail, lams: np.ndarray, out: np.ndarray, lo: int) -> None:
+    """Fill out[i, lo:lo + _SIGMA_TASK] for every distinct tail matrix i."""
+    lam_task = lams[lo : lo + _SIGMA_TASK]
+    shifted = lam_task[:, None, None] * np.eye(tail.mats.shape[-1], dtype=complex)
+    diff = np.empty_like(shifted)
+    for i in tail.distinct:
+        np.subtract(shifted, tail.mats[i], out=diff)
+        out[i, lo : lo + _SIGMA_TASK] = np.linalg.svd(diff, compute_uv=False)[:, -1]
+
+
 def _sigma_tail_stack(tail: _Tail, lams: np.ndarray) -> np.ndarray:
     """Smallest singular values of (lam I - F(h)) over the tail matrices.
 
-    Returns shape (len(tail.mats), len(lams)); chunked to bound memory.
+    Returns shape (len(tail.mats), len(lams)).  The points are split into
+    tasks of _SIGMA_TASK points, each writing its own columns; more than
+    one task runs on `_sigma_pool`.  Every point is computed alone by the
+    same arithmetic, so the bytes do not depend on the number of workers.
     """
-    mats = tail.mats
-    ident = np.eye(mats.shape[-1], dtype=complex)
-    out = np.empty((len(mats), len(lams)))
-    for lo in range(0, len(lams), _CHUNK):
-        lam_chunk = lams[lo : lo + _CHUNK]
-        shifted = lam_chunk[:, None, None] * ident
-        for i in tail.distinct:
-            sig = np.linalg.svd(shifted - mats[i], compute_uv=False)
-            out[i, lo : lo + _CHUNK] = sig[:, -1]
+    out = np.empty((len(tail.mats), len(lams)))
+    starts = range(0, len(lams), _SIGMA_TASK)
+    if len(starts) <= 1:
+        _sigma_task(tail, lams, out, 0)
+    else:
+        # Reading every result re-raises a task's error, and map cancels
+        # the tasks not yet started.
+        list(_sigma_pool().map(lambda lo: _sigma_task(tail, lams, out, lo), starts))
     tail.spread(out)
     return out
 
@@ -364,12 +411,31 @@ class RadiusBound:
     roots: np.ndarray
     inner_verdicts: tuple[str, ...]
 
+    def __post_init__(self):
+        # Bounds are shared by every caller (see spectral_radius_bound).
+        self.roots.setflags(write=False)
+
     def __float__(self) -> float:
         return self.value
 
 
+# spectral_radius_bound results by family, then by h-grid.  Families are
+# immutable and hash by identity, so an entry lives as long as its family.
+_radius_bounds: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def spectral_radius_bound(fam: OperatorFamily, grid: HGrid) -> RadiusBound:
-    """Root-growth bound: every spectrum point satisfies |lambda| <= value."""
+    """Root-growth bound: every spectrum point satisfies |lambda| <= value.
+
+    Computed once per family and h-grid; later calls return the same bound.
+    """
+    by_grid = _radius_bounds.setdefault(fam, {})
+    if grid not in by_grid:
+        by_grid[grid] = _radius_bound(fam, grid)
+    return by_grid[grid]
+
+
+def _radius_bound(fam: OperatorFamily, grid: HGrid) -> RadiusBound:
     hs = grid.tail_samples()
     mats = fam.eval_stack(hs)
     power = mats.copy()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opfam.errors import InputError, PoleProximityError, PreconditionError
-from opfam.families import CoeffFn, OperatorFamily, VectorFamily, module_action
+from opfam.families import CoeffFn, HGrid, OperatorFamily, VectorFamily, module_action
 from opfam.local import (
     LOCAL_RESOLVENT,
     LOCAL_SPECTRUM,
@@ -16,7 +16,8 @@ from opfam.local import (
     report_from_grid,
     svep_falsification_probe,
 )
-from opfam.spectra import CLS_SPECTRUM, truncated_resolvent_family
+from opfam import spectra
+from opfam.spectra import CLS_SPECTRUM, spectral_radius_bound, truncated_resolvent_family
 
 SEED = 1618
 RECT = (-3.0, 3.0, -3.0, 3.0)
@@ -134,6 +135,30 @@ def test_membership_examples(grid):
     assert local_spectral_space_member(const, np.zeros(2), "empty", RECT, grid).member
     with pytest.raises(InputError):
         local_spectral_space_member(const, e1, "disc 1,0,0.1", (-1, 1, -1, 1), grid)
+
+
+def test_membership_computes_the_radius_bound_once_per_family(grid, monkeypatch):
+    calls = []
+    compute = spectra._radius_bound
+
+    def counting(fam, hgrid):
+        calls.append(fam)
+        return compute(fam, hgrid)
+
+    monkeypatch.setattr(spectra, "_radius_bound", counting)
+    const = OperatorFamily.constant(np.diag([1.0, 2.0]))
+    e1 = np.array([1.0, 0.0], dtype=complex)
+    g = family_local_spectrum_grid(const, e1, RECT, 16, 16, grid)
+    for region in ("disc 1,0,0.1", "disc 2,0,0.1", "empty"):
+        local_spectral_space_member(const, e1, region, RECT, grid, 16, 16, cached_grid=g)
+    assert calls == [const]
+    bound = spectral_radius_bound(const, grid)
+    assert bound is spectral_radius_bound(const, grid)
+    assert not bound.roots.flags.writeable
+    # Another family, or another h-grid, gets its own bound.
+    spectral_radius_bound(OperatorFamily.constant(np.diag([1.0, 2.0])), grid)
+    spectral_radius_bound(const, HGrid(count=grid.count + 4))
+    assert len(calls) == 3
 
 
 def test_svep_probe(grid):

@@ -1,6 +1,12 @@
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from opfam import spectra
 from opfam.errors import InputError, PreconditionError
 from opfam.families import (
     TO_ZERO,
@@ -8,6 +14,7 @@ from opfam.families import (
     CoeffFn,
     OperatorFamily,
 )
+from opfam.fileio import save_family
 from opfam.linalg import op_norm
 from opfam.local import (
     LOCAL_RESOLVENT,
@@ -287,3 +294,127 @@ def test_probe_is_the_grid_rule_at_a_cell_centre(grid, kind):
                 probe_spectrum += 1
                 assert g.classes[iy, ix] == CLS_SPECTRUM, (d, iy, ix)
     assert probe_spectrum > 0
+
+
+@pytest.fixture()
+def sigma_workers(monkeypatch):
+    """Return a function installing a sigma pool of n threads for this test.
+
+    The switch interval is shortened so that the threads interleave often.
+    """
+    pools = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+
+    def install(n: int) -> None:
+        pools.append(ThreadPoolExecutor(n, thread_name_prefix="opfam-sigma"))
+        monkeypatch.setattr(spectra, "_pool", pools[-1])
+
+    yield install
+    sys.setswitchinterval(interval)
+    for pool in pools:
+        pool.shutdown()
+
+
+def test_sigma_bytes_independent_of_worker_count(grid, sigma_workers, monkeypatch):
+    threads = set()
+    task = spectra._sigma_task
+
+    def recording(*args):
+        threads.add(threading.current_thread().name)
+        task(*args)
+
+    monkeypatch.setattr(spectra, "_sigma_task", recording)
+    rng = np.random.default_rng(SEED)
+    n = 3 * spectra._SIGMA_TASK + 17
+    lams = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
+    for d in (2, 6, 16):
+        a, b = _rand(rng, d), _rand(rng, d)
+        drift = OperatorFamily.from_terms(d, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
+        for fam in (OperatorFamily.constant(a), drift):
+            tail = spectra._tail_eval(fam, grid)
+            mats = tail.mats
+            ident = np.eye(d, dtype=complex)
+            # The formula of the kernel, one batch per tail matrix.
+            reference = np.stack(
+                [
+                    np.linalg.svd(lams[:, None, None] * ident - m, compute_uv=False)[:, -1]
+                    for m in mats
+                ]
+            )
+            results = []
+            for workers in (1, 3):
+                sigma_workers(workers)
+                threads.clear()
+                results.append(spectra._sigma_tail_stack(tail, lams).tobytes())
+                assert threads and all(t.startswith("opfam-sigma") for t in threads)
+            assert results[0] == results[1] == reference.tobytes(), (d, len(tail.distinct))
+
+
+_CSV_FINGERPRINT = """
+import hashlib, os, sys
+if {pin}:
+    os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+from opfam import cli, spectra
+assert cli.main({argv!r}) == 0
+workers = spectra._pool._max_workers
+with open({out!r}, "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest(), workers)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_spectrum_csv_bytes_independent_of_usable_cores(tmp_path, thread_fingerprint):
+    """A CLI scan pinned to one CPU writes the CSV an unpinned scan writes.
+
+    The unpinned scan also runs at 4 BLAS threads.
+    """
+    rng = np.random.default_rng(SEED)
+    a, b = _rand(rng, 6), _rand(rng, 6)
+    fam = OperatorFamily.from_terms(6, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
+    fam_path = str(tmp_path / "drift6.fam")
+    save_family(fam, fam_path)
+
+    def run(pin: bool, blas_threads: int) -> tuple[str, int]:
+        out = str(tmp_path / f"{pin}-{blas_threads}.csv")
+        # 64 x 64 cells: four sigma tasks.
+        argv = ["spectrum", "--family", fam_path, "--rect=-3:3:-3:3", "--res", "64", "--out", out]
+        script = _CSV_FINGERPRINT.format(pin=pin, argv=argv, out=out)
+        digest, workers = thread_fingerprint(script, blas_threads).split()
+        return digest, int(workers)
+
+    pinned = run(True, 1)
+    assert pinned[1] == 1
+    assert run(False, 1)[0] == pinned[0]
+    assert run(False, 4)[0] == pinned[0]
+
+
+def test_importing_opfam_starts_no_thread(thread_fingerprint):
+    script = (
+        "import threading, opfam, opfam.cli, opfam.verify\n"
+        "print(threading.active_count(), opfam.spectra._pool)"
+    )
+    assert thread_fingerprint(script, 1) == "1 None"
+
+
+_FORK_AFTER_SCAN = """
+import os, signal
+import numpy as np
+from opfam.families import HGrid, OperatorFamily
+from opfam.spectra import family_spectrum_grid
+fam = OperatorFamily.constant(np.diag([1.0, 2.0j]))
+first = family_spectrum_grid(fam, (-3, 3, -3, 3), 64, 64, HGrid())
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a stuck child ends itself
+    g = family_spectrum_grid(fam, (-3, 3, -3, 3), 64, 64, HGrid())
+    os._exit(0 if (g.classes == first.classes).all() else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_scans_with_its_own_pool(thread_fingerprint):
+    """The child of a fork after a scan gets a fresh pool, not the parent's
+    pool object whose threads it does not have (that would never finish)."""
+    assert thread_fingerprint(_FORK_AFTER_SCAN, 1) == "0"
