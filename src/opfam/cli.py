@@ -59,24 +59,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("asym", "qn"), default="asym")
     _add_grid_arg(p)
 
-    p = sub.add_parser("spectrum", help="family spectrum scan over a rectangle")
-    p.add_argument("--family", required=True)
-    p.add_argument("--rect", required=True, metavar="a:b:c:d")
-    p.add_argument("--res", type=int, default=64)
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--pgm", help="also write a PGM rendering")
-    p.add_argument("--svg", help="also write an SVG rendering")
-    _add_grid_arg(p)
-
-    p = sub.add_parser("local-spectrum", help="family local spectrum scan at x")
-    p.add_argument("--family", required=True)
-    p.add_argument("--x", required=True, help="vector file")
-    p.add_argument("--rect", required=True, metavar="a:b:c:d")
-    p.add_argument("--res", type=int, default=64)
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--pgm", help="also write a PGM rendering")
-    p.add_argument("--svg", help="also write an SVG rendering")
-    _add_grid_arg(p)
+    for verb, help_text in (
+        ("spectrum", "family spectrum scan over a rectangle"),
+        ("local-spectrum", "family local spectrum scan at x"),
+    ):
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument("--family", required=True)
+        if verb == "local-spectrum":
+            p.add_argument("--x", required=True, help="vector file")
+        p.add_argument("--rect", required=True, metavar="a:b:c:d")
+        p.add_argument("--res", type=int, default=64)
+        p.add_argument("--out", help="CSV output path (default stdout)")
+        p.add_argument("--pgm", help="also write a PGM rendering")
+        p.add_argument("--svg", help="also write an SVG rendering")
+        _add_grid_arg(p)
 
     p = sub.add_parser("local-member", help="local spectral space membership")
     p.add_argument("--family", required=True)
@@ -154,45 +150,31 @@ def _cmd_equivalence(args) -> int:
     return 0
 
 
-def _emit_grid(grid_result, args) -> None:
-    text = grid_to_csv(grid_result)
+def _cmd_scan(args) -> int:
+    fam = load_family(args.family)
+    local = args.command == "local-spectrum"
+    x = load_vector(args.x) if local else None
+    grid = HGrid.parse(args.grid)
+    rect = _parse_rect(args.rect)
+    if local:
+        result = family_local_spectrum_grid(fam, x, rect, args.res, args.res, grid)
+    else:
+        result = family_spectrum_grid(fam, rect, args.res, args.res, grid)
+    text = grid_to_csv(result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     if args.pgm:
-        emit_plot(grid_result, "pgm", args.pgm)
+        emit_plot(result, "pgm", args.pgm)
     if args.svg:
-        emit_plot(grid_result, "svg", args.svg)
-
-
-def _cmd_spectrum(args) -> int:
-    fam = load_family(args.family)
-    grid = HGrid.parse(args.grid)
-    rect = _parse_rect(args.rect)
-    result = family_spectrum_grid(fam, rect, args.res, args.res, grid)
-    _emit_grid(result, args)
+        emit_plot(result, "svg", args.svg)
     counts = result.counts()
+    prefix = "local-" if local else ""
     print(
-        f"cells: {result.nx * result.ny}  spectrum: {counts['S']}  "
-        f"undetermined: {counts['U']}  resolvent: {counts['R']}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_local_spectrum(args) -> int:
-    fam = load_family(args.family)
-    x = load_vector(args.x)
-    grid = HGrid.parse(args.grid)
-    rect = _parse_rect(args.rect)
-    result = family_local_spectrum_grid(fam, x, rect, args.res, args.res, grid)
-    _emit_grid(result, args)
-    counts = result.counts()
-    print(
-        f"cells: {result.nx * result.ny}  local-spectrum: {counts['S']}  "
-        f"undetermined: {counts['U']}  local-resolvent: {counts['R']}",
+        f"cells: {result.nx * result.ny}  {prefix}spectrum: {counts['S']}  "
+        f"undetermined: {counts['U']}  {prefix}resolvent: {counts['R']}",
         file=sys.stderr,
     )
     return 0
@@ -241,8 +223,8 @@ def _cmd_plot(args) -> int:
 _COMMANDS = {
     "bracket": _cmd_bracket,
     "equivalence": _cmd_equivalence,
-    "spectrum": _cmd_spectrum,
-    "local-spectrum": _cmd_local_spectrum,
+    "spectrum": _cmd_scan,
+    "local-spectrum": _cmd_scan,
     "local-member": _cmd_local_member,
     "verify": _cmd_verify,
     "plot": _cmd_plot,

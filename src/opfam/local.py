@@ -411,11 +411,17 @@ def local_spectral_space_member(
     """Does the family local spectrum of x lie inside the region?
 
     The scan rectangle must cover the spectral-radius disk of the family;
-    membership is tested at cell centers of the local grid.
+    membership is tested at cell centers of the local grid, or of
+    cached_grid, which must be the scan of this rect at nx by ny.
     """
     if isinstance(region, str):
         region = parse_region(region)
     rect = _validate_rect(rect)
+    g = cached_grid
+    if g is not None and (g.rect, g.nx, g.ny) != (rect, nx, ny):
+        raise InputError(
+            f"cached grid covers {g.rect} at {g.nx}x{g.ny}, not {rect} at {nx}x{ny}"
+        )
     bound = spectral_radius_bound(fam, grid)
     if not np.isfinite(bound.value):
         raise InputError("spectral radius bound diverged; cannot validate rect")
@@ -434,7 +440,6 @@ def local_spectral_space_member(
             offenders=(),
             note="zero vector: empty local spectrum",
         )
-    g = cached_grid
     if g is None:
         g = family_local_spectrum_grid(fam, v, rect, nx, ny, grid)
     centers = g.centers()

@@ -20,7 +20,6 @@ rectangle and resolution.
 from __future__ import annotations
 
 import os
-import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,9 +73,6 @@ RADIUS_WINDOW = 5
 # every result, is the same at any core count, and each worker keeps at
 # most one task's shifted stacks in memory.
 _SIGMA_TASK = 1024
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,30 +132,11 @@ def _tail_eval(fam: OperatorFamily, grid: HGrid) -> _Tail:
     return _Tail(mats, _finite_norms(mats, op_norms, "family values"))
 
 
-def _sigma_pool() -> ThreadPoolExecutor:
-    """The sigma kernel's thread pool, one thread per usable core.
-
-    Created on first use, never at import.  numpy's batched SVD releases
-    the GIL, so the threads run on separate cores.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            if hasattr(os, "sched_getaffinity"):
-                cores = len(os.sched_getaffinity(0))
-            else:
-                cores = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(cores, thread_name_prefix="opfam-sigma")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+def _usable_cores() -> int:
+    """Cores this process may run on, read at every call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sigma_task(tail: _Tail, lams: np.ndarray, out: np.ndarray, lo: int) -> None:
@@ -176,18 +153,23 @@ def _sigma_tail_stack(tail: _Tail, lams: np.ndarray) -> np.ndarray:
     """Smallest singular values of (lam I - F(h)) over the tail matrices.
 
     Returns shape (len(tail.mats), len(lams)).  The points are split into
-    tasks of _SIGMA_TASK points, each writing its own columns; more than
-    one task runs on `_sigma_pool`.  Every point is computed alone by the
-    same arithmetic, so the bytes do not depend on the number of workers.
+    tasks of _SIGMA_TASK points, each writing its own columns.  More than
+    one task runs on threads that start and end inside this call, one per
+    usable core; numpy's batched SVD releases the GIL, so they run on
+    separate cores.  Every point is computed alone by the same arithmetic,
+    so the bytes do not depend on the number of workers.
     """
     out = np.empty((len(tail.mats), len(lams)))
     starts = range(0, len(lams), _SIGMA_TASK)
     if len(starts) <= 1:
         _sigma_task(tail, lams, out, 0)
     else:
-        # Reading every result re-raises a task's error, and map cancels
-        # the tasks not yet started.
-        list(_sigma_pool().map(lambda lo: _sigma_task(tail, lams, out, lo), starts))
+        workers = min(_usable_cores(), len(starts))
+        with ThreadPoolExecutor(workers, thread_name_prefix="opfam-sigma") as pool:
+            # Reading every result re-raises a task's error, map cancels
+            # the tasks not yet started, and the with block waits for the
+            # running ones.
+            list(pool.map(lambda lo: _sigma_task(tail, lams, out, lo), starts))
     tail.spread(out)
     return out
 
@@ -443,7 +425,9 @@ def _radius_bound(fam: OperatorFamily, grid: HGrid) -> RadiusBound:
     verdicts = []
     for n in range(1, RADIUS_ORDERS + 1):
         if n > 1:
-            power = power @ mats
+            # Overflowing powers are caught by the finiteness test below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = power @ mats
         norms = op_norms(power)
         if not np.all(np.isfinite(norms)) or norms.max() > 1e300:
             return RadiusBound(

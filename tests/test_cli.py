@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opfam.cli import main
+from opfam.emit import read_grid_csv
 from opfam.errors import InvariantError
 from opfam.families import CoeffFn, OperatorFamily
 from opfam.fileio import save_family, save_matrix, save_vector
@@ -121,6 +122,27 @@ def test_local_spectrum_and_member(workdir, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "member: True" in out
+
+
+@pytest.mark.parametrize(
+    "verb, resolvent", [("spectrum", "resolvent"), ("local-spectrum", "local-resolvent")]
+)
+def test_scan_writes_the_same_csv_to_stdout_and_out(workdir, capsys, verb, resolvent):
+    argv = [verb, "--family", str(workdir / "d.fam"), "--rect", "-3:3:-3:3", "--res", "16"]
+    if verb == "local-spectrum":
+        argv += ["--x", str(workdir / "e1.vec")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    csv_path = workdir / f"{verb}.csv"
+    assert main([*argv, "--out", str(csv_path)]) == 0
+    assert capsys.readouterr() == ("", captured.err)
+    assert csv_path.read_bytes() == captured.out.encode("utf-8")
+    counts = read_grid_csv(str(csv_path)).counts()
+    assert captured.err == (
+        f"cells: 256  {verb}: {counts['S']}  undetermined: {counts['U']}  "
+        f"{resolvent}: {counts['R']}\n"
+    )
+    assert counts["S"] > 0 and counts["R"] > 0
 
 
 def test_plot_roundtrip(workdir, capsys):

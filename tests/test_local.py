@@ -1,8 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from opfam.errors import InputError, PoleProximityError, PreconditionError
-from opfam.families import CoeffFn, HGrid, OperatorFamily, VectorFamily, module_action
+from opfam.families import (
+    UNBOUNDED,
+    CoeffFn,
+    HGrid,
+    OperatorFamily,
+    VectorFamily,
+    module_action,
+)
 from opfam.local import (
     LOCAL_RESOLVENT,
     LOCAL_SPECTRUM,
@@ -159,6 +168,37 @@ def test_membership_computes_the_radius_bound_once_per_family(grid, monkeypatch)
     spectral_radius_bound(OperatorFamily.constant(np.diag([1.0, 2.0])), grid)
     spectral_radius_bound(const, HGrid(count=grid.count + 4))
     assert len(calls) == 3
+
+
+def test_membership_rejects_a_cached_grid_of_another_scan(grid):
+    # The small grid does not reach the eigenvalue 2.5, so reading its
+    # cells would answer member=True where the requested scan says False.
+    fam = OperatorFamily.constant(np.diag([1.0, 2.5]))
+    x = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    small = family_local_spectrum_grid(fam, x, (-1.5, 1.5, -1.5, 1.5), 16, 16, grid)
+    coarse = family_local_spectrum_grid(fam, x, RECT, 16, 16, grid)
+    for cached in (small, coarse):
+        with pytest.raises(InputError, match="cached grid"):
+            local_spectral_space_member(
+                fam, x, "disc 1,0,0.3", RECT, grid, 64, 64, cached_grid=cached
+            )
+    fresh = local_spectral_space_member(fam, x, "disc 1,0,0.3", RECT, grid, 16, 16)
+    assert not fresh.member
+    assert fresh == local_spectral_space_member(
+        fam, x, "disc 1,0,0.3", RECT, grid, 16, 16, cached_grid=coarse
+    )
+
+
+@pytest.mark.parametrize("entry", [1e160, 1e200])
+def test_overflowing_powers_give_an_unbounded_radius_bound_quietly(grid, entry):
+    fam = OperatorFamily.constant(np.full((2, 2), entry))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = spectral_radius_bound(fam, grid)
+        assert bound.value == np.inf
+        assert bound.inner_verdicts[-1] == UNBOUNDED
+        with pytest.raises(InputError, match="spectral radius bound diverged"):
+            local_spectral_space_member(fam, np.ones(2), "disc 0,0,1", RECT, grid)
 
 
 def test_svep_probe(grid):

@@ -1,7 +1,6 @@
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -298,22 +297,14 @@ def test_probe_is_the_grid_rule_at_a_cell_centre(grid, kind):
 
 @pytest.fixture()
 def sigma_workers(monkeypatch):
-    """Return a function installing a sigma pool of n threads for this test.
+    """Return a function setting the usable-core count the sigma kernel reads.
 
     The switch interval is shortened so that the threads interleave often.
     """
-    pools = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-
-    def install(n: int) -> None:
-        pools.append(ThreadPoolExecutor(n, thread_name_prefix="opfam-sigma"))
-        monkeypatch.setattr(spectra, "_pool", pools[-1])
-
-    yield install
+    yield lambda n: monkeypatch.setattr(spectra, "_usable_cores", lambda: n)
     sys.setswitchinterval(interval)
-    for pool in pools:
-        pool.shutdown()
 
 
 def test_sigma_bytes_independent_of_worker_count(grid, sigma_workers, monkeypatch):
@@ -356,8 +347,14 @@ import hashlib, os, sys
 if {pin}:
     os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
 from opfam import cli, spectra
+pools = []
+class Recording(spectra.ThreadPoolExecutor):
+    def __init__(self, max_workers, **kwargs):
+        pools.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+spectra.ThreadPoolExecutor = Recording
 assert cli.main({argv!r}) == 0
-workers = spectra._pool._max_workers
+(workers,) = pools
 with open({out!r}, "rb") as fh:
     print(hashlib.sha256(fh.read()).hexdigest(), workers)
 """
@@ -389,12 +386,21 @@ def test_spectrum_csv_bytes_independent_of_usable_cores(tmp_path, thread_fingerp
     assert run(False, 4)[0] == pinned[0]
 
 
+_THREADS_AFTER_SCAN = """
+import threading
+import numpy as np
+import opfam, opfam.cli, opfam.verify
+from opfam.families import HGrid, OperatorFamily
+print(threading.active_count())
+fam = OperatorFamily.constant(np.diag([1.0, 2.0j]))
+opfam.spectra.family_spectrum_grid(fam, (-3, 3, -3, 3), 64, 64, HGrid())
+print([t.name for t in threading.enumerate() if t.name.startswith("opfam-sigma")])
+"""
+
+
 def test_importing_opfam_starts_no_thread(thread_fingerprint):
-    script = (
-        "import threading, opfam, opfam.cli, opfam.verify\n"
-        "print(threading.active_count(), opfam.spectra._pool)"
-    )
-    assert thread_fingerprint(script, 1) == "1 None"
+    """Importing starts no thread, and no sigma thread outlives a scan."""
+    assert thread_fingerprint(_THREADS_AFTER_SCAN, 1).split("\n") == ["1", "[]"]
 
 
 _FORK_AFTER_SCAN = """
