@@ -52,7 +52,6 @@ from .linalg import (
     SpectralDecomp,
     eigenvalues,
     op_norm,
-    sigma_min,
     solve,
     spectral_decomp,
 )

@@ -30,16 +30,15 @@ _SVG_CELL_PX = 4
 
 
 def grid_to_csv(grid: RegionGrid) -> str:
+    centers = grid.centers().ravel()
+    columns = (
+        centers.real.tolist(),
+        centers.imag.tolist(),
+        grid.classes.ravel().tolist(),
+        grid.score.ravel().tolist(),
+    )
     lines = ["re,im,class,min_tail_sigma"]
-    centers = grid.centers()
-    for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            c = centers[iy, ix]
-            cls = CLASS_CHARS[int(grid.classes[iy, ix])]
-            lines.append(
-                f"{float(c.real)!r},{float(c.imag)!r},{cls},"
-                f"{float(grid.score[iy, ix])!r}"
-            )
+    lines += [f"{r!r},{i!r},{CLASS_CHARS[c]},{v!r}" for r, i, c, v in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 

@@ -71,12 +71,6 @@ class CoeffFn:
             raise InputError("expinv rate must be finite and > 0")
         return CoeffFn(rate=float(a))
 
-    def __call__(self, h: float) -> complex:
-        value = complex(h**self.exponent)
-        if self.rate:
-            value *= math.exp(-self.rate / h)
-        return value
-
     def eval_many(self, hs: np.ndarray) -> np.ndarray:
         value = np.asarray(hs, dtype=float) ** self.exponent
         value = value.astype(complex)
@@ -134,10 +128,7 @@ class _TermSum:
         return np.zeros(lead + self.terms[0][1].shape, dtype=complex)
 
     def __call__(self, h: float) -> np.ndarray:
-        out = self._zeros()
-        for coeff, arr in self.terms:
-            out += coeff(h) * arr
-        return out
+        return self.eval_stack([h])[0]
 
     def eval_stack(self, hs: np.ndarray) -> np.ndarray:
         """Evaluate at many h values at once; returns shape (len(hs), *term shape)."""
@@ -442,9 +433,6 @@ class QuotientBounds:
     lower: float
     upper: float
     raw_upper: float
-
-    def __iter__(self):
-        return iter((self.lower, self.upper))
 
 
 def quotient_norm_bounds(fam: OperatorFamily, grid: HGrid) -> QuotientBounds:

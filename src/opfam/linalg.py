@@ -60,12 +60,6 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def sigma_min(a) -> float:
-    """Smallest singular value; 0.0 for exactly singular input."""
-    m = as_matrix(a)
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-
 def solve(a, b) -> np.ndarray:
     """Solve A y = b by pivoted LU elimination.
 

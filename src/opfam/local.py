@@ -79,12 +79,10 @@ _LOCAL_NAMES = {
 
 @dataclass(frozen=True, eq=False)
 class LocalSpectrumReport:
-    """Support of the local spectrum of one operator or family at x."""
+    """Support of the local spectrum of a matrix at x."""
 
-    subject: str
     x: np.ndarray
     support: tuple[tuple[complex, float], ...]
-    method: str
     zero_vector: bool = False
 
     def support_points(self) -> np.ndarray:
@@ -107,13 +105,7 @@ def local_spectrum_exact(
     v = as_vector(x, dim=m.shape[0])
     xnorm = float(np.linalg.norm(v))
     if xnorm == 0.0:
-        return LocalSpectrumReport(
-            subject=f"matrix dim {m.shape[0]}",
-            x=v,
-            support=(),
-            method="ExactProjection",
-            zero_vector=True,
-        )
+        return LocalSpectrumReport(x=v, support=(), zero_vector=True)
     if decomp is None:
         decomp = spectral_decomp(m, cluster_tol=cluster_tol)
     support = []
@@ -121,26 +113,13 @@ def local_spectrum_exact(
         weight = float(np.linalg.norm(cluster.projection @ v))
         if weight > TOL_LOC * xnorm:
             support.append((cluster.center, weight))
-    return LocalSpectrumReport(
-        subject=f"matrix dim {m.shape[0]}",
-        x=v,
-        support=tuple(support),
-        method="ExactProjection",
-    )
+    return LocalSpectrumReport(x=v, support=tuple(support))
 
 
-@dataclass(frozen=True, eq=False)
-class ExtensionEval:
-    """One evaluation of the maximal analytic extension of R(., A) x."""
+def maximal_extension_eval(a, x, lam: complex) -> np.ndarray:
+    """Evaluate the partial-fraction extension of the local resolvent at lam.
 
-    lam: complex
-    value: np.ndarray
-
-
-def maximal_extension_eval(a, x, lam: complex) -> ExtensionEval:
-    """Evaluate the partial-fraction extension of the local resolvent.
-
-    value = sum over supported clusters of
+    Returns the sum over supported clusters of
     (lam - c_i)**-(j+1) N_i**j P_i x, j < m_i.  Away from the supported
     discs this agrees with the direct solve of (lam I - A) y = x; the
     point may sit inside discs of unsupported clusters, which is what
@@ -165,7 +144,7 @@ def maximal_extension_eval(a, x, lam: complex) -> ExtensionEval:
         for j in range(cluster.multiplicity):
             value += term / (lam - cluster.center) ** (j + 1)
             term = cluster.nilpotent @ term
-    return ExtensionEval(lam=complex(lam), value=value)
+    return value
 
 
 _RING_POINTS = 8
@@ -359,24 +338,12 @@ def family_local_spectrum_grid(
     score = tau.reshape(ny, nx)
     classes[(tau <= LOCAL_CAL_FACTOR * rcell) & _dip_mask(score).ravel()] = CLS_SPECTRUM
     return RegionGrid(
-        rect=rect, nx=nx, ny=ny, classes=classes.reshape(ny, nx), score=score
-    )
-
-
-def report_from_grid(grid_result: RegionGrid, subject: str, x) -> LocalSpectrumReport:
-    """Summarize a local grid as a support report (method FamilyProbe)."""
-    marked = grid_result.classes == CLS_SPECTRUM
-    centers = grid_result.centers()[marked]
-    scores = grid_result.score[marked]
-    support = tuple(
-        (complex(c), float(s)) for c, s in zip(centers.ravel(), scores.ravel())
-    )
-    return LocalSpectrumReport(
-        subject=subject,
-        x=as_vector(x),
-        support=support,
-        method="FamilyProbe",
-        zero_vector=float(np.linalg.norm(np.asarray(x))) == 0.0,
+        rect=rect,
+        nx=nx,
+        ny=ny,
+        classes=classes.reshape(ny, nx),
+        score=score,
+        scanned=(fam, grid, v.tobytes()),
     )
 
 
@@ -412,16 +379,12 @@ def local_spectral_space_member(
 
     The scan rectangle must cover the spectral-radius disk of the family;
     membership is tested at cell centers of the local grid, or of
-    cached_grid, which must be the scan of this rect at nx by ny.
+    cached_grid, which must be the `family_local_spectrum_grid` of this
+    family, x, rect, nx, ny and h-grid.
     """
     if isinstance(region, str):
         region = parse_region(region)
     rect = _validate_rect(rect)
-    g = cached_grid
-    if g is not None and (g.rect, g.nx, g.ny) != (rect, nx, ny):
-        raise InputError(
-            f"cached grid covers {g.rect} at {g.nx}x{g.ny}, not {rect} at {nx}x{ny}"
-        )
     bound = spectral_radius_bound(fam, grid)
     if not np.isfinite(bound.value):
         raise InputError("spectral radius bound diverged; cannot validate rect")
@@ -432,6 +395,13 @@ def local_spectral_space_member(
             f"rect {rect} does not cover the spectral-radius disk (radius {r:.3e})"
         )
     v = as_vector(x, dim=fam.dim)
+    g = cached_grid
+    scan = (rect, nx, ny, (fam, grid, v.tobytes()))
+    if g is not None and (g.rect, g.nx, g.ny, g.scanned) != scan:
+        raise InputError(
+            f"cached grid is not the local scan of this family, x and h-grid "
+            f"over {rect} at {nx}x{ny}"
+        )
     if float(np.linalg.norm(v)) == 0.0:
         return MembershipAnswer(
             member=True,

@@ -19,6 +19,7 @@ rectangle and resolution.
 
 from __future__ import annotations
 
+import functools
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -96,11 +97,15 @@ class _Tail:
     mats[i]; the kernels work once per distinct matrix (`distinct`) and
     `spread` copies the rows of the repeats, so a constant family costs
     one matrix, not one per tail sample.  `schur(i)` gives the complex
-    Schur factors (T, Q), F(h) = Q T Q*, of a distinct matrix, computed
-    on first use and kept.
+    Schur factors (T, Q), F(h) = Q T Q*, of a distinct matrix and
+    `radius_bound` the `spectral_radius_bound`; both are computed on
+    first use and kept.  `_tail_eval` shares one tail among all callers,
+    so its arrays are read-only.
     """
 
     def __init__(self, mats: np.ndarray, norms: np.ndarray):
+        mats.setflags(write=False)
+        norms.setflags(write=False)
         self.mats = mats
         self.norms = norms
         self.scale = max(1.0, float(norms.max()))
@@ -111,8 +116,15 @@ class _Tail:
 
     def schur(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         if i not in self._schur:
-            self._schur[i] = scipy.linalg.schur(self.mats[i], output="complex")
+            factors = scipy.linalg.schur(self.mats[i], output="complex")
+            for arr in factors:
+                arr.setflags(write=False)
+            self._schur[i] = factors
         return self._schur[i]
+
+    @functools.cached_property
+    def radius_bound(self) -> RadiusBound:
+        return _radius_bound(self.mats)
 
     def spread(self, *rows: np.ndarray) -> None:
         """Fill, in place, the rows of repeated matrices from their first copy."""
@@ -122,14 +134,22 @@ class _Tail:
                     arr[i] = arr[j]
 
 
+# The evaluated tails by family, then by h-grid.  Families are immutable
+# and hash by identity, so an entry lives as long as its family.
+_tails: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _tail_eval(fam: OperatorFamily, grid: HGrid) -> _Tail:
-    """The one evaluation of a family a scan or probe needs.
+    """The one evaluation of a family over an h-grid tail, kept while it lives.
 
     A family whose tail values or norms overflow to a non-finite number
     is an input error: every threshold would be inf.
     """
-    mats = fam.eval_stack(grid.tail_samples())
-    return _Tail(mats, _finite_norms(mats, op_norms, "family values"))
+    by_grid = _tails.setdefault(fam, {})
+    if grid not in by_grid:
+        mats = fam.eval_stack(grid.tail_samples())
+        by_grid[grid] = _Tail(mats, _finite_norms(mats, op_norms, "family values"))
+    return by_grid[grid]
 
 
 def _usable_cores() -> int:
@@ -279,7 +299,8 @@ class RegionGrid:
     score: the per-cell scalar that drove classification (min tail sigma
     for spectrum grids; the distance-like local score for local grids).
     Cells are indexed [iy, ix] with im ascending in iy and re in ix;
-    centers sit at the cell midpoints.
+    centers sit at the cell midpoints.  scanned is (family, h-grid, bytes
+    of x) for a local scan, None for other grids.
     """
 
     rect: tuple[float, float, float, float]
@@ -287,6 +308,7 @@ class RegionGrid:
     ny: int
     classes: np.ndarray
     score: np.ndarray
+    scanned: tuple | None = None
 
     def cell_size(self) -> tuple[float, float]:
         return _cell_grid(self.rect, self.nx, self.ny)[:2]
@@ -394,16 +416,11 @@ class RadiusBound:
     inner_verdicts: tuple[str, ...]
 
     def __post_init__(self):
-        # Bounds are shared by every caller (see spectral_radius_bound).
+        # Bounds are shared by every caller (see _Tail).
         self.roots.setflags(write=False)
 
     def __float__(self) -> float:
         return self.value
-
-
-# spectral_radius_bound results by family, then by h-grid.  Families are
-# immutable and hash by identity, so an entry lives as long as its family.
-_radius_bounds: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def spectral_radius_bound(fam: OperatorFamily, grid: HGrid) -> RadiusBound:
@@ -411,16 +428,12 @@ def spectral_radius_bound(fam: OperatorFamily, grid: HGrid) -> RadiusBound:
 
     Computed once per family and h-grid; later calls return the same bound.
     """
-    by_grid = _radius_bounds.setdefault(fam, {})
-    if grid not in by_grid:
-        by_grid[grid] = _radius_bound(fam, grid)
-    return by_grid[grid]
+    return _tail_eval(fam, grid).radius_bound
 
 
-def _radius_bound(fam: OperatorFamily, grid: HGrid) -> RadiusBound:
-    hs = grid.tail_samples()
-    mats = fam.eval_stack(hs)
-    power = mats.copy()
+def _radius_bound(mats: np.ndarray) -> RadiusBound:
+    """The bound from the tail matrices F(h) (see RADIUS_ORDERS)."""
+    power = mats
     roots = np.empty(RADIUS_ORDERS)
     verdicts = []
     for n in range(1, RADIUS_ORDERS + 1):
@@ -435,7 +448,7 @@ def _radius_bound(fam: OperatorFamily, grid: HGrid) -> RadiusBound:
                 roots=np.full(RADIUS_ORDERS, np.inf),
                 inner_verdicts=tuple(verdicts) + (UNBOUNDED,),
             )
-        stats = tail_stats(norms, tail=grid.tail)
+        stats = tail_stats(norms, tail=len(mats))
         verdicts.append(stats.limit_verdict)
         roots[n - 1] = stats.tail_max ** (1.0 / n) if stats.tail_max > 0 else 0.0
     return RadiusBound(

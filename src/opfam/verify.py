@@ -1,8 +1,8 @@
 """Verification suite: every acceptance check plus per-claim property checks.
 
 Each check runs on deterministically generated instances (the config seed
-fully determines them), produces one or more records tagged with the
-claim anchor it exercises, and never consults wall-clock time, so the
+fully determines them), produces one or more records, each checking the
+claim CLAIMS names for its id, and never consults wall-clock time, so the
 machine report is byte-identical across runs and thread counts.  Runtime
 budgets are asserted by the test suite around these same functions, not
 inside them.
@@ -105,7 +105,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One record; `run_suite` stamps `suite` from the CHECKS registry."""
+    """One record; `run_suite` stamps `suite` from CHECKS and `anchor` from CLAIMS."""
 
     check_id: str
     suite: str
@@ -116,12 +116,12 @@ class CheckResult:
     details: str = ""
 
 
-def _result(check_id, anchor, instance, ok, metrics, details="", inconclusive=False):
+def _result(check_id, instance, ok, metrics, details="", inconclusive=False):
     verdict = PASS if ok else (INCONCLUSIVE_VERDICT if inconclusive else FAIL)
     return CheckResult(
         check_id=check_id,
         suite="",
-        anchor=anchor,
+        anchor="",
         instance=instance,
         verdict=verdict,
         metrics=tuple((k, float(v)) for k, v in metrics),
@@ -204,7 +204,6 @@ def check_bracket_recurrence(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac01-bracket-recurrence",
-            "bracket-binomial-identity",
             "200 random 4x4 complex pairs, orders 1..12",
             worst <= 1e-8,
             [("max_rel_err", worst)],
@@ -256,7 +255,6 @@ def check_qn_pairs(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac02-qn-pairs",
-            "qn-equivalence-preserves-spectrum-and-local-spectrum",
             "scalar-vs-jordan(3) plus 20 commuting-nilpotent pairs, 20 x each",
             ok,
             [
@@ -283,7 +281,6 @@ def check_non_equivalence_control(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac03-non-equivalence-control",
-            "qn-root-test-control",
             "diag(0,1) vs diag(0,2), orders up to 40",
             ok,
             [
@@ -315,7 +312,6 @@ def check_spectrum_grid_oracle(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac04-spectrum-grid-oracle",
-            "family-spectrum-vs-eigenvalues",
             f"{trials} conditioned diagonalizable constants, 64x64 on {RECT}",
             n_ok == trials,
             [("instances_ok", n_ok), ("instances_total", trials)],
@@ -352,7 +348,6 @@ def check_asymptotic_pseudospectrum(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac05-asymptotic-pseudospectrum",
-            "family-spectrum-definition",
             "flip family [[0,1],[h,0]], 128x128 on [-2,2]^2",
             ok,
             [
@@ -398,7 +393,6 @@ def check_quotient_sandwich(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac06-quotient-sandwich",
-            "quotient-norm-sandwich",
             f"{trials} catalog families plus the (1+exp(-1/h)) I example",
             ok,
             [
@@ -453,7 +447,6 @@ def check_resolvent_identity_uniqueness(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac07a-resolvent-identity",
-            "asymptotic-resolvent-identity",
             f"{trials} (family, lam, mu) triples with both points Resolvent",
             id_ok == trials,
             [("triples_ok", id_ok), ("worst_tail_max", worst_tail)],
@@ -461,7 +454,6 @@ def check_resolvent_identity_uniqueness(cfg: ScenarioConfig, idx: int):
         ),
         _result(
             "ac07b-resolvent-uniqueness",
-            "approximate-resolvent-uniqueness",
             f"{trials} truncated-series resolvents vs null perturbations, "
             "plus constant-offset contrapositives",
             uniq_ok == trials and contra_ok == trials,
@@ -494,7 +486,6 @@ def check_spectrum_invariance(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac08-spectrum-invariance",
-            "spectrum-invariant-under-asymptotic-equivalence",
             f"{trials} certified null-difference pairs, 64x64 grids",
             n_ok == trials,
             [("pairs_ok", n_ok), ("worst_undetermined_frac", worst_undet)],
@@ -502,7 +493,6 @@ def check_spectrum_invariance(cfg: ScenarioConfig, idx: int):
         ),
         _result(
             "ac08b-spectrum-quotient-invariance",
-            "spectrum-quotient-invariance",
             "5 families vs their null-refined representatives",
             quot_ok == 5,
             [("pairs_ok", quot_ok)],
@@ -534,7 +524,6 @@ def check_local_oracle(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac09-local-oracle",
-            "family-local-spectrum-vs-exact",
             f"{trials} conditioned diagonalizable constants, 64x64 grids",
             n_ok == trials,
             [("instances_ok", n_ok), ("instances_total", trials)],
@@ -646,7 +635,6 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac10-commuting-local-invariance",
-            "local-spectrum-commuting-invariance",
             f"{trials} commuting asymptotically-qn-equivalent pairs, 20 x each, "
             f"{res}x{res} grids",
             pairs_ok == trials,
@@ -655,7 +643,6 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
         ),
         _result(
             "ac10b-spectral-space-equality",
-            "spectral-space-commuting-equality",
             "10 random region descriptors per agreeing pair",
             member_ok == member_total and member_total > 0,
             [("memberships_ok", member_ok), ("memberships_total", member_total)],
@@ -779,7 +766,6 @@ def check_local_remark_chain(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "ac11-local-remark-chain",
-            "local-remark-chain",
             "10 pairs x 2 vectors: inclusion, truncation, uniqueness, equivalence",
             ok,
             [
@@ -815,7 +801,6 @@ def check_norm_algebra(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup01-norm-algebra",
-            "operator-norm-inequalities",
             "1000 random pairs, dims 2..6",
             worst <= 1e-9,
             [("worst_violation", worst)],
@@ -843,7 +828,6 @@ def check_neumann_solve(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup02-neumann-solve",
-            "resolvent-neumann-series",
             "50 random matrices, |lam| = 1.6 ||A||",
             worst <= 1e-6,
             [("worst_series_gap", worst)],
@@ -866,7 +850,6 @@ def check_spectral_projections(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup03-spectral-projections",
-            "riesz-projection-invariants",
             "20 diagonalizable instances, gap >= 0.5, d <= 8",
             worst <= 1e-7 and center_gap <= 1e-4,
             [("worst_defect", worst), ("worst_center_gap", center_gap)],
@@ -895,7 +878,6 @@ def check_qn_laws(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup04-qn-laws",
-            "qn-equivalence-relation-laws",
             "reflexivity, scalar-shift controls, commuting-nilpotent zeros",
             bool(ok),
             [],
@@ -925,7 +907,6 @@ def check_family_relation_laws(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup05-family-relation-laws",
-            "asymptotic-equivalence-relation-laws",
             "reflexive, symmetric, transitive on catalog triples; controls",
             bool(ok),
             [],
@@ -945,7 +926,6 @@ def check_bounded_asym_implies_qn(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup06-bounded-asym-implies-qn",
-            "asymptotic-implies-quasinilpotent-equivalence",
             f"{trials} certified asymptotically equivalent pairs",
             n_ok == trials,
             [("pairs_ok", n_ok)],
@@ -970,7 +950,6 @@ def check_class_representative_stability(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup07-class-representative-stability",
-            "class-level-equivalence-descends",
             f"{trials} pairs vs null-perturbed representatives",
             n_ok == trials,
             [("pairs_ok", n_ok)],
@@ -1002,7 +981,6 @@ def check_commute_quotient(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup08-commute-quotient",
-            "limit-commutation-class-invariance",
             f"{trials} commuting pairs under representative change",
             n_ok == trials,
             [("trials_ok", n_ok)],
@@ -1033,7 +1011,6 @@ def check_module_action(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup09-module-action",
-            "banach-module-action",
             f"{trials} random catalog instances",
             n_ok == trials,
             [("instances_ok", n_ok)],
@@ -1088,7 +1065,6 @@ def check_radius_remarks(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup10-radius-remarks",
-            "family-spectrum-growth-and-neumann-remarks",
             "radius bound on 10 grids; Neumann exterior on 50 points; "
             "resolvent tails on 20 points",
             radius_ok and neumann_ok and tails_ok,
@@ -1127,7 +1103,6 @@ def check_open_set(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup11-open-set",
-            "family-resolvent-open-set",
             f"{trials} random catalog families, 24x24 vs 48x48",
             n_ok == trials,
             [("families_ok", n_ok)],
@@ -1188,7 +1163,6 @@ def check_svep(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup12-svep",
-            "family-svep-falsification",
             f"{families} catalog families x {witnesses_per} witnesses",
             n_ok == families,
             [("families_unfalsified", n_ok), ("witnesses_total", families * witnesses_per)],
@@ -1217,7 +1191,6 @@ def check_svep_transfer(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup13-svep-transfer",
-            "svep-asymptotic-and-quotient-transfer",
             f"{trials} asymptotically equivalent pairs, shared witnesses",
             n_ok == trials,
             [("pairs_ok", n_ok)],
@@ -1264,7 +1237,6 @@ def check_local_exact(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup14-local-exact",
-            "exact-local-spectrum-support",
             "component examples, 50 linearity trials, zero vector",
             examples_ok and linear_ok and zero.zero_vector and not zero.support,
             [],
@@ -1280,8 +1252,8 @@ def check_extension(cfg: ScenarioConfig, idx: int):
     e1 = loc.maximal_extension_eval(a, np.array([1.0, 0.0], dtype=complex), 3.0)
     e2 = loc.maximal_extension_eval(a, np.array([0.0, 1.0], dtype=complex), 3.0)
     examples_ok = (
-        np.allclose(e1.value, [0.5, 0.0], atol=1e-10)
-        and np.allclose(e2.value, [0.0, 1.0], atol=1e-10)
+        np.allclose(e1, [0.5, 0.0], atol=1e-10)
+        and np.allclose(e2, [0.0, 1.0], atol=1e-10)
     )
     agree_ok = True
     for k in range(30):
@@ -1291,18 +1263,17 @@ def check_extension(cfg: ScenarioConfig, idx: int):
         lam = complex(op_norm(amat) * 1.5, 0.4)
         ev = loc.maximal_extension_eval(amat, x, lam)
         direct = solve(lam * np.eye(d) - amat, x)
-        resid = np.linalg.norm((lam * np.eye(d) - amat) @ ev.value - x)
+        resid = np.linalg.norm((lam * np.eye(d) - amat) @ ev - x)
         bound = loc.TOL_EXT * (op_norm(amat) + abs(lam) + 1) * max(
-            np.linalg.norm(ev.value), np.linalg.norm(x)
+            np.linalg.norm(ev), np.linalg.norm(x)
         )
-        if resid > bound or np.linalg.norm(ev.value - direct) > 1e-6 * max(
+        if resid > bound or np.linalg.norm(ev - direct) > 1e-6 * max(
             1.0, np.linalg.norm(direct)
         ):
             agree_ok = False
     return [
         _result(
             "sup15-extension",
-            "maximal-extension-partial-fractions",
             "diagonal examples plus 30 random agreement trials",
             examples_ok and agree_ok,
             [],
@@ -1358,7 +1329,6 @@ def check_member_monotone(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup16-member-monotone",
-            "spectral-space-monotone-and-linear",
             f"{trials} trials of region enlargement and linear combination",
             n_ok == trials and linear_ok == trials,
             [("monotone_ok", n_ok), ("linear_ok", linear_ok)],
@@ -1393,7 +1363,6 @@ def check_constant_class_embedding(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup17-constant-class-embedding",
-            "constant-class-embedding",
             f"{trials} resolvent solves with null-perturbed right-hand sides",
             n_ok == trials,
             [("trials_ok", n_ok)],
@@ -1427,7 +1396,6 @@ def check_local_quotient(cfg: ScenarioConfig, idx: int):
     return [
         _result(
             "sup18-local-quotient",
-            "local-resolvent-quotient-invariance",
             f"{trials} families vs null-perturbed representatives, probe points",
             n_ok == trials,
             [("trials_ok", n_ok)],
@@ -1439,6 +1407,42 @@ def check_local_quotient(cfg: ScenarioConfig, idx: int):
 # ---------------------------------------------------------------------------
 # Registry, runner, reports
 # ---------------------------------------------------------------------------
+
+# The claim of the paper each record checks, by record id, in report order.
+CLAIMS = {
+    "ac01-bracket-recurrence": "bracket-binomial-identity",
+    "ac02-qn-pairs": "qn-equivalence-preserves-spectrum-and-local-spectrum",
+    "ac03-non-equivalence-control": "qn-root-test-control",
+    "ac04-spectrum-grid-oracle": "family-spectrum-vs-eigenvalues",
+    "ac05-asymptotic-pseudospectrum": "family-spectrum-definition",
+    "ac06-quotient-sandwich": "quotient-norm-sandwich",
+    "ac07a-resolvent-identity": "asymptotic-resolvent-identity",
+    "ac07b-resolvent-uniqueness": "approximate-resolvent-uniqueness",
+    "ac08-spectrum-invariance": "spectrum-invariant-under-asymptotic-equivalence",
+    "ac08b-spectrum-quotient-invariance": "spectrum-quotient-invariance",
+    "ac09-local-oracle": "family-local-spectrum-vs-exact",
+    "ac10-commuting-local-invariance": "local-spectrum-commuting-invariance",
+    "ac10b-spectral-space-equality": "spectral-space-commuting-equality",
+    "ac11-local-remark-chain": "local-remark-chain",
+    "sup01-norm-algebra": "operator-norm-inequalities",
+    "sup02-neumann-solve": "resolvent-neumann-series",
+    "sup03-spectral-projections": "riesz-projection-invariants",
+    "sup04-qn-laws": "qn-equivalence-relation-laws",
+    "sup05-family-relation-laws": "asymptotic-equivalence-relation-laws",
+    "sup06-bounded-asym-implies-qn": "asymptotic-implies-quasinilpotent-equivalence",
+    "sup07-class-representative-stability": "class-level-equivalence-descends",
+    "sup08-commute-quotient": "limit-commutation-class-invariance",
+    "sup09-module-action": "banach-module-action",
+    "sup10-radius-remarks": "family-spectrum-growth-and-neumann-remarks",
+    "sup11-open-set": "family-resolvent-open-set",
+    "sup12-svep": "family-svep-falsification",
+    "sup13-svep-transfer": "svep-asymptotic-and-quotient-transfer",
+    "sup14-local-exact": "exact-local-spectrum-support",
+    "sup15-extension": "maximal-extension-partial-fractions",
+    "sup16-member-monotone": "spectral-space-monotone-and-linear",
+    "sup17-constant-class-embedding": "constant-class-embedding",
+    "sup18-local-quotient": "local-resolvent-quotient-invariance",
+}
 
 CHECKS = (
     ("ac01-bracket-recurrence", "bracket", check_bracket_recurrence),
@@ -1548,8 +1552,10 @@ def _clean(text: str) -> str:
 def run_suite(cfg: ScenarioConfig) -> ReportBundle:
     """Run the configured checks in registry order and bundle the records.
 
-    A check that raises becomes one fail record naming the exception (its
-    traceback goes to stderr); the remaining checks still run.
+    Each record gets its claim anchor from CLAIMS.  A check that raises,
+    or emits a record id CLAIMS lacks, becomes one fail record naming the
+    exception (its traceback goes to stderr); the remaining checks still
+    run.
     """
     wanted = set(cfg.suites) if cfg.suites else set(ALL_SUITES)
     unknown = wanted - set(ALL_SUITES)
@@ -1560,19 +1566,17 @@ def run_suite(cfg: ScenarioConfig) -> ReportBundle:
         if suite not in wanted:
             continue
         try:
-            records = list(fn(cfg, pos))
+            records = [replace(r, anchor=CLAIMS[r.check_id]) for r in fn(cfg, pos)]
         except Exception as exc:
             traceback.print_exc(file=sys.stderr)
-            records = [
-                _result(
-                    check_id,
-                    "check-raised",
-                    "check raised an exception",
-                    False,
-                    [],
-                    details=f"{type(exc).__name__}: {exc}",
-                )
-            ]
+            crash = _result(
+                check_id,
+                "check raised an exception",
+                False,
+                [],
+                details=f"{type(exc).__name__}: {exc}",
+            )
+            records = [replace(crash, anchor="check-raised")]
         results.extend(replace(r, suite=suite) for r in records)
     bundle = ReportBundle(config=cfg, results=tuple(results))
     if cfg.out_dir:
@@ -1582,43 +1586,3 @@ def run_suite(cfg: ScenarioConfig) -> ReportBundle:
         with open(os.path.join(cfg.out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
             fh.write(bundle.render_summary())
     return bundle
-
-
-ANCHOR_TABLE = tuple(
-    sorted(
-        {
-            "bracket-binomial-identity",
-            "qn-equivalence-preserves-spectrum-and-local-spectrum",
-            "qn-root-test-control",
-            "qn-equivalence-relation-laws",
-            "operator-norm-inequalities",
-            "resolvent-neumann-series",
-            "riesz-projection-invariants",
-            "asymptotic-equivalence-relation-laws",
-            "asymptotic-implies-quasinilpotent-equivalence",
-            "quotient-norm-sandwich",
-            "class-level-equivalence-descends",
-            "limit-commutation-class-invariance",
-            "banach-module-action",
-            "family-spectrum-definition",
-            "family-spectrum-vs-eigenvalues",
-            "family-spectrum-growth-and-neumann-remarks",
-            "family-resolvent-open-set",
-            "asymptotic-resolvent-identity",
-            "approximate-resolvent-uniqueness",
-            "spectrum-invariant-under-asymptotic-equivalence",
-            "spectrum-quotient-invariance",
-            "family-svep-falsification",
-            "svep-asymptotic-and-quotient-transfer",
-            "exact-local-spectrum-support",
-            "maximal-extension-partial-fractions",
-            "family-local-spectrum-vs-exact",
-            "local-remark-chain",
-            "local-spectrum-commuting-invariance",
-            "spectral-space-commuting-equality",
-            "spectral-space-monotone-and-linear",
-            "constant-class-embedding",
-            "local-resolvent-quotient-invariance",
-        }
-    )
-)

@@ -6,13 +6,14 @@ budgets and runs the determinism criterion through the real CLI.
 """
 
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from opfam.verify import ANCHOR_TABLE, CHECKS, PASS, ScenarioConfig
+from opfam.verify import CHECKS, CLAIMS, PASS, ScenarioConfig
 
 CFG = ScenarioConfig(seed=42)
 
@@ -114,6 +115,7 @@ def test_criterion_12_determinism(tmp_path, blas_thread_env):
     assert rep3 == rep4, "subset reports differ across thread counts"
 
     text = rep1.decode()
-    missing = [a for a in ANCHOR_TABLE if f"anchor={a}" not in text]
-    assert not missing, f"claim anchors without a check record: {missing}"
+    records = set(re.findall(r"^check=([^|]*)\|suite=[^|]*\|anchor=([^|]*)\|", text, re.M))
+    missing = [pair for pair in CLAIMS.items() if pair not in records]
+    assert not missing, f"claims without a record carrying their anchor: {missing}"
     print(f"criterion 12: PASS ({time.perf_counter() - t0:.1f}s)")

@@ -213,6 +213,7 @@ def test_overflowing_family_exits_2(workdir, capsys):
     for argv in (
         ["spectrum", *scan],
         ["local-spectrum", *scan, "--x", str(workdir / "e1.vec")],
+        ["local-member", *scan, "--x", str(workdir / "e1.vec"), "--a", "disc 0,0,1"],
     ):
         assert main(argv) == 2
         assert "overflow" in capsys.readouterr().err

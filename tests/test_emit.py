@@ -4,6 +4,7 @@ import pytest
 from opfam.emit import emit_plot, grid_to_csv, grid_to_pgm, grid_to_svg, read_grid_csv
 from opfam.errors import InputError
 from opfam.spectra import (
+    CLASS_CHARS,
     CLS_RESOLVENT,
     CLS_SPECTRUM,
     CLS_UNDETERMINED,
@@ -54,6 +55,21 @@ def test_csv_schema_and_roundtrip(tmp_path):
     # Re-emission from the loaded grid is byte-identical.
     assert grid_to_pgm(back) == grid_to_pgm(g)
     assert grid_to_csv(back) == text
+
+
+def test_csv_bytes_match_row_by_row_formatting():
+    classes = [[CLS_SPECTRUM, CLS_UNDETERMINED, CLS_RESOLVENT]] * 3
+    g = _tiny_grid(classes)
+    g.score[0] = [np.inf, np.nan, -0.0]
+    g.score[1] = [1e-300, 0.1, 2.0 / 3.0]
+    centers = g.centers()
+    lines = ["re,im,class,min_tail_sigma"]
+    for iy in range(g.ny):
+        for ix in range(g.nx):
+            c = centers[iy, ix]
+            cls = CLASS_CHARS[int(g.classes[iy, ix])]
+            lines.append(f"{float(c.real)!r},{float(c.imag)!r},{cls},{float(g.score[iy, ix])!r}")
+    assert grid_to_csv(g) == "\n".join(lines) + "\n"
 
 
 def test_emitters_deterministic(tmp_path):

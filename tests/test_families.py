@@ -33,6 +33,7 @@ from opfam.local import (
     family_local_probe,
     family_local_spectrum_grid,
     local_extension_uniqueness_check,
+    local_spectral_space_member,
 )
 from opfam.spectra import (
     family_spectrum_grid,
@@ -50,7 +51,7 @@ def _rand(rng, d):
 def test_coeff_catalog():
     assert CoeffFn.pow_h(0.0) == CoeffFn.const()
     c = CoeffFn.pow_h(2.0) * CoeffFn.exp_inv(1.0)
-    assert c(0.5) == pytest.approx(0.25 * np.exp(-2.0))
+    assert c.eval_many([0.5])[0] == pytest.approx(0.25 * np.exp(-2.0))
     assert c.is_null is True
     assert CoeffFn.const().is_null is False
     # Catalog functions all bounded by 1 on (0, 1].
@@ -286,8 +287,6 @@ def test_quotient_norm_bounds(grid):
     qb = quotient_norm_bounds(fam, grid)
     assert (qb.lower, qb.upper) == (pytest.approx(1.0, abs=1e-9), pytest.approx(1.0, abs=1e-9))
     assert qb.raw_upper == pytest.approx(1.0 + np.exp(-1.0), abs=1e-9)
-    lower, upper = qb
-    assert (lower, upper) == (qb.lower, qb.upper)
 
     n = np.array([[0.0, 1.0], [0.0, 0.0]])
     qb = quotient_norm_bounds(OperatorFamily.from_terms(2, [(CoeffFn.pow_h(1.0), n)]), grid)
@@ -427,6 +426,13 @@ def _uniqueness_check(fam, grid):
         (lambda fam, grid: family_local_probe(fam, _X, 0.5, 0.1, grid), 1),
         (lambda fam, grid: family_local_spectrum_grid(fam, _X, _RECT, 8, 8, grid), 1),
         (lambda fam, grid: resolvent_identity_residual(fam, 8.0, 9.0j, grid), 1),
+        # The radius bound and the scan read one evaluated tail.
+        (
+            lambda fam, grid: local_spectral_space_member(
+                fam, _X, "disc 0,0,1", _RECT, grid, 8, 8
+            ),
+            1,
+        ),
         # The family and its refined representative.
         (lambda fam, grid: quotient_norm_bounds(fam, grid), 2),
         # The family, and each candidate once per mesh point.
@@ -438,6 +444,7 @@ def _uniqueness_check(fam, grid):
         "family_local_probe",
         "family_local_spectrum_grid",
         "resolvent_identity_residual",
+        "local_spectral_space_member",
         "quotient_norm_bounds",
         "local_extension_uniqueness_check",
     ],

@@ -22,7 +22,6 @@ from opfam.local import (
     local_spectral_space_member,
     local_spectrum_exact,
     maximal_extension_eval,
-    report_from_grid,
     svep_falsification_probe,
 )
 from opfam import spectra
@@ -48,13 +47,9 @@ def test_local_spectrum_exact_examples():
 
 def test_maximal_extension_examples():
     a = np.diag([1.0, 2.0])
-    assert np.allclose(
-        maximal_extension_eval(a, [1.0, 0.0], 3.0).value, [0.5, 0.0], atol=1e-10
-    )
-    assert np.allclose(
-        maximal_extension_eval(a, [0.0, 1.0], 3.0).value, [0.0, 1.0], atol=1e-10
-    )
-    assert np.allclose(maximal_extension_eval(a, [0.0, 0.0], 0.5).value, 0.0)
+    assert np.allclose(maximal_extension_eval(a, [1.0, 0.0], 3.0), [0.5, 0.0], atol=1e-10)
+    assert np.allclose(maximal_extension_eval(a, [0.0, 1.0], 3.0), [0.0, 1.0], atol=1e-10)
+    assert np.allclose(maximal_extension_eval(a, [0.0, 0.0], 0.5), 0.0)
 
 
 def test_maximal_extension_analytic_beyond_unsupported_cluster():
@@ -63,7 +58,7 @@ def test_maximal_extension_analytic_beyond_unsupported_cluster():
     a = np.diag([1.0, 2.0])
     ev = maximal_extension_eval(a, [1.0, 0.0], 2.0 + 1e-3)
     direct = 1.0 / (2.0 + 1e-3 - 1.0)
-    assert np.allclose(ev.value, [direct, 0.0], atol=1e-9)
+    assert np.allclose(ev, [direct, 0.0], atol=1e-9)
     with pytest.raises(PoleProximityError):
         maximal_extension_eval(a, [1.0, 0.0], 1.0 + 1e-3)
 
@@ -81,8 +76,8 @@ def test_extension_residual_bound(rng):
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
         lam = 3.5 + 1.2j
         ev = maximal_extension_eval(a, x, lam)
-        resid = np.linalg.norm((lam * np.eye(d) - a) @ ev.value - x)
-        assert resid <= 1e-6 * (1 + abs(lam)) * max(1.0, np.linalg.norm(ev.value))
+        resid = np.linalg.norm((lam * np.eye(d) - a) @ ev - x)
+        assert resid <= 1e-6 * (1 + abs(lam)) * max(1.0, np.linalg.norm(ev))
 
 
 def local_shift_family():
@@ -129,10 +124,6 @@ def test_family_local_grid_matches_exact_support(grid):
     gz = family_local_spectrum_grid(const, np.zeros(2), RECT, 32, 32, grid)
     assert int((gz.classes == CLS_SPECTRUM).sum()) == 0
 
-    rep = report_from_grid(g, "const diag(1,2)", e1)
-    assert rep.method == "FamilyProbe"
-    assert len(rep.support) == len(marked)
-
 
 def test_membership_examples(grid):
     const = OperatorFamily.constant(np.diag([1.0, 2.0]))
@@ -150,9 +141,9 @@ def test_membership_computes_the_radius_bound_once_per_family(grid, monkeypatch)
     calls = []
     compute = spectra._radius_bound
 
-    def counting(fam, hgrid):
-        calls.append(fam)
-        return compute(fam, hgrid)
+    def counting(mats):
+        calls.append(mats)
+        return compute(mats)
 
     monkeypatch.setattr(spectra, "_radius_bound", counting)
     const = OperatorFamily.constant(np.diag([1.0, 2.0]))
@@ -160,7 +151,7 @@ def test_membership_computes_the_radius_bound_once_per_family(grid, monkeypatch)
     g = family_local_spectrum_grid(const, e1, RECT, 16, 16, grid)
     for region in ("disc 1,0,0.1", "disc 2,0,0.1", "empty"):
         local_spectral_space_member(const, e1, region, RECT, grid, 16, 16, cached_grid=g)
-    assert calls == [const]
+    assert len(calls) == 1
     bound = spectral_radius_bound(const, grid)
     assert bound is spectral_radius_bound(const, grid)
     assert not bound.roots.flags.writeable
@@ -187,6 +178,32 @@ def test_membership_rejects_a_cached_grid_of_another_scan(grid):
     assert fresh == local_spectral_space_member(
         fam, x, "disc 1,0,0.3", RECT, grid, 16, 16, cached_grid=coarse
     )
+
+
+def test_membership_rejects_a_cached_grid_of_another_vector_family_or_h_grid(grid):
+    # The grid scanned for e1 marks only the eigenvalue 1, so reading its
+    # cells for e2 (local spectrum {2.5}) or for diag(2.5, 1) would answer
+    # member=True where their own scans say False.
+    fam = OperatorFamily.constant(np.diag([1.0, 2.5]))
+    swapped = OperatorFamily.constant(np.diag([2.5, 1.0]))
+    e1, e2 = np.eye(2, dtype=complex)
+    for_e1 = family_local_spectrum_grid(fam, e1, RECT, 16, 16, grid)
+    region = "disc 1,0,0.3"
+    assert local_spectral_space_member(fam, e1, region, RECT, grid, 16, 16, cached_grid=for_e1)
+    for f, x in ((fam, e2), (swapped, e1)):
+        assert not local_spectral_space_member(f, x, region, RECT, grid, 16, 16)
+        with pytest.raises(InputError, match="cached grid"):
+            local_spectral_space_member(f, x, region, RECT, grid, 16, 16, cached_grid=for_e1)
+    with pytest.raises(InputError, match="cached grid"):
+        local_spectral_space_member(
+            fam, e1, region, RECT, HGrid(count=44), 16, 16, cached_grid=for_e1
+        )
+
+
+def test_radius_bound_of_an_overflowing_family_is_an_input_error(grid):
+    fam = OperatorFamily.constant(np.full((2, 2), 1e308))
+    with pytest.raises(InputError, match="overflow"):
+        spectral_radius_bound(fam, grid)
 
 
 @pytest.mark.parametrize("entry", [1e160, 1e200])

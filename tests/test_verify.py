@@ -1,4 +1,6 @@
 import dataclasses
+import pathlib
+import re
 
 import pytest
 
@@ -7,8 +9,8 @@ from opfam.errors import InputError
 from opfam.families import HGrid
 from opfam.verify import (
     ALL_SUITES,
-    ANCHOR_TABLE,
     CHECKS,
+    CLAIMS,
     FAIL,
     PASS,
     ReportBundle,
@@ -22,7 +24,22 @@ def test_registry_sanity():
     ids = [cid for cid, _, _ in CHECKS]
     assert len(ids) == len(set(ids))
     assert all(suite in ALL_SUITES for _, suite, _ in CHECKS)
-    assert len(ANCHOR_TABLE) == len(set(ANCHOR_TABLE))
+    assert len(set(CLAIMS.values())) == len(CLAIMS)
+
+
+def test_every_record_carries_its_claim_anchor():
+    bundle = run_suite(ScenarioConfig(seed=3, suites=("bracket", "linalg")))
+    ids = [r.check_id for r in bundle.results]
+    # CLAIMS lists the records in report order.
+    assert ids == [cid for cid in CLAIMS if cid in ids]
+    assert all(r.anchor == CLAIMS[r.check_id] for r in bundle.results)
+
+
+def test_readme_claim_table_matches_claims():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text().split("| check | claim anchor |\n| --- | --- |\n")[1]
+    rows = re.findall(r"^\| (\S+) \| (\S+) \|$", table.split("\n\n")[0], re.M)
+    assert rows == [(cid.split("-")[0], anchor) for cid, anchor in CLAIMS.items()]
 
 
 def test_config_validation():
@@ -112,6 +129,7 @@ def test_crashing_check_becomes_one_fail_record(monkeypatch, tmp_path, capsys):
     (failed,) = [r for r in bundle.results if r.check_id == crash_id]
     assert failed.verdict == FAIL
     assert failed.details == "RuntimeError: synthetic crash"
+    assert failed.anchor == "check-raised"
     assert bundle.exit_code == 1
     assert "Traceback" in capsys.readouterr().err
     report = (tmp_path / "rep" / "report.txt").read_text()
