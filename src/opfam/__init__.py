@@ -12,7 +12,10 @@ from .bracket import (
     EquivalenceReport,
     bracket,
     bracket_binomial,
+    bracket_binomials,
+    bracket_norms,
     bracket_seq,
+    brackets,
     qn_equivalent,
 )
 from .errors import (

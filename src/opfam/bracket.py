@@ -4,7 +4,9 @@ The bracket of order n of an ordered operator pair (T, S) is
 sum_k (-1)**(n-k) * C(n,k) * T**k @ S**(n-k).  It is computed here by the
 recurrence B_0 = I, B_{n+1} = T B_n - B_n S, which reproduces the binomial
 sum without explicit binomial coefficients or matrix powers; the explicit
-sum is kept as an independent cross-check oracle.
+sum is kept as an independent cross-check oracle.  Both run over whole
+stacks of operand pairs (`brackets`, `bracket_binomials`), and every
+single-pair function is a one-pair stack.
 
 Two operators are quasinilpotent equivalent when the n-th roots of the
 bracket norms tend to 0 in both operand orders.  The limit cannot be
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError
-from .linalg import as_matrix, op_norm
+from .linalg import as_matrix, op_norms
 
 EPS_ZERO = 1e-300
 OVERFLOW_LIMIT = 1e300
@@ -45,32 +47,114 @@ def _check_pair(t, s):
     return tm, sm
 
 
+def _check_stacks(t, s):
+    """Two equally shaped stacks (..., d, d) of finite complex matrices."""
+    tm = np.asarray(t, dtype=complex)
+    sm = np.asarray(s, dtype=complex)
+    if tm.ndim < 2 or tm.shape[-1] != tm.shape[-2] or tm.shape[-1] < 1:
+        raise InputError(f"expected a stack of square matrices, got shape {tm.shape}")
+    if tm.shape != sm.shape:
+        raise DimensionMismatchError(f"operand dims differ: {tm.shape} vs {sm.shape}")
+    if not (np.isfinite(tm).all() and np.isfinite(sm).all()):
+        raise InputError("matrix entries must be finite")
+    return tm, sm
+
+
+def _check_order(n: int, what: str = "bracket order", low: int = 0) -> None:
+    if not low <= n <= MAX_BRACKET_ORDER:
+        raise InputError(f"{what} must be in [{low}, {MAX_BRACKET_ORDER}], got {n}")
+
+
+def brackets(t, s, n_max: int) -> np.ndarray:
+    """Brackets of orders 0..n_max of every operand pair of two stacks.
+
+    t and s are equally shaped stacks (..., d, d); the result has shape
+    (..., n_max + 1, d, d) with order n at [..., n, :, :].  The recurrence
+    runs once over the whole stack; once every bracket in it is exactly
+    zero the higher orders stay zero and are not computed.  A pair whose
+    brackets overflow goes on to inf / nan without a warning, and the
+    other pairs are not affected.
+    """
+    tm, sm = _check_stacks(t, s)
+    _check_order(n_max)
+    d = tm.shape[-1]
+    out = np.zeros(tm.shape[:-2] + (n_max + 1, d, d), dtype=complex)
+    b = np.eye(d, dtype=complex)
+    out[..., 0, :, :] = b
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            b = tm @ b - b @ sm
+            out[..., n, :, :] = b
+            if not b.any():
+                break
+    return out
+
+
 def bracket(t, s, n: int) -> np.ndarray:
     """Bracket of order n of (T, S) via the recurrence; n = 0 gives I."""
     tm, sm = _check_pair(t, s)
-    if not 0 <= n <= MAX_BRACKET_ORDER:
-        raise InputError(f"bracket order must be in [0, {MAX_BRACKET_ORDER}], got {n}")
-    b = np.eye(tm.shape[0], dtype=complex)
-    for _ in range(n):
-        b = tm @ b - b @ sm
-    return b
+    return brackets(tm, sm, n)[n]
+
+
+def bracket_binomials(t, s, n_max: int) -> np.ndarray:
+    """Independent oracle: the explicit alternating binomial sums.
+
+    Same stacks and result layout as `brackets`.  Every order is summed
+    from one set of powers T**k and S**k, term by term in k.
+    """
+    tm, sm = _check_stacks(t, s)
+    _check_order(n_max)
+    d = tm.shape[-1]
+    eye = np.broadcast_to(np.eye(d, dtype=complex), tm.shape)
+    t_pows = [eye]
+    s_pows = [eye]
+    for _ in range(n_max):
+        t_pows.append(t_pows[-1] @ tm)
+        s_pows.append(s_pows[-1] @ sm)
+    out = np.zeros(tm.shape[:-2] + (n_max + 1, d, d), dtype=complex)
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            out[..., n, :, :] += (-1) ** (n - k) * math.comb(n, k) * (
+                t_pows[k] @ s_pows[n - k]
+            )
+    return out
 
 
 def bracket_binomial(t, s, n: int) -> np.ndarray:
-    """Independent oracle: the explicit alternating binomial sum."""
+    """Independent oracle: the explicit alternating binomial sum of order n."""
     tm, sm = _check_pair(t, s)
-    if not 0 <= n <= MAX_BRACKET_ORDER:
-        raise InputError(f"bracket order must be in [0, {MAX_BRACKET_ORDER}], got {n}")
-    d = tm.shape[0]
-    t_pows = [np.eye(d, dtype=complex)]
-    s_pows = [np.eye(d, dtype=complex)]
-    for _ in range(n):
-        t_pows.append(t_pows[-1] @ tm)
-        s_pows.append(s_pows[-1] @ sm)
-    out = np.zeros((d, d), dtype=complex)
-    for k in range(n + 1):
-        out += (-1) ** (n - k) * math.comb(n, k) * (t_pows[k] @ s_pows[n - k])
-    return out
+    return bracket_binomials(tm, sm, n)[n]
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Index of the first True along the last axis; its length where none is."""
+    stop = np.ones(mask.shape[:-1] + (1,), dtype=bool)
+    return np.argmax(np.concatenate([mask, stop], axis=-1), axis=-1)
+
+
+def bracket_norms(t, s, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Norms of the brackets of order 1..n_max of every pair of two stacks.
+
+    Returns (norms, ok) of shapes (..., n_max) and (...).  All norms come
+    from one stacked SVD, then each pair is cut at its first rule that
+    fires: a norm above OVERFLOW_LIMIT (or a non-finite bracket) makes it
+    +inf from that order on and ok False; a norm below EPS_ZERO is an exact
+    zero of the recurrence and makes it 0 from that order on.
+    """
+    mats = brackets(t, s, n_max)[..., 1:, :, :]
+    flat = mats.reshape((-1,) + mats.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    live = finite & flat.any(axis=(1, 2))
+    values = np.where(finite, 0.0, np.inf)
+    values[live] = op_norms(flat[live])
+    values = values.reshape(mats.shape[:-2])
+    first_over = _first(values > OVERFLOW_LIMIT)
+    first_zero = _first(values < EPS_ZERO)
+    ok = first_zero <= first_over
+    stop = np.minimum(first_over, first_zero)[..., None]
+    fill = np.where(ok, 0.0, np.inf)[..., None]
+    norms = np.where(np.arange(n_max) < stop, values, fill)
+    return norms, ok
 
 
 def bracket_norm_sequence(t, s, n_max: int) -> tuple[np.ndarray, bool]:
@@ -81,19 +165,8 @@ def bracket_norm_sequence(t, s, n_max: int) -> tuple[np.ndarray, bool]:
     an exact zero of the recurrence and stays zero for all larger orders.
     """
     tm, sm = _check_pair(t, s)
-    norms = np.zeros(n_max)
-    b = np.eye(tm.shape[0], dtype=complex)
-    for n in range(n_max):
-        b = tm @ b - b @ sm
-        value = op_norm(b) if np.isfinite(b).all() else float("inf")
-        if value > OVERFLOW_LIMIT:
-            norms[n:] = float("inf")
-            return norms, False
-        norms[n] = value
-        if value < EPS_ZERO:
-            norms[n:] = 0.0
-            break
-    return norms, True
+    norms, ok = bracket_norms(tm, sm, n_max)
+    return norms, bool(ok)
 
 
 @dataclass(frozen=True)
@@ -117,18 +190,18 @@ def _roots_from_norms(norms: np.ndarray) -> np.ndarray:
 
 def bracket_seq(t, s, n_max: int) -> BracketSeq:
     """Bracket norms/roots for (T, S) and (S, T), orders 1..n_max."""
-    if n_max < 4:
-        raise InputError(f"n_max must be >= 4, got {n_max}")
+    _check_order(n_max, "n_max", low=4)
     tm, sm = _check_pair(t, s)
-    norms, ok_f = bracket_norm_sequence(tm, sm, n_max)
-    rev_norms, ok_r = bracket_norm_sequence(sm, tm, n_max)
+    (norms, rev_norms), ok = bracket_norms(
+        np.stack([tm, sm]), np.stack([sm, tm]), n_max
+    )
     return BracketSeq(
         n_max=n_max,
         norms=norms,
         roots=_roots_from_norms(norms),
         rev_norms=rev_norms,
         rev_roots=_roots_from_norms(rev_norms),
-        overflow=not (ok_f and ok_r),
+        overflow=not ok.all(),
     )
 
 

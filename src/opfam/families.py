@@ -23,7 +23,7 @@ import numpy as np
 from .bracket import (
     N_MAX,
     EquivalenceReport,
-    bracket_norm_sequence,
+    bracket_norms,
     combine_order_reports,
     root_test,
     slopes_log10,
@@ -345,7 +345,8 @@ def _finite_norms(stack: np.ndarray, norms, what: str) -> np.ndarray:
     every tail tolerance and verdict meaningless.
     """
     if np.isfinite(stack).all():
-        out = norms(stack)
+        with np.errstate(over="ignore"):
+            out = norms(stack)
         if np.isfinite(out).all():
             return out
     raise InputError(f"{what} overflow on the h-grid")
@@ -358,7 +359,8 @@ def norm_samples(fam: OperatorFamily | VectorFamily, grid: HGrid) -> np.ndarray:
 
 def limsup_norm(fam: OperatorFamily | VectorFamily, grid: HGrid) -> float:
     """Tail maximum of ||F(h_k)||: the sampled stand-in for limsup at 0."""
-    return float(norm_samples(fam, grid)[-grid.tail :].max())
+    tail = fam.eval_stack(grid.tail_samples())
+    return float(_finite_norms(tail, fam._norms, "family values").max())
 
 
 def _certified(stats: TailStats, cert: bool) -> TailStats:
@@ -508,15 +510,10 @@ def asym_qn_equivalent(
     fs = f.eval_stack(hs)
     gs = g.eval_stack(hs)
 
+    norms, ok = bracket_norms(np.stack([fs, gs]), np.stack([gs, fs]), N_MAX)
     reports = []
-    for left, right, tag in ((fs, gs, "F,G"), (gs, fs, "G,F")):
-        per_h = np.empty((len(hs), N_MAX))
-        overflow = False
-        for i in range(len(hs)):
-            norms, ok = bracket_norm_sequence(left[i], right[i], N_MAX)
-            per_h[i] = norms
-            overflow = overflow or not ok
-        if overflow:
+    for per_h, ok_h, tag in zip(norms, ok, ("F,G", "G,F")):
+        if not ok_h.all():
             reports.append(
                 EquivalenceReport(
                     verdict=INCONCLUSIVE,

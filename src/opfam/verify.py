@@ -25,9 +25,9 @@ from . import local as loc
 from .bracket import (
     EQUIVALENT,
     NOT_EQUIVALENT,
-    bracket,
-    bracket_binomial,
+    bracket_binomials,
     bracket_seq,
+    brackets,
     qn_equivalent,
 )
 from .errors import InputError
@@ -58,7 +58,7 @@ from .generators import (
     rng_for,
     supported_vector,
 )
-from .linalg import eigenvalues, op_norm, solve, spectral_decomp
+from .linalg import eigenvalues, op_norm, op_norms, solve, spectral_decomp
 from .regions import Disc, Rect, Region, Union
 from .spectra import (
     CLS_RESOLVENT,
@@ -194,13 +194,18 @@ def _support_match(a, b, tol=1e-4) -> bool:
 def check_bracket_recurrence(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
     worst = 0.0
-    for _ in range(200):
-        t = random_matrix(rng, 4)
-        s = random_matrix(rng, 4)
-        scale = op_norm(t) + op_norm(s)
-        for n in range(1, 13):
-            err = op_norm(bracket(t, s, n) - bracket_binomial(t, s, n))
-            worst = max(worst, err / scale**n)
+    # Stacks of 20 pairs: one stack of all 200 raised the peak RSS of a
+    # verify run by about 1.7 MiB, batches of 20 leave it where the
+    # pair-by-pair loop had it, at the same speed.
+    for _ in range(10):
+        pairs = [(random_matrix(rng, 4), random_matrix(rng, 4)) for _ in range(20)]
+        ts, ss = (np.stack(side) for side in zip(*pairs))
+        scales = op_norms(ts) + op_norms(ss)
+        diffs = brackets(ts, ss, 12)[:, 1:] - bracket_binomials(ts, ss, 12)[:, 1:]
+        errs = op_norms(diffs.reshape(-1, 4, 4)).reshape(20, 12)
+        for scale, row in zip(scales.tolist(), errs.tolist()):
+            for n, err in enumerate(row, 1):
+                worst = max(worst, err / scale**n)
     return [
         _result(
             "ac01-bracket-recurrence",
@@ -789,15 +794,17 @@ def check_local_remark_chain(cfg: ScenarioConfig, idx: int):
 
 def check_norm_algebra(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    worst = 0.0
+    by_dim: dict[int, list] = {}
     for k in range(1000):
         d = cfg.dims(k)
-        a = random_matrix(rng, d)
-        b = random_matrix(rng, d)
-        na, nb = op_norm(a), op_norm(b)
-        sub = op_norm(a @ b) - na * nb
-        tri = op_norm(a + b) - (na + nb)
-        worst = max(worst, sub / (na * nb), tri / (na + nb))
+        by_dim.setdefault(d, []).append((random_matrix(rng, d), random_matrix(rng, d)))
+    worst = 0.0
+    for pairs in by_dim.values():
+        a, b = (np.stack(side) for side in zip(*pairs))
+        na, nb, nab, nsum = np.split(op_norms(np.concatenate([a, b, a @ b, a + b])), 4)
+        sub = (nab - na * nb) / (na * nb)
+        tri = (nsum - (na + nb)) / (na + nb)
+        worst = max(worst, float(sub.max()), float(tri.max()))
     return [
         _result(
             "sup01-norm-algebra",

@@ -5,16 +5,24 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from opfam.bracket import (
+    EPS_ZERO,
     EQUIVALENT,
     INCONCLUSIVE,
+    MAX_BRACKET_ORDER,
     NOT_EQUIVALENT,
+    OVERFLOW_LIMIT,
     bracket,
     bracket_binomial,
+    bracket_binomials,
+    bracket_norm_sequence,
+    bracket_norms,
     bracket_seq,
+    brackets,
     qn_equivalent,
     root_test,
 )
 from opfam.errors import DimensionMismatchError, InputError
+from opfam.generators import commuting_toeplitz
 from opfam.linalg import op_norm
 
 SEED = 777
@@ -127,3 +135,155 @@ def test_n_max_is_bounded_by_the_root_test_window():
         assert str(exc.value) == message
     assert bracket_seq(t, s, 4).n_max == 4
     assert qn_equivalent(t, s, 5).verdict == EQUIVALENT
+
+
+def _reference_norms(t, s, n_max):
+    """One pair at a time, one SVD per order: the loop the stacked kernel replaced."""
+    norms = np.zeros(n_max)
+    b = np.eye(t.shape[0], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_max):
+            b = t @ b - b @ s
+            value = op_norm(b) if np.isfinite(b).all() else float("inf")
+            if value > OVERFLOW_LIMIT:
+                norms[n:] = float("inf")
+                return norms, False
+            norms[n] = value
+            if value < EPS_ZERO:
+                norms[n:] = 0.0
+                break
+    return norms, True
+
+
+def _assert_matches_reference(ts, ss, n_max):
+    norms, ok = bracket_norms(ts, ss, n_max)
+    assert norms.shape == (len(ts), n_max) and ok.shape == (len(ts),)
+    for i in range(len(ts)):
+        ref, ref_ok = _reference_norms(ts[i], ss[i], n_max)
+        assert norms[i].tobytes() == ref.tobytes(), f"row {i}"
+        assert bool(ok[i]) == ref_ok, f"row {i}"
+    return norms, ok
+
+
+def _random_stack(rng, count, d, scale=1.0):
+    re = rng.uniform(-1, 1, (count, d, d))
+    return scale * (re + 1j * rng.uniform(-1, 1, (count, d, d)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_stacked_norms_match_the_sequential_loop(d):
+    rng = np.random.default_rng(SEED + d)
+    ts = _random_stack(rng, 8, d, scale=0.5)
+    ss = _random_stack(rng, 8, d, scale=0.5)
+    _assert_matches_reference(ts, ss, 40)
+    # Both operand orders in one stack, as bracket_seq runs them.
+    seq = bracket_seq(ts[0], ss[0], 40)
+    assert seq.norms.tobytes() == _reference_norms(ts[0], ss[0], 40)[0].tobytes()
+    assert seq.rev_norms.tobytes() == _reference_norms(ss[0], ts[0], 40)[0].tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_exact_zero_rows_are_cut_to_zero(d):
+    rng = np.random.default_rng(SEED + 10 * d)
+    t, (n,) = commuting_toeplitz(rng, d, 1)
+    r = _random_stack(rng, 2, d)
+    # Rows: (T, T+N) and (T+N, T) vanish, the random pair does not, and
+    # (T, T) is zero from order 1.
+    ts = np.stack([t, t + n, r[0], t])
+    ss = np.stack([t + n, t, r[1], t])
+    norms, ok = _assert_matches_reference(ts, ss, 20)
+    assert ok.all()
+    for row in (0, 1, 3):
+        assert norms[row, -1] == 0.0
+    assert np.all(norms[3] == 0.0)
+    assert np.all(norms[2] > 0.0)
+    # A stack whose brackets all vanish stops early and still gives zeros.
+    _assert_matches_reference(ts[[0, 1, 3]], ss[[0, 1, 3]], 20)
+    assert not brackets(t, t, 5)[1:].any()
+
+
+def test_an_overflowing_row_leaves_the_finite_rows_alone():
+    rng = np.random.default_rng(SEED + 3)
+    big = np.diag([1e120, 1.0]).astype(complex)
+    ts = np.stack([big, _random_stack(rng, 1, 2)[0]])
+    ss = np.stack([np.zeros((2, 2)), _random_stack(rng, 1, 2)[0]])
+    norms, ok = _assert_matches_reference(ts, ss, 30)
+    assert ok.tolist() == [False, True]
+    assert norms[0, 1] == 1e240 and np.all(np.isinf(norms[0, 2:]))
+    assert np.all(np.isfinite(norms[1]))
+    with np.errstate(all="raise"):
+        bracket_norms(ts, ss, 30)  # the inf / nan of the dead row stay quiet
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_lowest_orders(n_max):
+    rng = np.random.default_rng(SEED + 4)
+    ts = _random_stack(rng, 3, 3)
+    ss = _random_stack(rng, 3, 3)
+    norms, ok = _assert_matches_reference(ts, ss, n_max)
+    assert norms.shape == (3, n_max) and ok.all()
+    stack = brackets(ts, ss, n_max)
+    assert stack.shape == (3, n_max + 1, 3, 3)
+    assert np.array_equal(stack[:, 0], np.broadcast_to(np.eye(3), (3, 3, 3)))
+
+
+def test_single_pair_brackets_are_rows_of_the_stacks():
+    rng = np.random.default_rng(SEED + 5)
+    ts = _random_stack(rng, 6, 4)
+    ss = _random_stack(rng, 6, 4)
+    rec = brackets(ts, ss, 12)
+    binom = bracket_binomials(ts, ss, 12)
+    for i in range(6):
+        for n in range(13):
+            assert bracket(ts[i], ss[i], n).tobytes() == rec[i, n].tobytes()
+            assert bracket_binomial(ts[i], ss[i], n).tobytes() == binom[i, n].tobytes()
+
+
+def test_bracket_orders_are_bounded():
+    t = 2.0 * np.eye(3)
+    s = _jordan(2.0, 3)
+    for n_max in (-1, MAX_BRACKET_ORDER + 1):
+        with pytest.raises(InputError):
+            bracket_norm_sequence(t, s, n_max)
+    for n_max in (3, MAX_BRACKET_ORDER + 1, 5000):
+        for call in (bracket_seq, qn_equivalent):
+            with pytest.raises(InputError):
+                call(t, s, n_max)
+    assert bracket_seq(t, s, MAX_BRACKET_ORDER).n_max == MAX_BRACKET_ORDER
+    with pytest.raises(InputError, match="finite"):
+        brackets(np.stack([t, np.full((3, 3), np.inf)]), np.stack([s, s]), 3)
+    with pytest.raises(DimensionMismatchError):
+        bracket_norms(np.stack([t, t]), t, 3)
+
+
+_BRACKET_FINGERPRINT = """
+import hashlib
+import numpy as np
+from opfam.bracket import bracket_seq
+from opfam.families import HGrid, asym_qn_equivalent
+from opfam.generators import generate_pair
+
+rng = np.random.default_rng(%d)
+digest = hashlib.sha256()
+for d in range(2, 9):
+    for _ in range(3):
+        t = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        s = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        seq = bracket_seq(0.5 * t, 0.5 * s, 40)
+        digest.update(seq.norms.tobytes() + seq.rev_norms.tobytes())
+kinds = ("h-perturbation", "null-difference", "exp-null", "local-shift", "commuting-nilpotent")
+for k, kind in enumerate(kinds):
+    pair = generate_pair(kind, 40 + k, 2 + k)
+    rep = asym_qn_equivalent(pair.f, pair.g, HGrid())
+    digest.update(repr(rep).encode())
+print(digest.hexdigest())
+""" % SEED
+
+
+def test_bracket_bytes_independent_of_blas_threads(thread_fingerprint):
+    # bracket_seq norms, d = 2..8, and asym_qn_equivalent reports of the
+    # sup06 / sup07 pair kinds, at 1 and at 4 threads.
+    one = thread_fingerprint(_BRACKET_FINGERPRINT, 1)
+    four = thread_fingerprint(_BRACKET_FINGERPRINT, 4)
+    assert len(one) == 64
+    assert one == four, "bracket results differ between 1 and 4 BLAS threads"

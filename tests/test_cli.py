@@ -40,6 +40,14 @@ def test_bracket_nmax_below_the_root_test_window(workdir, capsys):
     assert "verdict: Equivalent" in capsys.readouterr().out
 
 
+def test_bracket_nmax_above_the_order_bound(workdir, capsys):
+    pair = ["--t", str(workdir / "t.mat"), "--s", str(workdir / "s.mat")]
+    assert main(["bracket", *pair, "--nmax", "65"]) == 2
+    assert "n_max must be in [4, 64], got 65" in capsys.readouterr().err
+    assert main(["bracket", *pair, "--nmax", "64"]) == 0
+    assert "verdict: Equivalent" in capsys.readouterr().out
+
+
 def test_bracket_csv_output(workdir, capsys):
     out_path = workdir / "roots.csv"
     rc = main(

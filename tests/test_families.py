@@ -205,6 +205,35 @@ def test_limsup_monotone_in_tail(grid):
     assert max(estimates) <= samples.max()
 
 
+def _catalog_terms(rng, shape):
+    def draw():
+        return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+    return [
+        (CoeffFn.const(), draw()),
+        (CoeffFn.pow_h(float(rng.integers(1, 4))), draw()),
+        (CoeffFn.exp_inv(float(rng.integers(1, 4))), draw()),
+    ]
+
+
+@pytest.mark.parametrize("h_grid", [HGrid(), HGrid(0.9, 0.7, 30, 5)])
+def test_limsup_norm_is_the_tail_max_of_the_norm_samples(h_grid):
+    rng = np.random.default_rng(SEED + 7)
+    for d in range(2, 7):
+        for fam in (
+            OperatorFamily.from_terms(d, _catalog_terms(rng, (d, d))),
+            VectorFamily.from_terms(d, _catalog_terms(rng, (d,))),
+        ):
+            expected = norm_samples(fam, h_grid)[-h_grid.tail :].max()
+            assert limsup_norm(fam, h_grid) == expected
+
+
+def test_limsup_norm_rejects_an_overflowing_tail(grid):
+    for big in (_overflowing_family(), VectorFamily.constant(np.full(2, 1e308))):
+        with pytest.raises(InputError, match="overflow"):
+            limsup_norm(big, grid)
+
+
 def test_is_null_family(grid):
     rng = np.random.default_rng(SEED)
     a = _rand(rng, 3)
