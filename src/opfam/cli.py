@@ -16,6 +16,7 @@ from .errors import InputError, InvariantError, OpfamError
 from .families import HGrid, asym_qn_equivalent, asymptotically_equivalent
 from .fileio import load_family, load_matrix, load_vector
 from .local import family_local_spectrum_grid, local_spectral_space_member
+from .regions import parse_region
 from .spectra import family_spectrum_grid
 from .verify import ALL_SUITES, ScenarioConfig, run_suite
 
@@ -185,7 +186,9 @@ def _cmd_local_member(args) -> int:
     x = load_vector(args.x)
     grid = HGrid.parse(args.grid)
     rect = _parse_rect(args.rect)
-    answer = local_spectral_space_member(fam, x, args.a, rect, grid, args.res, args.res)
+    region = parse_region(args.a)
+    scan = family_local_spectrum_grid(fam, x, rect, args.res, args.res, grid)
+    answer = local_spectral_space_member(scan, region)
     print(f"member: {answer.member}")
     print(f"inconclusive: {answer.inconclusive}")
     print(f"local spectrum cells: {answer.n_support_cells}")

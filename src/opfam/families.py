@@ -473,23 +473,26 @@ def module_action(
     return out
 
 
-def _inner_limit_estimate(vals: np.ndarray, zero_floor: float) -> tuple[float, str]:
-    """Estimate limsup_{h->0} of one sampled tail sequence.
+def _inner_limit_estimates(
+    per_h: np.ndarray, zero_floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Estimate limsup_{h->0} of each column of sampled tail sequences.
 
-    Returns 0 when the tail sits at the floor or decays geometrically with
-    a clean log-linear fit; otherwise returns the tail max (conservative).
+    per_h has shape (tail, n).  Returns (estimates, at_floor, decays): a
+    column estimates to 0 when its tail sits at the floor, or decays
+    geometrically with a clean log-linear fit (slope from `slopes_log10`,
+    line through the column means); otherwise to its tail max
+    (conservative).
     """
-    vmax = float(vals.max())
-    if vmax <= zero_floor:
-        return 0.0, "floor"
-    logs = np.log10(np.maximum(vals, 1e-300))
-    k = np.arange(len(vals), dtype=float)
-    coef = np.polyfit(k, logs, 1)
-    slope = float(coef[0])
-    fit_dev = float(np.abs(logs - np.polyval(coef, k)).max())
-    if slope < DECAY_CERT_SLOPE and fit_dev <= DECAY_CERT_FIT:
-        return 0.0, "decay"
-    return vmax, "flat"
+    vmax = per_h.max(axis=0)
+    at_floor = vmax <= zero_floor
+    logs = np.log10(np.maximum(per_h, 1e-300))
+    slope = slopes_log10(per_h)
+    k = np.arange(len(per_h), dtype=float)
+    fit = logs.mean(axis=0) + slope * (k - k.mean())[:, None]
+    fit_dev = np.abs(logs - fit).max(axis=0)
+    decays = ~at_floor & (slope < DECAY_CERT_SLOPE) & (fit_dev <= DECAY_CERT_FIT)
+    return np.where(at_floor | decays, 0.0, vmax), at_floor, decays
 
 
 def asym_qn_equivalent(
@@ -523,23 +526,18 @@ def asym_qn_equivalent(
                 )
             )
             continue
-        sigmas = np.empty(N_MAX)
-        labels = []
-        for n in range(N_MAX):
-            sigmas[n], label = _inner_limit_estimate(per_h[:, n], ZERO_FLOOR)
-            labels.append(label)
+        sigmas, at_floor, decays = _inner_limit_estimates(per_h, ZERO_FLOOR)
         roots = np.where(
             sigmas > 0.0,
             np.maximum(sigmas, 1e-300) ** (1.0 / np.arange(1, N_MAX + 1)),
             0.0,
         )
         rep = root_test(roots)
-        zero_by = {"floor": labels.count("floor"), "decay": labels.count("decay")}
         reports.append(
             replace(
                 rep,
                 diagnostics=f"order ({tag}): {rep.diagnostics}; inner limits "
-                f"{zero_by['floor']} at floor, {zero_by['decay']} decay-certified",
+                f"{at_floor.sum()} at floor, {decays.sum()} decay-certified",
             )
         )
 

@@ -56,7 +56,6 @@ from .spectra import (
     _scan_setup,
     _Tail,
     _tail_eval,
-    _validate_rect,
     spectral_radius_bound,
 )
 from .regions import Region, parse_region
@@ -330,10 +329,13 @@ def family_local_spectrum_grid(
     radius half the smaller cell side.  A cell is LocalSpectrum too when
     its distance-like score (the stencil median of ||x|| over the
     solution norm) sits below LOCAL_CAL_FACTOR cell radii at a local
-    minimum of the score field.
+    minimum of the score field.  The grid keeps the family, the h-grid
+    and a read-only copy of x: `local_spectral_space_member` reads them.
     """
     rect, w, h, rcell, centers = _scan_setup(rect, nx, ny, grid.tail * (1 + _RING_POINTS))
     v, xnorm, tail, norm_cap = _local_setup(fam, x, grid)
+    v = v.copy()
+    v.setflags(write=False)
     classes, tau, _ = _local_cells(tail, v, xnorm, norm_cap, centers, 0.5 * min(w, h))
     score = tau.reshape(ny, nx)
     classes[(tau <= LOCAL_CAL_FACTOR * rcell) & _dip_mask(score).ravel()] = CLS_SPECTRUM
@@ -343,7 +345,7 @@ def family_local_spectrum_grid(
         ny=ny,
         classes=classes.reshape(ny, nx),
         score=score,
-        scanned=(fam, grid, v.tobytes()),
+        scanned=(fam, grid, v),
     )
 
 
@@ -365,44 +367,28 @@ class MembershipAnswer:
         return self.member
 
 
-def local_spectral_space_member(
-    fam: OperatorFamily,
-    x,
-    region: Region | str,
-    rect,
-    grid: HGrid,
-    nx: int = 64,
-    ny: int = 64,
-    cached_grid: RegionGrid | None = None,
-) -> MembershipAnswer:
-    """Does the family local spectrum of x lie inside the region?
+def local_spectral_space_member(scan: RegionGrid, region: Region | str) -> MembershipAnswer:
+    """Does the family local spectrum of the scanned x lie inside the region?
 
-    The scan rectangle must cover the spectral-radius disk of the family;
-    membership is tested at cell centers of the local grid, or of
-    cached_grid, which must be the `family_local_spectrum_grid` of this
-    family, x, rect, nx, ny and h-grid.
+    scan is a `family_local_spectrum_grid` result, whose rectangle must
+    cover the spectral-radius disk of the scanned family; membership is
+    read off its cells.  Any other grid is an input error.
     """
     if isinstance(region, str):
         region = parse_region(region)
-    rect = _validate_rect(rect)
+    if scan.scanned is None:
+        raise InputError("membership reads a local spectrum scan; this grid is not one")
+    fam, grid, x = scan.scanned
     bound = spectral_radius_bound(fam, grid)
     if not np.isfinite(bound.value):
         raise InputError("spectral radius bound diverged; cannot validate rect")
-    re_min, re_max, im_min, im_max = rect
+    re_min, re_max, im_min, im_max = scan.rect
     r = bound.value
     if re_min > -r or re_max < r or im_min > -r or im_max < r:
         raise InputError(
-            f"rect {rect} does not cover the spectral-radius disk (radius {r:.3e})"
+            f"rect {scan.rect} does not cover the spectral-radius disk (radius {r:.3e})"
         )
-    v = as_vector(x, dim=fam.dim)
-    g = cached_grid
-    scan = (rect, nx, ny, (fam, grid, v.tobytes()))
-    if g is not None and (g.rect, g.nx, g.ny, g.scanned) != scan:
-        raise InputError(
-            f"cached grid is not the local scan of this family, x and h-grid "
-            f"over {rect} at {nx}x{ny}"
-        )
-    if float(np.linalg.norm(v)) == 0.0:
+    if float(np.linalg.norm(x)) == 0.0:
         return MembershipAnswer(
             member=True,
             inconclusive=False,
@@ -410,11 +396,9 @@ def local_spectral_space_member(
             offenders=(),
             note="zero vector: empty local spectrum",
         )
-    if g is None:
-        g = family_local_spectrum_grid(fam, v, rect, nx, ny, grid)
-    centers = g.centers()
-    marked = g.classes == CLS_SPECTRUM
-    undet = g.classes == CLS_UNDETERMINED
+    centers = scan.centers()
+    marked = scan.classes == CLS_SPECTRUM
+    undet = scan.classes == CLS_UNDETERMINED
     inside = region.contains(centers)
     offenders = tuple(complex(c) for c in centers[marked & ~inside].ravel())
     inconclusive = bool((undet & ~inside).any())

@@ -220,11 +220,12 @@ def probe_resolvent(fam: OperatorFamily, lam: complex, grid: HGrid) -> Resolvent
     """Classify one lambda as Resolvent / Spectrum / Undetermined.
 
     Resolvent either by the Neumann certificate (tail norms strictly below
-    |lambda|) or by a sigma tail bounded below by DELTA_RES * scale, in
-    which case the exact inverses must also be constructible.  Spectrum
-    when the sigma tail vanishes and the Neumann certificate does not
-    hold.  Undetermined absorbs the rest.  `family_spectrum_grid` applies
-    the same rule at every cell center, plus its dip test.
+    |lambda|) or by a sigma tail bounded below by DELTA_RES * scale; both
+    keep every lambda I - F(h) invertible, and tail_resnorm holds the
+    inverse norms 1 / sigma_min.  Spectrum when the sigma tail vanishes
+    and the Neumann certificate does not hold.  Undetermined absorbs the
+    rest.  `family_spectrum_grid` applies the same rule at every cell
+    center, plus its dip test.
     """
     return _probe(_tail_eval(fam, grid), lam)
 
@@ -235,16 +236,10 @@ def _probe(tail: _Tail, lam: complex) -> ResolventProbe:
     sig = _sigma_tail_stack(tail, lams)
     classes, _, neumann = _classify(sig, tail.norms, tail.scale, lams)
     sig, cls, neumann = sig[:, 0], int(classes[0]), bool(neumann[0])
-    resnorm = None
-    if sig.min() > 0.0:
-        try:
-            resnorm = op_norms(_tail_inverses(tail.mats, lam))
-        except np.linalg.LinAlgError:
-            pass
-    if resnorm is None:
-        resnorm = np.full(len(sig), np.nan)
-        if cls == CLS_RESOLVENT and not neumann:
-            cls = CLS_UNDETERMINED
+    # ||(lam I - F(h))^-1|| = 1 / sigma_min, infinite where lam I - F(h)
+    # is singular.
+    with np.errstate(divide="ignore"):
+        resnorm = 1.0 / sig
     stats = tail_stats(
         sig,
         tail=len(sig),
@@ -299,8 +294,8 @@ class RegionGrid:
     score: the per-cell scalar that drove classification (min tail sigma
     for spectrum grids; the distance-like local score for local grids).
     Cells are indexed [iy, ix] with im ascending in iy and re in ix;
-    centers sit at the cell midpoints.  scanned is (family, h-grid, bytes
-    of x) for a local scan, None for other grids.
+    centers sit at the cell midpoints.  scanned is (family, h-grid,
+    read-only x) for a local scan, None for other grids.
     """
 
     rect: tuple[float, float, float, float]

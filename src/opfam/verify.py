@@ -612,12 +612,12 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
             blocks.append(p)
             pos += b
         all_agree = True
-        cached = []
+        scans = []
         for _ in range(20):
             x = supported_vector(rng, blocks)
             gf = loc.family_local_spectrum_grid(f, x, RECT, res, res, cfg.grid)
             gg = loc.family_local_spectrum_grid(g, x, RECT, res, res, cfg.grid)
-            cached.append((x, gf, gg))
+            scans.append((gf, gg))
             if not compare_grids(gf, gg).identical:
                 all_agree = False
                 break
@@ -627,13 +627,9 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
         centers = np.unique(np.round(np.diag(t), 9))
         for _ in range(10):
             region = _random_region(rng, centers)
-            x, gf, gg = cached[int(rng.integers(len(cached)))]
-            mf = loc.local_spectral_space_member(
-                f, x, region, RECT, cfg.grid, res, res, cached_grid=gf
-            )
-            mg = loc.local_spectral_space_member(
-                g, x, region, RECT, cfg.grid, res, res, cached_grid=gg
-            )
+            gf, gg = scans[int(rng.integers(len(scans)))]
+            mf = loc.local_spectral_space_member(gf, region)
+            mg = loc.local_spectral_space_member(gg, region)
             member_total += 1
             if mf.member == mg.member and mf.inconclusive == mg.inconclusive:
                 member_ok += 1
@@ -720,15 +716,11 @@ def check_local_remark_chain(cfg: ScenarioConfig, idx: int):
             for _ in range(3):
                 region = _random_region(rng, centers)
                 trunc_total += 1
-                m_full = loc.local_spectral_space_member(
-                    fam_f, x, region, RECT, cfg.grid, res, res, cached_grid=lg
-                )
+                m_full = loc.local_spectral_space_member(lg, region)
                 clipped = region.intersect(
                     Disc(center=0.0 + 0.0j, radius=bound.value + 0.5)
                 )
-                m_clip = loc.local_spectral_space_member(
-                    fam_f, x, clipped, RECT, cfg.grid, res, res, cached_grid=lg
-                )
+                m_clip = loc.local_spectral_space_member(lg, clipped)
                 if m_full.member == m_clip.member:
                     trunc_ok += 1
             lgg = loc.family_local_spectrum_grid(fam_g, x, RECT, res, res, cfg.grid)
@@ -1309,12 +1301,8 @@ def check_member_monotone(cfg: ScenarioConfig, idx: int):
         lg = loc.family_local_spectrum_grid(fam, x, RECT, res, res, cfg.grid)
         small = _random_region(rng, eigs)
         big = Union(parts=(small, Disc(center=0j, radius=float(rng.uniform(0.2, 0.8)))))
-        m_small = loc.local_spectral_space_member(
-            fam, x, small, RECT, cfg.grid, res, res, cached_grid=lg
-        )
-        m_big = loc.local_spectral_space_member(
-            fam, x, big, RECT, cfg.grid, res, res, cached_grid=lg
-        )
+        m_small = loc.local_spectral_space_member(lg, small)
+        m_big = loc.local_spectral_space_member(lg, big)
         if (not m_small.member) or m_big.member:
             n_ok += 1
         # Linearity at grid level: the support of a combination stays

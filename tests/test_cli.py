@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opfam import cli
 from opfam.cli import main
 from opfam.emit import read_grid_csv
 from opfam.errors import InvariantError
@@ -117,19 +118,56 @@ def test_local_spectrum_and_member(workdir, capsys):
         ]
     )
     assert rc == 0
-    rc = main(
-        [
-            "local-member",
-            "--family", str(workdir / "d.fam"),
-            "--x", str(workdir / "e1.vec"),
-            "--a", "disc 1,0,0.3",
-            "--rect", "-3:3:-3:3",
-            "--res", "32",
-        ]
+    capsys.readouterr()
+    member = [
+        "local-member",
+        "--family", str(workdir / "d.fam"),
+        "--x", str(workdir / "e1.vec"),
+        "--rect", "-3:3:-3:3",
+        "--res", "32",
+    ]
+    assert main([*member, "--a", "disc 1,0,0.3"]) == 0
+    assert capsys.readouterr() == (
+        "member: True\ninconclusive: False\nlocal spectrum cells: 2\n", ""
     )
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "member: True" in out
+    assert main([*member, "--a", "disc 2,0,0.3"]) == 0
+    assert capsys.readouterr().out == (
+        "member: False\ninconclusive: False\nlocal spectrum cells: 2\n"
+        "cells outside the region: 1.031-0.09375j, 1.031+0.09375j\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "change, err",
+    [
+        ({"--a": "disc1,0"}, "region descriptor error at 7: expected ',' in 'disc1,0'"),
+        ({"--rect": "1:-1:-1:1"}, "empty rectangle (1.0, -1.0, -1.0, 1.0)"),
+        (
+            {"--rect": "-1:1:-1:1"},
+            "rect (-1.0, 1.0, -1.0, 1.0) does not cover the spectral-radius disk "
+            "(radius 2.000e+00)",
+        ),
+        ({"--res": "4"}, "need nx, ny >= 8"),
+        ({"--family": "huge.fam"}, "family values overflow on the h-grid"),
+        ({"--family": "wide.fam"}, "spectral radius bound diverged; cannot validate rect"),
+    ],
+)
+def test_local_member_rejects_each_bad_input(workdir, monkeypatch, capsys, change, err):
+    save_family(OperatorFamily.constant(np.full((2, 2), 1e308)), workdir / "huge.fam")
+    save_family(OperatorFamily.constant(np.full((2, 2), 1e200)), workdir / "wide.fam")
+    scans = []
+    scan = cli.family_local_spectrum_grid
+    monkeypatch.setattr(
+        cli, "family_local_spectrum_grid", lambda *a: scans.append(a) or scan(*a)
+    )
+    opts = {"--family": "d.fam", "--x": "e1.vec", "--a": "disc 1,0,0.3"}
+    opts |= {"--rect": "-3:3:-3:3", "--res": "32", **change}
+    for key in ("--family", "--x"):
+        opts[key] = str(workdir / opts[key])
+    assert main(["local-member", *(t for kv in opts.items() for t in kv)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    # A bad region is rejected before any scan.
+    assert (not scans) == ("--a" in change)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ from opfam.bracket import EQUIVALENT, NOT_EQUIVALENT
 from opfam.errors import DimensionMismatchError, InputError
 from opfam.families import (
     BOUNDED_POSITIVE,
+    DECAY_CERT_FIT,
+    DECAY_CERT_SLOPE,
     EPS_TAIL,
     INCONCLUSIVE,
     TO_ZERO,
@@ -28,6 +30,7 @@ from opfam.families import (
     norm_samples,
     quotient_norm_bounds,
     tail_stats,
+    _inner_limit_estimates,
 )
 from opfam.local import (
     family_local_probe,
@@ -167,6 +170,40 @@ def test_tail_rule_matches_polyfit_reference(tail):
     if min(abs(ref - c) for c in THRESHOLDS) > TREND_TOL:
         expected = _documented_verdict(tail.max(), tail.min(), ref)
         assert stats.limit_verdict == expected
+
+
+def _inner_limit_reference(vals):
+    """One column of `_inner_limit_estimates` by an explicit np.polyfit line."""
+    if vals.max() <= ZERO_FLOOR:
+        return 0.0, "floor", -np.inf, 0.0
+    logs = np.log10(np.maximum(vals, 1e-300))
+    k = np.arange(len(vals), dtype=float)
+    coef = np.polyfit(k, logs, 1)
+    dev = float(np.abs(logs - np.polyval(coef, k)).max())
+    if coef[0] < DECAY_CERT_SLOPE and dev <= DECAY_CERT_FIT:
+        return 0.0, "decay", coef[0], dev
+    return float(vals.max()), "flat", coef[0], dev
+
+
+def test_inner_limit_estimates_match_a_per_column_polyfit():
+    rng = np.random.default_rng(SEED)
+    k = np.arange(6)[:, None]
+    n = 400
+    slopes = rng.choice([-2.0, -0.3, -0.05, 0.0, 0.02], n) + rng.normal(0.0, 0.01, n)
+    jitter = rng.choice([0.0, 0.1, 0.3, 1.0], n) * rng.normal(size=(6, n))
+    start = rng.uniform(-14.0, 2.0, n)
+    per_h = 10.0 ** (start + slopes * k + jitter)
+    per_h[:, :10] = 0.0
+    estimates, at_floor, decays = _inner_limit_estimates(per_h, ZERO_FLOOR)
+    seen = set()
+    for j in range(n):
+        value, label, slope, dev = _inner_limit_reference(per_h[:, j])
+        if abs(slope - DECAY_CERT_SLOPE) < 1e-9 or abs(dev - DECAY_CERT_FIT) < 1e-9:
+            continue
+        seen.add(label)
+        assert estimates[j] == value
+        assert (at_floor[j], decays[j]) == (label == "floor", label == "decay")
+    assert seen == {"floor", "decay", "flat"}
 
 
 @settings(max_examples=100, deadline=None)
@@ -455,10 +492,10 @@ def _uniqueness_check(fam, grid):
         (lambda fam, grid: family_local_probe(fam, _X, 0.5, 0.1, grid), 1),
         (lambda fam, grid: family_local_spectrum_grid(fam, _X, _RECT, 8, 8, grid), 1),
         (lambda fam, grid: resolvent_identity_residual(fam, 8.0, 9.0j, grid), 1),
-        # The radius bound and the scan read one evaluated tail.
+        # The scan and the radius bound read one evaluated tail.
         (
             lambda fam, grid: local_spectral_space_member(
-                fam, _X, "disc 0,0,1", _RECT, grid, 8, 8
+                family_local_spectrum_grid(fam, _X, _RECT, 8, 8, grid), "disc 0,0,1"
             ),
             1,
         ),

@@ -25,7 +25,13 @@ from opfam.local import (
     svep_falsification_probe,
 )
 from opfam import spectra
-from opfam.spectra import CLS_SPECTRUM, spectral_radius_bound, truncated_resolvent_family
+from opfam.emit import grid_to_csv, read_grid_csv
+from opfam.spectra import (
+    CLS_SPECTRUM,
+    family_spectrum_grid,
+    spectral_radius_bound,
+    truncated_resolvent_family,
+)
 
 SEED = 1618
 RECT = (-3.0, 3.0, -3.0, 3.0)
@@ -128,13 +134,18 @@ def test_family_local_grid_matches_exact_support(grid):
 def test_membership_examples(grid):
     const = OperatorFamily.constant(np.diag([1.0, 2.0]))
     e1 = np.array([1.0, 0.0], dtype=complex)
-    assert local_spectral_space_member(const, e1, "disc 1,0,0.1", RECT, grid).member
-    ans = local_spectral_space_member(const, e1, "disc 2,0,0.1", RECT, grid)
+    scan = family_local_spectrum_grid(const, e1, RECT, 64, 64, grid)
+    assert local_spectral_space_member(scan, "disc 1,0,0.1").member
+    ans = local_spectral_space_member(scan, "disc 2,0,0.1")
     assert not ans.member
     assert ans.offenders
-    assert local_spectral_space_member(const, np.zeros(2), "empty", RECT, grid).member
-    with pytest.raises(InputError):
-        local_spectral_space_member(const, e1, "disc 1,0,0.1", (-1, 1, -1, 1), grid)
+    zero = family_local_spectrum_grid(const, np.zeros(2), RECT, 64, 64, grid)
+    ans = local_spectral_space_member(zero, "empty")
+    assert ans.member
+    assert ans.note == "zero vector: empty local spectrum"
+    narrow = family_local_spectrum_grid(const, e1, (-1, 1, -1, 1), 16, 16, grid)
+    with pytest.raises(InputError, match="does not cover the spectral-radius disk"):
+        local_spectral_space_member(narrow, "disc 1,0,0.1")
 
 
 def test_membership_computes_the_radius_bound_once_per_family(grid, monkeypatch):
@@ -150,7 +161,7 @@ def test_membership_computes_the_radius_bound_once_per_family(grid, monkeypatch)
     e1 = np.array([1.0, 0.0], dtype=complex)
     g = family_local_spectrum_grid(const, e1, RECT, 16, 16, grid)
     for region in ("disc 1,0,0.1", "disc 2,0,0.1", "empty"):
-        local_spectral_space_member(const, e1, region, RECT, grid, 16, 16, cached_grid=g)
+        local_spectral_space_member(g, region)
     assert len(calls) == 1
     bound = spectral_radius_bound(const, grid)
     assert bound is spectral_radius_bound(const, grid)
@@ -161,43 +172,38 @@ def test_membership_computes_the_radius_bound_once_per_family(grid, monkeypatch)
     assert len(calls) == 3
 
 
-def test_membership_rejects_a_cached_grid_of_another_scan(grid):
-    # The small grid does not reach the eigenvalue 2.5, so reading its
-    # cells would answer member=True where the requested scan says False.
-    fam = OperatorFamily.constant(np.diag([1.0, 2.5]))
-    x = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    small = family_local_spectrum_grid(fam, x, (-1.5, 1.5, -1.5, 1.5), 16, 16, grid)
-    coarse = family_local_spectrum_grid(fam, x, RECT, 16, 16, grid)
-    for cached in (small, coarse):
-        with pytest.raises(InputError, match="cached grid"):
-            local_spectral_space_member(
-                fam, x, "disc 1,0,0.3", RECT, grid, 64, 64, cached_grid=cached
-            )
-    fresh = local_spectral_space_member(fam, x, "disc 1,0,0.3", RECT, grid, 16, 16)
-    assert not fresh.member
-    assert fresh == local_spectral_space_member(
-        fam, x, "disc 1,0,0.3", RECT, grid, 16, 16, cached_grid=coarse
-    )
+def test_membership_of_a_grid_that_is_not_a_local_scan(grid, tmp_path):
+    fam = OperatorFamily.constant(np.diag([1.0, 2.0]))
+    e1 = np.array([1.0, 0.0], dtype=complex)
+    csv = tmp_path / "local.csv"
+    csv.write_text(grid_to_csv(family_local_spectrum_grid(fam, e1, RECT, 16, 16, grid)))
+    for g in (family_spectrum_grid(fam, RECT, 16, 16, grid), read_grid_csv(str(csv))):
+        with pytest.raises(InputError, match="not one"):
+            local_spectral_space_member(g, "disc 1,0,0.3")
 
 
-def test_membership_rejects_a_cached_grid_of_another_vector_family_or_h_grid(grid):
-    # The grid scanned for e1 marks only the eigenvalue 1, so reading its
-    # cells for e2 (local spectrum {2.5}) or for diag(2.5, 1) would answer
-    # member=True where their own scans say False.
+def test_each_scan_answers_for_its_own_family_and_x(grid):
+    # The scan of e1 marks only the eigenvalue 1; e2 (local spectrum
+    # {2.5}) and diag(2.5, 1) at e1 have their own scans, which mark 2.5.
     fam = OperatorFamily.constant(np.diag([1.0, 2.5]))
     swapped = OperatorFamily.constant(np.diag([2.5, 1.0]))
     e1, e2 = np.eye(2, dtype=complex)
-    for_e1 = family_local_spectrum_grid(fam, e1, RECT, 16, 16, grid)
+    x = e1.copy()
+    for_e1 = family_local_spectrum_grid(fam, x, RECT, 16, 16, grid)
+    x[:] = e2
     region = "disc 1,0,0.3"
-    assert local_spectral_space_member(fam, e1, region, RECT, grid, 16, 16, cached_grid=for_e1)
-    for f, x in ((fam, e2), (swapped, e1)):
-        assert not local_spectral_space_member(f, x, region, RECT, grid, 16, 16)
-        with pytest.raises(InputError, match="cached grid"):
-            local_spectral_space_member(f, x, region, RECT, grid, 16, 16, cached_grid=for_e1)
-    with pytest.raises(InputError, match="cached grid"):
-        local_spectral_space_member(
-            fam, e1, region, RECT, HGrid(count=44), 16, 16, cached_grid=for_e1
-        )
+    assert local_spectral_space_member(for_e1, region)
+    scanned = for_e1.scanned[2]
+    assert np.array_equal(scanned, e1) and not scanned.flags.writeable
+    for f, v in ((fam, e2), (swapped, e1)):
+        scan = family_local_spectrum_grid(f, v, RECT, 16, 16, grid)
+        ans = local_spectral_space_member(scan, region)
+        assert not ans.member
+        assert all(abs(z - 2.5) < 0.5 for z in ans.offenders)
+    # A scan that misses the eigenvalue 2.5 cannot answer.
+    small = family_local_spectrum_grid(fam, e2, (-1.5, 1.5, -1.5, 1.5), 16, 16, grid)
+    with pytest.raises(InputError, match="does not cover the spectral-radius disk"):
+        local_spectral_space_member(small, region)
 
 
 def test_radius_bound_of_an_overflowing_family_is_an_input_error(grid):
@@ -214,8 +220,9 @@ def test_overflowing_powers_give_an_unbounded_radius_bound_quietly(grid, entry):
         bound = spectral_radius_bound(fam, grid)
         assert bound.value == np.inf
         assert bound.inner_verdicts[-1] == UNBOUNDED
+        scan = family_local_spectrum_grid(fam, np.ones(2), RECT, 16, 16, grid)
         with pytest.raises(InputError, match="spectral radius bound diverged"):
-            local_spectral_space_member(fam, np.ones(2), "disc 0,0,1", RECT, grid)
+            local_spectral_space_member(scan, "disc 0,0,1")
 
 
 def test_svep_probe(grid):

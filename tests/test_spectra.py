@@ -14,7 +14,7 @@ from opfam.families import (
     OperatorFamily,
 )
 from opfam.fileio import save_family
-from opfam.linalg import op_norm
+from opfam.linalg import op_norm, op_norms
 from opfam.local import (
     LOCAL_RESOLVENT,
     LOCAL_SPECTRUM,
@@ -65,6 +65,27 @@ def test_probe_examples(grid):
     p1 = probe_resolvent(fam, 1.0, grid)
     assert p1.classification == RESOLVENT
     assert np.all(np.isfinite(p1.tail_resnorm))
+
+
+def test_probe_inverse_norms_are_the_reciprocal_singular_values(grid):
+    rng = np.random.default_rng(SEED)
+    seen = 0
+    for d in (2, 3, 5):
+        fam = OperatorFamily.from_terms(
+            d, [(CoeffFn.const(), _rand(rng, d)), (CoeffFn.pow_h(1.0), _rand(rng, d))]
+        )
+        tail = spectra._tail_eval(fam, grid)
+        for lam in 3.0 * (rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8)):
+            p = probe_resolvent(fam, lam, grid)
+            if p.classification == RESOLVENT:
+                seen += 1
+                inverses = spectra._tail_inverses(tail.mats, lam)
+                np.testing.assert_allclose(p.tail_resnorm, op_norms(inverses), rtol=1e-10)
+    assert seen >= 10
+    # lam I - F(h) singular: the inverse norms are infinite.
+    p = probe_resolvent(OperatorFamily.constant(np.diag([1.0, 2.0])), 1.0, grid)
+    assert p.classification == SPECTRUM
+    assert np.all(p.tail_resnorm == np.inf)
 
 
 def test_probe_neumann_certificate(grid):
