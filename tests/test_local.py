@@ -182,9 +182,25 @@ def test_membership_of_a_grid_that_is_not_a_local_scan(grid, tmp_path):
             local_spectral_space_member(g, "disc 1,0,0.3")
 
 
-def test_each_scan_answers_for_its_own_family_and_x(grid):
+def test_membership_rejects_a_cached_grid_of_another_scan(grid):
+    # The small scan does not reach the eigenvalue 2.5, so reading its
+    # cells would answer member=True where a covering scan says False.
+    fam = OperatorFamily.constant(np.diag([1.0, 2.5]))
+    x = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    small = family_local_spectrum_grid(fam, x, (-1.5, 1.5, -1.5, 1.5), 16, 16, grid)
+    with pytest.raises(InputError, match="does not cover the spectral-radius disk"):
+        local_spectral_space_member(small, "disc 1,0,0.3")
+    coarse = family_local_spectrum_grid(fam, x, RECT, 16, 16, grid)
+    fresh = family_local_spectrum_grid(fam, x, RECT, 16, 16, grid)
+    ans = local_spectral_space_member(coarse, "disc 1,0,0.3")
+    assert not ans.member
+    assert ans == local_spectral_space_member(fresh, "disc 1,0,0.3")
+
+
+def test_membership_rejects_a_cached_grid_of_another_vector_family_or_h_grid(grid):
     # The scan of e1 marks only the eigenvalue 1; e2 (local spectrum
     # {2.5}) and diag(2.5, 1) at e1 have their own scans, which mark 2.5.
+    # A scan answers only for the family, h-grid and x it recorded.
     fam = OperatorFamily.constant(np.diag([1.0, 2.5]))
     swapped = OperatorFamily.constant(np.diag([2.5, 1.0]))
     e1, e2 = np.eye(2, dtype=complex)
@@ -200,10 +216,10 @@ def test_each_scan_answers_for_its_own_family_and_x(grid):
         ans = local_spectral_space_member(scan, region)
         assert not ans.member
         assert all(abs(z - 2.5) < 0.5 for z in ans.offenders)
-    # A scan that misses the eigenvalue 2.5 cannot answer.
-    small = family_local_spectrum_grid(fam, e2, (-1.5, 1.5, -1.5, 1.5), 16, 16, grid)
-    with pytest.raises(InputError, match="does not cover the spectral-radius disk"):
-        local_spectral_space_member(small, region)
+    other_h = HGrid(count=44)
+    scan = family_local_spectrum_grid(fam, e1, RECT, 16, 16, other_h)
+    assert scan.scanned[0] is fam and scan.scanned[1] is other_h
+    assert local_spectral_space_member(scan, region)
 
 
 def test_radius_bound_of_an_overflowing_family_is_an_input_error(grid):
