@@ -22,7 +22,7 @@ from .spectra import (
 
 FORMATS = ("csv", "pgm", "svg")
 
-_PGM_LEVELS = {CLS_SPECTRUM: 0, CLS_UNDETERMINED: 128, CLS_RESOLVENT: 255}
+_PGM_LEVELS = {CLS_SPECTRUM: "0", CLS_UNDETERMINED: "128", CLS_RESOLVENT: "255"}
 _SVG_COLORS = {CLS_SPECTRUM: "#1f2430", CLS_UNDETERMINED: "#9aa0ab", CLS_RESOLVENT: "#f4f4ef"}
 _SVG_LABELS = {CLS_SPECTRUM: "spectrum", CLS_UNDETERMINED: "undetermined", CLS_RESOLVENT: "resolvent"}
 _CHAR_CLS = {v: k for k, v in CLASS_CHARS.items()}
@@ -30,22 +30,22 @@ _SVG_CELL_PX = 4
 
 
 def grid_to_csv(grid: RegionGrid) -> str:
-    centers = grid.centers().ravel()
-    columns = (
-        centers.real.tolist(),
-        centers.imag.tolist(),
-        grid.classes.ravel().tolist(),
-        grid.score.ravel().tolist(),
-    )
+    # `_cell_grid` adds a real row to an imaginary column, so every row of
+    # the centers has the same real parts and every column the same
+    # imaginary parts: each is formatted once.
+    centers = grid.centers()
+    res = [repr(v) for v in centers[0].real.tolist()]
+    ims = [repr(v) for v in centers[:, 0].imag.tolist()]
     lines = ["re,im,class,min_tail_sigma"]
-    lines += [f"{r!r},{i!r},{CLASS_CHARS[c]},{v!r}" for r, i, c, v in zip(*columns)]
+    for im, classes, scores in zip(ims, grid.classes.tolist(), grid.score.tolist()):
+        lines += [f"{r},{im},{CLASS_CHARS[c]},{v!r}" for r, c, v in zip(res, classes, scores)]
     return "\n".join(lines) + "\n"
 
 
 def grid_to_pgm(grid: RegionGrid) -> str:
     lines = ["P2", f"{grid.nx} {grid.ny}", "255"]
-    for iy in range(grid.ny - 1, -1, -1):
-        lines.append(" ".join(str(_PGM_LEVELS[int(c)]) for c in grid.classes[iy]))
+    for classes in reversed(grid.classes.tolist()):
+        lines.append(" ".join([_PGM_LEVELS[c] for c in classes]))
     return "\n".join(lines) + "\n"
 
 
@@ -59,14 +59,14 @@ def grid_to_svg(grid: RegionGrid) -> str:
         f'height="{height + legend_h}" shape-rendering="crispEdges">',
         f'<rect x="0" y="0" width="{width}" height="{height + legend_h}" fill="#ffffff"/>',
     ]
-    for iy in range(grid.ny):
-        yy = (grid.ny - 1 - iy) * _SVG_CELL_PX
-        for ix in range(grid.nx):
-            color = _SVG_COLORS[int(grid.classes[iy, ix])]
-            parts.append(
-                f'<rect x="{ix * _SVG_CELL_PX}" y="{yy}" width="{_SVG_CELL_PX}" '
-                f'height="{_SVG_CELL_PX}" fill="{color}"/>'
-            )
+    heads = [f'<rect x="{ix * _SVG_CELL_PX}" y="' for ix in range(grid.nx)]
+    fills = {
+        c: f'" width="{_SVG_CELL_PX}" height="{_SVG_CELL_PX}" fill="{color}"/>'
+        for c, color in _SVG_COLORS.items()
+    }
+    for iy, classes in enumerate(grid.classes.tolist()):
+        yy = str((grid.ny - 1 - iy) * _SVG_CELL_PX)
+        parts += [head + yy + fills[c] for head, c in zip(heads, classes)]
     x = 2
     for cls in (CLS_SPECTRUM, CLS_UNDETERMINED, CLS_RESOLVENT):
         parts.append(

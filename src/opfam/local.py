@@ -172,8 +172,13 @@ def _min_norm_solve_stack(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _triangular_probe(
-    t: np.ndarray, b: np.ndarray, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    t: np.ndarray,
+    b: np.ndarray,
+    points: np.ndarray,
+    work: np.ndarray,
+    norm: np.ndarray,
+    resid: np.ndarray,
+) -> None:
     """Norms and residual norms of the solutions z of (lambda I - T) z = b.
 
     T is upper triangular; every probe point lambda is solved at once by
@@ -181,16 +186,34 @@ def _triangular_probe(
     residual (lambda I - T) z - b is formed row by row from the same sums.
     All arithmetic is elementwise numpy, so no BLAS thread count can
     enter.  An exact eigenvalue hit leaves a non-finite norm at its point.
+
+    The results go into norm and resid.  work is a complex buffer of at
+    least (3 len(b) + 2) len(points) elements, viewed as contiguous rows
+    for z, r, the row products, the right-hand side and the shift, so no
+    row allocates.  Every ufunc sees the operands, order and strides of
+    the plain expressions `b[k] + (t[k, k+1:, None] * z[k+1:]).sum(0)`,
+    `rhs / shift`, `shift * z[k] - rhs` and `np.linalg.norm(z, axis=0)`
+    (`sqrt(add.reduce((conj(z) * z).real, axis=0))`), so every byte is
+    theirs too.
     """
-    z = np.empty((len(b), len(points)), dtype=complex)
-    r = np.empty_like(z)
+    d, n = len(b), len(points)
+    w = work[: (3 * d + 2) * n].reshape(3 * d + 2, n)
+    z, r, prod, rhs, shift = w[:d], w[d : 2 * d], w[2 * d : 3 * d], w[3 * d], w[3 * d + 1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(len(b) - 1, -1, -1):
-            rhs = b[k] + (t[k, k + 1 :, None] * z[k + 1 :]).sum(axis=0)
-            shift = points - t[k, k]
-            z[k] = rhs / shift
-            r[k] = shift * z[k] - rhs
-        return np.linalg.norm(z, axis=0), np.linalg.norm(r, axis=0)
+        for k in range(d - 1, -1, -1):
+            m = d - 1 - k
+            np.multiply(t[k, k + 1 :, None], z[k + 1 :], out=prod[:m])
+            np.add.reduce(prod[:m], axis=0, out=rhs)
+            np.add(b[k], rhs, out=rhs)
+            np.subtract(points, t[k, k], out=shift)
+            np.divide(rhs, shift, out=z[k])
+            np.multiply(shift, z[k], out=r[k])
+            np.subtract(r[k], rhs, out=r[k])
+        for v, out in ((z, norm), (r, resid)):
+            np.conjugate(v, out=prod)
+            np.multiply(prod, v, out=prod)
+            np.add.reduce(prod.real, axis=0, out=out)
+            np.sqrt(out, out=out)
 
 
 def _probe_samples(
@@ -203,26 +226,30 @@ def _probe_samples(
     (lambda I - F(h)) y = x where (lambda I - T) z = Q* x, and Q is
     unitary, so ||y|| = ||z|| and the residual has the norm of its
     triangular counterpart.  Only the points where that is not finite (an
-    exact eigenvalue hit) are re-solved, by `_min_norm_solve_stack`.
+    exact eigenvalue hit) are re-solved, by `_min_norm_solve_stack`.  The
+    points go through `_triangular_probe` in chunks of _CHUNK, all in one
+    work buffer.
     """
     mats = tail.mats
-    ident = np.eye(mats.shape[-1], dtype=complex)
+    d = mats.shape[-1]
+    ident = np.eye(d, dtype=complex)
     norms = np.empty((len(mats), len(points)))
     resids = np.empty((len(mats), len(points)))
+    work = np.empty((3 * d + 2) * min(len(points), _CHUNK), dtype=complex)
     for i in tail.distinct:
         t, q = tail.schur(i)
         b = (q.conj() * x[:, None]).sum(axis=0)
         for lo in range(0, len(points), _CHUNK):
             pts = points[lo : lo + _CHUNK]
-            norm, resid = _triangular_probe(t, b, pts)
+            norm = norms[i, lo : lo + _CHUNK]
+            resid = resids[i, lo : lo + _CHUNK]
+            _triangular_probe(t, b, pts, work, norm, resid)
             hit = ~(np.isfinite(norm) & np.isfinite(resid))
             if hit.any():
                 stack = pts[hit, None, None] * ident - mats[i]
                 y = _min_norm_solve_stack(stack, x)
                 norm[hit] = np.linalg.norm(y, axis=1)
                 resid[hit] = np.linalg.norm((stack @ y[..., None])[..., 0] - x, axis=1)
-            norms[i, lo : lo + _CHUNK] = norm
-            resids[i, lo : lo + _CHUNK] = resid
     tail.spread(norms, resids)
     return norms, resids
 

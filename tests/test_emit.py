@@ -57,11 +57,8 @@ def test_csv_schema_and_roundtrip(tmp_path):
     assert grid_to_csv(back) == text
 
 
-def test_csv_bytes_match_row_by_row_formatting():
-    classes = [[CLS_SPECTRUM, CLS_UNDETERMINED, CLS_RESOLVENT]] * 3
-    g = _tiny_grid(classes)
-    g.score[0] = [np.inf, np.nan, -0.0]
-    g.score[1] = [1e-300, 0.1, 2.0 / 3.0]
+def _reference_csv(g):
+    """The CSV formatted one cell at a time from numpy scalars."""
     centers = g.centers()
     lines = ["re,im,class,min_tail_sigma"]
     for iy in range(g.ny):
@@ -69,7 +66,64 @@ def test_csv_bytes_match_row_by_row_formatting():
             c = centers[iy, ix]
             cls = CLASS_CHARS[int(g.classes[iy, ix])]
             lines.append(f"{float(c.real)!r},{float(c.imag)!r},{cls},{float(g.score[iy, ix])!r}")
-    assert grid_to_csv(g) == "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _reference_pgm(g):
+    levels = {CLS_SPECTRUM: 0, CLS_UNDETERMINED: 128, CLS_RESOLVENT: 255}
+    lines = ["P2", f"{g.nx} {g.ny}", "255"]
+    for iy in range(g.ny - 1, -1, -1):
+        lines.append(" ".join(str(levels[int(c)]) for c in g.classes[iy]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg_cells(g):
+    colors = {CLS_SPECTRUM: "#1f2430", CLS_UNDETERMINED: "#9aa0ab", CLS_RESOLVENT: "#f4f4ef"}
+    parts = []
+    for iy in range(g.ny):
+        yy = (g.ny - 1 - iy) * 4
+        for ix in range(g.nx):
+            color = colors[int(g.classes[iy, ix])]
+            parts.append(f'<rect x="{ix * 4}" y="{yy}" width="4" height="4" fill="{color}"/>')
+    return parts
+
+
+def test_csv_bytes_match_row_by_row_formatting():
+    classes = [[CLS_SPECTRUM, CLS_UNDETERMINED, CLS_RESOLVENT]] * 3
+    g = _tiny_grid(classes)
+    g.score[0] = [np.inf, np.nan, -0.0]
+    g.score[1] = [1e-300, 0.1, 2.0 / 3.0]
+    assert grid_to_csv(g) == _reference_csv(g)
+
+
+@pytest.mark.parametrize(
+    "rect, nx, ny",
+    [
+        ((-3.0, 3.0, -3.0, 3.0), 40, 24),
+        ((-1.3, 2.9, -0.7, 0.45), 13, 37),
+        # Odd counts on a symmetric rect: the middle cell is centred at 0.
+        ((-1.5, 1.5, -2.5, 2.5), 9, 15),
+        ((-1e-3, 1e-3, -5.0, 5.0), 11, 11),
+    ],
+)
+def test_emitters_match_the_cell_by_cell_reference(rect, nx, ny):
+    rng = np.random.default_rng(nx * 100 + ny)
+    score = rng.exponential(size=(ny, nx)) * 10.0 ** rng.integers(-12, 12, (ny, nx))
+    score.flat[rng.choice(score.size, 5, replace=False)] = np.inf
+    score.flat[rng.choice(score.size, 5, replace=False)] = 0.0
+    g = RegionGrid(
+        rect=rect,
+        nx=nx,
+        ny=ny,
+        classes=rng.integers(0, 3, (ny, nx)).astype(np.int8),
+        score=score,
+    )
+    if nx % 2 and ny % 2 and rect[0] == -rect[1] and rect[2] == -rect[3]:
+        assert g.centers()[ny // 2, nx // 2] == 0
+    assert grid_to_csv(g) == _reference_csv(g)
+    assert grid_to_pgm(g) == _reference_pgm(g)
+    svg = grid_to_svg(g).splitlines()
+    assert svg[3 : 3 + nx * ny] == _reference_svg_cells(g)
 
 
 def test_emitters_deterministic(tmp_path):

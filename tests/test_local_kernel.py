@@ -3,12 +3,14 @@
 import warnings
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opfam.families import CoeffFn, HGrid, OperatorFamily
 from opfam.local import (
+    _CHUNK,
     _min_norm_solve_stack,
     _probe_samples,
     family_local_spectrum_grid,
@@ -141,3 +143,93 @@ def test_probe_samples_bytes_independent_of_blas_threads(thread_fingerprint):
     four = thread_fingerprint(_PROBE_FINGERPRINT, 4)
     assert len(one) == 64
     assert one == four, "_probe_samples results differ between 1 and 4 BLAS threads"
+
+
+def _reference_triangular_probe(t, b, points):
+    """The kernel as plain expressions, one temporary array per operation."""
+    z = np.empty((len(b), len(points)), dtype=complex)
+    r = np.empty_like(z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(len(b) - 1, -1, -1):
+            rhs = b[k] + (t[k, k + 1 :, None] * z[k + 1 :]).sum(axis=0)
+            shift = points - t[k, k]
+            z[k] = rhs / shift
+            r[k] = shift * z[k] - rhs
+        return np.linalg.norm(z, axis=0), np.linalg.norm(r, axis=0)
+
+
+def _reference_probe_samples(tail, x, points):
+    """`_probe_samples` over `_reference_triangular_probe`."""
+    mats = tail.mats
+    ident = np.eye(mats.shape[-1], dtype=complex)
+    norms = np.empty((len(mats), len(points)))
+    resids = np.empty((len(mats), len(points)))
+    for i in tail.distinct:
+        t, q = tail.schur(i)
+        b = (q.conj() * x[:, None]).sum(axis=0)
+        for lo in range(0, len(points), _CHUNK):
+            pts = points[lo : lo + _CHUNK]
+            norm, resid = _reference_triangular_probe(t, b, pts)
+            hit = ~(np.isfinite(norm) & np.isfinite(resid))
+            if hit.any():
+                stack = pts[hit, None, None] * ident - mats[i]
+                y = _min_norm_solve_stack(stack, x)
+                norm[hit] = np.linalg.norm(y, axis=1)
+                resid[hit] = np.linalg.norm((stack @ y[..., None])[..., 0] - x, axis=1)
+            norms[i, lo : lo + _CHUNK] = norm
+            resids[i, lo : lo + _CHUNK] = resid
+    tail.spread(norms, resids)
+    return norms, resids
+
+
+def _assert_same_bytes(tail, x, points):
+    got = _probe_samples(tail, x, points)
+    want = _reference_probe_samples(tail, x, points)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+# One point, one short of a chunk, a whole chunk, one past it, and a
+# partial third chunk.
+_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 20000)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_kernel_bytes_match_the_reference_across_chunk_bounds(d, grid):
+    rng = np.random.default_rng(SEED + d)
+    fam = OperatorFamily.constant(_rand(rng, d))
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    points = rng.uniform(-3, 3, max(_COUNTS)) + 1j * rng.uniform(-3, 3, max(_COUNTS))
+    tail = _tail_eval(fam, grid)
+    for n in _COUNTS:
+        _assert_same_bytes(tail, x, points[:n])
+
+
+@pytest.mark.parametrize("d", (2, 6, 16))
+def test_drifting_family_bytes_match_the_reference(d, grid):
+    rng = np.random.default_rng(SEED - d)
+    tail = _tail_eval(_drift_family(rng, d), grid)
+    assert len(tail.distinct) == grid.tail
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    n = _CHUNK + 1
+    _assert_same_bytes(tail, x, rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n))
+
+
+def test_hit_and_overflow_bytes_match_the_reference(grid):
+    # The eigenvalue 0.5 is hit exactly.  Near 1e-200 the 1e200 entries
+    # push the back-substitution past the float range, which also falls
+    # back to the direct solve; both sit in the second chunk.
+    mat = np.diag([0.5, 1e-200, -1.0 + 2.0j]).astype(complex)
+    mat[0, 1] = mat[1, 2] = 1e200
+    tail = _tail_eval(OperatorFamily.constant(mat), grid)
+    x = np.array([1.0, 1.0, 1.0j])
+    rng = np.random.default_rng(SEED)
+    points = rng.uniform(-3, 3, 20000) + 1j * rng.uniform(-3, 3, 20000)
+    points[_CHUNK + 5] = 0.5
+    points[_CHUNK + 9] = 2e-200
+    t, q = tail.schur(0)
+    norm, resid = _reference_triangular_probe(t, (q.conj() * x[:, None]).sum(axis=0), points)
+    bad = ~(np.isfinite(norm) & np.isfinite(resid))
+    assert bad[_CHUNK + 5] and bad[_CHUNK + 9]
+    _assert_same_bytes(tail, x, points)
