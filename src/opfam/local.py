@@ -25,28 +25,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, PoleProximityError, PreconditionError
+from .errors import DimensionMismatchError, InputError
+from .errors import PoleProximityError, PreconditionError
 from .families import (
-    BOUNDED_POSITIVE,
     EPS_TAIL,
-    INCONCLUSIVE,
-    TO_ZERO,
     TREND_FLAT_TOL,
-    UNBOUNDED,
+    VERDICT_CODES,
     ZERO_FLOOR,
     HGrid,
     OperatorFamily,
     VectorFamily,
-    tail_stats,
     verdict_arrays,
 )
-from .linalg import (
-    DEFAULT_CLUSTER_TOL,
-    SpectralDecomp,
-    as_matrix,
-    as_vector,
-    spectral_decomp,
-)
+from .linalg import SpectralDecomp, as_matrix, as_vector, spectral_decomp
 from .spectra import (
     CLS_RESOLVENT,
     CLS_SPECTRUM,
@@ -88,11 +79,21 @@ class LocalSpectrumReport:
         return np.array([p for p, _ in self.support])
 
 
+def _supported_clusters(decomp: SpectralDecomp, v: np.ndarray):
+    """(cluster, P_i x, ||P_i x||) of each cluster with ||P_i x|| > TOL_LOC ||x||.
+
+    The one support rule of the exact local spectrum; the zero vector has none.
+    """
+    cap = TOL_LOC * float(np.linalg.norm(v))
+    for cluster in decomp.clusters:
+        px = cluster.projection @ v
+        weight = float(np.linalg.norm(px))
+        if weight > cap:
+            yield cluster, px, weight
+
+
 def local_spectrum_exact(
-    a,
-    x,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    decomp: SpectralDecomp | None = None,
+    a, x, decomp: SpectralDecomp | None = None
 ) -> LocalSpectrumReport:
     """Exact local spectrum of a matrix at x via spectral projections.
 
@@ -102,17 +103,12 @@ def local_spectrum_exact(
     """
     m = as_matrix(a)
     v = as_vector(x, dim=m.shape[0])
-    xnorm = float(np.linalg.norm(v))
-    if xnorm == 0.0:
+    if float(np.linalg.norm(v)) == 0.0:
         return LocalSpectrumReport(x=v, support=(), zero_vector=True)
     if decomp is None:
-        decomp = spectral_decomp(m, cluster_tol=cluster_tol)
-    support = []
-    for cluster in decomp.clusters:
-        weight = float(np.linalg.norm(cluster.projection @ v))
-        if weight > TOL_LOC * xnorm:
-            support.append((cluster.center, weight))
-    return LocalSpectrumReport(x=v, support=tuple(support))
+        decomp = spectral_decomp(m)
+    support = tuple((c.center, w) for c, _, w in _supported_clusters(decomp, v))
+    return LocalSpectrumReport(x=v, support=support)
 
 
 def maximal_extension_eval(a, x, lam: complex) -> np.ndarray:
@@ -126,13 +122,8 @@ def maximal_extension_eval(a, x, lam: complex) -> np.ndarray:
     """
     m = as_matrix(a)
     v = as_vector(x, dim=m.shape[0])
-    xnorm = float(np.linalg.norm(v))
     value = np.zeros(m.shape[0], dtype=complex)
-    for cluster in spectral_decomp(m).clusters:
-        px = cluster.projection @ v
-        weight = float(np.linalg.norm(px))
-        if xnorm == 0.0 or weight <= TOL_LOC * xnorm:
-            continue
+    for cluster, px, _ in _supported_clusters(spectral_decomp(m), v):
         dist = abs(lam - cluster.center)
         if dist <= cluster.radius:
             raise PoleProximityError(
@@ -254,25 +245,8 @@ def _probe_samples(
     return norms, resids
 
 
-def _local_setup(fam: OperatorFamily, x, grid: HGrid):
-    """(x, ||x||, evaluated tail, norm_cap) for a local probe or scan.
-
-    The family is evaluated once; the solution-norm cap is
-    B_MAX_FACTOR * ||x|| / scale, with the family scale of `_tail_eval`.
-    """
-    v = as_vector(x, dim=fam.dim)
-    xnorm = float(np.linalg.norm(v))
-    tail = _tail_eval(fam, grid)
-    return v, xnorm, tail, B_MAX_FACTOR * max(xnorm, 1e-300) / tail.scale
-
-
 def _local_cells(
-    tail: _Tail,
-    v: np.ndarray,
-    xnorm: float,
-    norm_cap: float,
-    centers: np.ndarray,
-    ring_r: float,
+    fam: OperatorFamily, x, grid: HGrid, centers: np.ndarray, ring_r: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The point rule of `family_local_probe` for every cell center.
 
@@ -280,10 +254,16 @@ def _local_cells(
     around it.  Returns (class codes, tau, number of failing probe
     points), where tau is the stencil median of ||x|| over the norm tail
     max; the zero vector is LocalResolvent everywhere with tau = inf.
+    The family is evaluated once; the solution-norm cap is
+    B_MAX_FACTOR * ||x|| / scale, with the family scale of `_tail_eval`.
     """
+    v = as_vector(x, dim=fam.dim)
+    xnorm = float(np.linalg.norm(v))
+    tail = _tail_eval(fam, grid)
     if xnorm == 0.0:
         n = len(centers)
         return np.full(n, CLS_RESOLVENT, dtype=np.int8), np.full(n, np.inf), 0
+    norm_cap = B_MAX_FACTOR * xnorm / tail.scale
     offsets = _ring_offsets(ring_r)
     norms, resids = _probe_samples(tail, v, (centers[:, None] + offsets).ravel())
     eps_res = EPS_TAIL * max(1.0, xnorm)
@@ -328,12 +308,11 @@ def family_local_probe(
     `family_local_spectrum_grid` applies the same rule at every cell, plus
     its dip test.
     """
-    if nbhd_r <= 0:
-        raise InputError("nbhd_r must be > 0")
-    v, xnorm, tail, norm_cap = _local_setup(fam, x, grid)
-    classes, _, bad = _local_cells(
-        tail, v, xnorm, norm_cap, np.array([lam0], dtype=complex), nbhd_r
-    )
+    if not (np.isfinite(lam0) and 0.0 < nbhd_r < np.inf):
+        raise InputError(
+            f"need a finite lam0 and a finite nbhd_r > 0, got {lam0} and {nbhd_r}"
+        )
+    classes, _, bad = _local_cells(fam, x, grid, np.array([lam0], dtype=complex), nbhd_r)
     return LocalProbe(
         lam=complex(lam0),
         nbhd_r=nbhd_r,
@@ -360,10 +339,9 @@ def family_local_spectrum_grid(
     and a read-only copy of x: `local_spectral_space_member` reads them.
     """
     rect, w, h, rcell, centers = _scan_setup(rect, nx, ny, grid.tail * (1 + _RING_POINTS))
-    v, xnorm, tail, norm_cap = _local_setup(fam, x, grid)
-    v = v.copy()
+    v = as_vector(x, dim=fam.dim).copy()
     v.setflags(write=False)
-    classes, tau, _ = _local_cells(tail, v, xnorm, norm_cap, centers, 0.5 * min(w, h))
+    classes, tau, _ = _local_cells(fam, v, grid, centers, 0.5 * min(w, h))
     score = tau.reshape(ny, nx)
     classes[(tau <= LOCAL_CAL_FACTOR * rcell) & _dip_mask(score).ravel()] = CLS_SPECTRUM
     return RegionGrid(
@@ -465,10 +443,37 @@ class SvepReport:
     note: str
 
 
-def _residual_tail(mats: np.ndarray, vals: np.ndarray, lam: complex) -> np.ndarray:
-    """(lambda I - F(h)) y_h over the tail matrices, for evaluated y_h."""
-    ident = np.eye(mats.shape[-1], dtype=complex)
-    return ((lam * ident - mats) @ vals[..., None])[..., 0]
+def _candidate_tails(
+    fam: OperatorFamily, grid: HGrid, name: str, candidate: Callable, mesh: Sequence, x
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A candidate solution family y_h(lambda) over the mesh and the h-grid tail.
+
+    The candidate is called once per mesh point.  Returns (values,
+    residuals, norms): the values y_h(lambda) of shape (len(mesh), tail,
+    dim), and the (tail, len(mesh)) tails of ||(lambda I - F(h)) y_h - x||
+    (x = 0 for the SVEP probe) and ||y_h||, one column per mesh point for
+    `verdict_arrays`.  An empty mesh, a non-finite mesh point and a
+    candidate of another dimension (named by name) are input errors.
+    """
+    lams = np.array([complex(z) for z in mesh], dtype=complex)
+    if not len(lams):
+        raise InputError("empty lambda mesh")
+    if not np.isfinite(lams).all():
+        raise InputError(f"mesh points must be finite, got {lams.tolist()}")
+    hs = grid.tail_samples()
+    mats = _tail_eval(fam, grid).mats
+    vals = []
+    for lam in lams.tolist():
+        vf = candidate(lam)
+        if vf.dim != fam.dim:
+            raise DimensionMismatchError(f"{name} has dim {vf.dim} != {fam.dim}")
+        vals.append(vf.eval_stack(hs))
+    vals = np.stack(vals)
+    shifted = lams[:, None, None, None] * np.eye(fam.dim, dtype=complex) - mats
+    resid = (shifted @ vals[..., None])[..., 0] - x
+    # Transposed views: each mesh point's tail stays contiguous, so its
+    # sums run in the order of a one-sequence `tail_stats` call.
+    return vals, np.linalg.norm(resid, axis=-1).T, np.linalg.norm(vals, axis=-1).T
 
 
 def svep_falsification_probe(
@@ -483,28 +488,16 @@ def svep_falsification_probe(
     while its norm tail stays definitely positive somewhere.  No witness
     hitting is reported as "not falsified", never as a proof.
     """
-    mesh = [complex(z) for z in mesh]
-    if not mesh:
-        raise InputError("empty lambda mesh")
-    hs = grid.tail_samples()
-    mats = _tail_eval(fam, grid).mats
     results = []
     for w in witnesses:
-        res_verdicts = []
-        norm_verdicts = []
-        for lam in mesh:
-            vf = w.fn(lam)
-            if vf.dim != fam.dim:
-                raise InputError(f"witness {w.name} has dim {vf.dim} != {fam.dim}")
-            vals = vf.eval_stack(hs)
-            rvals = np.linalg.norm(_residual_tail(mats, vals, lam), axis=1)
-            nvals = np.linalg.norm(vals, axis=1)
-            res_verdicts.append(tail_stats(rvals, tail=grid.tail).limit_verdict)
-            norm_verdicts.append(tail_stats(nvals, tail=grid.tail).limit_verdict)
-        res_ok = all(v == TO_ZERO for v in res_verdicts)
-        positive = any(v in (BOUNDED_POSITIVE, UNBOUNDED) for v in norm_verdicts)
-        undecided = any(v == INCONCLUSIVE for v in norm_verdicts)
-        bounded = all(v != UNBOUNDED for v in norm_verdicts)
+        name = f"witness {w.name}"
+        _, resids, norms = _candidate_tails(fam, grid, name, w.fn, mesh, 0.0)
+        res_codes = verdict_arrays(resids, EPS_TAIL, ZERO_FLOOR)[0]
+        norm_codes = verdict_arrays(norms, EPS_TAIL, ZERO_FLOOR)[0]
+        res_ok = bool((res_codes == 0).all())
+        positive = bool(np.isin(norm_codes, (1, 2)).any())
+        undecided = bool((norm_codes == 3).any())
+        bounded = bool((norm_codes != 2).all())
         if res_ok and positive:
             status = "falsifies"
             note = "vanishing residuals with persistent norm"
@@ -557,36 +550,24 @@ def local_extension_uniqueness_check(
     candidate is evaluated once per mesh point.
     """
     v = as_vector(x, dim=fam.dim)
-    mesh = [complex(z) for z in mesh]
-    if not mesh:
-        raise InputError("empty lambda mesh")
-    hs = grid.tail_samples()
-    mats = _tail_eval(fam, grid).mats
     eps_res = EPS_TAIL * max(1.0, float(np.linalg.norm(v)))
-    # Keyed by mesh position, not by lambda: a mesh may repeat a point.
-    stacks = {}
-    for name, sol in (("first", sol1), ("second", sol2)):
-        for k, lam in enumerate(mesh):
-            vals = stacks[name, k] = sol(lam).eval_stack(hs)
-            resid = _residual_tail(mats, vals, lam) - v
-            stats = tail_stats(
-                np.linalg.norm(resid, axis=1), tail=grid.tail, eps_tail=eps_res
+    values = []
+    for name, sol in (("first candidate", sol1), ("second candidate", sol2)):
+        vals, resids, _ = _candidate_tails(fam, grid, name, sol, mesh, v)
+        codes, res_max, _, _ = verdict_arrays(resids, eps_res, ZERO_FLOOR)
+        if (codes != 0).any():
+            k = int(np.argmax(codes != 0))
+            raise PreconditionError(
+                f"{name} violates the residual condition at "
+                f"{complex(mesh[k])}: verdict {VERDICT_CODES[int(codes[k])]}, "
+                f"tail max {res_max[k]:.3e}"
             )
-            if stats.limit_verdict != TO_ZERO:
-                raise PreconditionError(
-                    f"{name} candidate violates the residual condition at "
-                    f"{lam}: verdict {stats.limit_verdict}, "
-                    f"tail max {stats.tail_max:.3e}"
-                )
-    verdicts = []
-    worst = 0.0
-    for k in range(len(mesh)):
-        diff = stacks["first", k] - stacks["second", k]
-        stats = tail_stats(np.linalg.norm(diff, axis=1), tail=grid.tail)
-        verdicts.append(stats.limit_verdict)
-        worst = max(worst, stats.tail_max)
+        values.append(vals)
+    diff = np.linalg.norm(values[0] - values[1], axis=-1).T
+    codes, diff_max, _, _ = verdict_arrays(diff, EPS_TAIL, ZERO_FLOOR)
     return UniquenessReport(
-        verdicts=tuple(verdicts),
-        all_to_zero=all(v == TO_ZERO for v in verdicts),
-        worst_tail_max=worst,
+        verdicts=tuple(VERDICT_CODES[c] for c in codes.tolist()),
+        all_to_zero=bool((codes == 0).all()),
+        # Python's max, started at 0.0, passes over a NaN tail max.
+        worst_tail_max=max([0.0, *diff_max.tolist()]),
     )

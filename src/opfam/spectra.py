@@ -232,6 +232,8 @@ def probe_resolvent(fam: OperatorFamily, lam: complex, grid: HGrid) -> Resolvent
 
 def _probe(tail: _Tail, lam: complex) -> ResolventProbe:
     """probe_resolvent on an evaluated tail (see `_tail_eval`)."""
+    if not np.isfinite(lam):
+        raise InputError(f"probe point {lam} is not finite")
     lams = np.array([lam], dtype=complex)
     sig = _sigma_tail_stack(tail, lams)
     classes, _, neumann = _classify(sig, tail.norms, tail.scale, lams)
@@ -324,6 +326,9 @@ class RegionGrid:
 
 def _validate_rect(rect) -> tuple[float, float, float, float]:
     re_min, re_max, im_min, im_max = (float(v) for v in rect)
+    # A finite width and height also rules out every non-finite bound.
+    if not np.isfinite([re_max - re_min, im_max - im_min]).all():
+        raise InputError(f"rectangle {rect} needs finite bounds, width and height")
     if not (re_min < re_max and im_min < im_max):
         raise InputError(f"empty rectangle {rect}")
     return re_min, re_max, im_min, im_max

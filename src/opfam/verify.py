@@ -95,6 +95,8 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if not 2 <= self.dim_min <= self.dim_max <= 8:
             raise InputError("need 2 <= dim_min <= dim_max <= 8")
 
@@ -248,8 +250,8 @@ def check_qn_pairs(cfg: ScenarioConfig, idx: int):
         ok_support = True
         for _ in range(20):
             x = random_vector(rng, t.shape[0])
-            st = loc.local_spectrum_exact(t, x, cluster_tol=1e-3, decomp=dt)
-            ss = loc.local_spectrum_exact(s, x, cluster_tol=1e-3, decomp=ds)
+            st = loc.local_spectrum_exact(t, x, decomp=dt)
+            ss = loc.local_spectrum_exact(s, x, decomp=ds)
             if not _support_match(st.support_points(), ss.support_points()):
                 ok_support = False
                 support_fail += 1

@@ -290,3 +290,17 @@ def test_verify_subset(workdir, capsys, tmp_path):
     report = (tmp_path / "rep" / "report.txt").read_text()
     assert report.startswith("schema=opfam-verify-v1")
     assert "sup01-norm-algebra" in report
+
+
+@pytest.mark.parametrize("rect", ["-inf:inf:-1:1", "-1e308:1e308:-1:1", "nan:1:-1:1"])
+def test_non_finite_scan_rect_exits_2(workdir, capsys, rect):
+    scan = ["--family", str(workdir / "d.fam"), "--rect", rect, "--res", "8"]
+    x = ["--x", str(workdir / "e1.vec")]
+    for argv in (["spectrum", *scan], ["local-spectrum", *scan, *x]):
+        assert main(argv) == 2
+        assert "error: rectangle" in capsys.readouterr().err
+
+
+def test_negative_verify_seed_exits_2(capsys):
+    assert main(["verify", "--seed", "-1", "--suite", "linalg"]) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err

@@ -3,19 +3,34 @@ import warnings
 import numpy as np
 import pytest
 
-from opfam.errors import InputError, PoleProximityError, PreconditionError
+from opfam.errors import (
+    DimensionMismatchError,
+    InputError,
+    PoleProximityError,
+    PreconditionError,
+)
 from opfam.families import (
+    BOUNDED_POSITIVE,
+    INCONCLUSIVE,
+    TO_ZERO,
     UNBOUNDED,
     CoeffFn,
     HGrid,
     OperatorFamily,
     VectorFamily,
     module_action,
+    tail_stats,
+    verdict_arrays,
 )
+from opfam.generators import PAIR_KINDS, generate_pair, rng_for
 from opfam.local import (
     LOCAL_RESOLVENT,
     LOCAL_SPECTRUM,
+    SvepReport,
+    UniquenessReport,
     Witness,
+    WitnessResult,
+    _candidate_tails,
     family_local_probe,
     family_local_spectrum_grid,
     local_extension_uniqueness_check,
@@ -26,8 +41,10 @@ from opfam.local import (
 )
 from opfam import spectra
 from opfam.emit import grid_to_csv, read_grid_csv
+from opfam.verify import _svep_witnesses
 from opfam.spectra import (
     CLS_SPECTRUM,
+    _tail_eval,
     family_spectrum_grid,
     spectral_radius_bound,
     truncated_resolvent_family,
@@ -325,3 +342,248 @@ def test_svep_and_uniqueness_reject_an_overflowing_family(grid):
         svep_falsification_probe(fam, [Witness("constant", sol)], [1.0 + 0.0j], grid)
     with pytest.raises(InputError, match="overflow"):
         local_extension_uniqueness_check(fam, x, sol, sol, [1.0 + 0.0j], grid)
+
+
+# Reference implementations: the per-mesh-point loops that
+# `svep_falsification_probe` and `local_extension_uniqueness_check` replaced
+# by one stacked evaluation, kept to pin their reports.
+
+
+def _residual_tail(mats, vals, lam):
+    ident = np.eye(mats.shape[-1], dtype=complex)
+    return ((lam * ident - mats) @ vals[..., None])[..., 0]
+
+
+def _svep_reference(fam, witnesses, mesh, grid):
+    mesh = [complex(z) for z in mesh]
+    if not mesh:
+        raise InputError("empty lambda mesh")
+    hs = grid.tail_samples()
+    mats = _tail_eval(fam, grid).mats
+    results = []
+    for w in witnesses:
+        res_verdicts = []
+        norm_verdicts = []
+        for lam in mesh:
+            vf = w.fn(lam)
+            if vf.dim != fam.dim:
+                raise InputError(f"witness {w.name} has dim {vf.dim} != {fam.dim}")
+            vals = vf.eval_stack(hs)
+            rvals = np.linalg.norm(_residual_tail(mats, vals, lam), axis=1)
+            nvals = np.linalg.norm(vals, axis=1)
+            res_verdicts.append(tail_stats(rvals, tail=grid.tail).limit_verdict)
+            norm_verdicts.append(tail_stats(nvals, tail=grid.tail).limit_verdict)
+        res_ok = all(v == TO_ZERO for v in res_verdicts)
+        positive = any(v in (BOUNDED_POSITIVE, UNBOUNDED) for v in norm_verdicts)
+        undecided = any(v == INCONCLUSIVE for v in norm_verdicts)
+        bounded = all(v != UNBOUNDED for v in norm_verdicts)
+        if res_ok and positive:
+            status = "falsifies"
+            note = "vanishing residuals with persistent norm"
+        elif res_ok and undecided:
+            status = "inconclusive"
+            note = "vanishing residuals, norm tail undecided"
+        else:
+            status = "consistent"
+            note = ""
+        results.append(
+            WitnessResult(
+                name=w.name,
+                status=status,
+                residual_all_to_zero=res_ok,
+                norm_positive_somewhere=positive,
+                bounded_pointwise=bounded,
+                note=note,
+            )
+        )
+    falsified = any(r.status == "falsifies" for r in results)
+    return SvepReport(
+        falsified=falsified,
+        results=tuple(results),
+        note="falsified" if falsified else "not falsified (no proof implied)",
+    )
+
+
+def _uniqueness_reference(fam, x, sol1, sol2, mesh, grid):
+    v = np.asarray(x, dtype=complex)
+    mesh = [complex(z) for z in mesh]
+    if not mesh:
+        raise InputError("empty lambda mesh")
+    hs = grid.tail_samples()
+    mats = _tail_eval(fam, grid).mats
+    eps_res = 1e-7 * max(1.0, float(np.linalg.norm(v)))
+    stacks = {}
+    for name, sol in (("first", sol1), ("second", sol2)):
+        for k, lam in enumerate(mesh):
+            vals = stacks[name, k] = sol(lam).eval_stack(hs)
+            resid = _residual_tail(mats, vals, lam) - v
+            stats = tail_stats(
+                np.linalg.norm(resid, axis=1), tail=grid.tail, eps_tail=eps_res
+            )
+            if stats.limit_verdict != TO_ZERO:
+                raise PreconditionError(
+                    f"{name} candidate violates the residual condition at "
+                    f"{lam}: verdict {stats.limit_verdict}, "
+                    f"tail max {stats.tail_max:.3e}"
+                )
+    verdicts = []
+    worst = 0.0
+    for k in range(len(mesh)):
+        diff = stacks["first", k] - stacks["second", k]
+        stats = tail_stats(np.linalg.norm(diff, axis=1), tail=grid.tail)
+        verdicts.append(stats.limit_verdict)
+        worst = max(worst, stats.tail_max)
+    return UniquenessReport(
+        verdicts=tuple(verdicts),
+        all_to_zero=all(v == TO_ZERO for v in verdicts),
+        worst_tail_max=worst,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return f"PreconditionError: {exc}"
+
+
+def _catalog_families():
+    """Both families of every catalog kind at d = 2, 3, 5, each with its
+    constant part F(0) and one eigenpair of it."""
+    for k, kind in enumerate(PAIR_KINDS):
+        for d in (2, 3, 5):
+            pair = generate_pair(kind, 700 + k, d)
+            for fam in (pair.f, pair.g):
+                a = fam.terms[0][1]
+                w, vecs = np.linalg.eig(a)
+                yield fam, a, complex(w[0]), vecs[:, 0]
+
+
+def _const(v):
+    return lambda lam: VectorFamily.constant(v)
+
+
+def _scaled(p, v):
+    return lambda lam: VectorFamily.from_terms(len(v), [(CoeffFn.pow_h(p), v)])
+
+
+# From a tail of 8 on, numpy sums a contiguous sequence pairwise.
+_GRIDS = (HGrid(), HGrid(count=40, tail=9))
+
+
+@pytest.mark.parametrize("grid", _GRIDS, ids=["tail6", "tail9"])
+def test_svep_probe_matches_the_per_point_reference(grid):
+    statuses = set()
+    for fam, _, lam1, u in _catalog_families():
+        # At an eigenvalue of F(0): a persistent norm falsifies, a norm
+        # decaying like h**0.1 leaves the tail undecided.
+        eigen = [Witness("eigvec", _const(u)), Witness("eigvec-h0.1", _scaled(0.1, u))]
+        suite = _svep_witnesses(rng_for(SEED, fam.dim), fam, 6)
+        far = 1.5 * fam.sup_bound()
+        for witnesses, mesh in (
+            (eigen, [lam1, lam1]),
+            (suite + eigen, [far + 0.3j, far - 0.2, far + 0.3j]),
+        ):
+            got = svep_falsification_probe(fam, witnesses, mesh, grid)
+            assert got == _svep_reference(fam, witnesses, mesh, grid)
+            statuses.update(r.status for r in got.results)
+    assert statuses == {"consistent", "inconclusive", "falsifies"}
+
+
+@pytest.mark.parametrize("grid", _GRIDS, ids=["tail6", "tail9"])
+def test_uniqueness_check_matches_the_per_point_reference(grid):
+    outcomes = set()
+    for fam, a, lam1, u in _catalog_families():
+        rng = rng_for(SEED, fam.dim)
+        d = fam.dim
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        w = rng.normal(size=d) + 1j * rng.normal(size=d)
+        b = fam.terms[1][1] if len(fam.terms) > 1 else np.zeros((d, d), dtype=complex)
+        sup = fam.sup_bound()
+        mesh = [1.6 * sup + 0.0j, 1.6 * sup + 0.4j, 1.6 * sup + 0.0j]
+
+        def sol1(lam, _a=a, _b=b, _x=x):
+            r = truncated_resolvent_family(_a, _b, lam, 3)
+            return module_action(r, VectorFamily.constant(_x))
+
+        def sol2(lam, _w=w, _s=sol1):
+            return _s(lam) + VectorFamily.from_terms(d, [(CoeffFn.pow_h(1.0), _w)])
+
+        def bad_at_second(lam, _w=w, _s=sol1, _at=mesh[1]):
+            # Violates the residual condition at the second mesh point only.
+            return _s(lam) + VectorFamily.constant(_w if lam == _at else 0.0 * _w)
+
+        zero = np.zeros(d, dtype=complex)
+        cases = [
+            (x, sol1, sol2, mesh),
+            (x, sol1, sol1, mesh),
+            (x, sol1, bad_at_second, mesh),
+            (x, bad_at_second, sol2, mesh),
+            # At an eigenvalue of F(0) with x = 0: 0 and the eigenvector (or
+            # h**0.1 times it) both solve in the limit but never merge.
+            (zero, _const(zero), _const(u), [lam1, lam1]),
+            (zero, _const(zero), _scaled(0.1, u), [lam1]),
+        ]
+        for case in cases:
+            got = _outcome(local_extension_uniqueness_check, fam, *case, grid)
+            assert got == _outcome(_uniqueness_reference, fam, *case, grid)
+            if isinstance(got, str):
+                outcomes.add(got[: got.index(" violates")])
+            else:
+                outcomes.add(tuple(sorted(set(got.verdicts))))
+    assert {
+        "PreconditionError: first candidate",
+        "PreconditionError: second candidate",
+        (TO_ZERO,),
+        (BOUNDED_POSITIVE,),
+        (INCONCLUSIVE,),
+    } <= outcomes
+
+
+def test_candidates_of_another_dimension_are_rejected(grid):
+    fam = OperatorFamily.constant(np.diag([1.0, 2.0]))
+    x = np.array([1.0, 0.0], dtype=complex)
+    good = _const(np.array([0.5, 0.0], dtype=complex))
+    wide = _const(np.ones(3, dtype=complex))
+    with pytest.raises(DimensionMismatchError, match="second candidate has dim 3 != 2"):
+        local_extension_uniqueness_check(fam, x, good, wide, [3.0], grid)
+    with pytest.raises(DimensionMismatchError, match="witness w has dim 3 != 2"):
+        svep_falsification_probe(fam, [Witness("w", wide)], [3.0], grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_svep_and_uniqueness_reject_a_non_finite_mesh_point(grid, bad):
+    fam = OperatorFamily.constant(np.diag([1.0, 2.0]))
+    x = np.array([1.0, 0.0], dtype=complex)
+    sol = _const(np.array([0.5, 0.0], dtype=complex))
+    with pytest.raises(InputError, match="mesh points must be finite"):
+        svep_falsification_probe(fam, [Witness("w", sol)], [3.0, bad], grid)
+    with pytest.raises(InputError, match="mesh points must be finite"):
+        local_extension_uniqueness_check(fam, x, sol, sol, [3.0, bad], grid)
+
+
+@pytest.mark.parametrize("grid", _GRIDS, ids=["tail6", "tail9"])
+def test_candidate_tails_reduce_like_one_sequence_tail_stats(grid):
+    # Summed across a non-contiguous axis, the tail trends of a stack
+    # differ from tail_stats in the last bits once the tail takes
+    # pairwise summation; every mesh point must match it exactly.
+    rng = np.random.default_rng(SEED)
+    fam = generate_pair("h-perturbation", 7, 4).f
+    x = rng.normal(size=4) + 1j * rng.normal(size=4)
+    mesh = [1.0, 2.0 + 1.0j, -1.0j, 0.5, 3.0]
+    for _ in range(12):
+        terms = []
+        for p in rng.uniform(0.0, 3.0, size=3):
+            vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+            terms.append((CoeffFn.pow_h(p), 10.0 ** rng.uniform(-3, 3) * vec))
+
+        def candidate(lam, _terms=terms):
+            return VectorFamily.from_terms(4, [(c, lam * a) for c, a in _terms])
+
+        _, resids, norms = _candidate_tails(fam, grid, "c", candidate, mesh, x)
+        for tails in (resids, norms):
+            _, tail_max, tail_min, trend = verdict_arrays(tails, 1e-7, 1e-10)
+            for k in range(len(mesh)):
+                ref = tail_stats(tails[:, k].copy(), tail=grid.tail)
+                got = (tail_max[k], tail_min[k], trend[k])
+                assert got == (ref.tail_max, ref.tail_min, ref.tail_trend)

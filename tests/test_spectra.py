@@ -248,6 +248,40 @@ def test_probe_rejects_an_overflowing_family(grid):
         probe_resolvent(fam, 0.5, grid)
 
 
+@pytest.mark.parametrize(
+    "rect",
+    [
+        (-np.inf, np.inf, -1, 1),
+        (-1e308, 1e308, -1, 1),
+        (-1, 1, -1e308, 1e308),
+        (np.nan, 1, -1, 1),
+    ],
+)
+def test_scans_reject_a_non_finite_rect(grid, rect):
+    # A width or height that overflows puts infinite centers into the
+    # kernels, which then fail inside LAPACK rather than on the input.
+    fam = OperatorFamily.constant(np.diag([1.0, 2.0]))
+    with pytest.raises(InputError, match="finite bounds"):
+        family_spectrum_grid(fam, rect, 8, 8, grid)
+    with pytest.raises(InputError, match="finite bounds"):
+        family_local_spectrum_grid(fam, np.ones(2), rect, 8, 8, grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_probes_reject_a_non_finite_point(grid, bad):
+    fam = OperatorFamily.constant(np.diag([1.0, 2.0]))
+    x = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(InputError, match="not finite"):
+        probe_resolvent(fam, bad, grid)
+    with pytest.raises(InputError, match="not finite"):
+        resolvent_identity_residual(fam, 8.0, bad, grid)
+    with pytest.raises(InputError, match="need a finite lam0"):
+        family_local_probe(fam, x, bad, 0.05, grid)
+    if not isinstance(bad, complex):
+        with pytest.raises(InputError, match="need a finite lam0"):
+            family_local_probe(fam, x, 3.0, bad, grid)
+
+
 def test_scan_budget_is_checked_before_the_family_is_evaluated(grid, monkeypatch):
     fam = OperatorFamily.constant(np.eye(2))
 
