@@ -180,6 +180,17 @@ class BracketSeq:
     rev_roots: np.ndarray
     overflow: bool
 
+    def verdict(self) -> EquivalenceReport:
+        """The root test of both operand orders, conjoined; Inconclusive on overflow."""
+        if self.overflow:
+            return EquivalenceReport(
+                verdict=INCONCLUSIVE,
+                final_root=float("inf"),
+                trend=float("inf"),
+                diagnostics="bracket norms overflow",
+            )
+        return combine_order_reports(root_test(self.roots), root_test(self.rev_roots))
+
 
 def _roots_from_norms(norms: np.ndarray) -> np.ndarray:
     n = np.arange(1, len(norms) + 1, dtype=float)
@@ -219,18 +230,39 @@ class EquivalenceReport:
     diagnostics: str
 
 
-def slopes_log10(values: np.ndarray) -> np.ndarray:
-    """Least-squares slope of log10(values) per step, column-wise.
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 0, adding one row after another to zeros.
+
+    numpy sums a contiguous run pairwise and a strided one row by row, so
+    its own order depends on the layout and the column count; this one
+    order gives a column the same bits alone and in any batch.
+    """
+    total = np.zeros(a.shape[1:])
+    for row in a:
+        total += row
+    return total
+
+
+def _log10_fit(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares line through log10(values) per step, column-wise.
 
     values has shape (m, n): m consecutive samples of n independent
-    sequences.  Both the h -> 0 tail verdicts and the root test use it.
+    sequences.  Returns (logs, means, slopes): log10 of the values
+    (floored at 1e-300), each column's mean log and its slope.  Both sums
+    run in the order of `_row_sums`.
     """
     m = values.shape[0]
     k = np.arange(m, dtype=float)
     kc = k - k.mean()
     denom = float((kc**2).sum())
     logs = np.log10(np.maximum(values, 1e-300))
-    return (kc[:, None] * (logs - logs.mean(axis=0))).sum(axis=0) / denom
+    means = _row_sums(logs) / m
+    return logs, means, _row_sums(kc[:, None] * (logs - means)) / denom
+
+
+def slopes_log10(values: np.ndarray) -> np.ndarray:
+    """The slopes of `_log10_fit`: the h -> 0 tail verdicts and the root test use it."""
+    return _log10_fit(values)[2]
 
 
 def root_test(roots: np.ndarray) -> EquivalenceReport:
@@ -303,16 +335,6 @@ def qn_equivalent(t, s, n_max: int = N_MAX) -> EquivalenceReport:
     """Quasinilpotent-equivalence verdict for a single operator pair.
 
     Symmetric by construction: both operand orders are tested and the
-    verdicts conjoined.
+    verdicts conjoined (`BracketSeq.verdict`).
     """
-    seq = bracket_seq(t, s, n_max)
-    if seq.overflow:
-        return EquivalenceReport(
-            verdict=INCONCLUSIVE,
-            final_root=float("inf"),
-            trend=float("inf"),
-            diagnostics="bracket norms overflow",
-        )
-    rep_f = root_test(seq.roots)
-    rep_r = root_test(seq.rev_roots)
-    return combine_order_reports(rep_f, rep_r)
+    return bracket_seq(t, s, n_max).verdict()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bracket import N_MAX, bracket_seq, qn_equivalent
+from .bracket import N_MAX, bracket_seq
 from .emit import FORMATS, emit_plot, grid_to_csv, read_grid_csv
 from .errors import InputError, InvariantError, OpfamError
 from .families import HGrid, asym_qn_equivalent, asymptotically_equivalent
@@ -107,7 +107,7 @@ def _cmd_bracket(args) -> int:
     t = load_matrix(args.t)
     s = load_matrix(args.s)
     seq = bracket_seq(t, s, args.nmax)
-    rep = qn_equivalent(t, s, args.nmax)
+    rep = seq.verdict()
     print(f"{'n':>4} {'norm':>14} {'root':>12} {'rev norm':>14} {'rev root':>12}")
     for n in range(seq.n_max):
         print(

@@ -23,6 +23,7 @@ import numpy as np
 from .bracket import (
     N_MAX,
     EquivalenceReport,
+    _log10_fit,
     bracket_norms,
     combine_order_reports,
     root_test,
@@ -272,14 +273,13 @@ class HGrid:
 class TailStats:
     """Finite-sample surrogate for lim / limsup at h -> 0.
 
-    `tail_trend` is the least-squares slope of log10(value) per grid step
-    over the tail; it is reported as -inf when the whole tail sits at or
-    below the measurement floor `zero_floor` (values there are
-    indistinguishable from zero).
+    `values` are the tail samples.  `tail_trend` is the least-squares
+    slope of log10(value) per grid step over them; it is reported as -inf
+    when the whole tail sits at or below the measurement floor
+    `zero_floor` (values there are indistinguishable from zero).
     """
 
     values: np.ndarray
-    tail: int
     eps_tail: float
     zero_floor: float
     tail_max: float
@@ -314,21 +314,15 @@ VERDICT_CODES = {0: TO_ZERO, 1: BOUNDED_POSITIVE, 2: UNBOUNDED, 3: INCONCLUSIVE}
 
 
 def tail_stats(
-    values,
-    tail: int,
-    eps_tail: float = EPS_TAIL,
-    zero_floor: float = ZERO_FLOOR,
+    values, eps_tail: float = EPS_TAIL, zero_floor: float = ZERO_FLOOR
 ) -> TailStats:
-    """Classify the h -> 0 behavior of sampled nonnegative values."""
+    """Classify the h -> 0 behavior of nonnegative tail samples: every entry of values."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or len(v) < tail or tail < 3:
-        raise InputError("need a 1-d sample array with at least `tail` >= 3 entries")
-    codes, tail_max, tail_min, trend = verdict_arrays(
-        v[-tail:, None], eps_tail, zero_floor
-    )
+    if v.ndim != 1 or len(v) < 3:
+        raise InputError("need a 1-d array of at least 3 tail samples")
+    codes, tail_max, tail_min, trend = verdict_arrays(v[:, None], eps_tail, zero_floor)
     return TailStats(
         values=v,
-        tail=tail,
         eps_tail=eps_tail,
         zero_floor=zero_floor,
         tail_max=float(tail_max[0]),
@@ -357,10 +351,15 @@ def norm_samples(fam: OperatorFamily | VectorFamily, grid: HGrid) -> np.ndarray:
     return _finite_norms(fam.eval_stack(grid.samples()), fam._norms, "family values")
 
 
+def _tail_norms(fam: OperatorFamily | VectorFamily, grid: HGrid) -> np.ndarray:
+    """||F(h_k)|| (or ||x(h_k)||) over the grid tail."""
+    tail = fam.eval_stack(grid.tail_samples())
+    return _finite_norms(tail, fam._norms, "family values")
+
+
 def limsup_norm(fam: OperatorFamily | VectorFamily, grid: HGrid) -> float:
     """Tail maximum of ||F(h_k)||: the sampled stand-in for limsup at 0."""
-    tail = fam.eval_stack(grid.tail_samples())
-    return float(_finite_norms(tail, fam._norms, "family values").max())
+    return float(_tail_norms(fam, grid).max())
 
 
 def _certified(stats: TailStats, cert: bool) -> TailStats:
@@ -398,9 +397,7 @@ def is_null_family(fam: OperatorFamily | VectorFamily, grid: HGrid) -> TailStats
 
     Operator and vector families go through the same rule.
     """
-    return _certified(
-        tail_stats(norm_samples(fam, grid), grid.tail), fam.null_certificate()
-    )
+    return _certified(tail_stats(_tail_norms(fam, grid)), fam.null_certificate())
 
 
 def asymptotically_equivalent(
@@ -414,13 +411,12 @@ def asymptotically_equivalent(
 def commute_in_limit(f: OperatorFamily, g: OperatorFamily, grid: HGrid) -> TailStats:
     """Tail test for ||F(h)G(h) - G(h)F(h)|| -> 0."""
     f._check_dim(g)
-    hs = grid.samples()
+    hs = grid.tail_samples()
     fs = f.eval_stack(hs)
     gs = g.eval_stack(hs)
     with np.errstate(over="ignore", invalid="ignore"):
         commutators = fs @ gs - gs @ fs
-    norms = _finite_norms(commutators, op_norms, "commutator values")
-    return tail_stats(norms, grid.tail)
+    return tail_stats(_finite_norms(commutators, op_norms, "commutator values"))
 
 
 @dataclass(frozen=True)
@@ -454,7 +450,9 @@ def module_action(
 
     The coefficient catalog is closed under the products, so the result is
     again a finite-term family; on representatives the action satisfies
-    limsup||F x|| <= limsup||F|| * limsup||x|| up to the tail tolerance.
+    limsup||F x|| <= limsup||F|| * limsup||x|| up to the tail tolerance,
+    checked on the grid when one is given (an overflowing product there
+    is an input error, as in `limsup_norm`).
     """
     f._check_dim(v)
     terms = []
@@ -463,7 +461,7 @@ def module_action(
             terms.append((cf * cv, mat @ vec))
     out = VectorFamily.from_terms(v.dim, terms).canonical()
     if grid is not None:
-        left = float(out._norms(out.eval_stack(grid.tail_samples())).max())
+        left = limsup_norm(out, grid)
         f_lim = limsup_norm(f, grid)
         v_lim = limsup_norm(v, grid)
         if left > f_lim * v_lim + EPS_TAIL:
@@ -480,16 +478,14 @@ def _inner_limit_estimates(
 
     per_h has shape (tail, n).  Returns (estimates, at_floor, decays): a
     column estimates to 0 when its tail sits at the floor, or decays
-    geometrically with a clean log-linear fit (slope from `slopes_log10`,
-    line through the column means); otherwise to its tail max
-    (conservative).
+    geometrically with a clean log-linear fit (the line of `_log10_fit`);
+    otherwise to its tail max (conservative).
     """
     vmax = per_h.max(axis=0)
     at_floor = vmax <= zero_floor
-    logs = np.log10(np.maximum(per_h, 1e-300))
-    slope = slopes_log10(per_h)
+    logs, means, slope = _log10_fit(per_h)
     k = np.arange(len(per_h), dtype=float)
-    fit = logs.mean(axis=0) + slope * (k - k.mean())[:, None]
+    fit = means + slope * (k - k.mean())[:, None]
     fit_dev = np.abs(logs - fit).max(axis=0)
     decays = ~at_floor & (slope < DECAY_CERT_SLOPE) & (fit_dev <= DECAY_CERT_FIT)
     return np.where(at_floor | decays, 0.0, vmax), at_floor, decays

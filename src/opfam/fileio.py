@@ -18,7 +18,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, InputError
 from .families import CoeffFn, OperatorFamily
 from .linalg import as_matrix, as_vector
 
@@ -147,33 +147,27 @@ def _coeff_descriptor(c: CoeffFn) -> str:
     raise FileFormatError("product coefficients have no file form")
 
 
+_COEFF_PARAMS = {"pow": CoeffFn.pow_h, "expinv": CoeffFn.exp_inv}
+
+
 def _parse_coeff(reader: _LineReader, tokens: list[str]) -> CoeffFn:
     kind = tokens[0]
     if kind == "const":
         if len(tokens) != 1:
             reader.fail("const takes no parameter")
         return CoeffFn.const()
-    if kind == "pow":
-        if len(tokens) != 2:
-            reader.fail("pow takes exactly one parameter")
-        try:
-            p = float(tokens[1])
-        except ValueError:
-            reader.fail(f"bad pow parameter {tokens[1]!r}")
-        if not 0.0 <= p < math.inf:
-            reader.fail("pow parameter must be finite and >= 0")
-        return CoeffFn.pow_h(p)
-    if kind == "expinv":
-        if len(tokens) != 2:
-            reader.fail("expinv takes exactly one parameter")
-        try:
-            a = float(tokens[1])
-        except ValueError:
-            reader.fail(f"bad expinv parameter {tokens[1]!r}")
-        if not 0.0 < a < math.inf:
-            reader.fail("expinv parameter must be finite and > 0")
-        return CoeffFn.exp_inv(a)
-    reader.fail(f"unknown coefficient kind {kind!r}")
+    if kind not in _COEFF_PARAMS:
+        reader.fail(f"unknown coefficient kind {kind!r}")
+    if len(tokens) != 2:
+        reader.fail(f"{kind} takes exactly one parameter")
+    try:
+        value = float(tokens[1])
+    except ValueError:
+        reader.fail(f"bad {kind} parameter {tokens[1]!r}")
+    try:
+        return _COEFF_PARAMS[kind](value)
+    except InputError as exc:
+        reader.fail(str(exc))
 
 
 def write_family(fam: OperatorFamily, fh: TextIO) -> None:

@@ -449,7 +449,7 @@ def _candidate_tails(
     """A candidate solution family y_h(lambda) over the mesh and the h-grid tail.
 
     The candidate is called once per mesh point.  Returns (values,
-    residuals, norms): the values y_h(lambda) of shape (len(mesh), tail,
+    residuals, norms): the values y_h(lambda) of shape (tail, len(mesh),
     dim), and the (tail, len(mesh)) tails of ||(lambda I - F(h)) y_h - x||
     (x = 0 for the SVEP probe) and ||y_h||, one column per mesh point for
     `verdict_arrays`.  An empty mesh, a non-finite mesh point and a
@@ -468,12 +468,10 @@ def _candidate_tails(
         if vf.dim != fam.dim:
             raise DimensionMismatchError(f"{name} has dim {vf.dim} != {fam.dim}")
         vals.append(vf.eval_stack(hs))
-    vals = np.stack(vals)
-    shifted = lams[:, None, None, None] * np.eye(fam.dim, dtype=complex) - mats
+    vals = np.stack(vals, axis=1)
+    shifted = lams[:, None, None] * np.eye(fam.dim, dtype=complex) - mats[:, None]
     resid = (shifted @ vals[..., None])[..., 0] - x
-    # Transposed views: each mesh point's tail stays contiguous, so its
-    # sums run in the order of a one-sequence `tail_stats` call.
-    return vals, np.linalg.norm(resid, axis=-1).T, np.linalg.norm(vals, axis=-1).T
+    return vals, np.linalg.norm(resid, axis=-1), np.linalg.norm(vals, axis=-1)
 
 
 def svep_falsification_probe(
@@ -563,7 +561,7 @@ def local_extension_uniqueness_check(
                 f"tail max {res_max[k]:.3e}"
             )
         values.append(vals)
-    diff = np.linalg.norm(values[0] - values[1], axis=-1).T
+    diff = np.linalg.norm(values[0] - values[1], axis=-1)
     codes, diff_max, _, _ = verdict_arrays(diff, EPS_TAIL, ZERO_FLOOR)
     return UniquenessReport(
         verdicts=tuple(VERDICT_CODES[c] for c in codes.tolist()),

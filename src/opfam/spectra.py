@@ -243,10 +243,7 @@ def _probe(tail: _Tail, lam: complex) -> ResolventProbe:
     with np.errstate(divide="ignore"):
         resnorm = 1.0 / sig
     stats = tail_stats(
-        sig,
-        tail=len(sig),
-        eps_tail=DELTA_RES * tail.scale,
-        zero_floor=SIGMA_FLOOR_REL * tail.scale,
+        sig, eps_tail=DELTA_RES * tail.scale, zero_floor=SIGMA_FLOOR_REL * tail.scale
     )
     return ResolventProbe(
         lam=complex(lam),
@@ -448,7 +445,7 @@ def _radius_bound(mats: np.ndarray) -> RadiusBound:
                 roots=np.full(RADIUS_ORDERS, np.inf),
                 inner_verdicts=tuple(verdicts) + (UNBOUNDED,),
             )
-        stats = tail_stats(norms, tail=len(mats))
+        stats = tail_stats(norms)
         verdicts.append(stats.limit_verdict)
         roots[n - 1] = stats.tail_max ** (1.0 / n) if stats.tail_max > 0 else 0.0
     return RadiusBound(
@@ -476,7 +473,7 @@ def resolvent_identity_residual(
     r_lam = _tail_inverses(tail.mats, lam)
     r_mu = _tail_inverses(tail.mats, mu)
     resid = r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)
-    return tail_stats(op_norms(resid), tail=grid.tail)
+    return tail_stats(op_norms(resid))
 
 
 @dataclass(frozen=True)
@@ -521,7 +518,7 @@ def resolvent_uniqueness_residual(
                 f"{name} residual tail {worst:.3e} exceeds {DELTA_RES * scale:.3e}"
             )
     return ResidualCheck(
-        stats=tail_stats(op_norms(stacks[0] - stacks[1]), tail=grid.tail),
+        stats=tail_stats(op_norms(stacks[0] - stacks[1])),
         precondition_ok=ok,
         notes="; ".join(notes) if notes else "approximate-inverse preconditions hold",
     )

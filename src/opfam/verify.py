@@ -24,6 +24,7 @@ import numpy as np
 from . import local as loc
 from .bracket import (
     EQUIVALENT,
+    N_MAX,
     NOT_EQUIVALENT,
     bracket_binomials,
     bracket_seq,
@@ -280,8 +281,8 @@ def check_non_equivalence_control(cfg: ScenarioConfig, idx: int):
     pair = generate_pair("non-equivalent", cfg.seed, 2)
     t = pair.f(1.0)
     s = pair.g(1.0)
-    rep = qn_equivalent(t, s)
-    seq = bracket_seq(t, s, 40)
+    seq = bracket_seq(t, s, N_MAX)
+    rep = seq.verdict()
     roots = np.concatenate([seq.roots, seq.rev_roots])
     in_band = bool(np.all((roots >= 0.999) & (roots <= 1.001)))
     ok = rep.verdict == NOT_EQUIVALENT and in_band
@@ -873,9 +874,9 @@ def check_qn_laws(cfg: ScenarioConfig, idx: int):
     for k in range(10):
         rng2 = rng_for(cfg.seed, idx, 99, k)
         t, (n,) = commuting_toeplitz(rng2, cfg.dims(k), 1)
-        rep = qn_equivalent(t, t + n)
-        seq = bracket_seq(t, t + n, 12)
-        ok &= rep.verdict == EQUIVALENT and float(seq.roots[-1]) == 0.0
+        seq = bracket_seq(t, t + n, N_MAX)
+        # A commuting nilpotent difference: the order-12 bracket is exactly zero.
+        ok &= seq.verdict().verdict == EQUIVALENT and float(seq.roots[11]) == 0.0
     return [
         _result(
             "sup04-qn-laws",
@@ -1354,7 +1355,7 @@ def check_constant_class_embedding(cfg: ScenarioConfig, idx: int):
         rhs_fam = (x[None, :] + u.eval_stack(hs))[..., None]
         y2 = np.linalg.solve(mats, rhs_fam)[..., 0]
         gap = np.linalg.norm(y1 - y2, axis=1)
-        stats = tail_stats(gap, tail=cfg.grid.tail)
+        stats = tail_stats(gap)
         if stats.limit_verdict == TO_ZERO:
             n_ok += 1
     return [

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import opfam.bracket as bracket_module
 from opfam import cli
+from opfam.bracket import brackets
 from opfam.cli import main
 from opfam.emit import read_grid_csv
 from opfam.errors import InvariantError
@@ -66,6 +68,23 @@ def test_bracket_csv_output(workdir, capsys):
     assert lines[0] == "n,norm,root,rev_norm,rev_root"
     assert len(lines) == 9
 
+
+
+def test_bracket_command_builds_the_bracket_stack_once(workdir, monkeypatch, capsys):
+    calls = []
+
+    def counting(t, s, n_max):
+        calls.append(n_max)
+        return brackets(t, s, n_max)
+
+    monkeypatch.setattr(bracket_module, "brackets", counting)
+    pair = ["--t", str(workdir / "t.mat"), "--s", str(workdir / "s.mat")]
+    assert main(["bracket", *pair, "--nmax", "10", "--emit", "csv"]) == 0
+    assert calls == [10]
+    # The verdict fails before anything is printed.
+    assert main(["bracket", *pair, "--nmax", "4"]) == 2
+    assert calls == [10, 4]
+    assert capsys.readouterr().out.count("verdict:") == 1
 
 def test_equivalence_command(workdir, capsys):
     rc = main(

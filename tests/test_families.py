@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from opfam.bracket import EQUIVALENT, NOT_EQUIVALENT
 from opfam.errors import DimensionMismatchError, InputError
@@ -30,6 +31,7 @@ from opfam.families import (
     norm_samples,
     quotient_norm_bounds,
     tail_stats,
+    verdict_arrays,
     _inner_limit_estimates,
 )
 from opfam.local import (
@@ -92,15 +94,15 @@ def test_hgrid_rejects_underflowing_samples():
 def test_tail_stats_verdicts(grid):
     k = np.arange(40)
     decaying = 0.5**k
-    assert tail_stats(decaying, 6).limit_verdict == TO_ZERO
+    assert tail_stats(decaying[-6:]).limit_verdict == TO_ZERO
     flat = np.full(40, 2.0)
-    assert tail_stats(flat, 6).limit_verdict == BOUNDED_POSITIVE
+    assert tail_stats(flat[-6:]).limit_verdict == BOUNDED_POSITIVE
     growing = 2.0**k
-    assert tail_stats(growing, 6).limit_verdict == UNBOUNDED
+    assert tail_stats(growing[-6:]).limit_verdict == UNBOUNDED
     # Flat but tiny: cannot distinguish a small positive limit from decay.
-    assert tail_stats(np.full(40, 1e-9), 6).limit_verdict == INCONCLUSIVE
+    assert tail_stats(np.full(40, 1e-9)[-6:]).limit_verdict == INCONCLUSIVE
     # Exactly zero tails are at the floor: trend reported as -inf.
-    zeros = tail_stats(np.zeros(40), 6)
+    zeros = tail_stats(np.zeros(40)[-6:])
     assert zeros.limit_verdict == TO_ZERO
     assert zeros.tail_trend == float("-inf")
 
@@ -109,7 +111,7 @@ def test_tail_stats_invariant(grid):
     rng = np.random.default_rng(SEED)
     for _ in range(200):
         vals = np.abs(rng.normal(size=40)) * 10.0 ** rng.integers(-12, 2)
-        st = tail_stats(vals, 6)
+        st = tail_stats(vals[-6:])
         if st.limit_verdict == TO_ZERO:
             assert st.tail_max < st.eps_tail
             assert st.tail_trend < 0
@@ -161,7 +163,7 @@ _threshold_tails = st.builds(
 @settings(max_examples=400, deadline=None)
 @given(_free_tails | _threshold_tails)
 def test_tail_rule_matches_polyfit_reference(tail):
-    stats = tail_stats(tail, len(tail))
+    stats = tail_stats(tail)
     if tail.max() <= ZERO_FLOOR:
         assert stats.tail_trend == float("-inf")
         return
@@ -209,9 +211,34 @@ def test_inner_limit_estimates_match_a_per_column_polyfit():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0.0, ZERO_FLOOR), min_size=3, max_size=12))
 def test_tail_below_floor_reports_minus_inf(values):
-    stats = tail_stats(values, len(values))
+    stats = tail_stats(values)
     assert stats.tail_trend == float("-inf")
     assert stats.limit_verdict == TO_ZERO
+
+
+# Tail samples from 1e-300 to 1e6, with exact zeros and values at the floor.
+_samples = st.floats(-300.0, 6.0).map(lambda e: 10.0**e) | st.sampled_from(
+    [0.0, ZERO_FLOOR]
+)
+_sample_arrays = st.tuples(st.integers(3, 40), st.integers(1, 6)).flatmap(
+    lambda shape: hnp.arrays(float, shape, elements=_samples)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sample_arrays)
+def test_a_column_has_the_same_verdict_bits_alone_and_in_any_batch(values):
+    batch = verdict_arrays(values, EPS_TAIL, ZERO_FLOOR)
+
+    def assert_same(got, cols):
+        for a, b in zip(got, batch):
+            assert a.tobytes() == b[cols].tobytes()
+
+    for layout in (np.asfortranarray(values), np.ascontiguousarray(values.T).T):
+        assert_same(verdict_arrays(layout, EPS_TAIL, ZERO_FLOOR), slice(None))
+    for k in range(values.shape[1]):
+        alone = values[:, k].copy()[:, None]
+        assert_same(verdict_arrays(alone, EPS_TAIL, ZERO_FLOOR), slice(k, k + 1))
 
 
 def test_limsup_norm_examples(grid):
@@ -380,6 +407,28 @@ def test_norm_tests_reject_an_overflowing_family(grid):
         quotient_norm_bounds(big, grid)
 
 
+def test_null_and_commutation_tests_evaluate_the_tail_alone(monkeypatch):
+    grid = HGrid(count=40, tail=9)
+    sizes = []
+    for cls in (OperatorFamily, VectorFamily):
+
+        def counting(self, hs, _original=cls.eval_stack):
+            sizes.append(len(hs))
+            return _original(self, hs)
+
+        monkeypatch.setattr(cls, "eval_stack", counting)
+    # Norms overflow at h = 1 only, outside the tail.
+    big = np.diag([1e308, 0.0])
+    f = OperatorFamily.from_terms(2, [(CoeffFn.const(), big), (CoeffFn.pow_h(1.0), big)])
+    g = OperatorFamily.constant(np.eye(2, k=1))
+    v = VectorFamily.constant(np.array([1.0, 0.0]))
+    assert is_null_family(f, grid).limit_verdict == BOUNDED_POSITIVE
+    assert is_null_family(v, grid).limit_verdict == BOUNDED_POSITIVE
+    assert asymptotically_equivalent(f, f, grid).limit_verdict == TO_ZERO
+    assert commute_in_limit(f, g, grid).limit_verdict == BOUNDED_POSITIVE
+    assert sizes == [grid.tail] * 5
+
+
 def test_commute_in_limit_examples(grid):
     rng = np.random.default_rng(SEED)
     a = _rand(rng, 3)
@@ -431,6 +480,13 @@ def test_module_action_submultiplicative(grid):
             d, [(CoeffFn.const(), x), (CoeffFn.exp_inv(1.0), x)]
         )
         # The bound is asserted inside the operation; it raising would fail here.
+        module_action(f, v, grid)
+
+
+def test_module_action_overflow_is_an_input_error(grid):
+    f = OperatorFamily.constant(1e154 * np.ones((2, 2)))
+    v = VectorFamily.constant(np.array([1e153, 1e153]))
+    with pytest.raises(InputError, match="family values overflow"):
         module_action(f, v, grid)
 
 

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import opfam
@@ -49,3 +51,14 @@ def test_the_import_check_sees_an_unused_name():
         "np.zeros(b)\n"
     )
     assert _unused_imports(tree) == ["os (line 2)"]
+
+
+def test_every_module_of_the_readme_table_is_an_attribute_of_the_package():
+    # A package-level name must not shadow a module: `import opfam.bracket
+    # as m` binds getattr(opfam, "bracket").
+    readme = Path(__file__).parent.parent / "README.md"
+    names = re.findall(r"^\| `opfam\.(\w+)` \|", readme.read_text(encoding="utf-8"), re.M)
+    assert "bracket" in names
+    for name in names:
+        module = importlib.import_module(f"opfam.{name}")
+        assert getattr(opfam, name) is module, name

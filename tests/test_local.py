@@ -371,8 +371,8 @@ def _svep_reference(fam, witnesses, mesh, grid):
             vals = vf.eval_stack(hs)
             rvals = np.linalg.norm(_residual_tail(mats, vals, lam), axis=1)
             nvals = np.linalg.norm(vals, axis=1)
-            res_verdicts.append(tail_stats(rvals, tail=grid.tail).limit_verdict)
-            norm_verdicts.append(tail_stats(nvals, tail=grid.tail).limit_verdict)
+            res_verdicts.append(tail_stats(rvals).limit_verdict)
+            norm_verdicts.append(tail_stats(nvals).limit_verdict)
         res_ok = all(v == TO_ZERO for v in res_verdicts)
         positive = any(v in (BOUNDED_POSITIVE, UNBOUNDED) for v in norm_verdicts)
         undecided = any(v == INCONCLUSIVE for v in norm_verdicts)
@@ -417,9 +417,7 @@ def _uniqueness_reference(fam, x, sol1, sol2, mesh, grid):
         for k, lam in enumerate(mesh):
             vals = stacks[name, k] = sol(lam).eval_stack(hs)
             resid = _residual_tail(mats, vals, lam) - v
-            stats = tail_stats(
-                np.linalg.norm(resid, axis=1), tail=grid.tail, eps_tail=eps_res
-            )
+            stats = tail_stats(np.linalg.norm(resid, axis=1), eps_tail=eps_res)
             if stats.limit_verdict != TO_ZERO:
                 raise PreconditionError(
                     f"{name} candidate violates the residual condition at "
@@ -430,7 +428,7 @@ def _uniqueness_reference(fam, x, sol1, sol2, mesh, grid):
     worst = 0.0
     for k in range(len(mesh)):
         diff = stacks["first", k] - stacks["second", k]
-        stats = tail_stats(np.linalg.norm(diff, axis=1), tail=grid.tail)
+        stats = tail_stats(np.linalg.norm(diff, axis=1))
         verdicts.append(stats.limit_verdict)
         worst = max(worst, stats.tail_max)
     return UniquenessReport(
@@ -564,9 +562,8 @@ def test_svep_and_uniqueness_reject_a_non_finite_mesh_point(grid, bad):
 
 @pytest.mark.parametrize("grid", _GRIDS, ids=["tail6", "tail9"])
 def test_candidate_tails_reduce_like_one_sequence_tail_stats(grid):
-    # Summed across a non-contiguous axis, the tail trends of a stack
-    # differ from tail_stats in the last bits once the tail takes
-    # pairwise summation; every mesh point must match it exactly.
+    # Every mesh point's column of the stack must match a one-sequence
+    # tail_stats call bit for bit, also once the tail is 8 or longer.
     rng = np.random.default_rng(SEED)
     fam = generate_pair("h-perturbation", 7, 4).f
     x = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -584,6 +581,6 @@ def test_candidate_tails_reduce_like_one_sequence_tail_stats(grid):
         for tails in (resids, norms):
             _, tail_max, tail_min, trend = verdict_arrays(tails, 1e-7, 1e-10)
             for k in range(len(mesh)):
-                ref = tail_stats(tails[:, k].copy(), tail=grid.tail)
+                ref = tail_stats(tails[:, k].copy())
                 got = (tail_max[k], tail_min[k], trend[k])
                 assert got == (ref.tail_max, ref.tail_min, ref.tail_trend)

@@ -11,6 +11,7 @@ from opfam.families import (
     TO_ZERO,
     BOUNDED_POSITIVE,
     CoeffFn,
+    HGrid,
     OperatorFamily,
 )
 from opfam.fileio import save_family
@@ -316,6 +317,17 @@ _CODES = {SPECTRUM: CLS_SPECTRUM, UNDETERMINED: CLS_UNDETERMINED, RESOLVENT: CLS
 @pytest.mark.parametrize("kind", ["spectrum", "local"])
 def test_probe_is_the_grid_rule_at_a_cell_centre(grid, kind):
     """Outside the dip marks, a probe at a cell centre repeats the grid's class."""
+    _assert_probe_is_the_grid_rule(grid, kind)
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "local"])
+def test_probe_is_the_grid_rule_at_a_cell_centre_at_tail_9(kind):
+    # From a tail of 8 on, a lone sequence and a batch column must still
+    # sum in one order.
+    _assert_probe_is_the_grid_rule(HGrid(count=40, tail=9), kind)
+
+
+def _assert_probe_is_the_grid_rule(grid, kind):
     rng = np.random.default_rng(SEED)
     rect = (-2.0, 2.0, -2.0, 2.0)
     n = 16
