@@ -10,7 +10,6 @@ spectra via contour-integral spectral projections.
 from .bracket import (
     BracketSeq,
     EquivalenceReport,
-    bracket_binomial,
     bracket_binomials,
     bracket_norms,
     bracket_seq,

@@ -120,12 +120,6 @@ def bracket_binomials(t, s, n_max: int) -> np.ndarray:
     return out
 
 
-def bracket_binomial(t, s, n: int) -> np.ndarray:
-    """Independent oracle: the explicit alternating binomial sum of order n."""
-    tm, sm = _check_pair(t, s)
-    return bracket_binomials(tm, sm, n)[n]
-
-
 def _first(mask: np.ndarray) -> np.ndarray:
     """Index of the first True along the last axis; its length where none is."""
     stop = np.ones(mask.shape[:-1] + (1,), dtype=bool)
@@ -155,18 +149,6 @@ def bracket_norms(t, s, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     fill = np.where(ok, 0.0, np.inf)[..., None]
     norms = np.where(np.arange(n_max) < stop, values, fill)
     return norms, ok
-
-
-def bracket_norm_sequence(t, s, n_max: int) -> tuple[np.ndarray, bool]:
-    """Norms of the brackets of order 1..n_max of (T, S).
-
-    Returns (norms, ok); ok is False when the recurrence overflowed, in
-    which case the remaining entries are +inf.  A norm below EPS_ZERO is
-    an exact zero of the recurrence and stays zero for all larger orders.
-    """
-    tm, sm = _check_pair(t, s)
-    norms, ok = bracket_norms(tm, sm, n_max)
-    return norms, bool(ok)
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,9 @@ class _TermSum:
         merged: dict[CoeffFn, np.ndarray] = {}
         for coeff, arr in self.terms:
             merged[coeff] = merged[coeff] + arr if coeff in merged else arr
-        return tuple((c, a) for c, a in merged.items() if self._norm(a) > 0.0)
+        # An overflowing norm is inf, still nonzero; callers reject the values.
+        with np.errstate(over="ignore"):
+            return tuple((c, a) for c, a in merged.items() if self._norm(a) > 0.0)
 
     def canonical(self) -> Self:
         """Merge coefficient-equal terms and drop zero arrays."""

@@ -220,11 +220,6 @@ def load_family(path: str) -> OperatorFamily:
         return read_family(fh, path=path)
 
 
-def save_matrix(a, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_matrix(a, fh)
-
-
 def save_vector(x, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write_vector(x, fh)

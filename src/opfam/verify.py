@@ -17,9 +17,11 @@ import math
 import os
 import sys
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import local as loc
 from .bracket import (
@@ -132,6 +134,30 @@ def _result(check_id, instance, ok, metrics, details="", inconclusive=False):
     )
 
 
+class _Tally:
+    """Per-criterion instance counts of one check, in first-use order.
+
+    `ok[name]` and `total[name]` read 0 for a criterion with no instance.
+    """
+
+    def __init__(self):
+        self.ok: Counter[str] = Counter()
+        self.total: Counter[str] = Counter()
+
+    def add(self, name: str, passed) -> bool:
+        """Record one instance of criterion `name`; returns `passed`."""
+        passed = bool(passed)
+        self.ok[name] += passed
+        self.total[name] += 1
+        return passed
+
+    def passed(self, *names: str) -> bool:
+        """The pass rule: each named criterion (all when none is named, and
+        an empty tally fails) saw an instance, and all of its instances passed."""
+        names = names or tuple(self.total)
+        return bool(names) and all(0 < self.total[n] == self.ok[n] for n in names)
+
+
 def _cell_of(z: complex, rect, nx: int, ny: int) -> tuple[int, int]:
     re_min, re_max, im_min, im_max = rect
     ix = int((z.real - re_min) / (re_max - re_min) * nx)
@@ -225,14 +251,14 @@ def check_qn_pairs(cfg: ScenarioConfig, idx: int):
     pairs = [generate_pair("scalar-vs-jordan", cfg.seed, 3)]
     for k in range(20):
         pairs.append(generate_pair("commuting-nilpotent", cfg.seed + k, cfg.dims(k)))
-    n_ok = 0
+    tally = _Tally()
     worst_eig = 0.0
-    support_fail = 0
     for pair in pairs:
         t = pair.f(1.0)
         s = pair.g(1.0)
         rep = qn_equivalent(t, s)
         if rep.verdict != EQUIVALENT:
+            tally.add("pairs", False)
             continue
         dt = spectral_decomp(t, cluster_tol=1e-3)
         ds = spectral_decomp(s, cluster_tol=1e-3)
@@ -247,29 +273,27 @@ def check_qn_pairs(cfg: ScenarioConfig, idx: int):
         eig_err = max(abs(a - b) for a, b in zip(ct, cs))
         worst_eig = max(worst_eig, eig_err)
         if eig_err > 1e-7:
+            tally.add("pairs", False)
             continue
-        ok_support = True
-        for _ in range(20):
-            x = random_vector(rng, t.shape[0])
-            st = loc.local_spectrum_exact(t, x, decomp=dt)
-            ss = loc.local_spectrum_exact(s, x, decomp=ds)
-            if not _support_match(st.support_points(), ss.support_points()):
-                ok_support = False
-                support_fail += 1
-                break
-        if ok_support:
-            n_ok += 1
-    ok = n_ok == len(pairs)
+        # Stops at the first mismatch, so no later vector is drawn.
+        support_ok = all(
+            _support_match(
+                loc.local_spectrum_exact(t, x, decomp=dt).support_points(),
+                loc.local_spectrum_exact(s, x, decomp=ds).support_points(),
+            )
+            for x in (random_vector(rng, t.shape[0]) for _ in range(20))
+        )
+        tally.add("pairs", tally.add("support", support_ok))
     return [
         _result(
             "ac02-qn-pairs",
             "scalar-vs-jordan(3) plus 20 commuting-nilpotent pairs, 20 x each",
-            ok,
+            tally.passed("pairs"),
             [
-                ("pairs_ok", n_ok),
-                ("pairs_total", len(pairs)),
+                ("pairs_ok", tally.ok["pairs"]),
+                ("pairs_total", tally.total["pairs"]),
                 ("max_eig_center_err", worst_eig),
-                ("support_mismatches", support_fail),
+                ("support_mismatches", tally.total["support"] - tally.ok["support"]),
             ],
             details="equivalence verdicts, cluster-mean eigenvalue multisets at 1e-7, "
             "exact local-spectrum supports",
@@ -302,7 +326,7 @@ def check_non_equivalence_control(cfg: ScenarioConfig, idx: int):
 
 
 def check_spectrum_grid_oracle(cfg: ScenarioConfig, idx: int):
-    n_ok = 0
+    tally = _Tally()
     trials = 50
     for k in range(trials):
         rng = rng_for(cfg.seed, idx, k)
@@ -315,14 +339,13 @@ def check_spectrum_grid_oracle(cfg: ScenarioConfig, idx: int):
             for iy, ix in np.argwhere(grid.classes == CLS_SPECTRUM)
         }
         expected = {_cell_of(complex(z), RECT, 64, 64) for z in w}
-        if _cells_match_one_off(marked, expected):
-            n_ok += 1
+        tally.add("instances", _cells_match_one_off(marked, expected))
     return [
         _result(
             "ac04-spectrum-grid-oracle",
             f"{trials} conditioned diagonalizable constants, 64x64 on {RECT}",
-            n_ok == trials,
-            [("instances_ok", n_ok), ("instances_total", trials)],
+            tally.passed(),
+            [("instances_ok", tally.ok["instances"]), ("instances_total", trials)],
             details="spectrum cells vs eigenvalue cells, one-cell tolerance",
         )
     ]
@@ -371,7 +394,7 @@ def check_asymptotic_pseudospectrum(cfg: ScenarioConfig, idx: int):
 
 def check_quotient_sandwich(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    n_ok = 0
+    tally = _Tally()
     const_gap = 0.0
     trials = 100
     for k in range(trials):
@@ -380,31 +403,29 @@ def check_quotient_sandwich(cfg: ScenarioConfig, idx: int):
             fam = OperatorFamily.constant(random_matrix(rng, d))
             b = quotient_norm_bounds(fam, cfg.grid)
             const_gap = max(const_gap, abs(b.lower - b.upper))
-            if abs(b.lower - b.upper) <= 1e-7:
-                n_ok += 1
+            tally.add("instances", abs(b.lower - b.upper) <= 1e-7)
         else:
             fam = _random_catalog_family(rng, d)
             b = quotient_norm_bounds(fam, cfg.grid)
-            if b.lower <= b.upper + 1e-7:
-                n_ok += 1
+            tally.add("instances", b.lower <= b.upper + 1e-7)
     ident = np.eye(2, dtype=complex)
     example = OperatorFamily.from_terms(
         2, [(CoeffFn.const(), ident), (CoeffFn.exp_inv(1.0), ident)]
     )
     eb = quotient_norm_bounds(example, cfg.grid)
-    example_ok = (
+    tally.add(
+        "example",
         abs(eb.lower - 1.0) <= 1e-9
         and abs(eb.upper - 1.0) <= 1e-9
-        and abs(eb.raw_upper - (1.0 + math.exp(-1.0))) <= 1e-9
+        and abs(eb.raw_upper - (1.0 + math.exp(-1.0))) <= 1e-9,
     )
-    ok = n_ok == trials and example_ok
     return [
         _result(
             "ac06-quotient-sandwich",
             f"{trials} catalog families plus the (1+exp(-1/h)) I example",
-            ok,
+            tally.passed(),
             [
-                ("instances_ok", n_ok),
+                ("instances_ok", tally.ok["instances"]),
                 ("max_constant_gap", const_gap),
                 ("example_lower", eb.lower),
                 ("example_upper", eb.upper),
@@ -418,9 +439,7 @@ def check_quotient_sandwich(cfg: ScenarioConfig, idx: int):
 
 def check_resolvent_identity_uniqueness(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    id_ok = 0
-    uniq_ok = 0
-    contra_ok = 0
+    tally = _Tally()
     worst_tail = 0.0
     trials = 50
     for k in range(trials):
@@ -436,36 +455,37 @@ def check_resolvent_identity_uniqueness(cfg: ScenarioConfig, idx: int):
         mu = bound * complex(np.cos(ang2), np.sin(ang2)) * 1.5
         stats = resolvent_identity_residual(fam, lam, mu, cfg.grid)
         worst_tail = max(worst_tail, stats.tail_max)
-        if stats.limit_verdict == TO_ZERO and stats.tail_max <= 1e-8:
-            id_ok += 1
+        tally.add("triples", stats.limit_verdict == TO_ZERO and stats.tail_max <= 1e-8)
         r1 = truncated_resolvent_family(a, b, lam, order=3)
         pert = OperatorFamily.from_terms(
             d, [(CoeffFn.pow_h(1.0), random_matrix(rng, d, scale=0.3))]
         )
         r2 = r1 + pert
         chk = resolvent_uniqueness_residual(fam, lam, r1, r2, cfg.grid)
-        if chk.precondition_ok and chk.stats.limit_verdict == TO_ZERO and chk.stats.tail_max <= 1e-8:
-            uniq_ok += 1
+        vanishes = chk.stats.limit_verdict == TO_ZERO and chk.stats.tail_max <= 1e-8
+        tally.add("pairs", chk.precondition_ok and vanishes)
         cmat = random_matrix(rng, d)
         cmat *= 1.0 / op_norm(cmat)
         r3 = r1 + OperatorFamily.constant(cmat)
         chk3 = resolvent_uniqueness_residual(fam, lam, r1, r3, cfg.grid)
-        if (not chk3.precondition_ok) and chk3.stats.limit_verdict == BOUNDED_POSITIVE:
-            contra_ok += 1
+        tally.add(
+            "contrapositives",
+            (not chk3.precondition_ok) and chk3.stats.limit_verdict == BOUNDED_POSITIVE,
+        )
     return [
         _result(
             "ac07a-resolvent-identity",
             f"{trials} (family, lam, mu) triples with both points Resolvent",
-            id_ok == trials,
-            [("triples_ok", id_ok), ("worst_tail_max", worst_tail)],
+            tally.passed("triples"),
+            [("triples_ok", tally.ok["triples"]), ("worst_tail_max", worst_tail)],
             details="identity residual tails vanish below 1e-8",
         ),
         _result(
             "ac07b-resolvent-uniqueness",
             f"{trials} truncated-series resolvents vs null perturbations, "
             "plus constant-offset contrapositives",
-            uniq_ok == trials and contra_ok == trials,
-            [("pairs_ok", uniq_ok), ("contrapositives_ok", contra_ok)],
+            tally.passed("pairs", "contrapositives"),
+            [("pairs_ok", tally.ok["pairs"]), ("contrapositives_ok", tally.ok["contrapositives"])],
             details="difference tails vanish; constant offsets violate the "
             "precondition and persist",
         ),
@@ -474,7 +494,7 @@ def check_resolvent_identity_uniqueness(cfg: ScenarioConfig, idx: int):
 
 def check_spectrum_invariance(cfg: ScenarioConfig, idx: int):
     kinds = ("null-difference", "exp-null", "h-perturbation", "local-shift")
-    n_ok = 0
+    tally = _Tally()
     worst_undet = 0.0
     trials = 30
     for k in range(trials):
@@ -482,35 +502,32 @@ def check_spectrum_invariance(cfg: ScenarioConfig, idx: int):
         rep = class_invariance_check(pair.f, pair.g, RECT, 64, 64, cfg.grid)
         undet_frac = max(rep.n_undetermined_first, rep.n_undetermined_second) / rep.n_cells
         worst_undet = max(worst_undet, undet_frac)
-        if rep.identical and undet_frac < 0.01:
-            n_ok += 1
-    quot_ok = 0
+        tally.add("pairs", rep.identical and undet_frac < 0.01)
     for k in range(5):
         pair = generate_pair("null-difference", cfg.seed + 1000 + k, cfg.dims(k))
         refined = pair.f.drop_null_terms()
         rep = class_invariance_check(pair.f, refined, RECT, 64, 64, cfg.grid)
-        if rep.identical:
-            quot_ok += 1
+        tally.add("quotient", rep.identical)
     return [
         _result(
             "ac08-spectrum-invariance",
             f"{trials} certified null-difference pairs, 64x64 grids",
-            n_ok == trials,
-            [("pairs_ok", n_ok), ("worst_undetermined_frac", worst_undet)],
+            tally.passed("pairs"),
+            [("pairs_ok", tally.ok["pairs"]), ("worst_undetermined_frac", worst_undet)],
             details="cell-identical grids outside Undetermined (< 1%)",
         ),
         _result(
             "ac08b-spectrum-quotient-invariance",
             "5 families vs their null-refined representatives",
-            quot_ok == 5,
-            [("pairs_ok", quot_ok)],
+            tally.passed("quotient"),
+            [("pairs_ok", tally.ok["quotient"])],
             details="dropping certified-null terms leaves the grid unchanged",
         ),
     ]
 
 
 def check_local_oracle(cfg: ScenarioConfig, idx: int):
-    n_ok = 0
+    tally = _Tally()
     trials = 100
     for k in range(trials):
         rng = rng_for(cfg.seed, idx, k)
@@ -527,14 +544,13 @@ def check_local_oracle(cfg: ScenarioConfig, idx: int):
             (int(iy), int(ix))
             for iy, ix in np.argwhere(grid.classes == CLS_SPECTRUM)
         }
-        if marked == expected:
-            n_ok += 1
+        tally.add("instances", marked == expected)
     return [
         _result(
             "ac09-local-oracle",
             f"{trials} conditioned diagonalizable constants, 64x64 grids",
-            n_ok == trials,
-            [("instances_ok", n_ok), ("instances_total", trials)],
+            tally.passed(),
+            [("instances_ok", tally.ok["instances"]), ("instances_total", trials)],
             details="probe-grid support cells equal exact projection support cells",
         )
     ]
@@ -595,9 +611,7 @@ def _block_sizes(t: np.ndarray) -> list[int]:
 
 def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
     res = 32
-    pairs_ok = 0
-    member_ok = 0
-    member_total = 0
+    tally = _Tally()
     trials = 20
     for k in range(trials):
         f, g, t = _commuting_pair(cfg, idx, k, res)
@@ -606,6 +620,7 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
         commute = commute_in_limit(f, g, cfg.grid)
         qn = asym_qn_equivalent(f, g, cfg.grid)
         if commute.limit_verdict != TO_ZERO or qn.verdict != EQUIVALENT:
+            tally.add("pairs", False)
             continue
         blocks = []
         pos = 0
@@ -624,32 +639,32 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
             if not compare_grids(gf, gg).identical:
                 all_agree = False
                 break
-        if not all_agree:
+        if not tally.add("pairs", all_agree):
             continue
-        pairs_ok += 1
         centers = np.unique(np.round(np.diag(t), 9))
         for _ in range(10):
             region = _random_region(rng, centers)
             gf, gg = scans[int(rng.integers(len(scans)))]
             mf = loc.local_spectral_space_member(gf, region)
             mg = loc.local_spectral_space_member(gg, region)
-            member_total += 1
-            if mf.member == mg.member and mf.inconclusive == mg.inconclusive:
-                member_ok += 1
+            tally.add("memberships", mf.member == mg.member and mf.inconclusive == mg.inconclusive)
     return [
         _result(
             "ac10-commuting-local-invariance",
             f"{trials} commuting asymptotically-qn-equivalent pairs, 20 x each, "
             f"{res}x{res} grids",
-            pairs_ok == trials,
-            [("pairs_ok", pairs_ok), ("pairs_total", trials)],
+            tally.passed("pairs"),
+            [("pairs_ok", tally.ok["pairs"]), ("pairs_total", trials)],
             details="family local spectrum grids agree cell by cell",
         ),
         _result(
             "ac10b-spectral-space-equality",
             "10 random region descriptors per agreeing pair",
-            member_ok == member_total and member_total > 0,
-            [("memberships_ok", member_ok), ("memberships_total", member_total)],
+            tally.passed("memberships"),
+            [
+                ("memberships_ok", tally.ok["memberships"]),
+                ("memberships_total", tally.total["memberships"]),
+            ],
             details="local-spectral-space membership answers coincide",
         ),
     ]
@@ -689,14 +704,7 @@ def _chain_pair(cfg: ScenarioConfig, idx: int, k: int, res: int):
 
 def check_local_remark_chain(cfg: ScenarioConfig, idx: int):
     res = 32
-    incl_ok = 0
-    trunc_ok = 0
-    uniq_ok = 0
-    equiv_ok = 0
-    incl_total = 0
-    trunc_total = 0
-    uniq_total = 0
-    equiv_total = 0
+    tally = _Tally()
     undet_cells = 0
     total_cells = 0
     for k in range(10):
@@ -704,34 +712,28 @@ def check_local_remark_chain(cfg: ScenarioConfig, idx: int):
         d = fam_f.dim
         rng = rng_for(cfg.seed, idx, k)
         bound = spectral_radius_bound(fam_f, cfg.grid)
+        sg = family_spectrum_grid(fam_f, RECT, res, res, cfg.grid)
+        spec_or_undet = set(map(tuple, np.argwhere(sg.classes != CLS_RESOLVENT)))
         for _ in range(2):
             x = random_vector(rng, d)
             lg = loc.family_local_spectrum_grid(fam_f, x, RECT, res, res, cfg.grid)
-            sg = family_spectrum_grid(fam_f, RECT, res, res, cfg.grid)
             undet_cells += int((lg.classes == CLS_UNDETERMINED).sum())
             total_cells += lg.classes.size
-            incl_total += 1
             local_cells = set(map(tuple, np.argwhere(lg.classes == CLS_SPECTRUM)))
-            spec_or_undet = set(map(tuple, np.argwhere(sg.classes != CLS_RESOLVENT)))
-            if local_cells <= spec_or_undet:
-                incl_ok += 1
+            tally.add("inclusion", local_cells <= spec_or_undet)
             centers = np.array([0.0 + 0.0j, 1.0 + 0.0j, -1.0 + 1.0j])
             for _ in range(3):
                 region = _random_region(rng, centers)
-                trunc_total += 1
                 m_full = loc.local_spectral_space_member(lg, region)
                 clipped = region.intersect(
                     Disc(center=0.0 + 0.0j, radius=bound.value + 0.5)
                 )
                 m_clip = loc.local_spectral_space_member(lg, clipped)
-                if m_full.member == m_clip.member:
-                    trunc_ok += 1
+                tally.add("truncation", m_full.member == m_clip.member)
             lgg = loc.family_local_spectrum_grid(fam_g, x, RECT, res, res, cfg.grid)
             undet_cells += int((lgg.classes == CLS_UNDETERMINED).sum())
             total_cells += lgg.classes.size
-            equiv_total += 1
-            if compare_grids(lg, lgg).identical:
-                equiv_ok += 1
+            tally.add("equivalence", compare_grids(lg, lgg).identical)
         if has_hb_form:
             a = fam_f.terms[0][1]
             b = fam_f.terms[1][1]
@@ -749,30 +751,22 @@ def check_local_remark_chain(cfg: ScenarioConfig, idx: int):
                     len(_w), [(CoeffFn.pow_h(1.0), _w)]
                 )
 
-            uniq_total += 1
             rep = loc.local_extension_uniqueness_check(
                 fam_f, x, sol1, sol2, mesh, cfg.grid
             )
-            if rep.all_to_zero:
-                uniq_ok += 1
+            tally.add("uniqueness", rep.all_to_zero)
     undet_frac = undet_cells / max(total_cells, 1)
-    ok = (
-        incl_ok == incl_total
-        and trunc_ok == trunc_total
-        and uniq_ok == uniq_total
-        and equiv_ok == equiv_total
-        and undet_frac < 0.02
-    )
+    tally.add("undetermined", undet_frac < 0.02)
     return [
         _result(
             "ac11-local-remark-chain",
             "10 pairs x 2 vectors: inclusion, truncation, uniqueness, equivalence",
-            ok,
+            tally.passed(),
             [
-                ("inclusion_ok", incl_ok),
-                ("truncation_ok", trunc_ok),
-                ("uniqueness_ok", uniq_ok),
-                ("equivalence_ok", equiv_ok),
+                ("inclusion_ok", tally.ok["inclusion"]),
+                ("truncation_ok", tally.ok["truncation"]),
+                ("uniqueness_ok", tally.ok["uniqueness"]),
+                ("equivalence_ok", tally.ok["equivalence"]),
                 ("undetermined_frac", undet_frac),
             ],
             details="local cells inside spectrum cells; membership invariant "
@@ -863,25 +857,25 @@ def check_spectral_projections(cfg: ScenarioConfig, idx: int):
 
 def check_qn_laws(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    ok = True
+    tally = _Tally()
     for k in range(10):
         d = cfg.dims(k)
         t = random_matrix(rng, d)
-        ok &= qn_equivalent(t, t).verdict == EQUIVALENT
+        tally.add("reflexive", qn_equivalent(t, t).verdict == EQUIVALENT)
         c = 0.5 + rng.uniform(0.0, 1.0)
         shifted = t + c * np.eye(d)
-        ok &= qn_equivalent(t, shifted).verdict == NOT_EQUIVALENT
+        tally.add("shift", qn_equivalent(t, shifted).verdict == NOT_EQUIVALENT)
     for k in range(10):
         rng2 = rng_for(cfg.seed, idx, 99, k)
         t, (n,) = commuting_toeplitz(rng2, cfg.dims(k), 1)
         seq = bracket_seq(t, t + n, N_MAX)
         # A commuting nilpotent difference: the order-12 bracket is exactly zero.
-        ok &= seq.verdict().verdict == EQUIVALENT and float(seq.roots[11]) == 0.0
+        tally.add("nilpotent", seq.verdict().verdict == EQUIVALENT and float(seq.roots[11]) == 0.0)
     return [
         _result(
             "sup04-qn-laws",
             "reflexivity, scalar-shift controls, commuting-nilpotent zeros",
-            bool(ok),
+            tally.passed(),
             [],
         )
     ]
@@ -889,7 +883,7 @@ def check_qn_laws(cfg: ScenarioConfig, idx: int):
 
 def check_family_relation_laws(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    ok = True
+    tally = _Tally()
     for k in range(10):
         d = cfg.dims(k)
         f = _random_catalog_family(rng, d)
@@ -897,20 +891,20 @@ def check_family_relation_laws(cfg: ScenarioConfig, idx: int):
         u2 = _null_op_family(rng, d)
         g = f + u1
         w = g + u2
-        ok &= asymptotically_equivalent(f, f, cfg.grid).limit_verdict == TO_ZERO
-        ok &= asymptotically_equivalent(f, g, cfg.grid).limit_verdict == TO_ZERO
-        ok &= asymptotically_equivalent(g, f, cfg.grid).limit_verdict == TO_ZERO
-        ok &= asymptotically_equivalent(f, w, cfg.grid).limit_verdict == TO_ZERO
         const_off = f + OperatorFamily.constant(np.eye(d, dtype=complex))
-        ok &= (
-            asymptotically_equivalent(f, const_off, cfg.grid).limit_verdict
-            == BOUNDED_POSITIVE
-        )
+        for a, b, want in (
+            (f, f, TO_ZERO),
+            (f, g, TO_ZERO),
+            (g, f, TO_ZERO),
+            (f, w, TO_ZERO),
+            (f, const_off, BOUNDED_POSITIVE),
+        ):
+            tally.add("laws", asymptotically_equivalent(a, b, cfg.grid).limit_verdict == want)
     return [
         _result(
             "sup05-family-relation-laws",
             "reflexive, symmetric, transitive on catalog triples; controls",
-            bool(ok),
+            tally.passed(),
             [],
         )
     ]
@@ -918,19 +912,18 @@ def check_family_relation_laws(cfg: ScenarioConfig, idx: int):
 
 def check_bounded_asym_implies_qn(cfg: ScenarioConfig, idx: int):
     kinds = ("h-perturbation", "null-difference", "exp-null", "local-shift")
-    n_ok = 0
+    tally = _Tally()
     trials = 12
     for k in range(trials):
         pair = generate_pair(kinds[k % len(kinds)], cfg.seed + 40 + k, cfg.dims(k))
         rep = asym_qn_equivalent(pair.f, pair.g, cfg.grid)
-        if rep.verdict == EQUIVALENT:
-            n_ok += 1
+        tally.add("pairs", rep.verdict == EQUIVALENT)
     return [
         _result(
             "sup06-bounded-asym-implies-qn",
             f"{trials} certified asymptotically equivalent pairs",
-            n_ok == trials,
-            [("pairs_ok", n_ok)],
+            tally.passed(),
+            [("pairs_ok", tally.ok["pairs"])],
             details="asymptotic equivalence forces the bracket roots down",
         )
     ]
@@ -938,7 +931,7 @@ def check_bounded_asym_implies_qn(cfg: ScenarioConfig, idx: int):
 
 def check_class_representative_stability(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    n_ok = 0
+    tally = _Tally()
     trials = 10
     for k in range(trials):
         d = cfg.dims(k)
@@ -947,14 +940,13 @@ def check_class_representative_stability(cfg: ScenarioConfig, idx: int):
         g2 = base.g + _null_op_family(rng, d)
         r0 = asym_qn_equivalent(base.f, base.g, cfg.grid)
         r1 = asym_qn_equivalent(f2, g2, cfg.grid)
-        if r0.verdict == r1.verdict == EQUIVALENT:
-            n_ok += 1
+        tally.add("pairs", r0.verdict == r1.verdict == EQUIVALENT)
     return [
         _result(
             "sup07-class-representative-stability",
             f"{trials} pairs vs null-perturbed representatives",
-            n_ok == trials,
-            [("pairs_ok", n_ok)],
+            tally.passed(),
+            [("pairs_ok", tally.ok["pairs"])],
             details="equivalence verdicts survive changes of representative",
         )
     ]
@@ -962,7 +954,7 @@ def check_class_representative_stability(cfg: ScenarioConfig, idx: int):
 
 def check_commute_quotient(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    n_ok = 0
+    tally = _Tally()
     trials = 10
     for k in range(trials):
         d = cfg.dims(k)
@@ -978,14 +970,13 @@ def check_commute_quotient(cfg: ScenarioConfig, idx: int):
         noncomm = commute_in_limit(
             OperatorFamily.constant(a), OperatorFamily.constant(b), cfg.grid
         ).limit_verdict
-        if v0 == TO_ZERO and v1 == TO_ZERO and noncomm == BOUNDED_POSITIVE:
-            n_ok += 1
+        tally.add("trials", v0 == TO_ZERO and v1 == TO_ZERO and noncomm == BOUNDED_POSITIVE)
     return [
         _result(
             "sup08-commute-quotient",
             f"{trials} commuting pairs under representative change",
-            n_ok == trials,
-            [("trials_ok", n_ok)],
+            tally.passed(),
+            [("trials_ok", tally.ok["trials"])],
             details="vanishing commutator tails survive null perturbations; "
             "generic constant pairs keep a persistent commutator",
         )
@@ -994,7 +985,7 @@ def check_commute_quotient(cfg: ScenarioConfig, idx: int):
 
 def check_module_action(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    n_ok = 0
+    tally = _Tally()
     trials = 200
     for k in range(trials):
         d = cfg.dims(k)
@@ -1008,14 +999,13 @@ def check_module_action(cfg: ScenarioConfig, idx: int):
         w = _null_vec_family(rng, d)
         out2 = module_action(f + u, v + w, cfg.grid)
         diff = out2 - out
-        if is_null_family(diff, cfg.grid).limit_verdict == TO_ZERO:
-            n_ok += 1
+        tally.add("instances", is_null_family(diff, cfg.grid).limit_verdict == TO_ZERO)
     return [
         _result(
             "sup09-module-action",
             f"{trials} random catalog instances",
-            n_ok == trials,
-            [("instances_ok", n_ok)],
+            tally.passed(),
+            [("instances_ok", tally.ok["instances"])],
             details="well-defined under representative change; the norm bound "
             "is asserted inside the operation",
         )
@@ -1024,7 +1014,7 @@ def check_module_action(cfg: ScenarioConfig, idx: int):
 
 def check_radius_remarks(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    radius_ok = True
+    tally = _Tally()
     for k in range(10):
         d = cfg.dims(k)
         fam = _random_catalog_family(rng, d)
@@ -1032,48 +1022,39 @@ def check_radius_remarks(cfg: ScenarioConfig, idx: int):
         grid = family_spectrum_grid(fam, RECT, 48, 48, cfg.grid)
         w, h = grid.cell_size()
         diag = math.hypot(w, h)
-        for c in grid.cells_with_class(CLS_SPECTRUM).ravel():
-            if abs(c) > bound.value + diag + 1e-6:
-                radius_ok = False
-    neumann_ok = True
+        cells = grid.cells_with_class(CLS_SPECTRUM).ravel()
+        tally.add("radius", not any(abs(c) > bound.value + diag + 1e-6 for c in cells))
     for k in range(50):
         d = cfg.dims(k)
         fam = _random_catalog_family(rng, d)
         sup = float(norm_samples(fam, cfg.grid).max())
         lam = (sup / (1.0 - 1e-6)) * (1.0 + float(rng.uniform(0.01, 1.0)))
-        lam *= complex(np.cos(rng.uniform(0, 2 * np.pi)), np.sin(rng.uniform(0, 2 * np.pi)))
+        lam *= np.exp(1j * rng.uniform(0, 2 * np.pi))
         probe = probe_resolvent(fam, lam, cfg.grid)
-        if probe.classification != RESOLVENT:
-            neumann_ok = False
-    tails_ok = True
+        tally.add("neumann", probe.neumann and probe.classification == RESOLVENT)
     for k in range(20):
         d = cfg.dims(k)
         fam = _random_catalog_family(rng, d)
         sup = fam.sup_bound()
-        lam = (sup + 0.5) * complex(
-            np.cos(rng.uniform(0, 2 * np.pi)), np.sin(rng.uniform(0, 2 * np.pi))
-        )
+        lam = (sup + 0.5) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         probe = probe_resolvent(fam, lam, cfg.grid)
-        if probe.classification != RESOLVENT:
-            tails_ok = False
-            continue
         rn = probe.tail_resnorm
-        if not np.all(np.isfinite(rn)):
-            tails_ok = False
-            continue
-        lower = 1.0 / (abs(lam) + sup)
-        if rn.min() < lower - 1e-12:
-            tails_ok = False
+        tally.add(
+            "tails",
+            probe.classification == RESOLVENT
+            and np.all(np.isfinite(rn))
+            and not rn.min() < 1.0 / (abs(lam) + sup) - 1e-12,
+        )
     return [
         _result(
             "sup10-radius-remarks",
             "radius bound on 10 grids; Neumann exterior on 50 points; "
             "resolvent tails on 20 points",
-            radius_ok and neumann_ok and tails_ok,
+            tally.passed(),
             [
-                ("radius_ok", float(radius_ok)),
-                ("neumann_ok", float(neumann_ok)),
-                ("tails_ok", float(tails_ok)),
+                ("radius_ok", float(tally.passed("radius"))),
+                ("neumann_ok", float(tally.passed("neumann"))),
+                ("tails_ok", float(tally.passed("tails"))),
             ],
             details="spectrum cells obey the growth bound; norms below |lam| "
             "certify resolvent; inverse tails stay bounded and above "
@@ -1083,7 +1064,7 @@ def check_radius_remarks(cfg: ScenarioConfig, idx: int):
 
 
 def check_open_set(cfg: ScenarioConfig, idx: int):
-    n_ok = 0
+    tally = _Tally()
     trials = 10
     for k in range(trials):
         rng = rng_for(cfg.seed, idx, k)
@@ -1091,23 +1072,17 @@ def check_open_set(cfg: ScenarioConfig, idx: int):
         fam = _random_catalog_family(rng, d)
         coarse = family_spectrum_grid(fam, RECT, 24, 24, cfg.grid)
         fine = family_spectrum_grid(fam, RECT, 48, 48, cfg.grid)
-        stable = True
-        for iy in range(1, 23):
-            for ix in range(1, 23):
-                block = coarse.classes[iy - 1 : iy + 2, ix - 1 : ix + 2]
-                if not np.all(block == CLS_RESOLVENT):
-                    continue
-                children = fine.classes[2 * iy : 2 * iy + 2, 2 * ix : 2 * ix + 2]
-                if not np.all(children == CLS_RESOLVENT):
-                    stable = False
-        if stable:
-            n_ok += 1
+        # Interior coarse cells whose 3x3 block is resolvent, and coarse
+        # cells whose four fine children are all resolvent.
+        interior = sliding_window_view(coarse.classes == CLS_RESOLVENT, (3, 3)).all(axis=(2, 3))
+        children = (fine.classes == CLS_RESOLVENT).reshape(24, 2, 24, 2).all(axis=(1, 3))
+        tally.add("families", not np.any(interior & ~children[1:23, 1:23]))
     return [
         _result(
             "sup11-open-set",
             f"{trials} random catalog families, 24x24 vs 48x48",
-            n_ok == trials,
-            [("families_ok", n_ok)],
+            tally.passed(),
+            [("families_ok", tally.ok["families"])],
             details="interior resolvent cells stay resolvent when refined",
         )
     ]
@@ -1148,7 +1123,7 @@ def _svep_witnesses(rng, fam: OperatorFamily, count: int) -> list[loc.Witness]:
 
 def check_svep(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    n_ok = 0
+    tally = _Tally()
     families = 10
     witnesses_per = 10
     for k in range(families):
@@ -1160,14 +1135,16 @@ def check_svep(cfg: ScenarioConfig, idx: int):
         mesh = [base + 0.3 * dx + 0.3j * dy for dx in range(3) for dy in range(3)]
         wit = _svep_witnesses(rng, fam, witnesses_per)
         rep = loc.svep_falsification_probe(fam, wit, mesh, cfg.grid)
-        if not rep.falsified and all(r.bounded_pointwise for r in rep.results):
-            n_ok += 1
+        tally.add("families", not rep.falsified and all(r.bounded_pointwise for r in rep.results))
     return [
         _result(
             "sup12-svep",
             f"{families} catalog families x {witnesses_per} witnesses",
-            n_ok == families,
-            [("families_unfalsified", n_ok), ("witnesses_total", families * witnesses_per)],
+            tally.passed(),
+            [
+                ("families_unfalsified", tally.ok["families"]),
+                ("witnesses_total", families * witnesses_per),
+            ],
             details="no witness produces vanishing residuals with persistent "
             "norm; reported as not-falsified, never as proof",
         )
@@ -1176,7 +1153,7 @@ def check_svep(cfg: ScenarioConfig, idx: int):
 
 def check_svep_transfer(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    n_ok = 0
+    tally = _Tally()
     trials = 6
     for k in range(trials):
         d = cfg.dims(k)
@@ -1188,14 +1165,13 @@ def check_svep_transfer(cfg: ScenarioConfig, idx: int):
         rep_g = loc.svep_falsification_probe(pair.g, wit, mesh, cfg.grid)
         statuses_f = tuple(r.status for r in rep_f.results)
         statuses_g = tuple(r.status for r in rep_g.results)
-        if statuses_f == statuses_g:
-            n_ok += 1
+        tally.add("pairs", statuses_f == statuses_g)
     return [
         _result(
             "sup13-svep-transfer",
             f"{trials} asymptotically equivalent pairs, shared witnesses",
-            n_ok == trials,
-            [("pairs_ok", n_ok)],
+            tally.passed(),
+            [("pairs_ok", tally.ok["pairs"])],
             details="falsification outcomes transfer along asymptotic "
             "equivalence and representative change",
         )
@@ -1209,12 +1185,13 @@ def check_local_exact(cfg: ScenarioConfig, idx: int):
     r2 = loc.local_spectrum_exact(a, np.array([1.0, 1.0], dtype=complex))
     j = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     r3 = loc.local_spectrum_exact(j, np.array([1.0, 0.0], dtype=complex))
-    examples_ok = (
+    tally = _Tally()
+    tally.add(
+        "examples",
         _support_match(r1.support_points(), [1.0 + 0j])
         and _support_match(r2.support_points(), [1.0 + 0j, 2.0 + 0j])
-        and _support_match(r3.support_points(), [0.0 + 0j])
+        and _support_match(r3.support_points(), [0.0 + 0j]),
     )
-    linear_ok = True
     for k in range(50):
         d = cfg.dims(k)
         amat, w, _ = random_diagonalizable(rng, d)
@@ -1233,14 +1210,14 @@ def check_local_exact(cfg: ScenarioConfig, idx: int):
                 6,
             )
         )
-        if not sz <= (sx | sy):
-            linear_ok = False
+        tally.add("linear", sz <= (sx | sy))
     zero = loc.local_spectrum_exact(a, np.zeros(2, dtype=complex))
+    tally.add("zero", zero.zero_vector and not zero.support)
     return [
         _result(
             "sup14-local-exact",
             "component examples, 50 linearity trials, zero vector",
-            examples_ok and linear_ok and zero.zero_vector and not zero.support,
+            tally.passed(),
             [],
             details="support = projections above threshold; "
             "support(ax+by) inside support(x) | support(y); Sp(0) empty",
@@ -1253,11 +1230,11 @@ def check_extension(cfg: ScenarioConfig, idx: int):
     a = np.diag([1.0 + 0j, 2.0 + 0j])
     e1 = loc.maximal_extension_eval(a, np.array([1.0, 0.0], dtype=complex), 3.0)
     e2 = loc.maximal_extension_eval(a, np.array([0.0, 1.0], dtype=complex), 3.0)
-    examples_ok = (
-        np.allclose(e1, [0.5, 0.0], atol=1e-10)
-        and np.allclose(e2, [0.0, 1.0], atol=1e-10)
+    tally = _Tally()
+    tally.add(
+        "examples",
+        np.allclose(e1, [0.5, 0.0], atol=1e-10) and np.allclose(e2, [0.0, 1.0], atol=1e-10),
     )
-    agree_ok = True
     for k in range(30):
         d = cfg.dims(k)
         amat, w, _ = random_diagonalizable(rng, d)
@@ -1269,15 +1246,13 @@ def check_extension(cfg: ScenarioConfig, idx: int):
         bound = loc.TOL_EXT * (op_norm(amat) + abs(lam) + 1) * max(
             np.linalg.norm(ev), np.linalg.norm(x)
         )
-        if resid > bound or np.linalg.norm(ev - direct) > 1e-6 * max(
-            1.0, np.linalg.norm(direct)
-        ):
-            agree_ok = False
+        gap = np.linalg.norm(ev - direct)
+        tally.add("agree", not (resid > bound or gap > 1e-6 * max(1.0, np.linalg.norm(direct))))
     return [
         _result(
             "sup15-extension",
             "diagonal examples plus 30 random agreement trials",
-            examples_ok and agree_ok,
+            tally.passed(),
             [],
             details="partial-fraction values satisfy the residual bound and "
             "match direct solves on the common domain",
@@ -1287,8 +1262,7 @@ def check_extension(cfg: ScenarioConfig, idx: int):
 
 def check_member_monotone(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    n_ok = 0
-    linear_ok = 0
+    tally = _Tally()
     trials = 12
     res = 24
     for k in range(trials):
@@ -1306,8 +1280,7 @@ def check_member_monotone(cfg: ScenarioConfig, idx: int):
         big = Union(parts=(small, Disc(center=0j, radius=float(rng.uniform(0.2, 0.8)))))
         m_small = loc.local_spectral_space_member(lg, small)
         m_big = loc.local_spectral_space_member(lg, big)
-        if (not m_small.member) or m_big.member:
-            n_ok += 1
+        tally.add("monotone", (not m_small.member) or m_big.member)
         # Linearity at grid level: the support of a combination stays
         # inside the union of the supports.
         y = random_vector(rng, d)
@@ -1322,14 +1295,13 @@ def check_member_monotone(cfg: ScenarioConfig, idx: int):
             | (ly.classes == CLS_SPECTRUM)
             | (lz.classes == CLS_UNDETERMINED)
         )
-        if bool(np.all(union_or_undet[lz.classes == CLS_SPECTRUM])):
-            linear_ok += 1
+        tally.add("linear", np.all(union_or_undet[lz.classes == CLS_SPECTRUM]))
     return [
         _result(
             "sup16-member-monotone",
             f"{trials} trials of region enlargement and linear combination",
-            n_ok == trials and linear_ok == trials,
-            [("monotone_ok", n_ok), ("linear_ok", linear_ok)],
+            tally.passed(),
+            [("monotone_ok", tally.ok["monotone"]), ("linear_ok", tally.ok["linear"])],
             details="membership survives region enlargement; combination "
             "supports stay inside the union of supports",
         )
@@ -1338,7 +1310,7 @@ def check_member_monotone(cfg: ScenarioConfig, idx: int):
 
 def check_constant_class_embedding(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    n_ok = 0
+    tally = _Tally()
     trials = 10
     hs = cfg.grid.tail_samples()
     for k in range(trials):
@@ -1346,24 +1318,20 @@ def check_constant_class_embedding(cfg: ScenarioConfig, idx: int):
         fam = _random_catalog_family(rng, d)
         x = random_vector(rng, d)
         u = _null_vec_family(rng, d)
-        lam = (fam.sup_bound() + 1.0) * complex(
-            np.cos(rng.uniform(0, 2 * np.pi)), np.sin(rng.uniform(0, 2 * np.pi))
-        )
+        lam = (fam.sup_bound() + 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         mats = lam * np.eye(d, dtype=complex) - fam.eval_stack(hs)
         rhs_const = np.broadcast_to(x[:, None], (len(hs), d, 1))
         y1 = np.linalg.solve(mats, rhs_const)[..., 0]
         rhs_fam = (x[None, :] + u.eval_stack(hs))[..., None]
         y2 = np.linalg.solve(mats, rhs_fam)[..., 0]
         gap = np.linalg.norm(y1 - y2, axis=1)
-        stats = tail_stats(gap)
-        if stats.limit_verdict == TO_ZERO:
-            n_ok += 1
+        tally.add("trials", tail_stats(gap).limit_verdict == TO_ZERO)
     return [
         _result(
             "sup17-constant-class-embedding",
             f"{trials} resolvent solves with null-perturbed right-hand sides",
-            n_ok == trials,
-            [("trials_ok", n_ok)],
+            tally.passed(),
+            [("trials_ok", tally.ok["trials"])],
             details="solutions for x and for any representative of its "
             "constant class merge at h -> 0",
         )
@@ -1372,7 +1340,7 @@ def check_constant_class_embedding(cfg: ScenarioConfig, idx: int):
 
 def check_local_quotient(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
-    n_ok = 0
+    tally = _Tally()
     trials = 10
     for k in range(trials):
         d = min(cfg.dims(k), 4)
@@ -1381,22 +1349,20 @@ def check_local_quotient(cfg: ScenarioConfig, idx: int):
         fam2 = fam + _null_op_family(rng, d)
         x = random_vector(rng, d)
         eigs = eigenvalues(fam(1e-9))
-        agree = True
-        for lam0 in list(eigs[:2]) + [eigs[0] + 1.5]:
-            p1 = loc.family_local_probe(fam, x, complex(lam0), 0.05, cfg.grid)
-            p2 = loc.family_local_probe(fam2, x, complex(lam0), 0.05, cfg.grid)
-            if loc.UNDETERMINED in (p1.classification, p2.classification):
-                continue
-            if p1.classification != p2.classification:
-                agree = False
-        if agree:
-            n_ok += 1
+        pairs = [
+            (
+                loc.family_local_probe(fam, x, complex(lam0), 0.05, cfg.grid).classification,
+                loc.family_local_probe(fam2, x, complex(lam0), 0.05, cfg.grid).classification,
+            )
+            for lam0 in list(eigs[:2]) + [eigs[0] + 1.5]
+        ]
+        tally.add("trials", not any(a != b for a, b in pairs if loc.UNDETERMINED not in (a, b)))
     return [
         _result(
             "sup18-local-quotient",
             f"{trials} families vs null-perturbed representatives, probe points",
-            n_ok == trials,
-            [("trials_ok", n_ok)],
+            tally.passed(),
+            [("trials_ok", tally.ok["trials"])],
             details="probe classifications survive null perturbations of the family",
         )
     ]

@@ -12,9 +12,7 @@ from opfam.bracket import (
     NOT_EQUIVALENT,
     OVERFLOW_LIMIT,
     bracket,
-    bracket_binomial,
     bracket_binomials,
-    bracket_norm_sequence,
     bracket_norms,
     bracket_seq,
     brackets,
@@ -73,7 +71,7 @@ def test_recurrence_matches_binomial_sum():
         s = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
         scale = op_norm(t) + op_norm(s)
         for n in range(1, 13):
-            err = op_norm(bracket(t, s, n) - bracket_binomial(t, s, n))
+            err = op_norm(bracket(t, s, n) - bracket_binomials(t, s, n)[n])
             assert err <= 1e-8 * scale**n
 
 
@@ -236,7 +234,7 @@ def test_single_pair_brackets_are_rows_of_the_stacks():
     for i in range(6):
         for n in range(13):
             assert bracket(ts[i], ss[i], n).tobytes() == rec[i, n].tobytes()
-            assert bracket_binomial(ts[i], ss[i], n).tobytes() == binom[i, n].tobytes()
+            assert bracket_binomials(ts[i], ss[i], n)[n].tobytes() == binom[i, n].tobytes()
 
 
 def test_bracket_orders_are_bounded():
@@ -244,7 +242,7 @@ def test_bracket_orders_are_bounded():
     s = _jordan(2.0, 3)
     for n_max in (-1, MAX_BRACKET_ORDER + 1):
         with pytest.raises(InputError):
-            bracket_norm_sequence(t, s, n_max)
+            bracket_norms(t, s, n_max)
     for n_max in (3, MAX_BRACKET_ORDER + 1, 5000):
         for call in (bracket_seq, qn_equivalent):
             with pytest.raises(InputError):

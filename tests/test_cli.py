@@ -8,13 +8,14 @@ from opfam.cli import main
 from opfam.emit import read_grid_csv
 from opfam.errors import InvariantError
 from opfam.families import CoeffFn, OperatorFamily
-from opfam.fileio import save_family, save_matrix, save_vector
+from opfam.fileio import save_family, save_vector, write_matrix
 
 
 @pytest.fixture()
 def workdir(tmp_path):
-    save_matrix(2.0 * np.eye(3), tmp_path / "t.mat")
-    save_matrix(2.0 * np.eye(3) + np.eye(3, k=1), tmp_path / "s.mat")
+    for name, mat in (("t", 2.0 * np.eye(3)), ("s", 2.0 * np.eye(3) + np.eye(3, k=1))):
+        with open(tmp_path / f"{name}.mat", "w", encoding="utf-8") as fh:
+            write_matrix(mat, fh)
     save_family(OperatorFamily.constant(np.diag([1.0, 2.0])), tmp_path / "d.fam")
     flip = OperatorFamily.from_terms(
         2,

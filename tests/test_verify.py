@@ -5,8 +5,9 @@ import re
 import pytest
 
 from opfam import verify
+from opfam.bracket import NOT_EQUIVALENT
 from opfam.errors import InputError
-from opfam.families import HGrid
+from opfam.families import BOUNDED_POSITIVE, HGrid
 from opfam.verify import (
     ALL_SUITES,
     CHECKS,
@@ -16,6 +17,7 @@ from opfam.verify import (
     ReportBundle,
     ScenarioConfig,
     _cells_match_one_off,
+    _Tally,
     run_suite,
 )
 
@@ -137,3 +139,84 @@ def test_crashing_check_becomes_one_fail_record(monkeypatch, tmp_path, capsys):
     assert f"check={crash_id}|" in report
     assert "repro=opfam verify --seed 5 --suite linalg" in report
     assert crash_id in (tmp_path / "rep" / "summary.txt").read_text()
+
+
+def _run_check(check_id: str) -> dict:
+    """The records of one registered check at seed 42, by record id."""
+    pos, fn = next((k, fn) for k, (cid, _, fn) in enumerate(CHECKS) if cid == check_id)
+    return {r.check_id: r for r in fn(ScenarioConfig(), pos)}
+
+
+def test_tally_one_failing_instance_fails_the_record():
+    tally = _Tally()
+    assert tally.add("pairs", True) is True
+    assert tally.add("pairs", False) is False
+    tally.add("pairs", True)
+    assert (tally.ok["pairs"], tally.total["pairs"]) == (2, 3)
+    assert not tally.passed()
+    assert not tally.passed("pairs")
+
+
+def test_tally_a_criterion_without_instances_fails():
+    tally = _Tally()
+    assert not tally.passed()
+    assert not tally.passed("pairs")
+    tally.add("pairs", True)
+    assert tally.passed() and tally.passed("pairs")
+    assert not tally.passed("pairs", "memberships")
+    assert (tally.ok["memberships"], tally.total["memberships"]) == (0, 0)
+    assert tally.passed()
+
+
+def test_tally_passed_reads_the_named_criteria_alone():
+    tally = _Tally()
+    tally.add("radius", True)
+    tally.add("neumann", False)
+    tally.add("tails", True)
+    assert list(tally.total) == ["radius", "neumann", "tails"]
+    assert tally.passed("radius") and tally.passed("tails") and tally.passed("radius", "tails")
+    assert not tally.passed("neumann")
+    assert not tally.passed()
+
+
+def test_a_wrong_equivalence_verdict_fails_sup06(monkeypatch):
+    real = verify.asym_qn_equivalent
+    calls = []
+
+    def third_not_equivalent(f, g, grid):
+        calls.append(None)
+        rep = real(f, g, grid)
+        return dataclasses.replace(rep, verdict=NOT_EQUIVALENT) if len(calls) == 3 else rep
+
+    monkeypatch.setattr(verify, "asym_qn_equivalent", third_not_equivalent)
+    rec = _run_check("sup06-bounded-asym-implies-qn")["sup06-bounded-asym-implies-qn"]
+    assert len(calls) == 12
+    assert rec.verdict == FAIL
+    assert dict(rec.metrics) == {"pairs_ok": 11.0}
+
+
+def test_a_persistent_commutator_fails_ac10_and_ac10b(monkeypatch):
+    real = verify.commute_in_limit
+
+    def bounded_positive(f, g, grid):
+        return dataclasses.replace(real(f, g, grid), limit_verdict=BOUNDED_POSITIVE)
+
+    monkeypatch.setattr(verify, "commute_in_limit", bounded_positive)
+    recs = _run_check("ac10-commuting-local-invariance")
+    pairs = recs["ac10-commuting-local-invariance"]
+    members = recs["ac10b-spectral-space-equality"]
+    assert pairs.verdict == FAIL and members.verdict == FAIL
+    assert dict(pairs.metrics) == {"pairs_ok": 0.0, "pairs_total": 20.0}
+    assert dict(members.metrics) == {"memberships_ok": 0.0, "memberships_total": 0.0}
+
+
+def test_sup10_needs_the_neumann_certificate(monkeypatch):
+    real = verify.probe_resolvent
+
+    def no_certificate(fam, lam, grid):
+        return dataclasses.replace(real(fam, lam, grid), neumann=False)
+
+    monkeypatch.setattr(verify, "probe_resolvent", no_certificate)
+    rec = _run_check("sup10-radius-remarks")["sup10-radius-remarks"]
+    assert rec.verdict == FAIL
+    assert dict(rec.metrics) == {"radius_ok": 1.0, "neumann_ok": 0.0, "tails_ok": 1.0}
