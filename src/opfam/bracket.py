@@ -126,14 +126,16 @@ def _first(mask: np.ndarray) -> np.ndarray:
     return np.argmax(np.concatenate([mask, stop], axis=-1), axis=-1)
 
 
-def bracket_norms(t, s, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def bracket_norms(t, s, n_max: int) -> np.ndarray:
     """Norms of the brackets of order 1..n_max of every pair of two stacks.
 
-    Returns (norms, ok) of shapes (..., n_max) and (...).  All norms come
-    from one stacked SVD, then each pair is cut at its first rule that
-    fires: a norm above OVERFLOW_LIMIT (or a non-finite bracket) makes it
-    +inf from that order on and ok False; a norm below EPS_ZERO is an exact
-    zero of the recurrence and makes it 0 from that order on.
+    Returns the norms, of shape (..., n_max).  All of them come from one
+    stacked SVD, then each pair is cut at its first rule that fires: a norm
+    above OVERFLOW_LIMIT (or a non-finite bracket) makes it +inf from that
+    order on; a norm below EPS_ZERO is an exact zero of the recurrence and
+    makes it 0 from that order on.  So +inf is the only sign of overflow:
+    a row is all finite exactly when its pair did not overflow, and
+    `root_test` is the rule that turns a non-finite row into a verdict.
     """
     mats = brackets(t, s, n_max)[..., 1:, :, :]
     flat = mats.reshape((-1,) + mats.shape[-2:])
@@ -144,11 +146,9 @@ def bracket_norms(t, s, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     values = values.reshape(mats.shape[:-2])
     first_over = _first(values > OVERFLOW_LIMIT)
     first_zero = _first(values < EPS_ZERO)
-    ok = first_zero <= first_over
     stop = np.minimum(first_over, first_zero)[..., None]
-    fill = np.where(ok, 0.0, np.inf)[..., None]
-    norms = np.where(np.arange(n_max) < stop, values, fill)
-    return norms, ok
+    fill = np.where(first_zero <= first_over, 0.0, np.inf)[..., None]
+    return np.where(np.arange(n_max) < stop, values, fill)
 
 
 @dataclass(frozen=True)
@@ -160,21 +160,14 @@ class BracketSeq:
     roots: np.ndarray
     rev_norms: np.ndarray
     rev_roots: np.ndarray
-    overflow: bool
 
     def verdict(self) -> EquivalenceReport:
-        """The root test of both operand orders, conjoined; Inconclusive on overflow."""
-        if self.overflow:
-            return EquivalenceReport(
-                verdict=INCONCLUSIVE,
-                final_root=float("inf"),
-                trend=float("inf"),
-                diagnostics="bracket norms overflow",
-            )
+        """The root test of both operand orders, conjoined."""
         return combine_order_reports(root_test(self.roots), root_test(self.rev_roots))
 
 
 def _roots_from_norms(norms: np.ndarray) -> np.ndarray:
+    """n-th roots of the norms of orders 1..n_max; below EPS_ZERO is 0, +inf stays."""
     n = np.arange(1, len(norms) + 1, dtype=float)
     with np.errstate(divide="ignore"):
         roots = np.where(norms >= EPS_ZERO, norms ** (1.0 / n), 0.0)
@@ -185,16 +178,13 @@ def bracket_seq(t, s, n_max: int) -> BracketSeq:
     """Bracket norms/roots for (T, S) and (S, T), orders 1..n_max."""
     _check_order(n_max, "n_max", low=4)
     tm, sm = _check_pair(t, s)
-    (norms, rev_norms), ok = bracket_norms(
-        np.stack([tm, sm]), np.stack([sm, tm]), n_max
-    )
+    norms, rev_norms = bracket_norms(np.stack([tm, sm]), np.stack([sm, tm]), n_max)
     return BracketSeq(
         n_max=n_max,
         norms=norms,
         roots=_roots_from_norms(norms),
         rev_norms=rev_norms,
         rev_roots=_roots_from_norms(rev_norms),
-        overflow=not ok.all(),
     )
 
 
@@ -253,6 +243,9 @@ def root_test(roots: np.ndarray) -> EquivalenceReport:
     Equivalent: an exact zero appears (and persists), or the final root is
     below EPS_Q.  NotEquivalent: the trailing ROOT_WINDOW roots stay at or
     above DELTA_Q with a non-decreasing fit.  Everything else: Inconclusive.
+    This is the one overflow rule of the equivalence tests: an overflowed
+    bracket norm is +inf, so is its root, and a non-finite root makes the
+    sequence Inconclusive with final_root and trend +inf.
     """
     roots = np.asarray(roots, dtype=float)
     if len(roots) < ROOT_WINDOW:

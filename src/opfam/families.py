@@ -21,9 +21,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bracket import (
+    INCONCLUSIVE,
     N_MAX,
     EquivalenceReport,
     _log10_fit,
+    _roots_from_norms,
     bracket_norms,
     combine_order_reports,
     root_test,
@@ -46,7 +48,6 @@ DECAY_CERT_FIT = 0.3
 TO_ZERO = "ToZero"
 BOUNDED_POSITIVE = "BoundedPositive"
 UNBOUNDED = "Unbounded"
-INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -511,26 +512,14 @@ def asym_qn_equivalent(
     fs = f.eval_stack(hs)
     gs = g.eval_stack(hs)
 
-    norms, ok = bracket_norms(np.stack([fs, gs]), np.stack([gs, fs]), N_MAX)
+    norms = bracket_norms(np.stack([fs, gs]), np.stack([gs, fs]), N_MAX)
     reports = []
-    for per_h, ok_h, tag in zip(norms, ok, ("F,G", "G,F")):
-        if not ok_h.all():
-            reports.append(
-                EquivalenceReport(
-                    verdict=INCONCLUSIVE,
-                    final_root=float("inf"),
-                    trend=float("inf"),
-                    diagnostics=f"order ({tag}): bracket norms overflow",
-                )
-            )
-            continue
-        sigmas, at_floor, decays = _inner_limit_estimates(per_h, ZERO_FLOOR)
-        roots = np.where(
-            sigmas > 0.0,
-            np.maximum(sigmas, 1e-300) ** (1.0 / np.arange(1, N_MAX + 1)),
-            0.0,
-        )
-        rep = root_test(roots)
+    for per_h, tag in zip(norms, ("F,G", "G,F")):
+        # An overflowed order is an inf column: its estimate and root are
+        # inf, and root_test makes it Inconclusive.
+        with np.errstate(invalid="ignore"):
+            sigmas, at_floor, decays = _inner_limit_estimates(per_h, ZERO_FLOOR)
+        rep = root_test(_roots_from_norms(sigmas))
         reports.append(
             replace(
                 rep,
@@ -538,5 +527,4 @@ def asym_qn_equivalent(
                 f"{at_floor.sum()} at floor, {decays.sum()} decay-certified",
             )
         )
-
     return combine_order_reports(reports[0], reports[1])

@@ -42,6 +42,7 @@ from .spectra import (
     CLS_RESOLVENT,
     CLS_SPECTRUM,
     CLS_UNDETERMINED,
+    UNDETERMINED,
     RegionGrid,
     _dip_mask,
     _scan_setup,
@@ -53,7 +54,6 @@ from .regions import Region, parse_region
 
 LOCAL_RESOLVENT = "LocalResolvent"
 LOCAL_SPECTRUM = "LocalSpectrum"
-UNDETERMINED = "Undetermined"
 
 TOL_LOC = 1e-8
 TOL_EXT = 1e-6

@@ -7,8 +7,9 @@ machine report is byte-identical across runs and thread counts.  Runtime
 budgets are asserted by the test suite around these same functions, not
 inside them.
 
-Verdicts: pass / fail / inconclusive.  Inconclusive counts are reported
-but never fail a run; exit status is nonzero iff some check fails.
+Verdicts: pass / fail.  The report also counts inconclusive records,
+which would never fail a run, though no check gives one yet; exit status
+is nonzero iff some check fails.
 """
 
 from __future__ import annotations
@@ -121,14 +122,13 @@ class CheckResult:
     details: str = ""
 
 
-def _result(check_id, instance, ok, metrics, details="", inconclusive=False):
-    verdict = PASS if ok else (INCONCLUSIVE_VERDICT if inconclusive else FAIL)
+def _result(check_id, instance, ok, metrics, details=""):
     return CheckResult(
         check_id=check_id,
         suite="",
         anchor="",
         instance=instance,
-        verdict=verdict,
+        verdict=PASS if ok else FAIL,
         metrics=tuple((k, float(v)) for k, v in metrics),
         details=details,
     )
@@ -670,6 +670,17 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
     ]
 
 
+def _diag_plus_unit(rng, d: int, res: int):
+    """diag(eigs) + h E with E one unit entry; returns (family, eigs)."""
+    eigs = draw_eigenvalues(rng, d, rect=RECT, n_cells=res)
+    e = np.zeros((d, d), dtype=complex)
+    e[int(rng.integers(d)), int(rng.integers(d))] = 1.0
+    fam = OperatorFamily.from_terms(
+        d, [(CoeffFn.const(), np.diag(eigs)), (CoeffFn.pow_h(1.0), e)]
+    )
+    return fam, eigs
+
+
 def _chain_pair(cfg: ScenarioConfig, idx: int, k: int, res: int):
     """Margin-conditioned asymptotically equivalent pair for the chain checks.
 
@@ -682,14 +693,8 @@ def _chain_pair(cfg: ScenarioConfig, idx: int, k: int, res: int):
     kind = k % 3
     rng = rng_for(cfg.seed, idx, 9000 + k)
     if kind == 0:
-        lams = draw_eigenvalues(rng, d, rect=RECT, n_cells=res)
-        e = np.zeros((d, d), dtype=complex)
-        e[int(rng.integers(d)), int(rng.integers(d))] = 1.0
-        f = OperatorFamily.from_terms(
-            d, [(CoeffFn.const(), np.diag(lams)), (CoeffFn.pow_h(1.0), e)]
-        )
-        g = OperatorFamily.constant(np.diag(lams))
-        return f, g, True
+        f, lams = _diag_plus_unit(rng, d, res)
+        return f, OperatorFamily.constant(np.diag(lams)), True
     if kind == 1:
         a, _, _ = random_diagonalizable(rng, d, rect=RECT, n_cells=res)
         b = random_matrix(rng, d, scale=0.5)
@@ -1267,13 +1272,7 @@ def check_member_monotone(cfg: ScenarioConfig, idx: int):
     res = 24
     for k in range(trials):
         d = min(cfg.dims(k), 4)
-        rngk = rng_for(cfg.seed, idx, 800 + k)
-        eigs = draw_eigenvalues(rngk, d, rect=RECT, n_cells=res)
-        e = np.zeros((d, d), dtype=complex)
-        e[int(rngk.integers(d)), int(rngk.integers(d))] = 1.0
-        fam = OperatorFamily.from_terms(
-            d, [(CoeffFn.const(), np.diag(eigs)), (CoeffFn.pow_h(1.0), e)]
-        )
+        fam, eigs = _diag_plus_unit(rng_for(cfg.seed, idx, 800 + k), d, res)
         x = random_vector(rng, d)
         lg = loc.family_local_spectrum_grid(fam, x, RECT, res, res, cfg.grid)
         small = _random_region(rng, eigs)

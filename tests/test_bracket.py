@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from opfam.bracket import (
     EQUIVALENT,
     INCONCLUSIVE,
     MAX_BRACKET_ORDER,
+    N_MAX,
     NOT_EQUIVALENT,
     OVERFLOW_LIMIT,
     bracket,
@@ -82,7 +85,7 @@ def test_bracket_seq_examples():
     assert seq.roots[0] == pytest.approx(1.0)
     assert seq.roots[1] == pytest.approx(1.0)
     assert np.all(seq.roots[2:] == 0.0)
-    assert not seq.overflow
+    assert np.isfinite(seq.norms).all() and np.isfinite(seq.rev_norms).all()
 
     same = bracket_seq(t, t, 8)
     assert np.all(same.norms == 0.0)
@@ -154,13 +157,14 @@ def _reference_norms(t, s, n_max):
 
 
 def _assert_matches_reference(ts, ss, n_max):
-    norms, ok = bracket_norms(ts, ss, n_max)
-    assert norms.shape == (len(ts), n_max) and ok.shape == (len(ts),)
+    """Rows match the loop bit for bit, and are finite exactly where it did not overflow."""
+    norms = bracket_norms(ts, ss, n_max)
+    assert norms.shape == (len(ts), n_max)
     for i in range(len(ts)):
         ref, ref_ok = _reference_norms(ts[i], ss[i], n_max)
         assert norms[i].tobytes() == ref.tobytes(), f"row {i}"
-        assert bool(ok[i]) == ref_ok, f"row {i}"
-    return norms, ok
+        assert bool(np.isfinite(norms[i]).all()) == ref_ok, f"row {i}"
+    return norms
 
 
 def _random_stack(rng, count, d, scale=1.0):
@@ -189,8 +193,8 @@ def test_exact_zero_rows_are_cut_to_zero(d):
     # (T, T) is zero from order 1.
     ts = np.stack([t, t + n, r[0], t])
     ss = np.stack([t + n, t, r[1], t])
-    norms, ok = _assert_matches_reference(ts, ss, 20)
-    assert ok.all()
+    norms = _assert_matches_reference(ts, ss, 20)
+    assert np.isfinite(norms).all()
     for row in (0, 1, 3):
         assert norms[row, -1] == 0.0
     assert np.all(norms[3] == 0.0)
@@ -203,14 +207,30 @@ def test_exact_zero_rows_are_cut_to_zero(d):
 def test_an_overflowing_row_leaves_the_finite_rows_alone():
     rng = np.random.default_rng(SEED + 3)
     big = np.diag([1e120, 1.0]).astype(complex)
-    ts = np.stack([big, _random_stack(rng, 1, 2)[0]])
-    ss = np.stack([np.zeros((2, 2)), _random_stack(rng, 1, 2)[0]])
-    norms, ok = _assert_matches_reference(ts, ss, 30)
-    assert ok.tolist() == [False, True]
+    # (huge, huge.T) has a non-finite order-2 bracket (inf - inf), not just a large one.
+    huge = np.array([[1e200, 1e200], [0.0, -1e200]], dtype=complex)
+    ts = np.stack([big, _random_stack(rng, 1, 2)[0], huge])
+    ss = np.stack([np.zeros((2, 2)), _random_stack(rng, 1, 2)[0], huge.T])
+    norms = _assert_matches_reference(ts, ss, 30)
+    assert np.isfinite(norms).all(-1).tolist() == [False, True, False]
     assert norms[0, 1] == 1e240 and np.all(np.isinf(norms[0, 2:]))
-    assert np.all(np.isfinite(norms[1]))
+    assert norms[2, 0] == op_norm(huge - huge.T) and np.all(np.isinf(norms[2, 1:]))
     with np.errstate(all="raise"):
-        bracket_norms(ts, ss, 30)  # the inf / nan of the dead row stay quiet
+        bracket_norms(ts, ss, 30)  # the inf / nan of the dead rows stay quiet
+
+
+def test_an_overflowing_pair_is_inconclusive_quietly():
+    t = np.diag([1e120, 1.0])
+    s = np.zeros((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = bracket_seq(t, s, N_MAX)
+        reps = [seq.verdict(), qn_equivalent(t, s), qn_equivalent(s, t)]
+    assert np.isinf(seq.norms[2:]).all() and np.isinf(seq.rev_roots[2:]).all()
+    for rep in reps:
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.final_root == float("inf") and rep.trend == float("inf")
+        assert rep.diagnostics.count("numerical overflow in bracket norms") == 2
 
 
 @pytest.mark.parametrize("n_max", [0, 1])
@@ -218,8 +238,8 @@ def test_lowest_orders(n_max):
     rng = np.random.default_rng(SEED + 4)
     ts = _random_stack(rng, 3, 3)
     ss = _random_stack(rng, 3, 3)
-    norms, ok = _assert_matches_reference(ts, ss, n_max)
-    assert norms.shape == (3, n_max) and ok.all()
+    norms = _assert_matches_reference(ts, ss, n_max)
+    assert norms.shape == (3, n_max) and np.isfinite(norms).all()
     stack = brackets(ts, ss, n_max)
     assert stack.shape == (3, n_max + 1, 3, 3)
     assert np.array_equal(stack[:, 0], np.broadcast_to(np.eye(3), (3, 3, 3)))

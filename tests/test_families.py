@@ -368,6 +368,19 @@ def test_asym_qn_equivalent_examples(grid):
     assert asym_qn_equivalent(fa, fb, grid).verdict == EQUIVALENT
 
 
+def test_an_overflowing_constant_pair_is_inconclusive_quietly(grid):
+    f = OperatorFamily.constant(np.diag([1e120, 1.0]))
+    g = OperatorFamily.constant(np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = [asym_qn_equivalent(f, g, grid), asym_qn_equivalent(g, f, grid)]
+    for rep in reps:
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.final_root == float("inf") and rep.trend == float("inf")
+        for tag in ("F,G", "G,F"):
+            assert f"order ({tag}): numerical overflow in bracket norms" in rep.diagnostics
+
+
 def test_quotient_norm_bounds(grid):
     rng = np.random.default_rng(SEED)
     a = _rand(rng, 3)

@@ -53,6 +53,59 @@ def test_the_import_check_sees_an_unused_name():
     assert _unused_imports(tree) == ["os (line 2)"]
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level `_x` functions, classes and constants (dunders excluded)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module of `sources` reads.
+
+    A name counts as read when it is loaded anywhere or read as an
+    attribute (`module._x`) in any of the modules.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+
+
+def test_every_private_name_is_read_by_some_module():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _unread_private_names(sources) == []
+
+
+def test_the_private_name_check_sees_a_dead_helper():
+    sources = {
+        "a.py": "_LIMIT = 3\n__version__ = '1'\ndef _dead():\n    pass\n"
+        "class _Used:\n    pass\ndef _by_b():\n    return _Used()\n",
+        "b.py": "from . import a\nprint(a._by_b(), a._LIMIT)\n",
+    }
+    assert _unread_private_names(sources) == ["a.py: _dead (line 3)"]
+
+
 def test_every_module_of_the_readme_table_is_an_attribute_of_the_package():
     # A package-level name must not shadow a module: `import opfam.bracket
     # as m` binds getattr(opfam, "bracket").
