@@ -207,8 +207,13 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
     numpy sums a contiguous run pairwise and a strided one row by row, so
     its own order depends on the layout and the column count; this one
-    order gives a column the same bits alone and in any batch.
+    order gives a column the same bits alone and in any batch.  A single
+    column takes the same sums from `np.add.accumulate`, which adds in
+    row order too; its first sum is the first row itself, not 0 plus it,
+    so + 0.0 turns an all -0.0 total into the loop's +0.0.
     """
+    if a.ndim == 2 and a.shape[1] == 1:
+        return np.add.accumulate(a, axis=0)[-1] + 0.0
     total = np.zeros(a.shape[1:])
     for row in a:
         total += row

@@ -103,8 +103,8 @@ class _TermSum:
 
     Operator and vector families share everything here.  A subclass names
     its arrays: `_check_array` validates one term array against the family
-    dim (None: any dim), `_norm` is the norm of one array and `_norms` the
-    norms of a stack of them along axis 0.
+    dim (None: any dim) and `_norms` gives the norms of a stack of them
+    along axis 0.
     """
 
     dim: int
@@ -161,9 +161,7 @@ class _TermSum:
         merged: dict[CoeffFn, np.ndarray] = {}
         for coeff, arr in self.terms:
             merged[coeff] = merged[coeff] + arr if coeff in merged else arr
-        # An overflowing norm is inf, still nonzero; callers reject the values.
-        with np.errstate(over="ignore"):
-            return tuple((c, a) for c, a in merged.items() if self._norm(a) > 0.0)
+        return tuple((c, a) for c, a in merged.items() if a.any())
 
     def canonical(self) -> Self:
         """Merge coefficient-equal terms and drop zero arrays."""
@@ -193,7 +191,6 @@ class OperatorFamily(_TermSum):
             )
         return m
 
-    _norm = staticmethod(op_norm)
     _norms = staticmethod(op_norms)
 
     # Bound in each class body: the benchmark tracer wraps
@@ -216,10 +213,6 @@ class VectorFamily(_TermSum):
     """h |-> sum_j c_j(h) * x_j with constant vectors x_j."""
 
     _check_array = staticmethod(as_vector)
-
-    @staticmethod
-    def _norm(v: np.ndarray) -> float:
-        return float(np.linalg.norm(v))
 
     @staticmethod
     def _norms(stack: np.ndarray) -> np.ndarray:

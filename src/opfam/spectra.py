@@ -159,9 +159,55 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _sigma_min2(m: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """sigma_min(lam I - m) of one 2x2 matrix m at every point of lams.
+
+    The closed form of LAPACK's 2x2 stage, elementwise.  The entries
+    a = lam - m00, b = -m01, c = -m10, d = lam - m11 are scaled by a power
+    of two (exact; the largest real or imaginary part lands in [1/2, 1),
+    so no square below overflows and subnormal entries keep their bits).
+    One complex Givens rotation, [[conj a, conj c], [-c, a]] / f with
+    f = |(a, c)|, takes the matrix to a triangle whose singular values are
+    those of the real [[f, g], [0, h]], g = |conj(a) b + conj(c) d| / f,
+    h = |a d - c b| / f.  Then dlas2's ssmin = f h / ssmax with ssmax =
+    (|(f + h, g)| + |(f - h, g)|) / 2, a sum of two nonnegative terms
+    (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990).  The error is
+    of order eps * sigma_max, as LAPACK's; every step is a ufunc on each
+    point alone, so a point gets the same bits in any batch.
+    """
+    n = len(lams)
+    z = np.empty((4, n), dtype=complex)
+    np.subtract(lams, m[0, 0], out=z[0])
+    z[1] = -m[0, 1]
+    z[2] = -m[1, 0]
+    np.subtract(lams, m[1, 1], out=z[3])
+    parts = z.view(float).reshape(4, n, 2)
+    top = np.abs(parts).max(axis=0)
+    # 2**k with k <= 1022 stays finite; a subnormal top then lands at or
+    # above 2**-52, still far from underflow in the squares.
+    k = np.minimum(-np.frexp(np.maximum(top[:, 0], top[:, 1]))[1], 1022)
+    z *= np.ldexp(1.0, k)
+    a, b, c, d = z
+    sq = parts[0] * parts[0] + parts[2] * parts[2]
+    f = np.sqrt(sq[:, 0] + sq[:, 1])
+    # f = 0: the first column is zero, and so are h and sigma_min.
+    f_zero = f == 0.0
+    f_or_1 = f + f_zero
+    g = np.abs(a.conj() * b + c.conj() * d) / f_or_1
+    h = np.abs(a * d - c * b) / f_or_1
+    gg = g * g
+    ssmax = 0.5 * (np.sqrt((f + h) ** 2 + gg) + np.sqrt((f - h) ** 2 + gg))
+    ssmin = f * h / (ssmax + f_zero)
+    return np.ldexp(ssmin, -k)
+
+
 def _sigma_task(tail: _Tail, lams: np.ndarray, out: np.ndarray, lo: int) -> None:
     """Fill out[i, lo:lo + _SIGMA_TASK] for every distinct tail matrix i."""
     lam_task = lams[lo : lo + _SIGMA_TASK]
+    if tail.mats.shape[-1] == 2:
+        for i in tail.distinct:
+            out[i, lo : lo + _SIGMA_TASK] = _sigma_min2(tail.mats[i], lam_task)
+        return
     shifted = lam_task[:, None, None] * np.eye(tail.mats.shape[-1], dtype=complex)
     diff = np.empty_like(shifted)
     for i in tail.distinct:
@@ -172,12 +218,14 @@ def _sigma_task(tail: _Tail, lams: np.ndarray, out: np.ndarray, lo: int) -> None
 def _sigma_tail_stack(tail: _Tail, lams: np.ndarray) -> np.ndarray:
     """Smallest singular values of (lam I - F(h)) over the tail matrices.
 
-    Returns shape (len(tail.mats), len(lams)).  The points are split into
-    tasks of _SIGMA_TASK points, each writing its own columns.  More than
-    one task runs on threads that start and end inside this call, one per
-    usable core; numpy's batched SVD releases the GIL, so they run on
-    separate cores.  Every point is computed alone by the same arithmetic,
-    so the bytes do not depend on the number of workers.
+    Returns shape (len(tail.mats), len(lams)).  Order-2 matrices take the
+    closed form of `_sigma_min2`; every other order takes numpy's batched
+    SVD.  The points are split into tasks of _SIGMA_TASK points, each
+    writing its own columns.  More than one task runs on threads that
+    start and end inside this call, one per usable core; the SVD and the
+    ufuncs release the GIL while they compute.  Every point is computed
+    alone by the same arithmetic, so the bytes do not depend on the number
+    of workers.
     """
     out = np.empty((len(tail.mats), len(lams)))
     starts = range(0, len(lams), _SIGMA_TASK)

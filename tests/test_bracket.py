@@ -21,6 +21,7 @@ from opfam.bracket import (
     brackets,
     qn_equivalent,
     root_test,
+    _row_sums,
 )
 from opfam.errors import DimensionMismatchError, InputError
 from opfam.generators import commuting_toeplitz
@@ -272,6 +273,27 @@ def test_bracket_orders_are_bounded():
         brackets(np.stack([t, np.full((3, 3), np.inf)]), np.stack([s, s]), 3)
     with pytest.raises(DimensionMismatchError):
         bracket_norms(np.stack([t, t]), t, 3)
+
+
+def test_a_single_column_sums_to_the_bits_of_the_row_loop():
+    def loop(a):
+        total = np.zeros(a.shape[1:])
+        for row in a:
+            total += row
+        return total
+
+    rng = np.random.default_rng(SEED + 6)
+    for trial in range(3000):
+        m = 1 + trial % 59
+        a = rng.normal(size=(m, 1)) * 10.0 ** rng.integers(-5, 6, (m, 1))
+        # Zero rows of either sign; every fourth array is all -0.0.
+        a[rng.random(m) < 0.2] = 0.0
+        a[rng.random(m) < 0.2] = -0.0
+        if trial % 4 == 0:
+            a[:] = -0.0
+        assert _row_sums(a).tobytes() == loop(a).tobytes(), a.ravel()
+    wide = rng.normal(size=(7, 3))
+    assert _row_sums(wide).tobytes() == loop(wide).tobytes()
 
 
 _BRACKET_FINGERPRINT = """

@@ -338,6 +338,16 @@ def test_null_test_same_rule_for_vector_families(grid):
         assert vec.note == op.note
 
 
+def test_a_tiny_term_is_not_a_zero_term():
+    # The 2-norm of [1e-200, 0] underflows to 0; the term is still nonzero,
+    # for vector and operator families alike.
+    tiny = np.array([1e-200, 0.0])
+    for cls, arr in ((VectorFamily, tiny), (OperatorFamily, np.diag(tiny))):
+        fam = cls.from_terms(2, [(CoeffFn.const(), arr), (CoeffFn.pow_h(1.0), 1e200 * arr)])
+        assert not fam.null_certificate(), cls
+        assert len(fam.canonical().terms) == 2, cls
+
+
 def test_asymptotic_equivalence_examples(grid):
     rng = np.random.default_rng(SEED)
     a, b, c, n = (_rand(rng, 3) for _ in range(4))

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,79 @@ def _assert_probe_is_the_grid_rule(grid, kind):
     assert probe_spectrum > 0
 
 
+def _svd_sigma_min(m, lams):
+    """sigma_min(lam I - m) at every point of lams by LAPACK's batched SVD."""
+    ident = np.eye(m.shape[-1], dtype=complex)
+    return np.linalg.svd(lams[:, None, None] * ident - m, compute_uv=False)[:, -1]
+
+
+def _closed_form_sigma_min2(m, lams):
+    """The order-2 closed form of spectra._sigma_min2, step for step."""
+    n = len(lams)
+    z = np.empty((4, n), dtype=complex)
+    np.subtract(lams, m[0, 0], out=z[0])
+    z[1] = -m[0, 1]
+    z[2] = -m[1, 0]
+    np.subtract(lams, m[1, 1], out=z[3])
+    parts = z.view(float).reshape(4, n, 2)
+    top = np.abs(parts).max(axis=0)
+    k = np.minimum(-np.frexp(np.maximum(top[:, 0], top[:, 1]))[1], 1022)
+    z *= np.ldexp(1.0, k)
+    a, b, c, d = z
+    sq = parts[0] * parts[0] + parts[2] * parts[2]
+    f = np.sqrt(sq[:, 0] + sq[:, 1])
+    f_zero = f == 0.0
+    g = np.abs(a.conj() * b + c.conj() * d) / (f + f_zero)
+    h = np.abs(a * d - c * b) / (f + f_zero)
+    gg = g * g
+    ssmax = 0.5 * (np.sqrt((f + h) ** 2 + gg) + np.sqrt((f - h) ** 2 + gg))
+    return np.ldexp(f * h / (ssmax + f_zero), -k)
+
+
+def test_the_order_2_closed_form_is_within_8_eps_of_the_svd():
+    rng = np.random.default_rng(SEED)
+    eps = np.finfo(float).eps
+    cases = []
+    for _ in range(200):
+        m = _rand(rng, 2)
+        eigs = np.linalg.eigvals(m)
+        far = 3.0 * (rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8))
+        cases.append((m, np.concatenate([eigs, eigs * (1.0 + 1e-12), far])))
+    nonnormal = np.array([[0.3, 1e8], [0.0, 0.3]], dtype=complex)
+    cases.append((nonnormal, np.array([0.3, 0.3 * (1.0 + 1e-12), 0.0, 1j, 1e8])))
+    for scale in (1e-160, 1e150):
+        m, lams = cases[0]
+        cases.append((scale * m, scale * lams))
+    subnormal = np.array([[5e-324, 3e-320], [1e-310, 2e-315j]])
+    cases.append((subnormal, np.array([0.0, 1e-310, 4e-320j, 1e-300])))
+    for m, lams in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectra._sigma_min2(m, lams)
+        sv = np.linalg.svd(lams[:, None, None] * np.eye(2) - m, compute_uv=False)
+        assert np.all(np.abs(got - sv[:, -1]) <= 8.0 * eps * sv[:, 0]), (m, lams)
+    # A singular diagonal matrix: exactly zero, at every scale.
+    for diag, lam in (([1.0, 2.0], 1.0), ([1.0, 2.0], 2.0), ([5e-324, 1e300], 5e-324), ([0, 0], 0)):
+        m = np.diag(diag).astype(complex)
+        assert spectra._sigma_min2(m, np.array([lam], dtype=complex))[0] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["const", "drift"])
+def test_order_2_grids_classify_as_with_the_svd(grid, kind, monkeypatch):
+    rng = np.random.default_rng(SEED + (kind == "drift"))
+    scans = []
+    for _ in range(10):
+        a, b = _rand(rng, 2), _rand(rng, 2)
+        terms = [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)]
+        scans.append(OperatorFamily.from_terms(2, terms if kind == "drift" else terms[:1]))
+    closed = [family_spectrum_grid(fam, (-3, 3, -3, 3), 48, 48, grid) for fam in scans]
+    monkeypatch.setattr(spectra, "_sigma_min2", _svd_sigma_min)
+    for fam, g in zip(scans, closed):
+        ref = family_spectrum_grid(fam, (-3, 3, -3, 3), 48, 48, grid)
+        assert np.array_equal(g.classes, ref.classes)
+        assert g.counts()["S"] > 0
+
+
 @pytest.fixture()
 def sigma_workers(monkeypatch):
     """Return a function setting the usable-core count the sigma kernel reads.
@@ -392,14 +466,10 @@ def test_sigma_bytes_independent_of_worker_count(grid, sigma_workers, monkeypatc
         for fam in (OperatorFamily.constant(a), drift):
             tail = spectra._tail_eval(fam, grid)
             mats = tail.mats
-            ident = np.eye(d, dtype=complex)
-            # The formula of the kernel, one batch per tail matrix.
-            reference = np.stack(
-                [
-                    np.linalg.svd(lams[:, None, None] * ident - m, compute_uv=False)[:, -1]
-                    for m in mats
-                ]
-            )
+            # The formula of the kernel, one batch per tail matrix: the
+            # closed form at order 2, LAPACK's SVD at every other order.
+            kernel = _closed_form_sigma_min2 if d == 2 else _svd_sigma_min
+            reference = np.stack([kernel(m, lams) for m in mats])
             results = []
             for workers in (1, 3):
                 sigma_workers(workers)
@@ -428,15 +498,17 @@ with open({out!r}, "rb") as fh:
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_spectrum_csv_bytes_independent_of_usable_cores(tmp_path, thread_fingerprint):
+@pytest.mark.parametrize("d", [2, 6])
+def test_spectrum_csv_bytes_independent_of_usable_cores(tmp_path, thread_fingerprint, d):
     """A CLI scan pinned to one CPU writes the CSV an unpinned scan writes.
 
-    The unpinned scan also runs at 4 BLAS threads.
+    The unpinned scan also runs at 4 BLAS threads.  Order 2 takes the
+    closed-form sigma kernel, order 6 the SVD.
     """
     rng = np.random.default_rng(SEED)
-    a, b = _rand(rng, 6), _rand(rng, 6)
-    fam = OperatorFamily.from_terms(6, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
-    fam_path = str(tmp_path / "drift6.fam")
+    a, b = _rand(rng, d), _rand(rng, d)
+    fam = OperatorFamily.from_terms(d, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
+    fam_path = str(tmp_path / f"drift{d}.fam")
     save_family(fam, fam_path)
 
     def run(pin: bool, blas_threads: int) -> tuple[str, int]:
