@@ -140,6 +140,9 @@ def maximal_extension_eval(a, x, lam: complex) -> np.ndarray:
 _RING_POINTS = 8
 # Probe points one pass of the local solve kernel holds.
 _CHUNK = 8192
+# Cells one block of a local scan holds: the most whole stencils that fit
+# one kernel pass, so that every pass gets at least the 9 points of a cell.
+_BLOCK_CELLS = _CHUNK // (1 + _RING_POINTS)
 
 
 def _ring_offsets(radius: float) -> np.ndarray:
@@ -208,7 +211,7 @@ def _triangular_probe(
 
 
 def _probe_samples(
-    tail: _Tail, x: np.ndarray, points: np.ndarray
+    tail: _Tail, x: np.ndarray, points: np.ndarray, work: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solution norms and residuals at every probe point over the tail matrices.
 
@@ -219,14 +222,16 @@ def _probe_samples(
     triangular counterpart.  Only the points where that is not finite (an
     exact eigenvalue hit) are re-solved, by `_min_norm_solve_stack`.  The
     points go through `_triangular_probe` in chunks of _CHUNK, all in one
-    work buffer.
+    work buffer: `work` when given (see `_triangular_probe` for its size),
+    else one allocated here.
     """
     mats = tail.mats
     d = mats.shape[-1]
     ident = np.eye(d, dtype=complex)
     norms = np.empty((len(mats), len(points)))
     resids = np.empty((len(mats), len(points)))
-    work = np.empty((3 * d + 2) * min(len(points), _CHUNK), dtype=complex)
+    if work is None:
+        work = np.empty((3 * d + 2) * min(len(points), _CHUNK), dtype=complex)
     for i in tail.distinct:
         t, q = tail.schur(i)
         b = (q.conj() * x[:, None]).sum(axis=0)
@@ -256,30 +261,44 @@ def _local_cells(
     max; the zero vector is LocalResolvent everywhere with tau = inf.
     The family is evaluated once; the solution-norm cap is
     B_MAX_FACTOR * ||x|| / scale, with the family scale of `_tail_eval`.
+    The cells go through in blocks of _BLOCK_CELLS, all in one kernel work
+    buffer, and a block's tails are reduced to its cells' results before
+    the next block is probed; every point's verdict reads its own tails
+    alone, so the blocks change no result.
     """
     v = as_vector(x, dim=fam.dim)
     xnorm = float(np.linalg.norm(v))
     tail = _tail_eval(fam, grid)
+    n = len(centers)
     if xnorm == 0.0:
-        n = len(centers)
         return np.full(n, CLS_RESOLVENT, dtype=np.int8), np.full(n, np.inf), 0
     norm_cap = B_MAX_FACTOR * xnorm / tail.scale
     offsets = _ring_offsets(ring_r)
-    norms, resids = _probe_samples(tail, v, (centers[:, None] + offsets).ravel())
     eps_res = EPS_TAIL * max(1.0, xnorm)
     floor_res = ZERO_FLOOR * max(1.0, xnorm)
-    res_codes, _, _, _ = verdict_arrays(resids, eps_res, floor_res)
-    norm_codes, norm_max, _, norm_trend = verdict_arrays(norms, eps_res, floor_res)
-    stencil = (len(centers), len(offsets))
-    good = (res_codes == 0) & (norm_max <= norm_cap) & (norm_trend <= TREND_FLAT_TOL)
-    bad = np.isin(res_codes, (1, 2)) | (norm_codes == 2) | (norm_max > norm_cap)
-    # Median over the stencil: robust against isolated zeros of the local
-    # extension, which can make single probe points look deceptively tame.
-    tau = np.median((xnorm / np.maximum(norm_max, 1e-300)).reshape(stencil), axis=1)
-    classes = np.full(len(centers), CLS_UNDETERMINED, dtype=np.int8)
-    classes[good.reshape(stencil).all(axis=1)] = CLS_RESOLVENT
-    classes[bad.reshape(stencil).any(axis=1)] = CLS_SPECTRUM
-    return classes, tau, int(bad.sum())
+    stencil = (-1, len(offsets))
+    classes = np.full(n, CLS_UNDETERMINED, dtype=np.int8)
+    tau = np.empty(n)
+    work = np.empty((3 * fam.dim + 2) * len(offsets) * min(n, _BLOCK_CELLS), dtype=complex)
+
+    def verdicts(cells: slice) -> int:
+        points = (centers[cells, None] + offsets).ravel()
+        norms, resids = _probe_samples(tail, v, points, work)
+        res_codes, _, _, _ = verdict_arrays(resids, eps_res, floor_res)
+        norm_codes, norm_max, _, norm_trend = verdict_arrays(norms, eps_res, floor_res)
+        good = (res_codes == 0) & (norm_max <= norm_cap) & (norm_trend <= TREND_FLAT_TOL)
+        bad = np.isin(res_codes, (1, 2)) | (norm_codes == 2) | (norm_max > norm_cap)
+        # Median over the stencil: robust against isolated zeros of the
+        # local extension, which can make single probe points look
+        # deceptively tame.
+        tau[cells] = np.median((xnorm / np.maximum(norm_max, 1e-300)).reshape(stencil), axis=1)
+        block = classes[cells]  # a view: its writes land in classes
+        block[good.reshape(stencil).all(axis=1)] = CLS_RESOLVENT
+        block[bad.reshape(stencil).any(axis=1)] = CLS_SPECTRUM
+        return int(bad.sum())
+
+    bad_points = sum(verdicts(slice(lo, lo + _BLOCK_CELLS)) for lo in range(0, n, _BLOCK_CELLS))
+    return classes, tau, bad_points
 
 
 @dataclass(frozen=True, eq=False)

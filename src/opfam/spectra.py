@@ -19,6 +19,7 @@ rectangle and resolution.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import weakref
@@ -37,6 +38,7 @@ from .families import (
     HGrid,
     OperatorFamily,
     TailStats,
+    _column_stats,
     _finite_norms,
     asymptotically_equivalent,
     tail_stats,
@@ -63,17 +65,23 @@ NEUMANN_MARGIN = 1e-6
 SIGMA_FLOOR_REL = 1e-10
 DIP_MIN_SLACK = 0.05
 DIP_MEDIAN_BETA = 0.6
-# Most tail samples (tail length x probe points) one grid scan may hold.
+# Most tail samples (tail length x probe points) one grid scan may take.
 SCAN_SAMPLE_BUDGET = 2**24
 # spectral_radius_bound: powers F(h)**n for n = 1..RADIUS_ORDERS, bound
 # read off the trailing RADIUS_WINDOW roots.
 RADIUS_ORDERS = 16
 RADIUS_WINDOW = 5
 
-# Probe points one sigma task holds.  Small and fixed: the split, and so
-# every result, is the same at any core count, and each worker keeps at
-# most one task's shifted stacks in memory.
+# Probe points one sigma task holds: at most _SIGMA_TASK, and no more than
+# fit their shifted matrices lam I - F(h) in _SIGMA_TASK_BYTES (see
+# `_task_points`).  Both are fixed, so the split, and so every result, is
+# the same at any core count, and each worker holds one task at a time.
 _SIGMA_TASK = 1024
+_SIGMA_TASK_BYTES = 2**20
+# Sigma tasks in one block of a scan.  A block's sigma tails are reduced to
+# per-cell results before the next block starts, so a scan holds the tails
+# of one block, not of every point.
+_BLOCK_TASKS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,45 +209,74 @@ def _sigma_min2(m: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return np.ldexp(ssmin, -k)
 
 
-def _sigma_task(tail: _Tail, lams: np.ndarray, out: np.ndarray, lo: int) -> None:
-    """Fill out[i, lo:lo + _SIGMA_TASK] for every distinct tail matrix i."""
-    lam_task = lams[lo : lo + _SIGMA_TASK]
-    if tail.mats.shape[-1] == 2:
-        for i in tail.distinct:
-            out[i, lo : lo + _SIGMA_TASK] = _sigma_min2(tail.mats[i], lam_task)
-        return
-    shifted = lam_task[:, None, None] * np.eye(tail.mats.shape[-1], dtype=complex)
-    diff = np.empty_like(shifted)
-    for i in tail.distinct:
-        np.subtract(shifted, tail.mats[i], out=diff)
-        out[i, lo : lo + _SIGMA_TASK] = np.linalg.svd(diff, compute_uv=False)[:, -1]
+def _task_points(d: int) -> int:
+    """Probe points per sigma task for matrices of order d.
+
+    At most _SIGMA_TASK points, so that small grids still split into one
+    task per core, and at most _SIGMA_TASK_BYTES of complex d x d shifted
+    matrices: 1024 points up to order 8, 256 at order 16.
+    """
+    return max(1, min(_SIGMA_TASK, _SIGMA_TASK_BYTES // (16 * d * d)))
 
 
-def _sigma_tail_stack(tail: _Tail, lams: np.ndarray) -> np.ndarray:
+def _sigma_task(tail: _Tail, lams: np.ndarray) -> np.ndarray:
     """Smallest singular values of (lam I - F(h)) over the tail matrices.
 
     Returns shape (len(tail.mats), len(lams)).  Order-2 matrices take the
     closed form of `_sigma_min2`; every other order takes numpy's batched
-    SVD.  The points are split into tasks of _SIGMA_TASK points, each
-    writing its own columns.  More than one task runs on threads that
-    start and end inside this call, one per usable core; the SVD and the
-    ufuncs release the GIL while they compute.  Every point is computed
-    alone by the same arithmetic, so the bytes do not depend on the number
-    of workers.
+    SVD of the shifted matrices, built in one buffer by the operations of
+    `lam * I - F(h)`: lam times I, then F(h) subtracted in place, signed
+    zeros included.  Every point is computed alone by the same arithmetic,
+    so its bytes do not depend on the other points of the task.
     """
     out = np.empty((len(tail.mats), len(lams)))
-    starts = range(0, len(lams), _SIGMA_TASK)
-    if len(starts) <= 1:
-        _sigma_task(tail, lams, out, 0)
+    d = tail.mats.shape[-1]
+    if d == 2:
+        for i in tail.distinct:
+            out[i] = _sigma_min2(tail.mats[i], lams)
     else:
-        workers = min(_usable_cores(), len(starts))
-        with ThreadPoolExecutor(workers, thread_name_prefix="opfam-sigma") as pool:
+        ident = np.eye(d, dtype=complex)
+        shifted = np.empty((len(lams), d, d), dtype=complex)
+        for i in tail.distinct:
+            np.multiply(lams[:, None, None], ident, out=shifted)
+            np.subtract(shifted, tail.mats[i], out=shifted)
+            out[i] = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    tail.spread(out)
+    return out
+
+
+def _sigma_blocks(tail: _Tail, lams: np.ndarray, reduce) -> None:
+    """reduce(cells, sig) for every block of the points, in order.
+
+    sig holds the `_sigma_task` tails of lams[cells], one column per
+    point; a block is _BLOCK_TASKS tasks of `_task_points` points.  The
+    tasks of a scan of more than one task run on one pool of threads that
+    start and end inside this call, one per usable core (at most one per
+    task); the SVD and the ufuncs release the GIL while they compute.
+    reduce runs in the calling thread between blocks, while no task runs.
+    """
+    step = _task_points(tail.mats.shape[-1])
+    tasks = -(-len(lams) // step)
+    pool = (
+        ThreadPoolExecutor(min(_usable_cores(), tasks), thread_name_prefix="opfam-sigma")
+        if tasks > 1
+        else contextlib.nullcontext()
+    )
+    with pool:
+        run = pool.map if tasks > 1 else map
+        for lo in range(0, len(lams), _BLOCK_TASKS * step):
+            cells = slice(lo, lo + _BLOCK_TASKS * step)
+            block = lams[cells]
+            sig = np.empty((len(tail.mats), len(block)))
+
+            def fill(task: slice) -> None:
+                sig[:, task] = _sigma_task(tail, block[task])
+
             # Reading every result re-raises a task's error, map cancels
             # the tasks not yet started, and the with block waits for the
             # running ones.
-            list(pool.map(lambda lo: _sigma_task(tail, lams, out, lo), starts))
-    tail.spread(out)
-    return out
+            list(run(fill, [slice(i, i + step) for i in range(0, len(block), step)]))
+            reduce(cells, sig)
 
 
 def _classify(sig, tail_norms, scale: float, lams: np.ndarray):
@@ -283,23 +320,22 @@ def _probe(tail: _Tail, lam: complex) -> ResolventProbe:
     if not np.isfinite(lam):
         raise InputError(f"probe point {lam} is not finite")
     lams = np.array([lam], dtype=complex)
-    sig = _sigma_tail_stack(tail, lams)
-    classes, _, neumann = _classify(sig, tail.norms, tail.scale, lams)
-    sig, cls, neumann = sig[:, 0], int(classes[0]), bool(neumann[0])
+    sig = _sigma_task(tail, lams)
+    classes, verdicts, neumann = _classify(sig, tail.norms, tail.scale, lams)
+    column = sig[:, 0]
     # ||(lam I - F(h))^-1|| = 1 / sigma_min, infinite where lam I - F(h)
     # is singular.
     with np.errstate(divide="ignore"):
-        resnorm = 1.0 / sig
-    stats = tail_stats(
-        sig, eps_tail=DELTA_RES * tail.scale, zero_floor=SIGMA_FLOOR_REL * tail.scale
-    )
+        resnorm = 1.0 / column
     return ResolventProbe(
         lam=complex(lam),
-        tail_sigma=sig,
+        tail_sigma=column,
         tail_resnorm=resnorm,
-        classification=_CLASS_NAMES[cls],
-        sigma_stats=stats,
-        neumann=neumann,
+        classification=_CLASS_NAMES[int(classes[0])],
+        sigma_stats=_column_stats(
+            column, DELTA_RES * tail.scale, SIGMA_FLOOR_REL * tail.scale, verdicts
+        ),
+        neumann=bool(neumann[0]),
     )
 
 
@@ -428,12 +464,20 @@ def family_spectrum_grid(
     """
     rect, _, _, rcell, lams = _scan_setup(rect, nx, ny, grid.tail)
     tail = _tail_eval(fam, grid)
-    sig = _sigma_tail_stack(tail, lams)
-    classes, (_, tail_max, tail_min, trend), _ = _classify(
-        sig, tail.norms, tail.scale, lams
-    )
-    score = tail_min.reshape(ny, nx)
-    flat_low = (tail_max <= rcell) & (trend <= TREND_FLAT_TOL)
+    classes = np.empty(len(lams), dtype=np.int8)
+    score = np.empty(len(lams))
+    flat_low = np.empty(len(lams), dtype=bool)
+
+    def reduce(cells: slice, sig: np.ndarray) -> None:
+        cls, (_, tail_max, tail_min, trend), _ = _classify(
+            sig, tail.norms, tail.scale, lams[cells]
+        )
+        classes[cells] = cls
+        score[cells] = tail_min
+        flat_low[cells] = (tail_max <= rcell) & (trend <= TREND_FLAT_TOL)
+
+    _sigma_blocks(tail, lams, reduce)
+    score = score.reshape(ny, nx)
     classes[flat_low & _dip_mask(score).ravel()] = CLS_SPECTRUM
 
     spec_cells = np.abs(lams[classes == CLS_SPECTRUM])

@@ -1,0 +1,190 @@
+"""Block-by-block scans: the bytes of whole-array scans, in bounded memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from opfam import local, spectra
+from opfam.families import (
+    EPS_TAIL,
+    TREND_FLAT_TOL,
+    ZERO_FLOOR,
+    CoeffFn,
+    OperatorFamily,
+    verdict_arrays,
+)
+from opfam.linalg import as_vector
+from opfam.local import family_local_spectrum_grid
+from opfam.spectra import CLS_RESOLVENT, CLS_SPECTRUM, CLS_UNDETERMINED, family_spectrum_grid
+
+SEED = 1913
+RECT = (-3.0, 3.0, -3.0, 3.0)
+
+
+def _drift_family(rng, d):
+    def rand():
+        return rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+
+    return OperatorFamily.from_terms(d, [(CoeffFn.const(), rand()), (CoeffFn.pow_h(1.0), rand())])
+
+
+# The scans as they were before they went block by block: every tail
+# sample of every probe point in one array, reduced once.
+
+
+def _whole_sigma_tails(tail, lams):
+    out = np.empty((len(tail.mats), len(lams)))
+    d = tail.mats.shape[-1]
+    for lo in range(0, len(lams), 1024):
+        lam_task = lams[lo : lo + 1024]
+        if d == 2:
+            for i in tail.distinct:
+                out[i, lo : lo + 1024] = spectra._sigma_min2(tail.mats[i], lam_task)
+            continue
+        shifted = lam_task[:, None, None] * np.eye(d, dtype=complex)
+        diff = np.empty_like(shifted)
+        for i in tail.distinct:
+            np.subtract(shifted, tail.mats[i], out=diff)
+            out[i, lo : lo + 1024] = np.linalg.svd(diff, compute_uv=False)[:, -1]
+    tail.spread(out)
+    return out
+
+
+def _whole_spectrum_grid(fam, rect, nx, ny, grid):
+    _, _, _, rcell, lams = spectra._scan_setup(rect, nx, ny, grid.tail)
+    tail = spectra._tail_eval(fam, grid)
+    sig = _whole_sigma_tails(tail, lams)
+    classes, (_, tail_max, tail_min, trend), _ = spectra._classify(
+        sig, tail.norms, tail.scale, lams
+    )
+    score = tail_min.reshape(ny, nx)
+    flat_low = (tail_max <= rcell) & (trend <= TREND_FLAT_TOL)
+    classes[flat_low & spectra._dip_mask(score).ravel()] = CLS_SPECTRUM
+    return classes.reshape(ny, nx), score
+
+
+def _whole_local_grid(fam, x, rect, nx, ny, grid):
+    _, w, h, rcell, centers = spectra._scan_setup(rect, nx, ny, 9 * grid.tail)
+    v = as_vector(x, dim=fam.dim)
+    xnorm = float(np.linalg.norm(v))
+    tail = spectra._tail_eval(fam, grid)
+    norm_cap = local.B_MAX_FACTOR * xnorm / tail.scale
+    offsets = local._ring_offsets(0.5 * min(w, h))
+    norms, resids = local._probe_samples(tail, v, (centers[:, None] + offsets).ravel())
+    eps_res = EPS_TAIL * max(1.0, xnorm)
+    floor_res = ZERO_FLOOR * max(1.0, xnorm)
+    res_codes, _, _, _ = verdict_arrays(resids, eps_res, floor_res)
+    norm_codes, norm_max, _, norm_trend = verdict_arrays(norms, eps_res, floor_res)
+    stencil = (len(centers), len(offsets))
+    good = (res_codes == 0) & (norm_max <= norm_cap) & (norm_trend <= TREND_FLAT_TOL)
+    bad = np.isin(res_codes, (1, 2)) | (norm_codes == 2) | (norm_max > norm_cap)
+    tau = np.median((xnorm / np.maximum(norm_max, 1e-300)).reshape(stencil), axis=1)
+    classes = np.full(len(centers), CLS_UNDETERMINED, dtype=np.int8)
+    classes[good.reshape(stencil).all(axis=1)] = CLS_RESOLVENT
+    classes[bad.reshape(stencil).any(axis=1)] = CLS_SPECTRUM
+    score = tau.reshape(ny, nx)
+    dips = (tau <= local.LOCAL_CAL_FACTOR * rcell) & spectra._dip_mask(score).ravel()
+    classes[dips] = CLS_SPECTRUM
+    return classes.reshape(ny, nx), score
+
+
+# (nx, ny) with nx != ny and a cell count just below or just above a
+# multiple of a task or a block: sigma tasks of 1024 points at orders 2
+# and 6 and of 256 at order 16, in blocks of 8 tasks; local blocks of 910
+# cells.
+_SHAPES_1024 = [(33, 31), (41, 25), (91, 90), (241, 34)]
+_SPECTRUM_SHAPES = {2: _SHAPES_1024, 6: _SHAPES_1024, 16: [(17, 15), (27, 19), (89, 23), (41, 50)]}
+_LOCAL_SHAPES = [(101, 9), (48, 19), (17, 107)]
+
+
+@pytest.mark.parametrize("d", (2, 6, 16))
+def test_spectrum_grid_bytes_match_the_whole_array_scan(d, grid):
+    assert spectra._task_points(d) == (256 if d == 16 else 1024)
+    assert spectra._BLOCK_TASKS == 8
+    rng = np.random.default_rng(SEED + d)
+    fam = _drift_family(rng, d)
+    for nx, ny in _SPECTRUM_SHAPES[d]:
+        g = family_spectrum_grid(fam, RECT, nx, ny, grid)
+        classes, score = _whole_spectrum_grid(fam, RECT, nx, ny, grid)
+        assert g.classes.tobytes() == classes.tobytes(), (nx, ny)
+        assert g.score.tobytes() == score.tobytes(), (nx, ny)
+    assert (g.classes == CLS_SPECTRUM).any()
+
+
+@pytest.mark.parametrize("d", (2, 6, 16))
+def test_local_grid_bytes_match_the_whole_array_scan(d, grid):
+    assert local._BLOCK_CELLS == 910
+    rng = np.random.default_rng(SEED - d)
+    fam = _drift_family(rng, d)
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for nx, ny in _LOCAL_SHAPES:
+        g = family_local_spectrum_grid(fam, x, RECT, nx, ny, grid)
+        classes, score = _whole_local_grid(fam, x, RECT, nx, ny, grid)
+        assert g.classes.tobytes() == classes.tobytes(), (nx, ny)
+        assert g.score.tobytes() == score.tobytes(), (nx, ny)
+    assert (g.classes == CLS_SPECTRUM).any()
+
+
+def test_no_local_scan_runs_a_one_point_kernel_pass(grid, monkeypatch):
+    # 11 x 331 cells are 9 * 3641 = 4 * 8192 + 1 probe points: a scan that
+    # cut its points into kernel chunks of 8192 would solve the last alone,
+    # and numpy sums a lone column's norm in another order than a batch's.
+    sizes = []
+    probe = local._triangular_probe
+
+    def recording(t, b, points, *args):
+        sizes.append(len(points))
+        probe(t, b, points, *args)
+
+    monkeypatch.setattr(local, "_triangular_probe", recording)
+    rng = np.random.default_rng(SEED)
+    fam = OperatorFamily.constant(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    family_local_spectrum_grid(fam, np.ones(8), RECT, 331, 11, grid)
+    assert sum(sizes) == 9 * 11 * 331
+    assert min(sizes) >= 2
+
+
+MIB = 2**20
+
+
+def _traced_peak(scan) -> int:
+    """Peak traced bytes of a scan, run once untraced first so that the
+    family's tail, norms and Schur factors are already kept."""
+    scan()
+    tracemalloc.start()
+    try:
+        scan()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture()
+def two_workers(monkeypatch):
+    monkeypatch.setattr(spectra, "_usable_cores", lambda: 2)
+
+
+def test_spectrum_scan_memory_is_bounded_by_its_tasks(grid, two_workers):
+    rng = np.random.default_rng(SEED)
+    # Order 16: two workers hold one task of 256 shifted matrices (1 MiB)
+    # each, where 1024-point tasks held 2 x 4 MiB each.
+    fam = _drift_family(rng, 16)
+    assert _traced_peak(lambda: family_spectrum_grid(fam, RECT, 128, 128, grid)) < 6 * MIB
+    # Order 2: what a cell adds is its results and the dip mask's
+    # neighbors, not its sigma tail and the tail verdict's temporaries.
+    fam = _drift_family(rng, 2)
+    small = _traced_peak(lambda: family_spectrum_grid(fam, RECT, 64, 64, grid))
+    large = _traced_peak(lambda: family_spectrum_grid(fam, RECT, 256, 256, grid))
+    assert small < 2 * MIB
+    assert (large - small) / (256**2 - 64**2) < 160
+
+
+def test_local_scan_memory_is_bounded_by_its_blocks(grid):
+    rng = np.random.default_rng(SEED)
+    fam = _drift_family(rng, 2)
+    x = np.array([1.0, 1.0j])
+    small = _traced_peak(lambda: family_local_spectrum_grid(fam, x, RECT, 32, 32, grid))
+    large = _traced_peak(lambda: family_local_spectrum_grid(fam, x, RECT, 96, 96, grid))
+    assert large < 5 * MIB
+    assert (large - small) / (96**2 - 32**2) < 256

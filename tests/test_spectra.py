@@ -454,29 +454,33 @@ def test_sigma_bytes_independent_of_worker_count(grid, sigma_workers, monkeypatc
 
     def recording(*args):
         threads.add(threading.current_thread().name)
-        task(*args)
+        return task(*args)
 
     monkeypatch.setattr(spectra, "_sigma_task", recording)
     rng = np.random.default_rng(SEED)
-    n = 3 * spectra._SIGMA_TASK + 17
-    lams = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
+    # 3 * 1024 + 28 cells: four tasks at orders 2 and 6, thirteen at 16.
+    rect, nx, ny = (-3, 3, -3, 3), 62, 50
+    lams = spectra._cell_grid(rect, nx, ny)[2].ravel()
     for d in (2, 6, 16):
         a, b = _rand(rng, d), _rand(rng, d)
         drift = OperatorFamily.from_terms(d, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
         for fam in (OperatorFamily.constant(a), drift):
             tail = spectra._tail_eval(fam, grid)
-            mats = tail.mats
             # The formula of the kernel, one batch per tail matrix: the
             # closed form at order 2, LAPACK's SVD at every other order.
             kernel = _closed_form_sigma_min2 if d == 2 else _svd_sigma_min
-            reference = np.stack([kernel(m, lams) for m in mats])
+            reference = np.stack([kernel(m, lams) for m in tail.mats])
+            assert task(tail, lams).tobytes() == reference.tobytes()
             results = []
             for workers in (1, 3):
                 sigma_workers(workers)
                 threads.clear()
-                results.append(spectra._sigma_tail_stack(tail, lams).tobytes())
+                g = family_spectrum_grid(fam, rect, nx, ny, grid)
+                results.append(g.classes.tobytes() + g.score.tobytes())
                 assert threads and all(t.startswith("opfam-sigma") for t in threads)
-            assert results[0] == results[1] == reference.tobytes(), (d, len(tail.distinct))
+            assert results[0] == results[1], (d, len(tail.distinct))
+            # The score is the tail minimum of the reference sigma tails.
+            assert g.score.tobytes() == reference.min(axis=0).tobytes()
 
 
 _CSV_FINGERPRINT = """
@@ -498,12 +502,13 @@ with open({out!r}, "rb") as fh:
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-@pytest.mark.parametrize("d", [2, 6])
+@pytest.mark.parametrize("d", [2, 6, 16])
 def test_spectrum_csv_bytes_independent_of_usable_cores(tmp_path, thread_fingerprint, d):
     """A CLI scan pinned to one CPU writes the CSV an unpinned scan writes.
 
     The unpinned scan also runs at 4 BLAS threads.  Order 2 takes the
-    closed-form sigma kernel, order 6 the SVD.
+    closed-form sigma kernel, orders 6 and 16 the SVD; order 16 has the
+    smaller tasks of `_task_points`.
     """
     rng = np.random.default_rng(SEED)
     a, b = _rand(rng, d), _rand(rng, d)
@@ -513,7 +518,7 @@ def test_spectrum_csv_bytes_independent_of_usable_cores(tmp_path, thread_fingerp
 
     def run(pin: bool, blas_threads: int) -> tuple[str, int]:
         out = str(tmp_path / f"{pin}-{blas_threads}.csv")
-        # 64 x 64 cells: four sigma tasks.
+        # 64 x 64 cells: four sigma tasks, sixteen at order 16.
         argv = ["spectrum", "--family", fam_path, "--rect=-3:3:-3:3", "--res", "64", "--out", out]
         script = _CSV_FINGERPRINT.format(pin=pin, argv=argv, out=out)
         digest, workers = thread_fingerprint(script, blas_threads).split()
