@@ -161,12 +161,10 @@ def _cmd_scan(args) -> int:
         result = family_local_spectrum_grid(fam, x, rect, args.res, args.res, grid)
     else:
         result = family_spectrum_grid(fam, rect, args.res, args.res, grid)
-    text = grid_to_csv(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        emit_plot(result, "csv", args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(grid_to_csv(result))
     if args.pgm:
         emit_plot(result, "pgm", args.pgm)
     if args.svg:

@@ -138,11 +138,10 @@ def maximal_extension_eval(a, x, lam: complex) -> np.ndarray:
 
 
 _RING_POINTS = 8
-# Probe points one pass of the local solve kernel holds.
-_CHUNK = 8192
-# Cells one block of a local scan holds: the most whole stencils that fit
-# one kernel pass, so that every pass gets at least the 9 points of a cell.
-_BLOCK_CELLS = _CHUNK // (1 + _RING_POINTS)
+# Cells one block of a local scan holds, probed in one kernel pass: 8190
+# points, whole stencils only, so no pass has fewer than the 9 points of a
+# cell.
+_BLOCK_CELLS = 910
 
 
 def _ring_offsets(radius: float) -> np.ndarray:
@@ -152,17 +151,24 @@ def _ring_offsets(radius: float) -> np.ndarray:
 
 
 def _min_norm_solve_stack(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Least-residual minimum-norm solutions of M y = x for stacked M."""
-    n, d, _ = mats.shape
-    rhs = np.broadcast_to(x[:, None], (n, d, 1))
-    try:
-        y = np.linalg.solve(mats, rhs)[..., 0]
-        if np.isfinite(y).all():
-            return y
-    except np.linalg.LinAlgError:
-        pass
-    pinv = np.linalg.pinv(mats, rcond=1e-13)
-    return (pinv @ rhs)[..., 0]
+    """Solutions of M y = x for stacked M, each M on its own.
+
+    Each takes its LU solve when that is finite, and otherwise the
+    least-residual minimum-norm solution pinv(M, rcond=1e-13) x, so no
+    other matrix of the stack changes its bytes.
+    """
+    rhs = x[None, :, None]
+    y = np.empty(mats.shape[:2], dtype=complex)
+    for k in range(len(mats)):
+        m = mats[k : k + 1]
+        try:
+            y[k] = np.linalg.solve(m, rhs)[0, :, 0]
+            if np.isfinite(y[k]).all():
+                continue
+        except np.linalg.LinAlgError:
+            pass
+        y[k] = (np.linalg.pinv(m, rcond=1e-13) @ rhs)[0, :, 0]
+    return y
 
 
 def _triangular_probe(
@@ -221,9 +227,9 @@ def _probe_samples(
     unitary, so ||y|| = ||z|| and the residual has the norm of its
     triangular counterpart.  Only the points where that is not finite (an
     exact eigenvalue hit) are re-solved, by `_min_norm_solve_stack`.  The
-    points go through `_triangular_probe` in chunks of _CHUNK, all in one
-    work buffer: `work` when given (see `_triangular_probe` for its size),
-    else one allocated here.
+    points go through `_triangular_probe` in one pass per distinct matrix,
+    in one work buffer: `work` when given (see `_triangular_probe` for its
+    size), else one allocated here.
     """
     mats = tail.mats
     d = mats.shape[-1]
@@ -231,21 +237,18 @@ def _probe_samples(
     norms = np.empty((len(mats), len(points)))
     resids = np.empty((len(mats), len(points)))
     if work is None:
-        work = np.empty((3 * d + 2) * min(len(points), _CHUNK), dtype=complex)
+        work = np.empty((3 * d + 2) * len(points), dtype=complex)
     for i in tail.distinct:
         t, q = tail.schur(i)
         b = (q.conj() * x[:, None]).sum(axis=0)
-        for lo in range(0, len(points), _CHUNK):
-            pts = points[lo : lo + _CHUNK]
-            norm = norms[i, lo : lo + _CHUNK]
-            resid = resids[i, lo : lo + _CHUNK]
-            _triangular_probe(t, b, pts, work, norm, resid)
-            hit = ~(np.isfinite(norm) & np.isfinite(resid))
-            if hit.any():
-                stack = pts[hit, None, None] * ident - mats[i]
-                y = _min_norm_solve_stack(stack, x)
-                norm[hit] = np.linalg.norm(y, axis=1)
-                resid[hit] = np.linalg.norm((stack @ y[..., None])[..., 0] - x, axis=1)
+        norm, resid = norms[i], resids[i]
+        _triangular_probe(t, b, points, work, norm, resid)
+        hit = ~(np.isfinite(norm) & np.isfinite(resid))
+        if hit.any():
+            stack = points[hit, None, None] * ident - mats[i]
+            y = _min_norm_solve_stack(stack, x)
+            norm[hit] = np.linalg.norm(y, axis=1)
+            resid[hit] = np.linalg.norm((stack @ y[..., None])[..., 0] - x, axis=1)
     tail.spread(norms, resids)
     return norms, resids
 

@@ -19,7 +19,6 @@ rectangle and resolution.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
 import weakref
@@ -78,10 +77,6 @@ RADIUS_WINDOW = 5
 # the same at any core count, and each worker holds one task at a time.
 _SIGMA_TASK = 1024
 _SIGMA_TASK_BYTES = 2**20
-# Sigma tasks in one block of a scan.  A block's sigma tails are reduced to
-# per-cell results before the next block starts, so a scan holds the tails
-# of one block, not of every point.
-_BLOCK_TASKS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,40 +238,6 @@ def _sigma_task(tail: _Tail, lams: np.ndarray) -> np.ndarray:
             out[i] = np.linalg.svd(shifted, compute_uv=False)[:, -1]
     tail.spread(out)
     return out
-
-
-def _sigma_blocks(tail: _Tail, lams: np.ndarray, reduce) -> None:
-    """reduce(cells, sig) for every block of the points, in order.
-
-    sig holds the `_sigma_task` tails of lams[cells], one column per
-    point; a block is _BLOCK_TASKS tasks of `_task_points` points.  The
-    tasks of a scan of more than one task run on one pool of threads that
-    start and end inside this call, one per usable core (at most one per
-    task); the SVD and the ufuncs release the GIL while they compute.
-    reduce runs in the calling thread between blocks, while no task runs.
-    """
-    step = _task_points(tail.mats.shape[-1])
-    tasks = -(-len(lams) // step)
-    pool = (
-        ThreadPoolExecutor(min(_usable_cores(), tasks), thread_name_prefix="opfam-sigma")
-        if tasks > 1
-        else contextlib.nullcontext()
-    )
-    with pool:
-        run = pool.map if tasks > 1 else map
-        for lo in range(0, len(lams), _BLOCK_TASKS * step):
-            cells = slice(lo, lo + _BLOCK_TASKS * step)
-            block = lams[cells]
-            sig = np.empty((len(tail.mats), len(block)))
-
-            def fill(task: slice) -> None:
-                sig[:, task] = _sigma_task(tail, block[task])
-
-            # Reading every result re-raises a task's error, map cancels
-            # the tasks not yet started, and the with block waits for the
-            # running ones.
-            list(run(fill, [slice(i, i + step) for i in range(0, len(block), step)]))
-            reduce(cells, sig)
 
 
 def _classify(sig, tail_norms, scale: float, lams: np.ndarray):
@@ -468,15 +429,27 @@ def family_spectrum_grid(
     score = np.empty(len(lams))
     flat_low = np.empty(len(lams), dtype=bool)
 
-    def reduce(cells: slice, sig: np.ndarray) -> None:
-        cls, (_, tail_max, tail_min, trend), _ = _classify(
-            sig, tail.norms, tail.scale, lams[cells]
-        )
+    def task(cells: slice) -> None:
+        points = lams[cells]
+        sig = _sigma_task(tail, points)
+        cls, (_, tail_max, tail_min, trend), _ = _classify(sig, tail.norms, tail.scale, points)
         classes[cells] = cls
         score[cells] = tail_min
         flat_low[cells] = (tail_max <= rcell) & (trend <= TREND_FLAT_TOL)
 
-    _sigma_blocks(tail, lams, reduce)
+    step = _task_points(tail.mats.shape[-1])
+    tasks = [slice(lo, lo + step) for lo in range(0, len(lams), step)]
+    if len(tasks) == 1:
+        task(tasks[0])
+    else:
+        # One thread per usable core (at most one per task), started and
+        # ended inside this call; the SVD and the ufuncs release the GIL.
+        # Reading every result re-raises a task's error, map cancels the
+        # tasks not yet started, and the with block waits for the running
+        # ones.
+        workers = min(_usable_cores(), len(tasks))
+        with ThreadPoolExecutor(workers, thread_name_prefix="opfam-sigma") as pool:
+            list(pool.map(task, tasks))
     score = score.reshape(ny, nx)
     classes[flat_low & _dip_mask(score).ravel()] = CLS_SPECTRUM
 

@@ -9,12 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opfam.families import CoeffFn, HGrid, OperatorFamily
-from opfam.local import (
-    _CHUNK,
-    _min_norm_solve_stack,
-    _probe_samples,
-    family_local_spectrum_grid,
-)
+from opfam.local import _min_norm_solve_stack, _probe_samples, family_local_spectrum_grid
 from opfam.spectra import CLS_RESOLVENT, CLS_SPECTRUM, _tail_eval
 
 SEED = 4669
@@ -84,12 +79,36 @@ def test_an_exact_eigenvalue_hit_falls_back_at_that_point_only(grid, monkeypatch
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             g = family_local_spectrum_grid(fam, x, RECT, 8, 8, grid)
-        # All 576 probe points share one chunk; only the hit is re-solved.
+        # All 576 probe points share one kernel pass; only the hit is re-solved.
         assert pinv_stacks == [1]
         expected = np.full((8, 8), CLS_RESOLVENT, dtype=np.int8)
         for z in support:
             expected[cell(z)] = CLS_SPECTRUM
         np.testing.assert_array_equal(g.classes, expected)
+
+
+def test_a_fallback_point_gets_the_same_bytes_beside_another(grid):
+    # F = 0.5 + R diag(1.3, -0.7) R*: the Schur diagonal entry p near 1.3 is
+    # hit exactly by the back-substitution, but p I - F is not singular in
+    # floating point, so p takes its LU solve; 0.5 I - F is exactly singular
+    # and takes pinv.  Neither choice may depend on the other point.
+    rng = np.random.default_rng(SEED)
+    r, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    f = np.zeros((3, 3), dtype=complex)
+    f[0, 0] = 0.5
+    f[1:, 1:] = r @ np.diag([1.3, -0.7]) @ r.conj().T
+    tail = _tail_eval(OperatorFamily.constant(f), grid)
+    diag = np.diag(tail.schur(0)[0])
+    p = diag[np.argmin(np.abs(diag - 1.3))]
+    x = np.array([1.0, 1.0j, -0.5])
+    alone = _probe_samples(tail, x, np.array([p]))
+    pair = _probe_samples(tail, x, np.array([0.5, p]))
+    for a, b in zip(alone, pair):
+        assert a[:, 0].tobytes() == b[:, 1].tobytes()
+    y = np.linalg.solve(p * np.eye(3) - f, x)
+    np.testing.assert_allclose(alone[0][:, 0], np.linalg.norm(y), rtol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(0.5 * np.eye(3) - f, x)
 
 
 def test_schur_factors_once_per_distinct_tail_matrix(grid, monkeypatch):
@@ -159,7 +178,7 @@ def _reference_triangular_probe(t, b, points):
 
 
 def _reference_probe_samples(tail, x, points):
-    """`_probe_samples` over `_reference_triangular_probe`."""
+    """`_probe_samples` over `_reference_triangular_probe`, one pass per matrix."""
     mats = tail.mats
     ident = np.eye(mats.shape[-1], dtype=complex)
     norms = np.empty((len(mats), len(points)))
@@ -167,17 +186,15 @@ def _reference_probe_samples(tail, x, points):
     for i in tail.distinct:
         t, q = tail.schur(i)
         b = (q.conj() * x[:, None]).sum(axis=0)
-        for lo in range(0, len(points), _CHUNK):
-            pts = points[lo : lo + _CHUNK]
-            norm, resid = _reference_triangular_probe(t, b, pts)
-            hit = ~(np.isfinite(norm) & np.isfinite(resid))
-            if hit.any():
-                stack = pts[hit, None, None] * ident - mats[i]
-                y = _min_norm_solve_stack(stack, x)
-                norm[hit] = np.linalg.norm(y, axis=1)
-                resid[hit] = np.linalg.norm((stack @ y[..., None])[..., 0] - x, axis=1)
-            norms[i, lo : lo + _CHUNK] = norm
-            resids[i, lo : lo + _CHUNK] = resid
+        norm, resid = _reference_triangular_probe(t, b, points)
+        hit = ~(np.isfinite(norm) & np.isfinite(resid))
+        if hit.any():
+            stack = points[hit, None, None] * ident - mats[i]
+            y = _min_norm_solve_stack(stack, x)
+            norm[hit] = np.linalg.norm(y, axis=1)
+            resid[hit] = np.linalg.norm((stack @ y[..., None])[..., 0] - x, axis=1)
+        norms[i] = norm
+        resids[i] = resid
     tail.spread(norms, resids)
     return norms, resids
 
@@ -190,9 +207,8 @@ def _assert_same_bytes(tail, x, points):
         assert g.tobytes() == w.tobytes()
 
 
-# One point, one short of a chunk, a whole chunk, one past it, and a
-# partial third chunk.
-_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 20000)
+# One point, sizes on either side of 2**13, and more than twice that.
+_COUNTS = (1, 8191, 8192, 8193, 20000)
 
 
 @pytest.mark.parametrize("d", range(1, 17))
@@ -212,24 +228,24 @@ def test_drifting_family_bytes_match_the_reference(d, grid):
     tail = _tail_eval(_drift_family(rng, d), grid)
     assert len(tail.distinct) == grid.tail
     x = rng.normal(size=d) + 1j * rng.normal(size=d)
-    n = _CHUNK + 1
+    n = 8193
     _assert_same_bytes(tail, x, rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n))
 
 
 def test_hit_and_overflow_bytes_match_the_reference(grid):
     # The eigenvalue 0.5 is hit exactly.  Near 1e-200 the 1e200 entries
     # push the back-substitution past the float range, which also falls
-    # back to the direct solve; both sit in the second chunk.
+    # back to the direct solve.
     mat = np.diag([0.5, 1e-200, -1.0 + 2.0j]).astype(complex)
     mat[0, 1] = mat[1, 2] = 1e200
     tail = _tail_eval(OperatorFamily.constant(mat), grid)
     x = np.array([1.0, 1.0, 1.0j])
     rng = np.random.default_rng(SEED)
     points = rng.uniform(-3, 3, 20000) + 1j * rng.uniform(-3, 3, 20000)
-    points[_CHUNK + 5] = 0.5
-    points[_CHUNK + 9] = 2e-200
+    points[8197] = 0.5
+    points[8201] = 2e-200
     t, q = tail.schur(0)
     norm, resid = _reference_triangular_probe(t, (q.conj() * x[:, None]).sum(axis=0), points)
     bad = ~(np.isfinite(norm) & np.isfinite(resid))
-    assert bad[_CHUNK + 5] and bad[_CHUNK + 9]
+    assert bad[8197] and bad[8201]
     _assert_same_bytes(tail, x, points)

@@ -91,8 +91,7 @@ def _whole_local_grid(fam, x, rect, nx, ny, grid):
 
 # (nx, ny) with nx != ny and a cell count just below or just above a
 # multiple of a task or a block: sigma tasks of 1024 points at orders 2
-# and 6 and of 256 at order 16, in blocks of 8 tasks; local blocks of 910
-# cells.
+# and 6 and of 256 at order 16; local blocks of 910 cells.
 _SHAPES_1024 = [(33, 31), (41, 25), (91, 90), (241, 34)]
 _SPECTRUM_SHAPES = {2: _SHAPES_1024, 6: _SHAPES_1024, 16: [(17, 15), (27, 19), (89, 23), (41, 50)]}
 _LOCAL_SHAPES = [(101, 9), (48, 19), (17, 107)]
@@ -101,7 +100,6 @@ _LOCAL_SHAPES = [(101, 9), (48, 19), (17, 107)]
 @pytest.mark.parametrize("d", (2, 6, 16))
 def test_spectrum_grid_bytes_match_the_whole_array_scan(d, grid):
     assert spectra._task_points(d) == (256 if d == 16 else 1024)
-    assert spectra._BLOCK_TASKS == 8
     rng = np.random.default_rng(SEED + d)
     fam = _drift_family(rng, d)
     for nx, ny in _SPECTRUM_SHAPES[d]:
@@ -169,8 +167,13 @@ def test_spectrum_scan_memory_is_bounded_by_its_tasks(grid, two_workers):
     rng = np.random.default_rng(SEED)
     # Order 16: two workers hold one task of 256 shifted matrices (1 MiB)
     # each, where 1024-point tasks held 2 x 4 MiB each.
+    # Every task is submitted at once: what a cell adds is its results, not
+    # its sigma tail (64 x 64 cells are 16 tasks, 128 x 128 are 64).
     fam = _drift_family(rng, 16)
-    assert _traced_peak(lambda: family_spectrum_grid(fam, RECT, 128, 128, grid)) < 6 * MIB
+    small = _traced_peak(lambda: family_spectrum_grid(fam, RECT, 64, 64, grid))
+    large = _traced_peak(lambda: family_spectrum_grid(fam, RECT, 128, 128, grid))
+    assert large < 6 * MIB
+    assert (large - small) / (128**2 - 64**2) < 64
     # Order 2: what a cell adds is its results and the dip mask's
     # neighbors, not its sigma tail and the tail verdict's temporaries.
     fam = _drift_family(rng, 2)

@@ -483,6 +483,30 @@ def test_sigma_bytes_independent_of_worker_count(grid, sigma_workers, monkeypatc
             assert g.score.tobytes() == reference.min(axis=0).tobytes()
 
 
+def test_a_sigma_task_error_reaches_the_caller(grid, sigma_workers, monkeypatch):
+    calls = []
+    lock = threading.Lock()
+    task = spectra._sigma_task
+
+    def failing(*args):
+        with lock:
+            calls.append(None)
+            third = len(calls) == 3
+        if third:
+            raise RuntimeError("third sigma task")
+        return task(*args)
+
+    monkeypatch.setattr(spectra, "_sigma_task", failing)
+    sigma_workers(3)
+    rng = np.random.default_rng(SEED)
+    fam = OperatorFamily.constant(_rand(rng, 6))
+    # 62 x 50 cells: four tasks of 1024 points on three workers.
+    with pytest.raises(RuntimeError, match="third sigma task"):
+        family_spectrum_grid(fam, (-3, 3, -3, 3), 62, 50, grid)
+    assert len(calls) >= 3
+    assert not [t for t in threading.enumerate() if t.name.startswith("opfam-sigma")]
+
+
 _CSV_FINGERPRINT = """
 import hashlib, os, sys
 if {pin}:
