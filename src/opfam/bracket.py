@@ -311,10 +311,10 @@ def combine_order_reports(
     )
 
 
-def qn_equivalent(t, s, n_max: int = N_MAX) -> EquivalenceReport:
-    """Quasinilpotent-equivalence verdict for a single operator pair.
+def qn_equivalent(t, s) -> EquivalenceReport:
+    """Quasinilpotent-equivalence verdict for a single operator pair, orders 1..N_MAX.
 
     Symmetric by construction: both operand orders are tested and the
     verdicts conjoined (`BracketSeq.verdict`).
     """
-    return bracket_seq(t, s, n_max).verdict()
+    return bracket_seq(t, s, N_MAX).verdict()

@@ -77,7 +77,9 @@ class CoeffFn:
         value = np.asarray(hs, dtype=float) ** self.exponent
         value = value.astype(complex)
         if self.rate:
-            value *= np.exp(-self.rate / np.asarray(hs, dtype=float))
+            # exp(-inf) = 0 is the right value where rate / h overflows.
+            with np.errstate(over="ignore"):
+                value *= np.exp(-self.rate / np.asarray(hs, dtype=float))
         return value
 
     def __mul__(self, other: "CoeffFn") -> "CoeffFn":
@@ -316,12 +318,7 @@ def tail_stats(
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 3:
         raise InputError("need a 1-d array of at least 3 tail samples")
-    return _column_stats(v, eps_tail, zero_floor, verdict_arrays(v[:, None], eps_tail, zero_floor))
-
-
-def _column_stats(v: np.ndarray, eps_tail: float, zero_floor: float, verdicts) -> TailStats:
-    """The TailStats of tail samples v, read off `verdict_arrays` of v as one column."""
-    codes, tail_max, tail_min, trend = verdicts
+    codes, tail_max, tail_min, trend = verdict_arrays(v[:, None], eps_tail, zero_floor)
     return TailStats(
         values=v,
         eps_tail=eps_tail,

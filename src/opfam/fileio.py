@@ -151,6 +151,8 @@ _COEFF_PARAMS = {"pow": CoeffFn.pow_h, "expinv": CoeffFn.exp_inv}
 
 
 def _parse_coeff(reader: _LineReader, tokens: list[str]) -> CoeffFn:
+    if not tokens:
+        reader.fail("term needs a coefficient kind")
     kind = tokens[0]
     if kind == "const":
         if len(tokens) != 1:

@@ -5,8 +5,8 @@ square.  Instances feeding decomposition- or grid-agreement checks are
 conditioned by rejection sampling: eigenvalue gaps, bounded eigenvector
 conditioning, cell-boundary margins (so that grid-cell assignment of an
 eigenvalue is never a knife-edge call), and vector support bounded away
-from zero.  Each generated pair carries a certificate of the relation it
-was built to satisfy.
+from zero.  The kind of a generated pair names the relation it was built
+to satisfy.
 """
 
 from __future__ import annotations
@@ -140,13 +140,15 @@ def commuting_toeplitz(
     n_nilpotents: int = 1,
     rect=None,
     n_cells: int | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(T, [N_1, ..]) with [T, N_k] = [N_j, N_k] = 0 and every N_k nilpotent.
+) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
+    """(T, [N_1, ..], block sizes) with [T, N_k] = [N_j, N_k] = 0 and every
+    N_k nilpotent.
 
-    Block-diagonal with blocks of 1..MAX_BLOCK rows; each block of T is a
-    polynomial in its shift and the N_k are blockwise strict polynomials in
-    the same shifts, so everything commutes and the eigenvalues of T are
-    the gap-separated block constants.
+    Block-diagonal with blocks of 1..MAX_BLOCK rows, in the order of the
+    returned sizes; each block of T is a polynomial in its shift and the
+    N_k are blockwise strict polynomials in the same shifts, so everything
+    commutes and the eigenvalues of T are the gap-separated block
+    constants.
     """
     blocks: list[int] = []
     left = dim
@@ -177,22 +179,20 @@ def commuting_toeplitz(
             nilpotents[k][pos : pos + b, pos : pos + b] = nb
         t[pos : pos + b, pos : pos + b] = tb
         pos += b
-    return t, nilpotents
+    return t, nilpotents, blocks
 
 
 @dataclass(frozen=True)
 class GeneratedPair:
-    """Two families plus the certificate of their intended relation."""
+    """Two families; the kind names their intended relation."""
 
     kind: str
     f: OperatorFamily
     g: OperatorFamily
-    relation: str
-    description: str
 
 
 def generate_pair(kind: str, seed: int, dim: int) -> GeneratedPair:
-    """Deterministic pair generator; the kind fixes the certified relation."""
+    """Deterministic pair generator; the kind fixes the intended relation."""
     if kind not in PAIR_KINDS:
         raise InputError(f"unknown pair kind {kind!r}; valid: {PAIR_KINDS}")
     if not 1 <= dim <= 16:
@@ -207,59 +207,35 @@ def generate_pair(kind: str, seed: int, dim: int) -> GeneratedPair:
             dim, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)]
         )
         g = f + OperatorFamily.from_terms(dim, [(CoeffFn.exp_inv(1.0), c)])
-        return GeneratedPair(
-            kind, f, g, "asymptotically-equivalent",
-            "bounded family vs the same plus an exp(-1/h)-decaying term",
-        )
+        return GeneratedPair(kind, f, g)
 
     if kind == "h-perturbation":
         a = random_matrix(rng, dim)
         b = random_matrix(rng, dim)
         f = OperatorFamily.constant(a)
         g = f + OperatorFamily.from_terms(dim, [(CoeffFn.pow_h(1.0), b)])
-        return GeneratedPair(
-            kind, f, g, "asymptotically-equivalent",
-            "constant family vs the same plus an h-linear term",
-        )
+        return GeneratedPair(kind, f, g)
 
     if kind == "commuting-nilpotent":
-        t, (n,) = commuting_toeplitz(rng, dim, 1)
-        return GeneratedPair(
-            kind,
-            OperatorFamily.constant(t),
-            OperatorFamily.constant(t + n),
-            "quasinilpotent-equivalent",
-            "constant pair differing by a commuting nilpotent",
-        )
+        t, (n,), _ = commuting_toeplitz(rng, dim, 1)
+        return GeneratedPair(kind, OperatorFamily.constant(t), OperatorFamily.constant(t + n))
 
     if kind == "scalar-vs-jordan":
         f = OperatorFamily.constant(2.0 * np.eye(dim, dtype=complex))
         g = OperatorFamily.constant(jordan_block(2.0, dim))
-        return GeneratedPair(
-            kind, f, g, "quasinilpotent-equivalent",
-            "twice the identity vs the Jordan block at 2",
-        )
+        return GeneratedPair(kind, f, g)
 
     if kind == "non-equivalent":
         d1 = np.diag(np.arange(dim, dtype=complex))
         d2 = np.diag(2.0 * np.arange(dim, dtype=complex))
-        return GeneratedPair(
-            kind,
-            OperatorFamily.constant(d1),
-            OperatorFamily.constant(d2),
-            "not-equivalent",
-            "commuting diagonals with unit-size persistent bracket roots",
-        )
+        return GeneratedPair(kind, OperatorFamily.constant(d1), OperatorFamily.constant(d2))
 
     if kind == "exp-null":
         a = random_matrix(rng, dim)
         b = random_matrix(rng, dim)
         f = OperatorFamily.constant(a)
         g = f + OperatorFamily.from_terms(dim, [(CoeffFn.exp_inv(2.0), b)])
-        return GeneratedPair(
-            kind, f, g, "asymptotically-equivalent",
-            "constant family vs the same plus an exp(-2/h) term",
-        )
+        return GeneratedPair(kind, f, g)
 
     # local-shift: diagonal with one h-moving entry vs its constant part.
     lams = draw_eigenvalues(rng, dim)
@@ -269,10 +245,7 @@ def generate_pair(kind: str, seed: int, dim: int) -> GeneratedPair:
     e[j, j] = 1.0
     f = OperatorFamily.from_terms(dim, [(CoeffFn.const(), d0), (CoeffFn.pow_h(1.0), e)])
     g = OperatorFamily.constant(d0)
-    return GeneratedPair(
-        kind, f, g, "asymptotically-equivalent",
-        f"diagonal family with entry {j} drifting by h vs its constant part",
-    )
+    return GeneratedPair(kind, f, g)
 
 
 def commuting_family_pair(
@@ -282,16 +255,10 @@ def commuting_family_pair(
 
     F = T + h * N1, G = F + h**2 * N2 with T block-Toeplitz and N1, N2
     nilpotent polynomials in the same shifts: all values commute, and the
-    difference is a certified null family.
+    difference is a null family.
     """
     rng = rng_for(seed, 101, dim)
-    t, (n1, n2) = commuting_toeplitz(rng, dim, 2, rect=rect, n_cells=n_cells)
+    t, (n1, n2), _ = commuting_toeplitz(rng, dim, 2, rect=rect, n_cells=n_cells)
     f = OperatorFamily.from_terms(dim, [(CoeffFn.const(), t), (CoeffFn.pow_h(1.0), n1)])
     g = f + OperatorFamily.from_terms(dim, [(CoeffFn.pow_h(2.0), n2)])
-    return GeneratedPair(
-        "commuting-family",
-        f,
-        g,
-        "asymptotically-equivalent",
-        "commuting block-Toeplitz families differing by an h^2 nilpotent term",
-    )
+    return GeneratedPair("commuting-family", f, g)

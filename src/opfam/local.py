@@ -270,7 +270,10 @@ def _local_cells(
     alone, so the blocks change no result.
     """
     v = as_vector(x, dim=fam.dim)
-    xnorm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        xnorm = float(np.linalg.norm(v))
+    if not np.isfinite(xnorm):
+        raise InputError("the norm of x overflows")
     tail = _tail_eval(fam, grid)
     n = len(centers)
     if xnorm == 0.0:

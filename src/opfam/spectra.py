@@ -37,7 +37,6 @@ from .families import (
     HGrid,
     OperatorFamily,
     TailStats,
-    _column_stats,
     _finite_norms,
     asymptotically_equivalent,
     tail_stats,
@@ -282,7 +281,7 @@ def _probe(tail: _Tail, lam: complex) -> ResolventProbe:
         raise InputError(f"probe point {lam} is not finite")
     lams = np.array([lam], dtype=complex)
     sig = _sigma_task(tail, lams)
-    classes, verdicts, neumann = _classify(sig, tail.norms, tail.scale, lams)
+    classes, _, neumann = _classify(sig, tail.norms, tail.scale, lams)
     column = sig[:, 0]
     # ||(lam I - F(h))^-1|| = 1 / sigma_min, infinite where lam I - F(h)
     # is singular.
@@ -293,9 +292,7 @@ def _probe(tail: _Tail, lam: complex) -> ResolventProbe:
         tail_sigma=column,
         tail_resnorm=resnorm,
         classification=_CLASS_NAMES[int(classes[0])],
-        sigma_stats=_column_stats(
-            column, DELTA_RES * tail.scale, SIGMA_FLOOR_REL * tail.scale, verdicts
-        ),
+        sigma_stats=tail_stats(column, DELTA_RES * tail.scale, SIGMA_FLOOR_REL * tail.scale),
         neumann=bool(neumann[0]),
     )
 

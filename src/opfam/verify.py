@@ -201,15 +201,15 @@ def _null_vec_family(rng, dim: int) -> VectorFamily:
     return VectorFamily.from_terms(dim, [(coeff, random_vector(rng, dim))])
 
 
-def _support_match(a, b, tol=1e-4) -> bool:
-    """Greedy matching of two support-point multisets within tol."""
+def _support_match(a, b) -> bool:
+    """Greedy matching of two support-point multisets within 1e-4."""
     a = sorted(a, key=lambda z: (z.real, z.imag))
     b = list(b)
     if len(a) != len(b):
         return False
     for p in a:
         j = int(np.argmin([abs(p - q) for q in b])) if b else -1
-        if j < 0 or abs(p - b[j]) > tol:
+        if j < 0 or abs(p - b[j]) > 1e-4:
             return False
         b.pop(j)
     return True
@@ -577,36 +577,22 @@ def _commuting_pair(cfg: ScenarioConfig, idx: int, k: int, res: int):
     """One commuting asym-qn-equivalent pair with margin-conditioned spectra.
 
     Even k: family pair T + h N1 vs the same plus h^2 N2.  Odd k: constant
-    pair (T, T + N).  Returns (f, g, t) with t the shared block matrix.
+    pair (T, T + N).  Returns (f, g, t, blocks) with t the shared block
+    matrix and blocks its diagonal block sizes.
     """
     d = min(cfg.dims(k), 5)
     rngk = rng_for(cfg.seed, idx, k)
     if k % 2 == 0:
-        t, (n1, n2) = commuting_toeplitz(rngk, d, 2, rect=RECT, n_cells=res)
+        t, (n1, n2), blocks = commuting_toeplitz(rngk, d, 2, rect=RECT, n_cells=res)
         f = OperatorFamily.from_terms(
             d, [(CoeffFn.const(), t), (CoeffFn.pow_h(1.0), n1)]
         )
         g = f + OperatorFamily.from_terms(d, [(CoeffFn.pow_h(2.0), n2)])
     else:
-        t, (n,) = commuting_toeplitz(rngk, d, 1, rect=RECT, n_cells=res)
+        t, (n,), blocks = commuting_toeplitz(rngk, d, 1, rect=RECT, n_cells=res)
         f = OperatorFamily.constant(t)
         g = OperatorFamily.constant(t + n)
-    return f, g, t
-
-
-def _block_sizes(t: np.ndarray) -> list[int]:
-    """Recover the diagonal block partition of a block-diagonal matrix."""
-    d = t.shape[0]
-    sizes = []
-    start = 0
-    for i in range(d - 1):
-        lower = float(abs(t[i + 1 :, : i + 1]).max())
-        upper = float(abs(t[: i + 1, i + 1 :]).max())
-        if lower < 1e-12 and upper < 1e-12:
-            sizes.append(i + 1 - start)
-            start = i + 1
-    sizes.append(d - start)
-    return sizes
+    return f, g, t, blocks
 
 
 def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
@@ -614,7 +600,7 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
     tally = _Tally()
     trials = 20
     for k in range(trials):
-        f, g, t = _commuting_pair(cfg, idx, k, res)
+        f, g, t, sizes = _commuting_pair(cfg, idx, k, res)
         d = t.shape[0]
         rng = rng_for(cfg.seed, idx, 5000 + k)
         commute = commute_in_limit(f, g, cfg.grid)
@@ -624,7 +610,7 @@ def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
             continue
         blocks = []
         pos = 0
-        for b in _block_sizes(t):
+        for b in sizes:
             p = np.zeros((d, d), dtype=complex)
             p[pos : pos + b, pos : pos + b] = np.eye(b)
             blocks.append(p)
@@ -872,7 +858,7 @@ def check_qn_laws(cfg: ScenarioConfig, idx: int):
         tally.add("shift", qn_equivalent(t, shifted).verdict == NOT_EQUIVALENT)
     for k in range(10):
         rng2 = rng_for(cfg.seed, idx, 99, k)
-        t, (n,) = commuting_toeplitz(rng2, cfg.dims(k), 1)
+        t, (n,), _ = commuting_toeplitz(rng2, cfg.dims(k), 1)
         seq = bracket_seq(t, t + n, N_MAX)
         # A commuting nilpotent difference: the order-12 bracket is exactly zero.
         tally.add("nilpotent", seq.verdict().verdict == EQUIVALENT and float(seq.roots[11]) == 0.0)
@@ -963,7 +949,7 @@ def check_commute_quotient(cfg: ScenarioConfig, idx: int):
     trials = 10
     for k in range(trials):
         d = cfg.dims(k)
-        t, (n1, n2) = commuting_toeplitz(rng_for(cfg.seed, idx, k), d, 2)
+        t, (n1, n2), _ = commuting_toeplitz(rng_for(cfg.seed, idx, k), d, 2)
         f = OperatorFamily.constant(t)
         g = OperatorFamily.constant(t + n1)
         v0 = commute_in_limit(f, g, cfg.grid).limit_verdict

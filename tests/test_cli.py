@@ -1,3 +1,7 @@
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,9 @@ from opfam.bracket import brackets
 from opfam.cli import main
 from opfam.emit import read_grid_csv
 from opfam.errors import InvariantError
-from opfam.families import CoeffFn, OperatorFamily
-from opfam.fileio import save_family, save_vector, write_matrix
+from opfam.families import CoeffFn, HGrid, OperatorFamily
+from opfam.fileio import load_family, save_family, save_vector, write_matrix
+from opfam.spectra import CLS_SPECTRUM
 
 
 @pytest.fixture()
@@ -124,6 +129,33 @@ def test_spectrum_command_writes_outputs(workdir, capsys):
     assert csv_path.read_text().startswith("re,im,class,min_tail_sigma")
     assert pgm_path.read_text().startswith("P2\n32 32\n255")
     assert svg_path.read_text().startswith("<?xml")
+
+
+def test_readme_flip_family_renders_its_spectrum_at_the_origin(tmp_path, capsys):
+    # The README's .fam block, scanned as its CLI line says: the S cells
+    # lie within one cell diagonal of 0 (ac05's claim, through the CLI).
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```\n(dim \d+\n.*?)^```", readme, re.M | re.S)
+    fam = tmp_path / "flip.fam"
+    fam.write_text(block, encoding="utf-8")
+    out = {fmt: tmp_path / f"flip.{fmt}" for fmt in ("csv", "pgm", "svg")}
+    rc = main(
+        [
+            "spectrum",
+            "--family", str(fam),
+            "--rect", "-2:2:-2:2",
+            "--res", "128",
+            "--out", str(out["csv"]),
+            "--pgm", str(out["pgm"]),
+            "--svg", str(out["svg"]),
+        ]
+    )
+    assert rc == 0
+    assert all(path.stat().st_size > 0 for path in out.values())
+    grid = read_grid_csv(str(out["csv"]))
+    centers = grid.cells_with_class(CLS_SPECTRUM).ravel()
+    assert len(centers) >= 1
+    assert all(abs(c) <= math.hypot(*grid.cell_size()) for c in centers)
 
 
 def test_local_spectrum_and_member(workdir, capsys):
@@ -257,6 +289,10 @@ def test_input_errors_exit_2(workdir, tmp_path, capsys):
     rc = main(["spectrum", "--family", str(nan_fam), "--rect", "-3:3:-3:3", "--res", "8"])
     assert rc == 2
     assert "nan.fam:2" in capsys.readouterr().err
+    bare = tmp_path / "bare.fam"
+    bare.write_text("dim 2\nterm\n2\n1.0+0.0i 0.0+0.0i\n0.0+0.0i 1.0+0.0i\n")
+    assert main(["spectrum", "--family", str(bare), "--rect", "-3:3:-3:3", "--res", "8"]) == 2
+    assert capsys.readouterr().err == f"error: {bare}:2: term needs a coefficient kind\n"
 
 
 def test_underflowing_grid_exits_2(workdir, capsys):
@@ -273,16 +309,34 @@ def test_underflowing_grid_exits_2(workdir, capsys):
     assert "underflow" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_family_exits_2(workdir, capsys):
     save_family(OperatorFamily.constant(np.full((2, 2), 1e308)), workdir / "huge.fam")
+    save_vector(np.array([1e308, 1e308], dtype=complex), workdir / "huge.vec")
     scan = ["--family", str(workdir / "huge.fam"), "--rect", "-3:3:-3:3", "--res", "8"]
+    # A finite x whose norm overflows is refused the same way.
+    flip = ["--family", str(workdir / "flip.fam"), "--rect", "-2:2:-2:2", "--res", "16"]
     for argv in (
         ["spectrum", *scan],
         ["local-spectrum", *scan, "--x", str(workdir / "e1.vec")],
         ["local-member", *scan, "--x", str(workdir / "e1.vec"), "--a", "disc 0,0,1"],
+        ["local-spectrum", *flip, "--x", str(workdir / "huge.vec")],
+        ["local-member", *flip, "--x", str(workdir / "huge.vec"), "--a", "disc 0,0,1"],
     ):
         assert main(argv) == 2
         assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_expinv_rate_is_a_zero_term(workdir, capsys):
+    zero = CoeffFn.exp_inv(1e308)
+    assert not zero.eval_many(HGrid().samples()).any()
+    flip = load_family(str(workdir / "flip.fam"))
+    save_family(flip + OperatorFamily.from_terms(2, [(zero, np.ones((2, 2)))]), workdir / "z.fam")
+    for name in ("flip", "z"):
+        scan = ["--family", str(workdir / f"{name}.fam"), "--rect", "-2:2:-2:2", "--res", "32"]
+        assert main(["spectrum", *scan, "--out", str(workdir / f"{name}.csv")]) == 0
+    assert (workdir / "z.csv").read_bytes() == (workdir / "flip.csv").read_bytes()
 
 
 def test_broken_invariant_exits_3(workdir, monkeypatch, capsys):

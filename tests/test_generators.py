@@ -4,6 +4,7 @@ import pytest
 from opfam.errors import InputError
 from opfam.families import TO_ZERO, asymptotically_equivalent, commute_in_limit
 from opfam.generators import (
+    MAX_BLOCK,
     PAIR_KINDS,
     commuting_family_pair,
     commuting_toeplitz,
@@ -20,8 +21,7 @@ def test_generate_pair_deterministic():
     for kind in PAIR_KINDS:
         a = generate_pair(kind, 7, 3)
         b = generate_pair(kind, 7, 3)
-        assert a.description == b.description
-        for (c1, m1), (c2, m2) in zip(a.f.terms, b.f.terms):
+        for (c1, m1), (c2, m2) in zip(a.f.terms + a.g.terms, b.f.terms + b.g.terms):
             assert c1 == c2
             assert np.array_equal(m1, m2)
         c = generate_pair(kind, 8, 3)
@@ -36,7 +36,6 @@ def test_generate_pair_examples():
     p = generate_pair("non-equivalent", 1, 2)
     assert np.array_equal(p.f(0.1), np.diag([0.0, 1.0]))
     assert np.array_equal(p.g(0.1), np.diag([0.0, 2.0]))
-    assert p.relation == "not-equivalent"
 
     with pytest.raises(InputError):
         generate_pair("mystery", 1, 2)
@@ -45,13 +44,12 @@ def test_generate_pair_examples():
 def test_null_difference_certificate(grid):
     for kind in ("null-difference", "h-perturbation", "exp-null", "local-shift"):
         p = generate_pair(kind, 11, 4)
-        assert p.relation == "asymptotically-equivalent"
         assert asymptotically_equivalent(p.f, p.g, grid).limit_verdict == TO_ZERO
 
 
 def test_commuting_toeplitz_structure():
     rng = rng_for(3, 1)
-    t, (n1, n2) = commuting_toeplitz(rng, 5, 2)
+    t, (n1, n2), _ = commuting_toeplitz(rng, 5, 2)
     assert op_norm(t @ n1 - n1 @ t) < 1e-12
     assert op_norm(t @ n2 - n2 @ t) < 1e-12
     assert op_norm(n1 @ n2 - n2 @ n1) < 1e-12
@@ -59,6 +57,23 @@ def test_commuting_toeplitz_structure():
     for _ in range(5):
         power = power @ n1
     assert op_norm(power) < 1e-12
+
+
+def test_commuting_toeplitz_block_sizes():
+    # The returned sizes partition T and every N_k: both are exactly zero
+    # outside the diagonal blocks.
+    for seed in range(20):
+        for dim in (1, 2, 5, 9):
+            t, nilpotents, blocks = commuting_toeplitz(rng_for(seed, dim), dim, 2)
+            assert sum(blocks) == dim
+            assert all(1 <= b <= MAX_BLOCK for b in blocks)
+            inside = np.zeros((dim, dim), dtype=bool)
+            pos = 0
+            for b in blocks:
+                inside[pos : pos + b, pos : pos + b] = True
+                pos += b
+            for mat in (t, *nilpotents):
+                assert not mat[~inside].any()
 
 
 def test_commuting_family_pair(grid):
