@@ -32,14 +32,17 @@ _SVG_CELL_PX = 4
 def grid_to_csv(grid: RegionGrid) -> str:
     # `_cell_grid` adds a real row to an imaginary column, so every row of
     # the centers has the same real parts and every column the same
-    # imaginary parts: each is formatted once.
+    # imaginary parts: each is formatted once.  Each grid row is joined
+    # into one string as it is made, so no string per cell outlives its row.
     centers = grid.centers()
     res = [repr(v) for v in centers[0].real.tolist()]
     ims = [repr(v) for v in centers[:, 0].imag.tolist()]
     lines = ["re,im,class,min_tail_sigma"]
-    for im, classes, scores in zip(ims, grid.classes.tolist(), grid.score.tolist()):
-        lines += [f"{r},{im},{CLASS_CHARS[c]},{v!r}" for r, c, v in zip(res, classes, scores)]
-    return "\n".join(lines) + "\n"
+    for im, classes, scores in zip(ims, grid.classes, grid.score):
+        cells = zip(res, classes.tolist(), scores.tolist())
+        lines.append("\n".join([f"{r},{im},{CLASS_CHARS[c]},{v!r}" for r, c, v in cells]))
+    # The empty last line ends the text with a newline without a second copy.
+    return "\n".join([*lines, ""])
 
 
 def grid_to_pgm(grid: RegionGrid) -> str:
@@ -64,9 +67,9 @@ def grid_to_svg(grid: RegionGrid) -> str:
         c: f'" width="{_SVG_CELL_PX}" height="{_SVG_CELL_PX}" fill="{color}"/>'
         for c, color in _SVG_COLORS.items()
     }
-    for iy, classes in enumerate(grid.classes.tolist()):
+    for iy, classes in enumerate(grid.classes):
         yy = str((grid.ny - 1 - iy) * _SVG_CELL_PX)
-        parts += [head + yy + fills[c] for head, c in zip(heads, classes)]
+        parts.append("\n".join([head + yy + fills[c] for head, c in zip(heads, classes.tolist())]))
     x = 2
     for cls in (CLS_SPECTRUM, CLS_UNDETERMINED, CLS_RESOLVENT):
         parts.append(
@@ -78,8 +81,8 @@ def grid_to_svg(grid: RegionGrid) -> str:
             f'font-family="monospace">{_SVG_LABELS[cls]}</text>'
         )
         x += 13 + 9 * len(_SVG_LABELS[cls]) + 8
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]
+    return "\n".join(parts)
 
 
 def emit_plot(grid: RegionGrid, fmt: str, path: str) -> None:

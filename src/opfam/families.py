@@ -296,10 +296,22 @@ def verdict_arrays(
     with codes 0=ToZero, 1=BoundedPositive, 2=Unbounded, 3=Inconclusive,
     the lowest code whose condition holds winning.  The trend is -inf
     where the whole tail sits at or below zero_floor.
+
+    A tail whose rows are all bytewise equal (a constant family's) takes
+    its verdict from its first row, with no log: its max and min are that
+    row, and its trend row - row is +0.0 where the row is finite, which is
+    what the fit returns for equal samples, and the fit's NaN (bit for
+    bit, warning included) where it is +inf.
     """
-    tail_max = values.max(axis=0)
-    tail_min = values.min(axis=0)
-    trend = slopes_log10(values)
+    bits = values.view(np.int64)
+    if (bits[1:] == bits[0]).all():
+        row = values[0]
+        tail_max, tail_min = row.copy(), row.copy()
+        trend = row - row
+    else:
+        tail_max = values.max(axis=0)
+        tail_min = values.min(axis=0)
+        trend = slopes_log10(values)
     trend = np.where(tail_max <= zero_floor, -np.inf, trend)
     codes = np.full(values.shape[1], 3, dtype=np.int8)
     codes[(trend >= TREND_GROWTH_TOL) & (tail_max >= UNBOUNDED_MIN)] = 2

@@ -171,6 +171,11 @@ def _min_norm_solve_stack(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _work_per_point(d: int) -> int:
+    """Float64 elements of `_triangular_probe`'s work buffer per probe point at order d."""
+    return 3 * d + 6
+
+
 def _triangular_probe(
     t: np.ndarray,
     b: np.ndarray,
@@ -187,33 +192,53 @@ def _triangular_probe(
     All arithmetic is elementwise numpy, so no BLAS thread count can
     enter.  An exact eigenvalue hit leaves a non-finite norm at its point.
 
-    The results go into norm and resid.  work is a complex buffer of at
-    least (3 len(b) + 2) len(points) elements, viewed as contiguous rows
-    for z, r, the row products, the right-hand side and the shift, so no
-    row allocates.  Every ufunc sees the operands, order and strides of
-    the plain expressions `b[k] + (t[k, k+1:, None] * z[k+1:]).sum(0)`,
-    `rhs / shift`, `shift * z[k] - rhs` and `np.linalg.norm(z, axis=0)`
-    (`sqrt(add.reduce((conj(z) * z).real, axis=0))`), so every byte is
-    theirs too.
+    The results go into norm and resid.  work is a float64 buffer of at
+    least `_work_per_point(len(b))` len(points) elements, 1.5 len(b) + 3
+    complex point rows: z, the right-hand side, the shift, one temporary
+    and the squared moduli of the residual rows.  So no row allocates and
+    every temporary is one point row.  No complex product is written over
+    one of its operands: numpy runs such a product in a slower loop, which
+    at one point also rounds differently.  The sum of row k is accumulated
+    term by term, t[k, k+1] z[k+1] first, and the norms add their squared
+    moduli in row order 0..d-1.  That is how numpy's axis-0 reduce adds
+    the rows of two or more points (it starts from an exact zero, which
+    can change only the sign of a zero, and no zero's sign reaches a
+    norm), so there every byte is that of the plain expressions
+    `b[k] + (t[k, k+1:, None] * z[k+1:]).sum(0)`, `rhs / shift`,
+    `shift * z[k] - rhs` and `np.linalg.norm(z, axis=0)`.  At one point
+    numpy reduces those in pairwise order, and the kernel gives the bytes
+    of the same expressions with their sums taken row by row.
     """
     d, n = len(b), len(points)
-    w = work[: (3 * d + 2) * n].reshape(3 * d + 2, n)
-    z, r, prod, rhs, shift = w[:d], w[d : 2 * d], w[2 * d : 3 * d], w[3 * d], w[3 * d + 1]
+    rows = work[: 2 * (d + 3) * n].view(complex).reshape(d + 3, n)
+    z, rhs, shift, tmp = rows[:d], rows[d], rows[d + 1], rows[d + 2]
+    squares = work[2 * (d + 3) * n : _work_per_point(d) * n].reshape(d, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(d - 1, -1, -1):
-            m = d - 1 - k
-            np.multiply(t[k, k + 1 :, None], z[k + 1 :], out=prod[:m])
-            np.add.reduce(prod[:m], axis=0, out=rhs)
-            np.add(b[k], rhs, out=rhs)
+            if k == d - 1:
+                rhs.fill(b[k])
+            else:
+                np.multiply(t[k, k + 1], z[k + 1], out=rhs)
+                for j in range(k + 2, d):
+                    np.multiply(t[k, j], z[j], out=tmp)
+                    np.add(rhs, tmp, out=rhs)
+                np.add(b[k], rhs, out=rhs)
             np.subtract(points, t[k, k], out=shift)
             np.divide(rhs, shift, out=z[k])
-            np.multiply(shift, z[k], out=r[k])
-            np.subtract(r[k], rhs, out=r[k])
-        for v, out in ((z, norm), (r, resid)):
-            np.conjugate(v, out=prod)
-            np.multiply(prod, v, out=prod)
-            np.add.reduce(prod.real, axis=0, out=out)
-            np.sqrt(out, out=out)
+            np.multiply(shift, z[k], out=tmp)
+            np.subtract(tmp, rhs, out=tmp)
+            np.conjugate(tmp, out=shift)
+            np.multiply(shift, tmp, out=rhs)
+            np.copyto(squares[k], rhs.real)
+        norm.fill(0.0)
+        resid.fill(0.0)
+        for k in range(d):
+            np.conjugate(z[k], out=tmp)
+            np.multiply(tmp, z[k], out=rhs)
+            np.add(norm, rhs.real, out=norm)
+            np.add(resid, squares[k], out=resid)
+        np.sqrt(norm, out=norm)
+        np.sqrt(resid, out=resid)
 
 
 def _probe_samples(
@@ -228,8 +253,10 @@ def _probe_samples(
     triangular counterpart.  Only the points where that is not finite (an
     exact eigenvalue hit) are re-solved, by `_min_norm_solve_stack`.  The
     points go through `_triangular_probe` in one pass per distinct matrix,
-    in one work buffer: `work` when given (see `_triangular_probe` for its
-    size), else one allocated here.
+    in one float64 work buffer of `_work_per_point(d)` elements per point:
+    `work` when given, else one allocated here.  The rows of the repeated matrices are copies, so a constant
+    family's tails have bytewise-equal rows and `verdict_arrays` reads
+    them off one row.
     """
     mats = tail.mats
     d = mats.shape[-1]
@@ -237,7 +264,7 @@ def _probe_samples(
     norms = np.empty((len(mats), len(points)))
     resids = np.empty((len(mats), len(points)))
     if work is None:
-        work = np.empty((3 * d + 2) * len(points), dtype=complex)
+        work = np.empty(_work_per_point(d) * len(points))
     for i in tail.distinct:
         t, q = tail.schur(i)
         b = (q.conj() * x[:, None]).sum(axis=0)
@@ -265,7 +292,8 @@ def _local_cells(
     The family is evaluated once; the solution-norm cap is
     B_MAX_FACTOR * ||x|| / scale, with the family scale of `_tail_eval`.
     The cells go through in blocks of _BLOCK_CELLS, all in one kernel work
-    buffer, and a block's tails are reduced to its cells' results before
+    buffer of 1.5 d + 3 complex rows of the block's points (3.4 MiB at
+    d = 16), and a block's tails are reduced to its cells' results before
     the next block is probed; every point's verdict reads its own tails
     alone, so the blocks change no result.
     """
@@ -285,7 +313,7 @@ def _local_cells(
     stencil = (-1, len(offsets))
     classes = np.full(n, CLS_UNDETERMINED, dtype=np.int8)
     tau = np.empty(n)
-    work = np.empty((3 * fam.dim + 2) * len(offsets) * min(n, _BLOCK_CELLS), dtype=complex)
+    work = np.empty(_work_per_point(fam.dim) * len(offsets) * min(n, _BLOCK_CELLS))
 
     def verdicts(cells: slice) -> int:
         points = (centers[cells, None] + offsets).ravel()

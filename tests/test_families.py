@@ -243,6 +243,32 @@ def test_a_column_has_the_same_verdict_bits_alone_and_in_any_batch(values):
         assert_same(verdict_arrays(alone, EPS_TAIL, ZERO_FLOOR), slice(k, k + 1))
 
 
+def _verdicts_and_warnings(values):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        verdicts = verdict_arrays(values, EPS_TAIL, ZERO_FLOOR)
+    return verdicts, {w.category for w in caught}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(3, 12),
+    st.lists(
+        _samples | st.sampled_from([0.0, 5e-324, 1e300, float("inf")]), min_size=1, max_size=4
+    ),
+)
+def test_equal_rows_take_the_verdict_bits_of_the_log_fit(m, row):
+    # Bytewise-equal rows take the one-row path alone and the log fit in a
+    # batch with a column that moves; both give the same bytes and warnings.
+    equal = np.tile(row, (m, 1))
+    batch = np.hstack([equal, np.arange(1.0, m + 1.0)[:, None]])
+    alone, alone_warned = _verdicts_and_warnings(equal)
+    fitted, fit_warned = _verdicts_and_warnings(batch)
+    for a, b in zip(alone, fitted):
+        assert a.tobytes() == b[: len(row)].tobytes()
+    assert alone_warned == fit_warned
+
+
 def test_limsup_norm_examples(grid):
     a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     assert limsup_norm(OperatorFamily.constant(a), grid) == pytest.approx(

@@ -177,8 +177,27 @@ def _reference_triangular_probe(t, b, points):
         return np.linalg.norm(z, axis=0), np.linalg.norm(r, axis=0)
 
 
-def _reference_probe_samples(tail, x, points):
-    """`_probe_samples` over `_reference_triangular_probe`, one pass per matrix."""
+def _row_order_triangular_probe(t, b, points):
+    """The kernel as plain expressions whose every sum adds its terms in row order.
+
+    At two points or more numpy's axis-0 reductions add in this order too,
+    so this equals `_reference_triangular_probe` byte for byte there; at
+    one point numpy reduces pairwise instead.
+    """
+    d = len(b)
+    z = np.empty((d, len(points)), dtype=complex)
+    r = np.empty_like(z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(d - 1, -1, -1):
+            rhs = b[k] + sum((t[k, j] * z[j] for j in range(k + 1, d)), 0.0)
+            shift = points - t[k, k]
+            z[k] = rhs / shift
+            r[k] = shift * z[k] - rhs
+        return tuple(np.sqrt(sum((row.conj() * row).real for row in v)) for v in (z, r))
+
+
+def _reference_probe_samples(tail, x, points, triangular_probe):
+    """`_probe_samples` over a reference triangular probe, one pass per matrix."""
     mats = tail.mats
     ident = np.eye(mats.shape[-1], dtype=complex)
     norms = np.empty((len(mats), len(points)))
@@ -186,7 +205,7 @@ def _reference_probe_samples(tail, x, points):
     for i in tail.distinct:
         t, q = tail.schur(i)
         b = (q.conj() * x[:, None]).sum(axis=0)
-        norm, resid = _reference_triangular_probe(t, b, points)
+        norm, resid = triangular_probe(t, b, points)
         hit = ~(np.isfinite(norm) & np.isfinite(resid))
         if hit.any():
             stack = points[hit, None, None] * ident - mats[i]
@@ -200,15 +219,23 @@ def _reference_probe_samples(tail, x, points):
 
 
 def _assert_same_bytes(tail, x, points):
+    """The kernel's bytes are the plain expressions': numpy's own sums from
+    two points on, where the row-order sums equal them, and the row-order
+    sums at one point."""
     got = _probe_samples(tail, x, points)
-    want = _reference_probe_samples(tail, x, points)
-    for g, w in zip(got, want):
+    row_order = _reference_probe_samples(tail, x, points, _row_order_triangular_probe)
+    want = row_order
+    if len(points) > 1:
+        want = _reference_probe_samples(tail, x, points, _reference_triangular_probe)
+    for g, w, r in zip(got, want, row_order):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+        assert r.tobytes() == w.tobytes()
 
 
-# One point, sizes on either side of 2**13, and more than twice that.
-_COUNTS = (1, 8191, 8192, 8193, 20000)
+# One point, two, one stencil, sizes on either side of 2**13, and more than
+# twice that.
+_COUNTS = (1, 2, 9, 8191, 8192, 8193, 20000)
 
 
 @pytest.mark.parametrize("d", range(1, 17))

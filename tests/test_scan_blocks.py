@@ -191,3 +191,12 @@ def test_local_scan_memory_is_bounded_by_its_blocks(grid):
     large = _traced_peak(lambda: family_local_spectrum_grid(fam, x, RECT, 96, 96, grid))
     assert large < 5 * MIB
     assert (large - small) / (96**2 - 32**2) < 256
+
+
+def test_local_scan_memory_at_order_16_is_bounded_by_its_kernel_rows(grid):
+    # Each block of 8190 points holds 1.5 d + 3 point rows of kernel work,
+    # 3.4 MiB at order 16, where rows of products made it 3 d + 2 (6.25 MiB).
+    rng = np.random.default_rng(SEED)
+    fam = _drift_family(rng, 16)
+    x = rng.normal(size=16) + 1j * rng.normal(size=16)
+    assert _traced_peak(lambda: family_local_spectrum_grid(fam, x, RECT, 64, 64, grid)) < 6 * MIB

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opfam import spectra
+from opfam import families, spectra
 from opfam.errors import InputError, PreconditionError
 from opfam.families import (
     TO_ZERO,
@@ -242,6 +242,31 @@ def test_spectrum_scan_runs_one_svd_pass_per_distinct_tail_matrix(grid, monkeypa
     drift = OperatorFamily.from_terms(3, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
     family_spectrum_grid(drift, (-3, 3, -3, 3), 8, 8, grid)
     assert len(passes) == grid.tail
+
+
+def test_a_constant_family_takes_its_scan_verdicts_without_a_log_fit(grid, monkeypatch):
+    # A constant family's tail rows are byte copies, so every verdict of its
+    # scans is read off one row; a drifting family's tails need the fit.
+    fits = []
+    original = families.slopes_log10
+
+    def counting(values):
+        fits.append(values.shape)
+        return original(values)
+
+    monkeypatch.setattr(families, "slopes_log10", counting)
+    rng = np.random.default_rng(SEED)
+    a, b = _rand(rng, 3), _rand(rng, 3)
+    x = np.array([1.0, 0.5j, -0.25])
+    drift = OperatorFamily.from_terms(3, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
+    for fam, fitted in ((OperatorFamily.constant(a), False), (drift, True)):
+        for scan in (
+            lambda: family_spectrum_grid(fam, (-3, 3, -3, 3), 8, 8, grid),
+            lambda: family_local_spectrum_grid(fam, x, (-3, 3, -3, 3), 8, 8, grid),
+        ):
+            fits.clear()
+            scan()
+            assert bool(fits) == fitted
 
 
 def test_probe_rejects_an_overflowing_family(grid):
