@@ -131,11 +131,12 @@ def bracket_norms(t, s, n_max: int) -> np.ndarray:
 
     Returns the norms, of shape (..., n_max).  All of them come from one
     stacked SVD, then each pair is cut at its first rule that fires: a norm
-    above OVERFLOW_LIMIT (or a non-finite bracket) makes it +inf from that
-    order on; a norm below EPS_ZERO is an exact zero of the recurrence and
-    makes it 0 from that order on.  So +inf is the only sign of overflow:
-    a row is all finite exactly when its pair did not overflow, and
-    `root_test` is the rule that turns a non-finite row into a verdict.
+    above OVERFLOW_LIMIT or nan (or a non-finite bracket) makes it +inf
+    from that order on; a norm below EPS_ZERO is an exact zero of the
+    recurrence and makes it 0 from that order on.  So +inf is the only
+    sign of overflow: a row is all finite exactly when its pair did not
+    overflow, and `root_test` is the rule that turns a non-finite row into
+    a verdict.
     """
     mats = brackets(t, s, n_max)[..., 1:, :, :]
     flat = mats.reshape((-1,) + mats.shape[-2:])
@@ -144,7 +145,8 @@ def bracket_norms(t, s, n_max: int) -> np.ndarray:
     values = np.where(finite, 0.0, np.inf)
     values[live] = op_norms(flat[live])
     values = values.reshape(mats.shape[:-2])
-    first_over = _first(values > OVERFLOW_LIMIT)
+    # A finite bracket whose norm overflows inside the SVD can give nan.
+    first_over = _first(~(values <= OVERFLOW_LIMIT))
     first_zero = _first(values < EPS_ZERO)
     stop = np.minimum(first_over, first_zero)[..., None]
     fill = np.where(first_zero <= first_over, 0.0, np.inf)[..., None]

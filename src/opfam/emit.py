@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
+from .fileio import _LineReader
 from .spectra import (
     CLASS_CHARS,
     CLS_RESOLVENT,
@@ -100,28 +101,31 @@ def emit_plot(grid: RegionGrid, fmt: str, path: str) -> None:
 
 
 def read_grid_csv(path: str) -> RegionGrid:
-    """Rebuild a grid from its CSV rendering (classes and scores only)."""
+    """Rebuild a grid from its CSV rendering (classes and scores only).
+
+    Blank and `#` lines are skipped, and an error names its physical line.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "re,im,class,min_tail_sigma":
-        raise InputError(f"{path}: not a grid CSV (bad header)")
-    res, ims, chars, scores = [], [], [], []
-    for k, line in enumerate(lines[1:], start=2):
+        reader = _LineReader(fh, path=path)
+    if reader.next_line() != "re,im,class,min_tail_sigma":
+        reader.fail("not a grid CSV (bad header)")
+    rows = []
+    while (line := reader.next_line()) is not None:
         cols = line.split(",")
         if len(cols) != 4 or cols[2] not in _CHAR_CLS:
-            raise InputError(f"{path}:{k}: bad grid CSV row {line!r}")
+            reader.fail(f"bad grid CSV row {line!r}")
         try:
-            res.append(float(cols[0]))
-            ims.append(float(cols[1]))
-            scores.append(float(cols[3]))
+            row = (float(cols[0]), float(cols[1]), _CHAR_CLS[cols[2]], float(cols[3]))
         except ValueError as exc:
-            raise InputError(f"{path}:{k}: {exc}") from exc
-        chars.append(cols[2])
-    re_vals = sorted(set(res))
-    im_vals = sorted(set(ims))
+            reader.fail(str(exc))
+        if not np.isfinite(row[:2]).all():
+            reader.fail(f"grid CSV row {line!r} has a non-finite center")
+        rows.append(row)
+    re_vals = sorted({row[0] for row in rows})
+    im_vals = sorted({row[1] for row in rows})
     nx, ny = len(re_vals), len(im_vals)
-    if nx * ny != len(chars) or nx < 1 or ny < 1:
-        raise InputError(f"{path}: rows do not form a full rectangular grid")
+    if nx * ny != len(rows) or nx < 1 or ny < 1:
+        reader.fail("rows do not form a full rectangular grid")
     w = re_vals[1] - re_vals[0] if nx > 1 else 1.0
     h = im_vals[1] - im_vals[0] if ny > 1 else 1.0
     rect = (re_vals[0] - w / 2, re_vals[-1] + w / 2, im_vals[0] - h / 2, im_vals[-1] + h / 2)
@@ -129,7 +133,7 @@ def read_grid_csv(path: str) -> RegionGrid:
     im_idx = {v: i for i, v in enumerate(im_vals)}
     classes = np.empty((ny, nx), dtype=np.int8)
     score = np.empty((ny, nx))
-    for r, i, ch, s in zip(res, ims, chars, scores):
-        classes[im_idx[i], re_idx[r]] = _CHAR_CLS[ch]
+    for r, i, c, s in rows:
+        classes[im_idx[i], re_idx[r]] = c
         score[im_idx[i], re_idx[r]] = s
     return RegionGrid(rect=rect, nx=nx, ny=ny, classes=classes, score=score)

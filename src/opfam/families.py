@@ -44,6 +44,9 @@ TREND_GROWTH_TOL = 0.02
 UNBOUNDED_MIN = 1e3
 DECAY_CERT_SLOPE = -0.05
 DECAY_CERT_FIT = 0.3
+# The largest tail sample of an HGrid: three decades below h0 <= 1, so the
+# tail stands in for h -> 0 and not for some fixed h.
+TAIL_H_MAX = 1e-3
 
 TO_ZERO = "ToZero"
 BOUNDED_POSITIVE = "BoundedPositive"
@@ -138,8 +141,11 @@ class _TermSum:
         """Evaluate at many h values at once; returns shape (len(hs), *term shape)."""
         hs = np.asarray(hs, dtype=float)
         out = self._zeros(hs.shape[0])
-        for coeff, arr in self.terms:
-            out += coeff.eval_many(hs).reshape((-1,) + (1,) * arr.ndim) * arr
+        # A sum past the float range is inf, which every caller refuses or
+        # turns into its overflow verdict.
+        with np.errstate(over="ignore"):
+            for coeff, arr in self.terms:
+                out += coeff.eval_many(hs).reshape((-1,) + (1,) * arr.ndim) * arr
         return out
 
     def __add__(self, other: Self) -> Self:
@@ -244,6 +250,11 @@ class HGrid:
             raise InputError("tail must be >= 3")
         if self.count < self.tail:
             raise InputError("count must be >= tail")
+        if self.h0 * self.ratio ** (self.count - self.tail) > TAIL_H_MAX:
+            raise InputError(
+                f"largest tail sample h0 * ratio**(count-tail) exceeds {TAIL_H_MAX:g}: "
+                "the tail must approach h -> 0"
+            )
         if self.h0 * self.ratio ** (self.count - 1) < np.finfo(float).tiny:
             raise InputError(
                 "smallest sample h0 * ratio**(count-1) underflows "

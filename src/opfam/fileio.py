@@ -2,8 +2,9 @@
 
 Matrix format: first line `d`, then d lines of d entries, each entry written
 as `re±imi` with shortest round-trip decimal reprs, so the reader recovers
-the exact doubles.  Vector format: first line `d`, then one line of d
-entries.  Family format: `dim d`, then repeated blocks of
+the exact doubles.  Vector format: the same block with one row, so first
+line `d`, then one line of d entries.  Family format: `dim d`, then
+repeated blocks of
 
     term const | term pow P | term expinv A
     <matrix in the matrix format>
@@ -74,24 +75,34 @@ def _parse_dim_token(reader: _LineReader, token: str) -> int:
     return d
 
 
-def _read_matrix_block(reader: _LineReader) -> np.ndarray:
+def _read_matrix_block(reader: _LineReader, noun: str, rows: int | None = None) -> np.ndarray:
+    """A `d` line, then `rows` lines of d entries each (d lines when rows is None)."""
     line = reader.next_line()
     if line is None:
-        reader.fail("expected matrix dimension line, got end of file")
+        reader.fail(f"expected {noun} dimension line, got end of file")
     d = _parse_dim_token(reader, line)
-    rows = []
-    for _ in range(d):
+    block = []
+    for _ in range(d if rows is None else rows):
         line = reader.next_line()
         if line is None:
-            reader.fail(f"expected {d} matrix rows, got end of file")
+            reader.fail(f"expected {noun} entries, got end of file")
         tokens = line.split()
         if len(tokens) != d:
             reader.fail(f"expected {d} entries per row, got {len(tokens)}")
         try:
-            rows.append([parse_complex(t) for t in tokens])
+            block.append([parse_complex(t) for t in tokens])
         except ValueError as exc:
             reader.fail(str(exc))
-    return np.array(rows, dtype=complex)
+    return np.array(block, dtype=complex)
+
+
+def _read_file_block(fh: TextIO, path: str, noun: str, rows: int | None = None) -> np.ndarray:
+    """A whole file holding one block and nothing after it."""
+    reader = _LineReader(fh, path=path)
+    block = _read_matrix_block(reader, noun, rows)
+    if reader.next_line() is not None:
+        reader.fail(f"unexpected trailing content after {noun}")
+    return block
 
 
 def write_matrix(a, fh: TextIO) -> None:
@@ -103,11 +114,7 @@ def write_matrix(a, fh: TextIO) -> None:
 
 
 def read_matrix(fh: TextIO, path: str = "") -> np.ndarray:
-    reader = _LineReader(fh.readlines(), path=path)
-    m = _read_matrix_block(reader)
-    if reader.next_line() is not None:
-        reader.fail("unexpected trailing content after matrix")
-    return as_matrix(m)
+    return as_matrix(_read_file_block(fh, path, "matrix"))
 
 
 def write_vector(x, fh: TextIO) -> None:
@@ -117,24 +124,7 @@ def write_vector(x, fh: TextIO) -> None:
 
 
 def read_vector(fh: TextIO, path: str = "") -> np.ndarray:
-    reader = _LineReader(fh.readlines(), path=path)
-    line = reader.next_line()
-    if line is None:
-        reader.fail("expected vector dimension line, got end of file")
-    d = _parse_dim_token(reader, line)
-    line = reader.next_line()
-    if line is None:
-        reader.fail("expected vector entries, got end of file")
-    tokens = line.split()
-    if len(tokens) != d:
-        reader.fail(f"expected {d} entries, got {len(tokens)}")
-    try:
-        v = np.array([parse_complex(t) for t in tokens], dtype=complex)
-    except ValueError as exc:
-        reader.fail(str(exc))
-    if reader.next_line() is not None:
-        reader.fail("unexpected trailing content after vector")
-    return as_vector(v)
+    return as_vector(_read_file_block(fh, path, "vector", rows=1)[0])
 
 
 def _coeff_descriptor(c: CoeffFn) -> str:
@@ -180,7 +170,7 @@ def write_family(fam: OperatorFamily, fh: TextIO) -> None:
 
 
 def read_family(fh: TextIO, path: str = "") -> OperatorFamily:
-    reader = _LineReader(fh.readlines(), path=path)
+    reader = _LineReader(fh, path=path)
     line = reader.next_line()
     if line is None:
         reader.fail("expected 'dim d' line, got end of file")
@@ -198,7 +188,7 @@ def read_family(fh: TextIO, path: str = "") -> OperatorFamily:
         if tokens[0] != "term":
             reader.fail(f"expected 'term ...', got {line!r}")
         coeff = _parse_coeff(reader, tokens[1:])
-        mat = _read_matrix_block(reader)
+        mat = _read_matrix_block(reader, "matrix")
         if mat.shape[0] != d:
             reader.fail(f"term matrix has dim {mat.shape[0]}, family has dim {d}")
         terms.append((coeff, mat))

@@ -249,16 +249,15 @@ def generate_pair(kind: str, seed: int, dim: int) -> GeneratedPair:
 
 
 def commuting_family_pair(
-    seed: int, dim: int, rect=None, n_cells: int | None = None
-) -> GeneratedPair:
+    rng: np.random.Generator, dim: int, rect=None, n_cells: int | None = None
+) -> tuple[OperatorFamily, OperatorFamily, np.ndarray, list[int]]:
     """Commuting, asymptotically quasinilpotent equivalent family pair.
 
     F = T + h * N1, G = F + h**2 * N2 with T block-Toeplitz and N1, N2
     nilpotent polynomials in the same shifts: all values commute, and the
-    difference is a null family.
+    difference is a null family.  Returns (F, G, T, block sizes of T).
     """
-    rng = rng_for(seed, 101, dim)
-    t, (n1, n2), _ = commuting_toeplitz(rng, dim, 2, rect=rect, n_cells=n_cells)
+    t, (n1, n2), blocks = commuting_toeplitz(rng, dim, 2, rect=rect, n_cells=n_cells)
     f = OperatorFamily.from_terms(dim, [(CoeffFn.const(), t), (CoeffFn.pow_h(1.0), n1)])
     g = f + OperatorFamily.from_terms(dim, [(CoeffFn.pow_h(2.0), n2)])
-    return GeneratedPair("commuting-family", f, g)
+    return f, g, t, blocks

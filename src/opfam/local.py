@@ -20,6 +20,7 @@ marked as carrying local spectrum at that resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,6 +59,9 @@ LOCAL_SPECTRUM = "LocalSpectrum"
 TOL_LOC = 1e-8
 TOL_EXT = 1e-6
 B_MAX_FACTOR = 1e8
+# An x whose largest entry modulus lies outside this range is probed as its
+# exact power-of-two multiple with largest entry modulus in [1, 2).
+X_PEAK_RANGE = (2.0**-64, 2.0**64)
 LOCAL_CAL_FACTOR = 8.0
 
 _LOCAL_NAMES = {
@@ -289,6 +293,10 @@ def _local_cells(
     around it.  Returns (class codes, tau, number of failing probe
     points), where tau is the stencil median of ||x|| over the norm tail
     max; the zero vector is LocalResolvent everywhere with tau = inf.
+    Since sigma_F(c x) = sigma_F(x) for c != 0, an x whose largest entry
+    lies outside X_PEAK_RANGE is probed as its power-of-two multiple whose
+    largest entry lies in [1, 2), so its norms neither overflow nor
+    underflow.
     The family is evaluated once; the solution-norm cap is
     B_MAX_FACTOR * ||x|| / scale, with the family scale of `_tail_eval`.
     The cells go through in blocks of _BLOCK_CELLS, all in one kernel work
@@ -304,8 +312,12 @@ def _local_cells(
         raise InputError("the norm of x overflows")
     tail = _tail_eval(fam, grid)
     n = len(centers)
-    if xnorm == 0.0:
+    peak = float(np.abs(v).max())
+    if peak == 0.0:
         return np.full(n, CLS_RESOLVENT, dtype=np.int8), np.full(n, np.inf), 0
+    if not X_PEAK_RANGE[0] <= peak <= X_PEAK_RANGE[1]:
+        v = np.ldexp(v.copy().view(float), 1 - math.frexp(peak)[1]).view(complex)
+        xnorm = float(np.linalg.norm(v))
     norm_cap = B_MAX_FACTOR * xnorm / tail.scale
     offsets = _ring_offsets(ring_r)
     eps_res = EPS_TAIL * max(1.0, xnorm)
@@ -446,7 +458,7 @@ def local_spectral_space_member(scan: RegionGrid, region: Region | str) -> Membe
         raise InputError(
             f"rect {scan.rect} does not cover the spectral-radius disk (radius {r:.3e})"
         )
-    if float(np.linalg.norm(x)) == 0.0:
+    if not x.any():
         return MembershipAnswer(
             member=True,
             inconclusive=False,

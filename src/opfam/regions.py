@@ -7,6 +7,7 @@ internal combinator (no surface grammar).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,96 +97,71 @@ class Intersection(Region):
         return "intersect(" + ", ".join(p.describe() for p in self.parts) + ")"
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise InputError(f"region descriptor error at {self.pos}: {message} in {self.text!r}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        if start == self.pos:
-            self.fail("expected a region keyword")
-        return self.text[start : self.pos]
-
-    def number(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        allowed = "+-.0123456789eE"
-        while self.pos < len(self.text) and self.text[self.pos] in allowed:
-            # Stop before a sign that starts the next token (not an exponent).
-            if (
-                self.text[self.pos] in "+-"
-                and self.pos > start
-                and self.text[self.pos - 1] not in "eE"
-            ):
-                break
-            self.pos += 1
-        token = self.text[start : self.pos]
-        try:
-            return float(token)
-        except ValueError:
-            self.fail(f"bad number {token!r}")
-
-    def region(self) -> Region:
-        kw = self.word()
-        if kw == "empty":
-            return Empty()
-        if kw == "disc":
-            re = self.number()
-            self.expect(",")
-            im = self.number()
-            self.expect(",")
-            r = self.number()
-            if r < 0:
-                self.fail("disc radius must be >= 0")
-            return Disc(center=complex(re, im), radius=r)
-        if kw == "rect":
-            vals = [self.number()]
-            for _ in range(3):
-                self.expect(":")
-                vals.append(self.number())
-            if vals[0] > vals[1] or vals[2] > vals[3]:
-                self.fail("rect bounds must be ordered a<=b, c<=d")
-            return Rect(*vals)
-        if kw == "union":
-            self.expect("(")
-            parts = []
-            if self.peek() != ")":
-                parts.append(self.region())
-                while self.peek() == ",":
-                    self.expect(",")
-                    parts.append(self.region())
-            self.expect(")")
-            if not parts:
-                return Empty()
-            return Union(parts=tuple(parts))
-        self.fail(f"unknown region kind {kw!r}")
+# A token is a keyword (group 1), a number (group 2) or one other character
+# (group 3); spaces and tabs between tokens are skipped.
+_TOKEN = re.compile(
+    r"[ \t]*(?:([A-Za-z]+)|([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(.))", re.S
+)
+_KEYWORD, _NUMBER, _END = 1, 2, 0  # a token's kind is its group; _END ends the text
 
 
 def parse_region(text: str) -> Region:
-    parser = _Parser(text.strip())
-    region = parser.region()
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        parser.fail("unexpected trailing content")
-    return region
+    """Parse a region descriptor (grammar in the module docstring).
+
+    An error names the offset of the offending token in the stripped
+    text, or the text length once the text has ended.
+    """
+    text = text.strip()
+    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(text)]
+    tokens += [(_END, "", len(text))]
+    at = 0  # index of the next token
+
+    def fail(message: str, back: int = 0):
+        offset = tokens[at - back][2]
+        raise InputError(f"region descriptor error at {offset}: {message} in {text!r}")
+
+    def take(want: int | str, message: str) -> str:
+        """The next token, which must be of kind `want` or be the text `want`."""
+        nonlocal at
+        if want not in tokens[at][:2]:
+            fail(message)
+        at += 1
+        return tokens[at - 1][1]
+
+    def numbers(sep: str, n: int) -> list[float]:
+        vals = []
+        for k in range(n):
+            if k:
+                take(sep, f"expected {sep!r}")
+            vals.append(float(take(_NUMBER, f"bad number {tokens[at][1]!r}")))
+        return vals
+
+    def region() -> Region:
+        nonlocal at
+        kw = take(_KEYWORD, "expected a region keyword")
+        if kw == "empty":
+            return Empty()
+        if kw == "disc":
+            re_, im, r = numbers(",", 3)
+            if r < 0:
+                fail("disc radius must be >= 0", back=1)
+            return Disc(center=complex(re_, im), radius=r)
+        if kw == "rect":
+            vals = numbers(":", 4)
+            if vals[0] > vals[1] or vals[2] > vals[3]:
+                fail("rect bounds must be ordered a<=b, c<=d", back=1)
+            return Rect(*vals)
+        if kw == "union":
+            take("(", "expected '('")
+            parts = [] if tokens[at][1] == ")" else [region()]
+            while parts and tokens[at][1] == ",":
+                at += 1
+                parts.append(region())
+            take(")", "expected ')'")
+            return Union(parts=tuple(parts)) if parts else Empty()
+        fail(f"unknown region kind {kw!r}", back=1)
+
+    result = region()
+    if tokens[at][0] != _END:
+        fail("unexpected trailing content")
+    return result

@@ -399,10 +399,13 @@ def _dip_mask(score: np.ndarray) -> np.ndarray:
     )
     neighbors.sort(axis=-1)
     nb_min = neighbors[..., 0]
-    nb_median = 0.5 * (neighbors[..., 3] + neighbors[..., 4])
-    mask[1:-1, 1:-1] = (center <= nb_min * (1.0 + DIP_MIN_SLACK) + 1e-300) & (
-        center <= nb_median * DIP_MEDIAN_BETA + 1e-300
-    )
+    # Scores near the float maximum may overflow to inf here; such cells
+    # are never flat-low, which every caller requires of a dip too.
+    with np.errstate(over="ignore"):
+        nb_median = 0.5 * (neighbors[..., 3] + neighbors[..., 4])
+        mask[1:-1, 1:-1] = (center <= nb_min * (1.0 + DIP_MIN_SLACK) + 1e-300) & (
+            center <= nb_median * DIP_MEDIAN_BETA + 1e-300
+        )
     return mask
 
 
@@ -497,10 +500,11 @@ def _radius_bound(mats: np.ndarray) -> RadiusBound:
     verdicts = []
     for n in range(1, RADIUS_ORDERS + 1):
         if n > 1:
-            # Overflowing powers are caught by the finiteness test below.
+            # Overflowing powers are caught by the finiteness tests below;
+            # one with inf or nan entries has no SVD.
             with np.errstate(over="ignore", invalid="ignore"):
                 power = power @ mats
-        norms = op_norms(power)
+        norms = op_norms(power) if np.isfinite(power).all() else np.array([np.inf])
         if not np.all(np.isfinite(norms)) or norms.max() > 1e300:
             return RadiusBound(
                 value=float("inf"),

@@ -583,16 +583,9 @@ def _commuting_pair(cfg: ScenarioConfig, idx: int, k: int, res: int):
     d = min(cfg.dims(k), 5)
     rngk = rng_for(cfg.seed, idx, k)
     if k % 2 == 0:
-        t, (n1, n2), blocks = commuting_toeplitz(rngk, d, 2, rect=RECT, n_cells=res)
-        f = OperatorFamily.from_terms(
-            d, [(CoeffFn.const(), t), (CoeffFn.pow_h(1.0), n1)]
-        )
-        g = f + OperatorFamily.from_terms(d, [(CoeffFn.pow_h(2.0), n2)])
-    else:
-        t, (n,), blocks = commuting_toeplitz(rngk, d, 1, rect=RECT, n_cells=res)
-        f = OperatorFamily.constant(t)
-        g = OperatorFamily.constant(t + n)
-    return f, g, t, blocks
+        return commuting_family_pair(rngk, d, RECT, res)
+    t, (n,), blocks = commuting_toeplitz(rngk, d, 1, rect=RECT, n_cells=res)
+    return OperatorFamily.constant(t), OperatorFamily.constant(t + n), t, blocks
 
 
 def check_commuting_local_invariance(cfg: ScenarioConfig, idx: int):
@@ -689,8 +682,8 @@ def _chain_pair(cfg: ScenarioConfig, idx: int, k: int, res: int):
         )
         g = OperatorFamily.constant(a)
         return f, g, True
-    pair = commuting_family_pair(cfg.seed + 300 + k, d, rect=RECT, n_cells=res)
-    return pair.f, pair.g, False
+    f, g, _, _ = commuting_family_pair(rng_for(cfg.seed + 300 + k, 101, d), d, RECT, res)
+    return f, g, False
 
 
 def check_local_remark_chain(cfg: ScenarioConfig, idx: int):

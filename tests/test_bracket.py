@@ -234,6 +234,19 @@ def test_an_overflowing_pair_is_inconclusive_quietly():
         assert rep.diagnostics.count("numerical overflow in bracket norms") == 2
 
 
+def test_a_finite_bracket_whose_svd_gives_nan_counts_as_overflow():
+    # The order-3 brackets are finite, but their SVD overflows to nan.
+    t = np.array([[2 + 2j, 1 + 1j], [2 + 1.5j, 1 + 1j]])
+    s = np.array([[2 + 2j, 9e153], [2 + 1.5j, 1 + 1j]])
+    assert np.isfinite(brackets(t, s, 3)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = bracket_seq(t, s, 12)
+    for norms in (seq.norms, seq.rev_norms):
+        assert np.isfinite(norms[:2]).all() and np.isposinf(norms[2:]).all()
+    assert seq.verdict().verdict == INCONCLUSIVE
+
+
 @pytest.mark.parametrize("n_max", [0, 1])
 def test_lowest_orders(n_max):
     rng = np.random.default_rng(SEED + 4)

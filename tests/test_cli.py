@@ -309,6 +309,18 @@ def test_underflowing_grid_exits_2(workdir, capsys):
     assert "underflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["1:0.5:30:30", "1:0.999999:30:6"])
+def test_grid_whose_tail_does_not_approach_zero_exits_2(workdir, capsys, grid):
+    # On the flip family, whose spectrum is {0}, 1:0.5:30:30 gave no S cell.
+    scan = ["--family", str(workdir / "flip.fam"), "--rect", "-1:1:-1:1", "--res", "16"]
+    assert main(["spectrum", *scan, "--grid", grid]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: largest tail sample h0 * ratio**(count-tail) exceeds 0.001: "
+        "the tail must approach h -> 0\n",
+    )
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_family_exits_2(workdir, capsys):
     save_family(OperatorFamily.constant(np.full((2, 2), 1e308)), workdir / "huge.fam")
@@ -325,6 +337,17 @@ def test_overflowing_family_exits_2(workdir, capsys):
     ):
         assert main(argv) == 2
         assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_terms_that_sum_past_the_float_range_exit_2(workdir, capsys):
+    # Each term is finite; their sum overflows in the family evaluation.
+    big = np.full((2, 2), 1e308)
+    terms = [(CoeffFn.const(), big), (CoeffFn.pow_h(0.0), big)]
+    save_family(OperatorFamily.from_terms(2, terms), workdir / "sum.fam")
+    scan = ["--family", str(workdir / "sum.fam"), "--rect", "-2:2:-2:2", "--res", "8"]
+    assert main(["spectrum", *scan]) == 2
+    assert capsys.readouterr() == ("", "error: family values overflow on the h-grid\n")
 
 
 @pytest.mark.filterwarnings("error")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opfam.emit import emit_plot, grid_to_csv, grid_to_pgm, grid_to_svg, read_grid_csv
-from opfam.errors import InputError
+from opfam.errors import FileFormatError, InputError
 from opfam.spectra import (
     CLASS_CHARS,
     CLS_RESOLVENT,
@@ -152,4 +152,22 @@ def test_read_grid_csv_rejects_bad_files(tmp_path):
         read_grid_csv(str(bad))
     bad.write_text("re,im,class,min_tail_sigma\n0.5,0.5,X,1.0\n")
     with pytest.raises(InputError):
+        read_grid_csv(str(bad))
+
+
+def test_grid_csv_errors_name_the_physical_line(tmp_path):
+    bad = tmp_path / "blank.csv"
+    bad.write_text("re,im,class,min_tail_sigma\n\n0.5,0.5,R,1.0\n\n\n0.5,1.5,X,1.0\n")
+    with pytest.raises(FileFormatError) as err:
+        read_grid_csv(str(bad))
+    assert err.value.line == 6
+    assert str(err.value) == f"{bad}:6: bad grid CSV row '0.5,1.5,X,1.0'"
+
+
+@pytest.mark.parametrize("center", ["nan,0.5", "0.5,inf", "-inf,0.5"])
+def test_grid_csv_rows_need_a_finite_center(tmp_path, center):
+    # Two nan rows made a "1 x 2" grid whose cell width was nan.
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"re,im,class,min_tail_sigma\n{center},R,1.0\n{center},R,1.0\n")
+    with pytest.raises(FileFormatError, match=f"{bad}:2: grid CSV row .* non-finite center"):
         read_grid_csv(str(bad))

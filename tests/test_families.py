@@ -17,6 +17,7 @@ from opfam.families import (
     TO_ZERO,
     TREND_FLAT_TOL,
     TREND_GROWTH_TOL,
+    TAIL_H_MAX,
     UNBOUNDED,
     UNBOUNDED_MIN,
     ZERO_FLOOR,
@@ -83,6 +84,19 @@ def test_hgrid_validation_and_parse():
         HGrid(ratio=1.5)
     with pytest.raises(InputError):
         HGrid.parse("1:0.5:40")
+
+
+def test_hgrid_tail_must_approach_zero():
+    # The largest accepted tail sample here is 0.5**24, about 6e-8.
+    for g in (HGrid(), HGrid(tail=7), HGrid(count=40, tail=9), HGrid(count=44)):
+        assert g.tail_samples()[0] <= TAIL_H_MAX
+    for text in ("1:0.5:30:6", "1:0.5:32:6", "1:0.5:40:9", "1:0.6:50:6", "1:0.25:20:6"):
+        assert HGrid.parse(text).tail_samples()[0] <= 2.0**-24
+    # The bound lies between 2**-10 and 2**-9.
+    for text in ("1:0.5:30:30", "1:0.999999:30:6", "1:0.5:15:6"):
+        with pytest.raises(InputError, match="the tail must approach h -> 0"):
+            HGrid.parse(text)
+    assert HGrid.parse("1:0.5:16:6").tail_samples()[0] == 2.0**-10
 
 
 def test_hgrid_rejects_underflowing_samples():

@@ -88,6 +88,21 @@ def test_read_matrix_errors_carry_line_numbers():
         read_matrix(io.StringIO("1\n1.0+0.0i\nextra\n"))
 
 
+@pytest.mark.parametrize(
+    "text, line, words",
+    [
+        ("# x\n2\n\n", 3, "expected vector entries, got end of file"),
+        ("2\n\n1.0+0.0i 0.0+0.0i 2.0+0.0i\n", 3, "expected 2 entries"),
+        ("2\n1.0+0.0i 0.0+0.0i\n\n# x\n1\n", 5, "unexpected trailing content after vector"),
+    ],
+)
+def test_read_vector_errors_carry_line_numbers(text, line, words):
+    with pytest.raises(FileFormatError) as err:
+        read_vector(io.StringIO(text), path="x.vec")
+    assert err.value.line == line
+    assert str(err.value).startswith(f"x.vec:{line}: {words}")
+
+
 def test_family_roundtrip():
     fam = OperatorFamily.from_terms(
         2,

@@ -77,9 +77,9 @@ def test_commuting_toeplitz_block_sizes():
 
 
 def test_commuting_family_pair(grid):
-    p = commuting_family_pair(5, 4)
-    assert commute_in_limit(p.f, p.g, grid).limit_verdict == TO_ZERO
-    assert asymptotically_equivalent(p.f, p.g, grid).limit_verdict == TO_ZERO
+    f, g, _, _ = commuting_family_pair(rng_for(5, 101, 4), 4)
+    assert commute_in_limit(f, g, grid).limit_verdict == TO_ZERO
+    assert asymptotically_equivalent(f, g, grid).limit_verdict == TO_ZERO
 
 
 def test_draw_eigenvalues_conditioning():

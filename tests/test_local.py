@@ -128,6 +128,29 @@ def test_family_local_probe_examples(grid):
         family_local_probe(fam, e2, 2.0, 0.0, grid)
 
 
+@pytest.mark.filterwarnings("error")
+def test_local_classes_do_not_depend_on_the_scale_of_x(grid):
+    # sigma_F(c x) = sigma_F(x): an x far from unit scale is probed as a
+    # power-of-two multiple, so neither its norms nor its residuals leave
+    # the float range.
+    flip = OperatorFamily.from_terms(
+        2,
+        [
+            (CoeffFn.const(), np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),
+            (CoeffFn.pow_h(1.0), np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)),
+        ],
+    )
+    rect = (-1.0, 1.0, -1.0, 1.0)
+    unit = family_local_spectrum_grid(flip, np.ones(2), rect, 16, 16, grid)
+    assert (unit.classes == CLS_SPECTRUM).sum() == 2
+    for c in (9e153, 1e-170, 1e-300):
+        scaled = family_local_spectrum_grid(flip, c * np.ones(2), rect, 16, 16, grid)
+        assert np.array_equal(scaled.classes, unit.classes), c
+        # ||x|| underflows to 0 at c = 1e-170, yet x is not the zero vector.
+        answer = local_spectral_space_member(scaled, "disc 0.5,0.5,0.1")
+        assert (answer.member, answer.n_support_cells) == (False, 2), c
+
+
 def test_family_local_grid_matches_exact_support(grid):
     const = OperatorFamily.constant(np.diag([1.0, 2.0]))
     e1 = np.array([1.0, 0.0], dtype=complex)
@@ -256,6 +279,16 @@ def test_overflowing_powers_give_an_unbounded_radius_bound_quietly(grid, entry):
         scan = family_local_spectrum_grid(fam, np.ones(2), RECT, 16, 16, grid)
         with pytest.raises(InputError, match="spectral radius bound diverged"):
             local_spectral_space_member(scan, "disc 0,0,1")
+
+
+@pytest.mark.filterwarnings("error")
+def test_radius_bound_of_a_power_with_nan_entries_is_unbounded():
+    # The fifth power of this family's tail mixes finite and nan entries,
+    # which the SVD cannot take ("SVD did not converge").
+    a = np.array([[2 + 1j, 2 + 1j, -0.5 + 1j], [0, 3 + 3j, -2 + 2j], [-2 + 1j, -2, 4j]]) / 2
+    b = np.array([[1 - 2j, 1j, 1j], [1, 2j, 2 + 1j], [1.8e154, -0.5 - 2j, -0.5j]]) / 2
+    fam = OperatorFamily.from_terms(3, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
+    assert spectral_radius_bound(fam, HGrid(1.0, 0.25, 20, 6)).value == np.inf
 
 
 def test_svep_probe(grid):

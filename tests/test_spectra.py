@@ -275,6 +275,14 @@ def test_probe_rejects_an_overflowing_family(grid):
         probe_resolvent(fam, 0.5, grid)
 
 
+@pytest.mark.filterwarnings("error")
+def test_scores_near_the_float_maximum_scan_quietly(grid):
+    # sigma_min is about 1e308 in every cell, so two neighbours' sum overflows.
+    fam = OperatorFamily.constant(np.array([[1e308 + 0.5 - 0.25j]]))
+    scan = family_spectrum_grid(fam, (-3, 3, -3, 3), 8, 8, grid)
+    assert (scan.classes == CLS_RESOLVENT).all()
+
+
 @pytest.mark.parametrize(
     "rect",
     [
