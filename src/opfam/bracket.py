@@ -228,15 +228,20 @@ def _log10_fit(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     values has shape (m, n): m consecutive samples of n independent
     sequences.  Returns (logs, means, slopes): log10 of the values
     (floored at 1e-300), each column's mean log and its slope.  Both sums
-    run in the order of `_row_sums`.
+    run in the order of `_row_sums`; the slope sum takes its rows one at a
+    time, so no (m, n) array but the logs is made.
     """
-    m = values.shape[0]
+    m, n = values.shape
     k = np.arange(m, dtype=float)
     kc = k - k.mean()
     denom = float((kc**2).sum())
-    logs = np.log10(np.maximum(values, 1e-300))
+    logs = np.maximum(values, 1e-300)
+    np.log10(logs, out=logs)
     means = _row_sums(logs) / m
-    return logs, means, _row_sums(kc[:, None] * (logs - means)) / denom
+    total = np.zeros(n)
+    for kci, row in zip(kc, logs):
+        total += kci * (row - means)
+    return logs, means, total / denom
 
 
 def slopes_log10(values: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ check failure, 2 input error, 3 internal error (a broken invariant).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bracket import N_MAX, bracket_seq
@@ -40,7 +41,9 @@ def _add_grid_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="opfam",
         description="Spectra and local spectra of h-parametrized operator families.",

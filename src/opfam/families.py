@@ -14,6 +14,7 @@ asserted limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -102,6 +103,12 @@ class CoeffFn:
         return math.exp(-self.rate)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a term array of a family, shared and never written."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class _TermSum:
     """h |-> sum_j c_j(h) * T_j with constant arrays T_j: the term algebra.
@@ -117,19 +124,15 @@ class _TermSum:
 
     @classmethod
     def from_terms(cls, dim: int, terms) -> Self:
-        checked = []
-        for coeff, arr in terms:
-            a = cls._check_array(arr, dim).copy()
-            a.setflags(write=False)
-            checked.append((coeff, a))
+        checked = [(c, _frozen(cls._check_array(a, dim).copy())) for c, a in terms]
         if not checked:
             raise InputError("family needs at least one term")
         return cls(dim=dim, terms=tuple(checked))
 
     @classmethod
     def constant(cls, a) -> Self:
-        arr = cls._check_array(a, None)
-        return cls.from_terms(arr.shape[0], [(CoeffFn.const(), arr)])
+        arr = _frozen(cls._check_array(a, None).copy())
+        return cls(dim=arr.shape[0], terms=((CoeffFn.const(), arr),))
 
     def _zeros(self, *lead: int) -> np.ndarray:
         return np.zeros(lead + self.terms[0][1].shape, dtype=complex)
@@ -149,14 +152,19 @@ class _TermSum:
         return out
 
     def __add__(self, other: Self) -> Self:
+        """The sum family, holding the operands' own (validated, read-only) arrays."""
         self._check_dim(other)
-        return self.from_terms(self.dim, self.terms + other.terms)
+        if type(other) is not type(self):
+            raise InputError(
+                f"cannot add a {type(other).__name__} to a {type(self).__name__}"
+            )
+        return self._with_terms(self.terms + other.terms)
 
     def __sub__(self, other: Self) -> Self:
         return self + (-other)
 
     def __neg__(self) -> Self:
-        return self.from_terms(self.dim, [(c, -a) for c, a in self.terms])
+        return self._with_terms([(c, _frozen(-a)) for c, a in self.terms])
 
     def _check_dim(self, other) -> None:
         if self.dim != other.dim:
@@ -168,7 +176,7 @@ class _TermSum:
         """Coefficient-equal terms summed, zero arrays dropped; may be empty."""
         merged: dict[CoeffFn, np.ndarray] = {}
         for coeff, arr in self.terms:
-            merged[coeff] = merged[coeff] + arr if coeff in merged else arr
+            merged[coeff] = _frozen(merged[coeff] + arr) if coeff in merged else arr
         return tuple((c, a) for c, a in merged.items() if a.any())
 
     def canonical(self) -> Self:
@@ -178,7 +186,7 @@ class _TermSum:
     def _with_terms(self, terms) -> Self:
         """The family of these (unchecked) terms; one zero term if there are none."""
         if not terms:
-            terms = [(CoeffFn.const(), self._zeros())]
+            terms = [(CoeffFn.const(), _frozen(self._zeros()))]
         return type(self)(dim=self.dim, terms=tuple(terms))
 
     def null_certificate(self) -> bool:
@@ -261,11 +269,16 @@ class HGrid:
                 "(below the smallest normal float)"
             )
 
+    @functools.cached_property
+    def _samples(self) -> np.ndarray:
+        return _frozen(self.h0 * self.ratio ** np.arange(self.count))
+
     def samples(self) -> np.ndarray:
-        return self.h0 * self.ratio ** np.arange(self.count)
+        """h_0 .. h_{count-1}: one read-only array per grid, shared by every caller."""
+        return self._samples
 
     def tail_samples(self) -> np.ndarray:
-        return self.samples()[-self.tail :]
+        return self._samples[-self.tail :]
 
     @staticmethod
     def parse(text: str) -> "HGrid":
@@ -475,12 +488,16 @@ def module_action(
     checked on the grid when one is given (an overflowing product there
     is an input error, as in `limsup_norm`).
     """
+    if not (isinstance(f, OperatorFamily) and isinstance(v, VectorFamily)):
+        raise InputError("module_action takes an operator family and a vector family")
     f._check_dim(v)
-    terms = []
-    for cf, mat in f.terms:
-        for cv, vec in v.terms:
-            terms.append((cf * cv, mat @ vec))
-    out = VectorFamily.from_terms(v.dim, terms).canonical()
+    # An overflowing product is refused below, once and without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.array([mat @ vec for _, mat in f.terms for _, vec in v.terms])
+    if not np.isfinite(products).all():
+        raise InputError("vector entries must be finite")
+    coeffs = [cf * cv for cf, _ in f.terms for cv, _ in v.terms]
+    out = v._with_terms(zip(coeffs, _frozen(products))).canonical()
     if grid is not None:
         left = limsup_norm(out, grid)
         f_lim = limsup_norm(f, grid)

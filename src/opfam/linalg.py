@@ -7,6 +7,7 @@ ambient space is C^d with the Euclidean norm; all operations are pure.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -56,8 +57,35 @@ def op_norm(a) -> float:
 
 
 def op_norms(stack: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of matrices, one per leading index."""
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    """Operator norms of a stack of matrices, one per leading index.
+
+    One SVD per run of bitwise-equal matrices (`_run_starts`), whose norm
+    the repeats copy: the same bytes as one SVD of the whole stack, since
+    LAPACK factors each matrix of a stack on its own.
+    """
+    starts = _run_starts(stack)
+    norms = np.linalg.svd(stack[starts], compute_uv=False)[:, 0]
+    return norms[np.cumsum(starts) - 1]
+
+
+def _run_starts(stack: np.ndarray) -> np.ndarray:
+    """True at each matrix of a stack that is not bitwise equal to the one before it.
+
+    The one rule by which work is done once per distinct matrix, in
+    `op_norms` and in the scan kernels (`spectra._Tail`).  Matrices are
+    compared through an int64 view of their entries, so -0.0 and +0.0
+    differ, in one vectorised comparison of each matrix with its
+    predecessor.  Repeats come in runs: on a geometric h-grid a family
+    repeats once its decaying coefficients no longer move its sum, and a
+    constant family repeats throughout.  A matrix equal only to an earlier
+    one that is not its neighbour starts a run of its own.
+    """
+    n = len(stack)
+    bits = np.ascontiguousarray(stack).reshape(n, math.prod(stack.shape[1:]))
+    bits = bits.view(np.int64)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    return starts
 
 
 def solve(a, b) -> np.ndarray:
@@ -233,15 +261,20 @@ def spectral_decomp(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDeco
 
 
 def _decomp_defect(d: int, clusters: list[SpectralCluster]) -> float:
-    """Worst violation of the projection/nilpotency invariants."""
-    total = sum(c.projection for c in clusters)
-    worst = op_norm(total - np.eye(d))
+    """Worst violation of the projection/nilpotency invariants.
+
+    The norms of all defect matrices come from one `op_norms`, and the
+    maximum is folded in the order of the matrices, as `max` folds it.
+    """
+    defects = [sum(c.projection for c in clusters) - np.eye(d)]
     for i, ci in enumerate(clusters):
-        worst = max(worst, op_norm(ci.projection @ ci.projection - ci.projection))
+        defects.append(ci.projection @ ci.projection - ci.projection)
         npow = np.eye(d, dtype=complex)
         for _ in range(ci.multiplicity):
             npow = npow @ ci.nilpotent
-        worst = max(worst, op_norm(npow))
-        for cj in clusters[i + 1 :]:
-            worst = max(worst, op_norm(ci.projection @ cj.projection))
-    return worst
+        defects.append(npow)
+        defects.extend(ci.projection @ cj.projection for cj in clusters[i + 1 :])
+    stack = np.array(defects, dtype=complex)
+    if not np.isfinite(stack).all():
+        raise InputError("matrix entries must be finite")
+    return max(op_norms(stack).tolist())

@@ -42,7 +42,7 @@ from .families import (
     tail_stats,
     verdict_arrays,
 )
-from .linalg import as_matrix, op_norms
+from .linalg import _run_starts, as_matrix, op_norms
 
 RESOLVENT = "Resolvent"
 SPECTRUM = "Spectrum"
@@ -95,12 +95,13 @@ class _Tail:
 
     mats are the tail matrices F(h), norms their operator norms and scale
     = max(1, tail limsup of the family norm), which normalizes DELTA_RES.
-    first[i] is the index of the first tail matrix bytewise equal to
-    mats[i]; the kernels work once per distinct matrix (`distinct`) and
-    `spread` copies the rows of the repeats, so a constant family costs
-    one matrix, not one per tail sample.  `schur(i)` gives the complex
-    Schur factors (T, Q), F(h) = Q T Q*, of a distinct matrix and
-    `radius_bound` the `spectral_radius_bound`; both are computed on
+    The kernels work once per distinct matrix by the rule of `op_norms`
+    (`linalg._run_starts`): `distinct` holds the first index of each run
+    of bitwise-equal tail matrices, first[i] that of the run holding
+    mats[i], and `spread` copies the rows of the repeats, so a constant
+    family costs one matrix, not one per tail sample.  `schur(i)` gives
+    the complex Schur factors (T, Q), F(h) = Q T Q*, of a distinct matrix
+    and `radius_bound` the `spectral_radius_bound`; both are computed on
     first use and kept.  `_tail_eval` shares one tail among all callers,
     so its arrays are read-only.
     """
@@ -111,9 +112,9 @@ class _Tail:
         self.mats = mats
         self.norms = norms
         self.scale = max(1.0, float(norms.max()))
-        seen: dict[bytes, int] = {}
-        self.first = [seen.setdefault(m.tobytes(), i) for i, m in enumerate(mats)]
-        self.distinct = sorted(seen.values())
+        starts = _run_starts(mats)
+        self.distinct = np.flatnonzero(starts).tolist()
+        self.first = [self.distinct[r] for r in np.cumsum(starts) - 1]
         self._schur: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def schur(self, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,20 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture()
+def svd_mats(monkeypatch):
+    """Numbers of matrices handed to np.linalg.svd, one entry per call."""
+    counts = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def blas_thread_env():
     """Return a function mapping a thread count n to environment overrides.

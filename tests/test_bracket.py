@@ -147,7 +147,7 @@ def _reference_norms(t, s, n_max):
         for n in range(n_max):
             b = t @ b - b @ s
             value = op_norm(b) if np.isfinite(b).all() else float("inf")
-            if value > OVERFLOW_LIMIT:
+            if not value <= OVERFLOW_LIMIT:
                 norms[n:] = float("inf")
                 return norms, False
             norms[n] = value
@@ -245,6 +245,7 @@ def test_a_finite_bracket_whose_svd_gives_nan_counts_as_overflow():
     for norms in (seq.norms, seq.rev_norms):
         assert np.isfinite(norms[:2]).all() and np.isposinf(norms[2:]).all()
     assert seq.verdict().verdict == INCONCLUSIVE
+    _assert_matches_reference(np.stack([t, s]), np.stack([s, t]), 12)
 
 
 @pytest.mark.parametrize("n_max", [0, 1])

@@ -401,3 +401,12 @@ def test_non_finite_scan_rect_exits_2(workdir, capsys, rect):
 def test_negative_verify_seed_exits_2(capsys):
     assert main(["verify", "--seed", "-1", "--suite", "linalg"]) == 2
     assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_parses_each_call_afresh():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    args = parser.parse_args(["spectrum", "--family", "f.fam", "--rect=-1:1:-1:1", "--res", "7"])
+    assert args.res == 7
+    args = parser.parse_args(["spectrum", "--family", "g.fam", "--rect=-1:1:-1:1"])
+    assert (args.family, args.res, args.out, args.grid) == ("g.fam", 64, None, "1:0.5:40:6")

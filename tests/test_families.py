@@ -99,6 +99,15 @@ def test_hgrid_tail_must_approach_zero():
     assert HGrid.parse("1:0.5:16:6").tail_samples()[0] == 2.0**-10
 
 
+def test_hgrid_samples_are_computed_once_per_grid_and_read_only():
+    g = HGrid(count=16, tail=4)
+    assert g.samples() is g.samples()
+    assert g.samples().tobytes() == (1.0 * 0.5 ** np.arange(16)).tobytes()
+    assert g.tail_samples().tobytes() == g.samples()[-4:].tobytes()
+    assert not g.samples().flags.writeable and not g.tail_samples().flags.writeable
+    assert g == HGrid(count=16, tail=4) and hash(g) == hash(HGrid(count=16, tail=4))
+
+
 def test_hgrid_rejects_underflowing_samples():
     # 0.5**1022 is the smallest normal float; one more halving is subnormal.
     assert HGrid(count=1023).samples()[-1] == np.finfo(float).tiny
@@ -556,6 +565,54 @@ def test_module_action_overflow_is_an_input_error(grid):
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="family values overflow"):
             module_action(f, v, grid)
+
+
+def test_module_action_refuses_an_overflowing_product(grid):
+    f = OperatorFamily.constant(1e200 * np.ones((2, 2)))
+    v = VectorFamily.constant(np.array([1e200, 1e200]))
+    # One finiteness test over all products, reported once and quietly.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (grid, None):
+            with pytest.raises(InputError, match="^vector entries must be finite$"):
+                module_action(f, v, g)
+    with pytest.raises(InputError, match="operator family and a vector family"):
+        module_action(v, f)
+
+
+def test_sums_and_negatives_keep_their_terms_validated_and_read_only():
+    rng = np.random.default_rng(SEED + 3)
+    f = OperatorFamily.from_terms(
+        2, [(CoeffFn.const(), _rand(rng, 2)), (CoeffFn.pow_h(1.0), _rand(rng, 2))]
+    )
+    g = OperatorFamily.from_terms(2, [(CoeffFn.exp_inv(1.0), _rand(rng, 2))])
+    total = f + g
+    assert [c for c, _ in total.terms] == [c for c, _ in f.terms + g.terms]
+    assert all(a is b for (_, a), (_, b) in zip(total.terms, f.terms + g.terms))
+    neg = -f
+    for (c, a), (c_neg, a_neg) in zip(f.terms, neg.terms):
+        assert c_neg == c and a_neg.tobytes() == (-a).tobytes()
+        assert not a_neg.flags.writeable
+    with pytest.raises(InputError, match="cannot add a VectorFamily"):
+        f + VectorFamily.constant(np.ones(2))
+    # Merged and zero terms are read-only too, so no sum shares a writable array.
+    for fam in ((f + f).canonical(), (f - f).canonical(), neg.drop_null_terms()):
+        assert not any(a.flags.writeable for _, a in fam.terms)
+
+
+def test_family_norms_take_one_svd_per_distinct_sample(grid, svd_mats):
+    rng = np.random.default_rng(SEED + 4)
+    a, b = _rand(rng, 3), _rand(rng, 3)
+    # A constant family's 40 samples are one matrix.
+    norms = norm_samples(OperatorFamily.constant(a), grid)
+    assert svd_mats == [1]
+    assert len(norms) == grid.count and len(set(norms.tolist())) == 1
+    # exp(-1/h) is 0 over the whole default tail (h <= 2^-34), so the tail
+    # of A + exp(-1/h) B is A six times.
+    svd_mats.clear()
+    fam = OperatorFamily.from_terms(3, [(CoeffFn.const(), a), (CoeffFn.exp_inv(1.0), b)])
+    assert limsup_norm(fam, grid) == norms[0]
+    assert svd_mats == [1]
 
 
 def test_family_eval_against_direct_sum(grid):

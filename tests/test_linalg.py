@@ -8,8 +8,10 @@ from opfam.errors import (
     SingularMatrixError,
 )
 from opfam.linalg import (
+    _decomp_defect,
     eigenvalues,
     op_norm,
+    op_norms,
     solve,
     spectral_decomp,
 )
@@ -29,6 +31,69 @@ def test_op_norm_rejects_bad_input():
         op_norm(np.ones((2, 3)))
     with pytest.raises(InputError):
         op_norm(np.array([[np.nan, 0], [0, 1]]))
+
+
+def _stacked_svd_norms(stack):
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def test_op_norms_take_one_svd_per_run_of_equal_matrices(svd_mats):
+    rng = np.random.default_rng(SEED + 9)
+    a, b, c = (rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
+    signed = a.copy()
+    signed[0, 0] = 0.0
+    negzero = signed.copy()
+    negzero[0, 0] = -0.0
+    cases = [
+        (np.stack([a, a, a, b, b, c, c, c]), 3),  # runs
+        (np.stack([a, b, a, c, b]), 5),  # repeats that are not adjacent
+        (np.stack([signed, negzero, negzero]), 2),  # only the sign of a zero differs
+        (a[None], 1),
+        (np.zeros((0, 3, 3), dtype=complex), 0),
+    ]
+    for stack, distinct in cases:
+        want = _stacked_svd_norms(stack)
+        svd_mats.clear()
+        got = op_norms(stack)
+        assert got.tobytes() == want.tobytes()
+        assert sum(svd_mats) == distinct
+
+
+def test_op_norms_of_a_stack_without_repeats_are_its_stacked_svd():
+    rng = np.random.default_rng(SEED + 10)
+    for d in (1, 2, 5):
+        stack = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
+        assert op_norms(stack).tobytes() == _stacked_svd_norms(stack).tobytes()
+        real = stack.real.copy()
+        assert op_norms(real).tobytes() == _stacked_svd_norms(real).tobytes()
+
+
+def _defect_loop(d, clusters):
+    """One op_norm per defect matrix, folded by max as they come."""
+    worst = op_norm(sum(c.projection for c in clusters) - np.eye(d))
+    for i, ci in enumerate(clusters):
+        worst = max(worst, op_norm(ci.projection @ ci.projection - ci.projection))
+        npow = np.eye(d, dtype=complex)
+        for _ in range(ci.multiplicity):
+            npow = npow @ ci.nilpotent
+        worst = max(worst, op_norm(npow))
+        for cj in clusters[i + 1 :]:
+            worst = max(worst, op_norm(ci.projection @ cj.projection))
+    return worst
+
+
+def test_decomp_defect_is_the_op_norm_loop_bit_for_bit():
+    rng = np.random.default_rng(SEED + 11)
+    for _ in range(30):
+        d = int(rng.integers(1, 7))
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        if rng.uniform() < 0.3:
+            a = np.diag(rng.integers(-2, 3, d).astype(complex)) + np.eye(d, k=1)
+        dec = spectral_decomp(a, cluster_tol=1e-3)
+        defect = _decomp_defect(d, list(dec.clusters))
+        assert defect == dec.defect
+        loop = _defect_loop(d, dec.clusters)
+        assert np.float64(defect).tobytes() == np.float64(loop).tobytes()
 
 
 def test_solve_examples():

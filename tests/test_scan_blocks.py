@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opfam import local, spectra
+from opfam.bracket import _log10_fit, _row_sums
 from opfam.families import (
     EPS_TAIL,
     TREND_FLAT_TOL,
@@ -200,3 +201,28 @@ def test_local_scan_memory_at_order_16_is_bounded_by_its_kernel_rows(grid):
     fam = _drift_family(rng, 16)
     x = rng.normal(size=16) + 1j * rng.normal(size=16)
     assert _traced_peak(lambda: family_local_spectrum_grid(fam, x, RECT, 64, 64, grid)) < 6 * MIB
+
+
+def _whole_array_log10_fit(values):
+    """The fit as whole (m, n) arrays: log10 of a floored copy, then the
+    weighted deviations of every row at once."""
+    m = values.shape[0]
+    k = np.arange(m, dtype=float)
+    kc = k - k.mean()
+    logs = np.log10(np.maximum(values, 1e-300))
+    means = _row_sums(logs) / m
+    return logs, means, _row_sums(kc[:, None] * (logs - means)) / float((kc**2).sum())
+
+
+def test_tail_verdicts_of_many_columns_hold_no_row_by_column_temporaries():
+    # A (6, 8190) tail is 384 KiB; the fit over whole arrays held three
+    # more of that size at once (1.31 MiB traced).
+    rng = np.random.default_rng(SEED)
+    values = np.exp(rng.normal(-8.0, 6.0, size=(6, 8190)))
+    values[:, :5] = [0.0, 5e-324, 1e-300, 1e300, np.inf]
+    with np.errstate(invalid="ignore"):  # the fit of an inf column is nan
+        for tail in (values, np.asfortranarray(values), values[:, 4:5].copy(), values[:, 7:8].copy()):
+            for got, want in zip(_log10_fit(tail), _whole_array_log10_fit(tail)):
+                assert got.tobytes() == want.tobytes()
+        peak = _traced_peak(lambda: verdict_arrays(values, EPS_TAIL, ZERO_FLOOR))
+    assert peak < 0.9 * MIB
