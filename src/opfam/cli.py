@@ -33,11 +33,12 @@ def _parse_rect(text: str) -> tuple[float, float, float, float]:
 
 
 def _add_grid_arg(p: argparse.ArgumentParser) -> None:
+    g = HGrid()
     p.add_argument(
         "--grid",
-        default="1:0.5:40:6",
+        default=f"{g.h0:g}:{g.ratio:g}:{g.count}:{g.tail}",
         metavar="h0:r:K:m",
-        help="geometric h-grid: start, ratio, count, tail (default 1:0.5:40:6)",
+        help="geometric h-grid: start, ratio, count, tail (default %(default)s)",
     )
 
 
@@ -86,16 +87,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=64)
     _add_grid_arg(p)
 
+    cfg = ScenarioConfig()
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--out", help="directory for report.txt / summary.txt")
     p.add_argument(
         "--suite",
         default="",
         help=f"comma-separated subset of {','.join(ALL_SUITES)} (default: all)",
     )
-    p.add_argument("--dim-min", type=int, default=2)
-    p.add_argument("--dim-max", type=int, default=6)
+    p.add_argument("--dim-min", type=int, default=cfg.dim_min)
+    p.add_argument("--dim-max", type=int, default=cfg.dim_max)
     _add_grid_arg(p)
 
     p = sub.add_parser("plot", help="re-render a grid CSV as csv/pgm/svg")

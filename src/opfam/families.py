@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.linalg
 
 from .bracket import (
     INCONCLUSIVE,
@@ -33,7 +34,7 @@ from .bracket import (
     slopes_log10,
 )
 from .errors import DimensionMismatchError, InputError, InvariantError
-from .linalg import as_matrix, as_vector, op_norm, op_norms
+from .linalg import _run_starts, as_matrix, as_vector, op_norm, op_norms
 
 if TYPE_CHECKING:
     from typing import Self  # Python >= 3.11; used in annotations only
@@ -48,6 +49,10 @@ DECAY_CERT_FIT = 0.3
 # The largest tail sample of an HGrid: three decades below h0 <= 1, so the
 # tail stands in for h -> 0 and not for some fixed h.
 TAIL_H_MAX = 1e-3
+# spectral_radius_bound: powers F(h)**n for n = 1..RADIUS_ORDERS, bound
+# read off the trailing RADIUS_WINDOW roots.
+RADIUS_ORDERS = 16
+RADIUS_WINDOW = 5
 
 TO_ZERO = "ToZero"
 BOUNDED_POSITIVE = "BoundedPositive"
@@ -116,11 +121,13 @@ class _TermSum:
     Operator and vector families share everything here.  A subclass names
     its arrays: `_check_array` validates one term array against the family
     dim (None: any dim) and `_norms` gives the norms of a stack of them
-    along axis 0.
+    along axis 0.  `_tails` holds the family's evaluated tails by h-grid
+    (`_tail_eval`); a family is immutable, so they stay valid while it lives.
     """
 
     dim: int
     terms: tuple[tuple[CoeffFn, np.ndarray], ...]
+    _tails: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_terms(cls, dim: int, terms) -> Self:
@@ -176,7 +183,8 @@ class _TermSum:
         """Coefficient-equal terms summed, zero arrays dropped; may be empty."""
         merged: dict[CoeffFn, np.ndarray] = {}
         for coeff, arr in self.terms:
-            merged[coeff] = _frozen(merged[coeff] + arr) if coeff in merged else arr
+            prev = merged.get(coeff)
+            merged[coeff] = arr if prev is None else _frozen(prev + arr)
         return tuple((c, a) for c, a in merged.items() if a.any())
 
     def canonical(self) -> Self:
@@ -366,7 +374,7 @@ def tail_stats(
     )
 
 
-def _finite_norms(stack: np.ndarray, norms, what: str) -> np.ndarray:
+def _finite_norms(stack: np.ndarray, norms) -> np.ndarray:
     """norms(stack), or InputError when the stack or its norms are not finite.
 
     The one overflow rule of sampled families: values that overflow make
@@ -377,23 +385,130 @@ def _finite_norms(stack: np.ndarray, norms, what: str) -> np.ndarray:
             out = norms(stack)
         if np.isfinite(out).all():
             return out
-    raise InputError(f"{what} overflow on the h-grid")
+    raise InputError("family values overflow on the h-grid")
 
 
 def norm_samples(fam: OperatorFamily | VectorFamily, grid: HGrid) -> np.ndarray:
     """||F(h_k)|| (or ||x(h_k)||) over the whole grid."""
-    return _finite_norms(fam.eval_stack(grid.samples()), fam._norms, "family values")
+    return _finite_norms(fam.eval_stack(grid.samples()), fam._norms)
 
 
-def _tail_norms(fam: OperatorFamily | VectorFamily, grid: HGrid) -> np.ndarray:
-    """||F(h_k)|| (or ||x(h_k)||) over the grid tail."""
-    tail = fam.eval_stack(grid.tail_samples())
-    return _finite_norms(tail, fam._norms, "family values")
+class _Tail:
+    """A family evaluated over the h-grid tail: what every tail test reads.
+
+    mats are the tail values F(h) (the vectors x(h) of a vector family)
+    and norms their norms.  `_tail_eval` shares one tail among all
+    callers, so its arrays are read-only.
+
+    The rest serves the scans of operator families and is computed on
+    first use and kept, so a null or relation test pays for the values and
+    their norms alone.  scale = max(1, tail limsup of the family norm)
+    normalizes the scan tolerances.  The kernels work once per distinct
+    matrix by the rule of `op_norms` (`linalg._run_starts`): `distinct`
+    holds the first index of each run of bitwise-equal tail matrices, and
+    `spread` copies that index's rows to the rest of its run, so a
+    constant family costs one matrix, not one per tail sample.
+    `schur(i)` gives the complex Schur factors (T, Q), F(h) = Q T Q*, of a
+    distinct matrix and `radius_bound` the `spectral_radius_bound`.
+    """
+
+    def __init__(self, mats: np.ndarray, norms: np.ndarray):
+        mats.setflags(write=False)
+        norms.setflags(write=False)
+        self.mats = mats
+        self.norms = norms
+        self._schur: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @functools.cached_property
+    def scale(self) -> float:
+        return max(1.0, float(self.norms.max()))
+
+    @functools.cached_property
+    def distinct(self) -> list[int]:
+        return np.flatnonzero(_run_starts(self.mats)).tolist()
+
+    def schur(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        if i not in self._schur:
+            factors = scipy.linalg.schur(self.mats[i], output="complex")
+            self._schur[i] = tuple(map(_frozen, factors))
+        return self._schur[i]
+
+    @functools.cached_property
+    def radius_bound(self) -> RadiusBound:
+        return _radius_bound(self.mats)
+
+    def spread(self, *rows: np.ndarray) -> None:
+        """Fill, in place, the rows of repeated matrices from their first copy."""
+        for lo, hi in zip(self.distinct, self.distinct[1:] + [len(self.mats)]):
+            for arr in rows:
+                arr[lo + 1 : hi] = arr[lo]
+
+
+def _tail_eval(fam: OperatorFamily | VectorFamily, grid: HGrid) -> _Tail:
+    """The one evaluation of a family over an h-grid tail, kept in the family.
+
+    Every tail test reads it.  A family whose tail values or norms
+    overflow to a non-finite number is an input error (`_finite_norms`).
+    """
+    tail = fam._tails.get(grid)
+    if tail is None:
+        mats = fam.eval_stack(grid.tail_samples())
+        tail = fam._tails[grid] = _Tail(mats, _finite_norms(mats, fam._norms))
+    return tail
+
+
+@dataclass(frozen=True)
+class RadiusBound:
+    """Growth-rate bound for the family spectrum radius.
+
+    value approximates limsup_n of (lim_h ||F(h)^n||)^(1/n) by the maximum
+    root over the trailing orders; inner_verdicts carry the per-order tail
+    verdicts of ||F(h)^n|| at h -> 0.
+    """
+
+    value: float
+    roots: np.ndarray
+    inner_verdicts: tuple[str, ...]
+
+    def __post_init__(self):
+        # Bounds are shared by every caller (see _Tail).
+        self.roots.setflags(write=False)
+
+    def __float__(self) -> float:
+        return self.value
+
+
+def _radius_bound(mats: np.ndarray) -> RadiusBound:
+    """The bound from the tail matrices F(h) (see RADIUS_ORDERS)."""
+    power = mats
+    roots = np.empty(RADIUS_ORDERS)
+    verdicts = []
+    for n in range(1, RADIUS_ORDERS + 1):
+        if n > 1:
+            # Overflowing powers are caught by the finiteness tests below;
+            # one with inf or nan entries has no SVD.
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = power @ mats
+        norms = op_norms(power) if np.isfinite(power).all() else np.array([np.inf])
+        if not np.all(np.isfinite(norms)) or norms.max() > 1e300:
+            return RadiusBound(
+                value=float("inf"),
+                roots=np.full(RADIUS_ORDERS, np.inf),
+                inner_verdicts=tuple(verdicts) + (UNBOUNDED,),
+            )
+        stats = tail_stats(norms)
+        verdicts.append(stats.limit_verdict)
+        roots[n - 1] = stats.tail_max ** (1.0 / n) if stats.tail_max > 0 else 0.0
+    return RadiusBound(
+        value=float(roots[-RADIUS_WINDOW:].max()),
+        roots=roots,
+        inner_verdicts=tuple(verdicts),
+    )
 
 
 def limsup_norm(fam: OperatorFamily | VectorFamily, grid: HGrid) -> float:
     """Tail maximum of ||F(h_k)||: the sampled stand-in for limsup at 0."""
-    return float(_tail_norms(fam, grid).max())
+    return float(_tail_eval(fam, grid).norms.max())
 
 
 def _certified(stats: TailStats, cert: bool) -> TailStats:
@@ -431,7 +546,7 @@ def is_null_family(fam: OperatorFamily | VectorFamily, grid: HGrid) -> TailStats
 
     Operator and vector families go through the same rule.
     """
-    return _certified(tail_stats(_tail_norms(fam, grid)), fam.null_certificate())
+    return _certified(tail_stats(_tail_eval(fam, grid).norms), fam.null_certificate())
 
 
 def asymptotically_equivalent(
@@ -445,12 +560,10 @@ def asymptotically_equivalent(
 def commute_in_limit(f: OperatorFamily, g: OperatorFamily, grid: HGrid) -> TailStats:
     """Tail test for ||F(h)G(h) - G(h)F(h)|| -> 0."""
     f._check_dim(g)
-    hs = grid.tail_samples()
-    fs = f.eval_stack(hs)
-    gs = g.eval_stack(hs)
+    fs, gs = _tail_eval(f, grid).mats, _tail_eval(g, grid).mats
     with np.errstate(over="ignore", invalid="ignore"):
         commutators = fs @ gs - gs @ fs
-    return tail_stats(_finite_norms(commutators, op_norms, "commutator values"))
+    return tail_stats(_finite_norms(commutators, op_norms))
 
 
 @dataclass(frozen=True)
@@ -543,10 +656,7 @@ def asym_qn_equivalent(
     single-operator case, in both operand orders.
     """
     f._check_dim(g)
-    hs = grid.tail_samples()
-    fs = f.eval_stack(hs)
-    gs = g.eval_stack(hs)
-
+    fs, gs = _tail_eval(f, grid).mats, _tail_eval(g, grid).mats
     norms = bracket_norms(np.stack([fs, gs]), np.stack([gs, fs]), N_MAX)
     reports = []
     for per_h, tag in zip(norms, ("F,G", "G,F")):

@@ -72,7 +72,7 @@ def _run_starts(stack: np.ndarray) -> np.ndarray:
     """True at each matrix of a stack that is not bitwise equal to the one before it.
 
     The one rule by which work is done once per distinct matrix, in
-    `op_norms` and in the scan kernels (`spectra._Tail`).  Matrices are
+    `op_norms` and in the scan kernels (`families._Tail`).  Matrices are
     compared through an int64 view of their entries, so -0.0 and +0.0
     differ, in one vectorised comparison of each matrix with its
     predecessor.  Repeats come in runs: on a geometric h-grid a family

@@ -36,6 +36,8 @@ from .families import (
     HGrid,
     OperatorFamily,
     VectorFamily,
+    _Tail,
+    _tail_eval,
     verdict_arrays,
 )
 from .linalg import SpectralDecomp, as_matrix, as_vector, spectral_decomp
@@ -47,8 +49,6 @@ from .spectra import (
     RegionGrid,
     _dip_mask,
     _scan_setup,
-    _Tail,
-    _tail_eval,
     spectral_radius_bound,
 )
 from .regions import Region, parse_region
@@ -517,22 +517,22 @@ def _candidate_tails(
     residuals, norms): the values y_h(lambda) of shape (tail, len(mesh),
     dim), and the (tail, len(mesh)) tails of ||(lambda I - F(h)) y_h - x||
     (x = 0 for the SVEP probe) and ||y_h||, one column per mesh point for
-    `verdict_arrays`.  An empty mesh, a non-finite mesh point and a
-    candidate of another dimension (named by name) are input errors.
+    `verdict_arrays`.  An empty mesh, a non-finite mesh point, a
+    candidate of another dimension (named by name) and one whose values
+    overflow (`_tail_eval`) are input errors.
     """
     lams = np.array([complex(z) for z in mesh], dtype=complex)
     if not len(lams):
         raise InputError("empty lambda mesh")
     if not np.isfinite(lams).all():
         raise InputError(f"mesh points must be finite, got {lams.tolist()}")
-    hs = grid.tail_samples()
     mats = _tail_eval(fam, grid).mats
     vals = []
     for lam in lams.tolist():
         vf = candidate(lam)
         if vf.dim != fam.dim:
             raise DimensionMismatchError(f"{name} has dim {vf.dim} != {fam.dim}")
-        vals.append(vf.eval_stack(hs))
+        vals.append(_tail_eval(vf, grid).mats)
     vals = np.stack(vals, axis=1)
     shifted = lams[:, None, None] * np.eye(fam.dim, dtype=complex) - mats[:, None]
     resid = (shifted @ vals[..., None])[..., 0] - x

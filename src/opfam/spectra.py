@@ -19,30 +19,28 @@ rectangle and resolution.
 
 from __future__ import annotations
 
-import functools
 import os
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, InvariantError, PreconditionError
 from .families import (
     TO_ZERO,
     TREND_FLAT_TOL,
-    UNBOUNDED,
     CoeffFn,
     HGrid,
     OperatorFamily,
+    RadiusBound,
     TailStats,
-    _finite_norms,
+    _Tail,
+    _tail_eval,
     asymptotically_equivalent,
     tail_stats,
     verdict_arrays,
 )
-from .linalg import _run_starts, as_matrix, op_norms
+from .linalg import as_matrix, op_norms
 
 RESOLVENT = "Resolvent"
 SPECTRUM = "Spectrum"
@@ -65,10 +63,6 @@ DIP_MIN_SLACK = 0.05
 DIP_MEDIAN_BETA = 0.6
 # Most tail samples (tail length x probe points) one grid scan may take.
 SCAN_SAMPLE_BUDGET = 2**24
-# spectral_radius_bound: powers F(h)**n for n = 1..RADIUS_ORDERS, bound
-# read off the trailing RADIUS_WINDOW roots.
-RADIUS_ORDERS = 16
-RADIUS_WINDOW = 5
 
 # Probe points one sigma task holds: at most _SIGMA_TASK, and no more than
 # fit their shifted matrices lam I - F(h) in _SIGMA_TASK_BYTES (see
@@ -88,71 +82,6 @@ class ResolventProbe:
     classification: str
     sigma_stats: TailStats
     neumann: bool
-
-
-class _Tail:
-    """A family evaluated over the h-grid tail: what every scan and probe reads.
-
-    mats are the tail matrices F(h), norms their operator norms and scale
-    = max(1, tail limsup of the family norm), which normalizes DELTA_RES.
-    The kernels work once per distinct matrix by the rule of `op_norms`
-    (`linalg._run_starts`): `distinct` holds the first index of each run
-    of bitwise-equal tail matrices, first[i] that of the run holding
-    mats[i], and `spread` copies the rows of the repeats, so a constant
-    family costs one matrix, not one per tail sample.  `schur(i)` gives
-    the complex Schur factors (T, Q), F(h) = Q T Q*, of a distinct matrix
-    and `radius_bound` the `spectral_radius_bound`; both are computed on
-    first use and kept.  `_tail_eval` shares one tail among all callers,
-    so its arrays are read-only.
-    """
-
-    def __init__(self, mats: np.ndarray, norms: np.ndarray):
-        mats.setflags(write=False)
-        norms.setflags(write=False)
-        self.mats = mats
-        self.norms = norms
-        self.scale = max(1.0, float(norms.max()))
-        starts = _run_starts(mats)
-        self.distinct = np.flatnonzero(starts).tolist()
-        self.first = [self.distinct[r] for r in np.cumsum(starts) - 1]
-        self._schur: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def schur(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        if i not in self._schur:
-            factors = scipy.linalg.schur(self.mats[i], output="complex")
-            for arr in factors:
-                arr.setflags(write=False)
-            self._schur[i] = factors
-        return self._schur[i]
-
-    @functools.cached_property
-    def radius_bound(self) -> RadiusBound:
-        return _radius_bound(self.mats)
-
-    def spread(self, *rows: np.ndarray) -> None:
-        """Fill, in place, the rows of repeated matrices from their first copy."""
-        for i, j in enumerate(self.first):
-            if i != j:
-                for arr in rows:
-                    arr[i] = arr[j]
-
-
-# The evaluated tails by family, then by h-grid.  Families are immutable
-# and hash by identity, so an entry lives as long as its family.
-_tails: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _tail_eval(fam: OperatorFamily, grid: HGrid) -> _Tail:
-    """The one evaluation of a family over an h-grid tail, kept while it lives.
-
-    A family whose tail values or norms overflow to a non-finite number
-    is an input error: every threshold would be inf.
-    """
-    by_grid = _tails.setdefault(fam, {})
-    if grid not in by_grid:
-        mats = fam.eval_stack(grid.tail_samples())
-        by_grid[grid] = _Tail(mats, _finite_norms(mats, op_norms, "family values"))
-    return by_grid[grid]
 
 
 def _usable_cores() -> int:
@@ -465,61 +394,12 @@ def family_spectrum_grid(
     )
 
 
-@dataclass(frozen=True)
-class RadiusBound:
-    """Growth-rate bound for the family spectrum radius.
-
-    value approximates limsup_n of (lim_h ||F(h)^n||)^(1/n) by the maximum
-    root over the trailing orders; inner_verdicts carry the per-order tail
-    verdicts of ||F(h)^n|| at h -> 0.
-    """
-
-    value: float
-    roots: np.ndarray
-    inner_verdicts: tuple[str, ...]
-
-    def __post_init__(self):
-        # Bounds are shared by every caller (see _Tail).
-        self.roots.setflags(write=False)
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def spectral_radius_bound(fam: OperatorFamily, grid: HGrid) -> RadiusBound:
     """Root-growth bound: every spectrum point satisfies |lambda| <= value.
 
     Computed once per family and h-grid; later calls return the same bound.
     """
     return _tail_eval(fam, grid).radius_bound
-
-
-def _radius_bound(mats: np.ndarray) -> RadiusBound:
-    """The bound from the tail matrices F(h) (see RADIUS_ORDERS)."""
-    power = mats
-    roots = np.empty(RADIUS_ORDERS)
-    verdicts = []
-    for n in range(1, RADIUS_ORDERS + 1):
-        if n > 1:
-            # Overflowing powers are caught by the finiteness tests below;
-            # one with inf or nan entries has no SVD.
-            with np.errstate(over="ignore", invalid="ignore"):
-                power = power @ mats
-        norms = op_norms(power) if np.isfinite(power).all() else np.array([np.inf])
-        if not np.all(np.isfinite(norms)) or norms.max() > 1e300:
-            return RadiusBound(
-                value=float("inf"),
-                roots=np.full(RADIUS_ORDERS, np.inf),
-                inner_verdicts=tuple(verdicts) + (UNBOUNDED,),
-            )
-        stats = tail_stats(norms)
-        verdicts.append(stats.limit_verdict)
-        roots[n - 1] = stats.tail_max ** (1.0 / n) if stats.tail_max > 0 else 0.0
-    return RadiusBound(
-        value=float(roots[-RADIUS_WINDOW:].max()),
-        roots=roots,
-        inner_verdicts=tuple(verdicts),
-    )
 
 
 def resolvent_identity_residual(
@@ -569,10 +449,9 @@ def resolvent_uniqueness_residual(
     fam._check_dim(r2)
     tail = _tail_eval(fam, grid)
     scale = tail.scale
-    hs = grid.tail_samples()
     ident = np.eye(fam.dim, dtype=complex)
     shifted = lam * ident - tail.mats
-    stacks = (r1.eval_stack(hs), r2.eval_stack(hs))
+    stacks = (_tail_eval(r1, grid).mats, _tail_eval(r2, grid).mats)
     notes = []
     ok = True
     for name, stack in zip(("R1", "R2"), stacks):

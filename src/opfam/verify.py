@@ -42,6 +42,7 @@ from .families import (
     HGrid,
     OperatorFamily,
     VectorFamily,
+    _tail_eval,
     asym_qn_equivalent,
     asymptotically_equivalent,
     commute_in_limit,
@@ -820,7 +821,7 @@ def check_spectral_projections(cfg: ScenarioConfig, idx: int):
     center_gap = 0.0
     for k in range(20):
         rng = rng_for(cfg.seed, idx, k)
-        d = min(cfg.dims(k), 8)
+        d = cfg.dims(k)
         a, w, _ = random_diagonalizable(rng, d, gap=0.5)
         dec = spectral_decomp(a, cluster_tol=1e-4)
         worst = max(worst, dec.defect)
@@ -1290,17 +1291,16 @@ def check_constant_class_embedding(cfg: ScenarioConfig, idx: int):
     rng = rng_for(cfg.seed, idx)
     tally = _Tally()
     trials = 10
-    hs = cfg.grid.tail_samples()
     for k in range(trials):
         d = cfg.dims(k)
         fam = _random_catalog_family(rng, d)
         x = random_vector(rng, d)
         u = _null_vec_family(rng, d)
         lam = (fam.sup_bound() + 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        mats = lam * np.eye(d, dtype=complex) - fam.eval_stack(hs)
-        rhs_const = np.broadcast_to(x[:, None], (len(hs), d, 1))
+        mats = lam * np.eye(d, dtype=complex) - _tail_eval(fam, cfg.grid).mats
+        rhs_const = np.broadcast_to(x[:, None], (cfg.grid.tail, d, 1))
         y1 = np.linalg.solve(mats, rhs_const)[..., 0]
-        rhs_fam = (x[None, :] + u.eval_stack(hs))[..., None]
+        rhs_fam = (x[None, :] + _tail_eval(u, cfg.grid).mats)[..., None]
         y2 = np.linalg.solve(mats, rhs_fam)[..., 0]
         gap = np.linalg.norm(y1 - y2, axis=1)
         tally.add("trials", tail_stats(gap).limit_verdict == TO_ZERO)

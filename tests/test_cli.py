@@ -10,10 +10,11 @@ from opfam import cli
 from opfam.bracket import brackets
 from opfam.cli import main
 from opfam.emit import read_grid_csv
-from opfam.errors import InvariantError
+from opfam.errors import InputError, InvariantError
 from opfam.families import CoeffFn, HGrid, OperatorFamily
 from opfam.fileio import load_family, save_family, save_vector, write_matrix
 from opfam.spectra import CLS_SPECTRUM
+from opfam.verify import ScenarioConfig
 
 
 @pytest.fixture()
@@ -410,3 +411,29 @@ def test_the_parser_is_built_once_and_parses_each_call_afresh():
     assert args.res == 7
     args = parser.parse_args(["spectrum", "--family", "g.fam", "--rect=-1:1:-1:1"])
     assert (args.family, args.res, args.out, args.grid) == ("g.fam", 64, None, "1:0.5:40:6")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equivalence", "--f", "f.fam", "--g", "g.fam"],
+        ["spectrum", "--family", "f.fam", "--rect=-1:1:-1:1"],
+        ["local-spectrum", "--family", "f.fam", "--x", "x.vec", "--rect=-1:1:-1:1"],
+        ["local-member", "--family", "f.fam", "--x", "x.vec", "--a", "empty", "--rect=-1:1:-1:1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_grid_verbs_default_to_the_default_grid(argv):
+    assert HGrid.parse(cli._build_parser().parse_args(argv).grid) == HGrid()
+
+
+def test_verify_defaults_to_the_default_config(monkeypatch, capsys):
+    configs = []
+
+    def stop(cfg):
+        configs.append(cfg)
+        raise InputError("stopped before the run")
+
+    monkeypatch.setattr(cli, "run_suite", stop)
+    assert main(["verify"]) == 2
+    assert configs == [ScenarioConfig()]

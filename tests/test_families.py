@@ -47,6 +47,9 @@ from opfam.spectra import (
     family_spectrum_grid,
     probe_resolvent,
     resolvent_identity_residual,
+    resolvent_uniqueness_residual,
+    spectral_radius_bound,
+    truncated_resolvent_family,
 )
 
 SEED = 31415
@@ -500,7 +503,8 @@ def test_null_and_commutation_tests_evaluate_the_tail_alone(monkeypatch):
     assert is_null_family(v, grid).limit_verdict == BOUNDED_POSITIVE
     assert asymptotically_equivalent(f, f, grid).limit_verdict == TO_ZERO
     assert commute_in_limit(f, g, grid).limit_verdict == BOUNDED_POSITIVE
-    assert sizes == [grid.tail] * 5
+    # One evaluation per family: f, v, f - f and g.
+    assert sizes == [grid.tail] * 4
 
 
 def test_commute_in_limit_examples(grid):
@@ -708,3 +712,61 @@ def test_family_evaluated_once_per_call(grid, eval_calls, call, expected):
     )
     call(fam, grid)
     assert len(eval_calls) == expected
+
+
+def test_every_tail_reader_shares_one_evaluation_per_family_and_grid(grid, eval_calls):
+    f = OperatorFamily.from_terms(
+        2, [(CoeffFn.const(), np.diag([1.0, -1.0])), (CoeffFn.pow_h(1.0), np.eye(2, k=1))]
+    )
+    g = OperatorFamily.constant(np.diag([2.0, 0.5]))
+    x = np.array([1.0, 0.5])
+    v = VectorFamily.constant(x)
+    commute_in_limit(f, g, grid)
+    asym_qn_equivalent(f, g, grid)
+    for fam in (f, g, v):
+        is_null_family(fam, grid)
+        limsup_norm(fam, grid)
+    probe_resolvent(f, 2.5, grid)
+    family_spectrum_grid(f, _RECT, 8, 8, grid)
+    family_local_spectrum_grid(f, x, _RECT, 8, 8, grid)
+    spectral_radius_bound(f, grid)
+    assert eval_calls == [f, g, v]
+    # Another h-grid is another evaluation.
+    other = HGrid(count=grid.count + 4)
+    commute_in_limit(f, g, other)
+    assert is_null_family(f, other).limit_verdict == BOUNDED_POSITIVE
+    assert eval_calls == [f, g, v, f, g]
+
+
+def _overflowing_values():
+    # Finite terms whose sum overflows to inf at every h.
+    full = np.full((2, 2), 1e308)
+    return OperatorFamily.from_terms(2, [(CoeffFn.const(), full), (CoeffFn.const(), full)])
+
+
+def _overflowing_candidate(lam):
+    return VectorFamily.constant(np.full(2, 1e308)) + VectorFamily.constant(np.full(2, 1e308))
+
+
+_OVERFLOW_READERS = {
+    "commute_in_limit": lambda big, ok, grid: commute_in_limit(ok, big, grid),
+    "asym_qn_equivalent": lambda big, ok, grid: asym_qn_equivalent(ok, big, grid),
+    "is_null_family": lambda big, ok, grid: is_null_family(big, grid),
+    "family_spectrum_grid": lambda big, ok, grid: family_spectrum_grid(big, _RECT, 8, 8, grid),
+    "family_local_spectrum_grid": lambda big, ok, grid: family_local_spectrum_grid(
+        big, np.ones(2), _RECT, 8, 8, grid
+    ),
+    "resolvent_uniqueness_residual": lambda big, ok, grid: resolvent_uniqueness_residual(
+        ok, 3.0, truncated_resolvent_family(ok(0.0), np.zeros((2, 2)), 3.0), big, grid
+    ),
+    "local_extension_uniqueness_check": lambda big, ok, grid: local_extension_uniqueness_check(
+        ok, np.ones(2), _overflowing_candidate, _overflowing_candidate, (3.0,), grid
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_OVERFLOW_READERS))
+def test_every_tail_reader_refuses_overflowing_values_alike(grid, reader):
+    ok = OperatorFamily.constant(np.diag([1.0, 2.0]))
+    with pytest.raises(InputError, match="^family values overflow on the h-grid$"):
+        _OVERFLOW_READERS[reader](_overflowing_values(), ok, grid)

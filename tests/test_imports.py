@@ -106,6 +106,34 @@ def test_the_private_name_check_sees_a_dead_helper():
     assert _unread_private_names(sources) == ["a.py: _dead (line 3)"]
 
 
+def _grid_evaluations(tree: ast.Module) -> list[str]:
+    """Calls of a method named eval_stack or tail_samples, with their lines."""
+    return [
+        f"{node.func.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("eval_stack", "tail_samples")
+    ]
+
+
+def test_only_the_family_layer_evaluates_families_on_the_grid():
+    # `families._tail_eval` is the one evaluation of a family over the
+    # h-grid tail; every other module reads it, so no family is evaluated
+    # twice on one grid.
+    calls = {}
+    for path in sorted(set(SRC.glob("*.py")) - {SRC / "families.py"}):
+        found = _grid_evaluations(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            calls[path.name] = found
+    assert calls == {}
+
+
+def test_the_evaluation_check_sees_a_second_path():
+    tree = ast.parse("ys = fam.eval_stack(grid.tail_samples())\nf = fam.eval_stack\n")
+    assert _grid_evaluations(tree) == ["eval_stack (line 1)", "tail_samples (line 1)"]
+
+
 def test_every_module_of_the_readme_table_is_an_attribute_of_the_package():
     # A package-level name must not shadow a module: `import opfam.bracket
     # as m` binds getattr(opfam, "bracket").

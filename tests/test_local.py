@@ -39,7 +39,7 @@ from opfam.local import (
     maximal_extension_eval,
     svep_falsification_probe,
 )
-from opfam import spectra
+from opfam import families
 from opfam.emit import grid_to_csv, read_grid_csv
 from opfam.verify import _svep_witnesses
 from opfam.spectra import (
@@ -190,13 +190,13 @@ def test_membership_examples(grid):
 
 def test_membership_computes_the_radius_bound_once_per_family(grid, monkeypatch):
     calls = []
-    compute = spectra._radius_bound
+    compute = families._radius_bound
 
     def counting(mats):
         calls.append(mats)
         return compute(mats)
 
-    monkeypatch.setattr(spectra, "_radius_bound", counting)
+    monkeypatch.setattr(families, "_radius_bound", counting)
     const = OperatorFamily.constant(np.diag([1.0, 2.0]))
     e1 = np.array([1.0, 0.0], dtype=complex)
     g = family_local_spectrum_grid(const, e1, RECT, 16, 16, grid)
