@@ -114,6 +114,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _merged(terms) -> tuple[tuple[CoeffFn, np.ndarray], ...]:
+    """Coefficient-equal terms summed in first-seen order, zero arrays dropped."""
+    merged: dict[CoeffFn, np.ndarray] = {}
+    for coeff, arr in terms:
+        prev = merged.get(coeff)
+        merged[coeff] = arr if prev is None else _frozen(prev + arr)
+    return tuple((c, a) for c, a in merged.items() if a.any())
+
+
 @dataclass(frozen=True, eq=False)
 class _TermSum:
     """h |-> sum_j c_j(h) * T_j with constant arrays T_j: the term algebra.
@@ -179,17 +188,9 @@ class _TermSum:
                 f"family dims differ: {self.dim} vs {other.dim}"
             )
 
-    def _merged(self) -> tuple[tuple[CoeffFn, np.ndarray], ...]:
-        """Coefficient-equal terms summed, zero arrays dropped; may be empty."""
-        merged: dict[CoeffFn, np.ndarray] = {}
-        for coeff, arr in self.terms:
-            prev = merged.get(coeff)
-            merged[coeff] = arr if prev is None else _frozen(prev + arr)
-        return tuple((c, a) for c, a in merged.items() if a.any())
-
     def canonical(self) -> Self:
         """Merge coefficient-equal terms and drop zero arrays."""
-        return self._with_terms(self._merged())
+        return self._with_terms(_merged(self.terms))
 
     def _with_terms(self, terms) -> Self:
         """The family of these (unchecked) terms; one zero term if there are none."""
@@ -198,8 +199,8 @@ class _TermSum:
         return type(self)(dim=self.dim, terms=tuple(terms))
 
     def null_certificate(self) -> bool:
-        """True iff every nonzero merged term is null (so the zero family is)."""
-        return all(c.is_null for c, _ in self._merged())
+        """True iff every nonzero merged term is null: the non-null terms merge to nothing."""
+        return not _merged(t for t in self.terms if not t[0].is_null)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,9 +224,7 @@ class OperatorFamily(_TermSum):
 
     def drop_null_terms(self) -> "OperatorFamily":
         """Canonical representative with certified-null terms removed."""
-        return self._with_terms(
-            [(c, m) for c, m in self._merged() if not c.is_null]
-        )
+        return self._with_terms(_merged(t for t in self.terms if not t[0].is_null))
 
     def sup_bound(self) -> float:
         """Upper bound for sup_h ||F(h)||."""

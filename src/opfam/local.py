@@ -5,24 +5,22 @@ dimension every operator has the single-valued extension property and the
 support of x across the spectral projections decides membership, so
 lambda_i belongs to the local spectrum iff P_i x != 0.  The maximal
 extension of the local resolvent is the explicit partial-fraction sum over
-the supported clusters.
+the supported clusters.  Every local rule reads x through `_read_x`.
 
 For a family the computable surrogate probes a point lambda0 together
 with a small circle around it: at every probe point the minimum-norm
 least-squares solutions of (lambda I - F(h)) y = x must have residual
 tails vanishing at h -> 0 and norm tails bounded (the finite stand-in for
 "a bounded analytic solution family exists on a neighborhood").  Grid
-scans add the same geometric calibration as the spectrum grids: a cell
-whose best probe still needs solutions of size ||x|| / score with score
-flat below a few cell radii, at a local minimum of the score field, is
-marked as carrying local spectrum at that resolution.
+scans end in the marking step of the spectrum grids, `spectra._mark_dips`,
+on the score ||x|| / (solution norm).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +45,7 @@ from .spectra import (
     CLS_UNDETERMINED,
     UNDETERMINED,
     RegionGrid,
-    _dip_mask,
+    _mark_dips,
     _scan_setup,
     spectral_radius_bound,
 )
@@ -59,7 +57,7 @@ LOCAL_SPECTRUM = "LocalSpectrum"
 TOL_LOC = 1e-8
 TOL_EXT = 1e-6
 B_MAX_FACTOR = 1e8
-# An x whose largest entry modulus lies outside this range is probed as its
+# An x whose largest entry modulus lies outside this range is read as its
 # exact power-of-two multiple with largest entry modulus in [1, 2).
 X_PEAK_RANGE = (2.0**-64, 2.0**64)
 LOCAL_CAL_FACTOR = 8.0
@@ -69,6 +67,44 @@ _LOCAL_NAMES = {
     CLS_UNDETERMINED: UNDETERMINED,
     CLS_RESOLVENT: LOCAL_RESOLVENT,
 }
+
+
+class _ReadX(NamedTuple):
+    """x as every local rule reads it (`_read_x`)."""
+
+    x: np.ndarray  # as given, read-only
+    v: np.ndarray  # 2**k x, exactly
+    k: int
+    norm: float  # ||v||
+    zero: bool
+    eps_res: float
+    floor_res: float
+
+
+def _read_x(x, dim: int) -> _ReadX:
+    """The one reading of x: a finite dim-vector whose norm does not overflow.
+
+    x is zero when its entries are (its norm can underflow first).  Since
+    sigma_F(c x) = sigma_F(x) for c != 0 and the local resolvent is linear
+    in x, an x whose largest entry modulus lies outside X_PEAK_RANGE is
+    read as v = 2**k x with largest entry modulus in [1, 2), and a rule
+    scales the values it reports back by 2**-k; otherwise v = x, k = 0.
+    The residual tolerances are EPS_TAIL and ZERO_FLOOR times max(1, ||v||).
+    """
+    given = as_vector(x, dim=dim).copy()
+    given.setflags(write=False)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(given))
+    if not np.isfinite(norm):
+        raise InputError("the norm of x overflows")
+    v, k = given, 0
+    peak = float(np.abs(given).max())
+    if peak and not X_PEAK_RANGE[0] <= peak <= X_PEAK_RANGE[1]:
+        k = 1 - math.frexp(peak)[1]
+        v = np.ldexp(given.view(float), k).view(complex)
+        norm = float(np.linalg.norm(v))
+    scale = max(1.0, norm)
+    return _ReadX(given, v, k, norm, peak == 0.0, EPS_TAIL * scale, ZERO_FLOOR * scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,17 +119,17 @@ class LocalSpectrumReport:
         return np.array([p for p, _ in self.support])
 
 
-def _supported_clusters(decomp: SpectralDecomp, v: np.ndarray):
-    """(cluster, P_i x, ||P_i x||) of each cluster with ||P_i x|| > TOL_LOC ||x||.
+def _supported_clusters(decomp: SpectralDecomp, xr: _ReadX):
+    """(cluster, P_i v, ||P_i x||) of each cluster with ||P_i v|| > TOL_LOC ||v||.
 
     The one support rule of the exact local spectrum; the zero vector has none.
     """
-    cap = TOL_LOC * float(np.linalg.norm(v))
+    cap = TOL_LOC * xr.norm
     for cluster in decomp.clusters:
-        px = cluster.projection @ v
+        px = cluster.projection @ xr.v
         weight = float(np.linalg.norm(px))
         if weight > cap:
-            yield cluster, px, weight
+            yield cluster, px, math.ldexp(weight, -xr.k)
 
 
 def local_spectrum_exact(
@@ -102,17 +138,17 @@ def local_spectrum_exact(
     """Exact local spectrum of a matrix at x via spectral projections.
 
     The support is the set of cluster centers with ||P_i x|| above
-    TOL_LOC * ||x||.  The zero vector has empty local spectrum by
-    convention and is flagged.
+    TOL_LOC * ||x||, each with its weight ||P_i x||.  The zero vector has
+    empty local spectrum by convention and is flagged.
     """
     m = as_matrix(a)
-    v = as_vector(x, dim=m.shape[0])
-    if float(np.linalg.norm(v)) == 0.0:
-        return LocalSpectrumReport(x=v, support=(), zero_vector=True)
+    xr = _read_x(x, m.shape[0])
+    if xr.zero:
+        return LocalSpectrumReport(x=xr.x, support=(), zero_vector=True)
     if decomp is None:
         decomp = spectral_decomp(m)
-    support = tuple((c.center, w) for c, _, w in _supported_clusters(decomp, v))
-    return LocalSpectrumReport(x=v, support=support)
+    support = tuple((c.center, w) for c, _, w in _supported_clusters(decomp, xr))
+    return LocalSpectrumReport(x=xr.x, support=support)
 
 
 def maximal_extension_eval(a, x, lam: complex) -> np.ndarray:
@@ -125,9 +161,9 @@ def maximal_extension_eval(a, x, lam: complex) -> np.ndarray:
     makes it the maximal extension.
     """
     m = as_matrix(a)
-    v = as_vector(x, dim=m.shape[0])
+    xr = _read_x(x, m.shape[0])
     value = np.zeros(m.shape[0], dtype=complex)
-    for cluster, px, _ in _supported_clusters(spectral_decomp(m), v):
+    for cluster, px, _ in _supported_clusters(spectral_decomp(m), xr):
         dist = abs(lam - cluster.center)
         if dist <= cluster.radius:
             raise PoleProximityError(
@@ -138,7 +174,7 @@ def maximal_extension_eval(a, x, lam: complex) -> np.ndarray:
         for j in range(cluster.multiplicity):
             value += term / (lam - cluster.center) ** (j + 1)
             term = cluster.nilpotent @ term
-    return value
+    return np.ldexp(value.view(float), -xr.k).view(complex)
 
 
 _RING_POINTS = 8
@@ -285,43 +321,27 @@ def _probe_samples(
 
 
 def _local_cells(
-    fam: OperatorFamily, x, grid: HGrid, centers: np.ndarray, ring_r: float
+    fam: OperatorFamily, xr: _ReadX, grid: HGrid, centers: np.ndarray, ring_r: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The point rule of `family_local_probe` for every cell center.
 
     Each cell is probed at its center and on a circle of radius ring_r
-    around it.  Returns (class codes, tau, number of failing probe
-    points), where tau is the stencil median of ||x|| over the norm tail
-    max; the zero vector is LocalResolvent everywhere with tau = inf.
-    Since sigma_F(c x) = sigma_F(x) for c != 0, an x whose largest entry
-    lies outside X_PEAK_RANGE is probed as its power-of-two multiple whose
-    largest entry lies in [1, 2), so its norms neither overflow nor
-    underflow.
-    The family is evaluated once; the solution-norm cap is
-    B_MAX_FACTOR * ||x|| / scale, with the family scale of `_tail_eval`.
+    around it, for the x read as xr.v.  Returns (class codes, tau, number
+    of failing probe points), where tau is the stencil median of ||v||
+    over the norm tail max; the zero vector is LocalResolvent everywhere
+    with tau = inf.  The solution-norm cap is B_MAX_FACTOR ||v|| / scale.
     The cells go through in blocks of _BLOCK_CELLS, all in one kernel work
     buffer of 1.5 d + 3 complex rows of the block's points (3.4 MiB at
     d = 16), and a block's tails are reduced to its cells' results before
     the next block is probed; every point's verdict reads its own tails
     alone, so the blocks change no result.
     """
-    v = as_vector(x, dim=fam.dim)
-    with np.errstate(over="ignore"):
-        xnorm = float(np.linalg.norm(v))
-    if not np.isfinite(xnorm):
-        raise InputError("the norm of x overflows")
     tail = _tail_eval(fam, grid)
     n = len(centers)
-    peak = float(np.abs(v).max())
-    if peak == 0.0:
+    if xr.zero:
         return np.full(n, CLS_RESOLVENT, dtype=np.int8), np.full(n, np.inf), 0
-    if not X_PEAK_RANGE[0] <= peak <= X_PEAK_RANGE[1]:
-        v = np.ldexp(v.copy().view(float), 1 - math.frexp(peak)[1]).view(complex)
-        xnorm = float(np.linalg.norm(v))
-    norm_cap = B_MAX_FACTOR * xnorm / tail.scale
+    norm_cap = B_MAX_FACTOR * xr.norm / tail.scale
     offsets = _ring_offsets(ring_r)
-    eps_res = EPS_TAIL * max(1.0, xnorm)
-    floor_res = ZERO_FLOOR * max(1.0, xnorm)
     stencil = (-1, len(offsets))
     classes = np.full(n, CLS_UNDETERMINED, dtype=np.int8)
     tau = np.empty(n)
@@ -329,15 +349,15 @@ def _local_cells(
 
     def verdicts(cells: slice) -> int:
         points = (centers[cells, None] + offsets).ravel()
-        norms, resids = _probe_samples(tail, v, points, work)
-        res_codes, _, _, _ = verdict_arrays(resids, eps_res, floor_res)
-        norm_codes, norm_max, _, norm_trend = verdict_arrays(norms, eps_res, floor_res)
+        norms, resids = _probe_samples(tail, xr.v, points, work)
+        res_codes, _, _, _ = verdict_arrays(resids, xr.eps_res, xr.floor_res)
+        norm_codes, norm_max, _, norm_trend = verdict_arrays(norms, xr.eps_res, xr.floor_res)
         good = (res_codes == 0) & (norm_max <= norm_cap) & (norm_trend <= TREND_FLAT_TOL)
         bad = np.isin(res_codes, (1, 2)) | (norm_codes == 2) | (norm_max > norm_cap)
         # Median over the stencil: robust against isolated zeros of the
         # local extension, which can make single probe points look
         # deceptively tame.
-        tau[cells] = np.median((xnorm / np.maximum(norm_max, 1e-300)).reshape(stencil), axis=1)
+        tau[cells] = np.median((xr.norm / np.maximum(norm_max, 1e-300)).reshape(stencil), axis=1)
         block = classes[cells]  # a view: its writes land in classes
         block[good.reshape(stencil).all(axis=1)] = CLS_RESOLVENT
         block[bad.reshape(stencil).any(axis=1)] = CLS_SPECTRUM
@@ -358,11 +378,7 @@ class LocalProbe:
 
 
 def family_local_probe(
-    fam: OperatorFamily,
-    x,
-    lam0: complex,
-    nbhd_r: float,
-    grid: HGrid,
+    fam: OperatorFamily, x, lam0: complex, nbhd_r: float, grid: HGrid
 ) -> LocalProbe:
     """Probe lambda0 and its surrounding circle for local-resolvent membership.
 
@@ -371,13 +387,14 @@ def family_local_probe(
     LocalSpectrum: some probe point definitely fails (persistent residual
     or norm blowup).  Undetermined absorbs the mixed cases.
     `family_local_spectrum_grid` applies the same rule at every cell, plus
-    its dip test.
+    its marking step.
     """
     if not (np.isfinite(lam0) and 0.0 < nbhd_r < np.inf):
         raise InputError(
             f"need a finite lam0 and a finite nbhd_r > 0, got {lam0} and {nbhd_r}"
         )
-    classes, _, bad = _local_cells(fam, x, grid, np.array([lam0], dtype=complex), nbhd_r)
+    xr = _read_x(x, fam.dim)
+    classes, _, bad = _local_cells(fam, xr, grid, np.array([lam0], dtype=complex), nbhd_r)
     return LocalProbe(
         lam=complex(lam0),
         nbhd_r=nbhd_r,
@@ -387,36 +404,22 @@ def family_local_probe(
 
 
 def family_local_spectrum_grid(
-    fam: OperatorFamily,
-    x,
-    rect,
-    nx: int,
-    ny: int,
-    grid: HGrid,
+    fam: OperatorFamily, x, rect, nx: int, ny: int, grid: HGrid
 ) -> RegionGrid:
     """Per-cell local probes over a rectangle.
 
     Each cell gets the point rule of `family_local_probe`, with the ring
-    radius half the smaller cell side.  A cell is LocalSpectrum too when
-    its distance-like score (the stencil median of ||x|| over the
-    solution norm) sits below LOCAL_CAL_FACTOR cell radii at a local
-    minimum of the score field.  The grid keeps the family, the h-grid
-    and a read-only copy of x: `local_spectral_space_member` reads them.
+    radius half the smaller cell side, and the marking step
+    (`spectra._mark_dips`) takes the cells whose score, the stencil median
+    of ||x|| over the solution norm, sits at or below LOCAL_CAL_FACTOR
+    cell radii.  The grid keeps the family, the h-grid and a read-only
+    copy of x: `local_spectral_space_member` reads them.
     """
     rect, w, h, rcell, centers = _scan_setup(rect, nx, ny, grid.tail * (1 + _RING_POINTS))
-    v = as_vector(x, dim=fam.dim).copy()
-    v.setflags(write=False)
-    classes, tau, _ = _local_cells(fam, v, grid, centers, 0.5 * min(w, h))
-    score = tau.reshape(ny, nx)
-    classes[(tau <= LOCAL_CAL_FACTOR * rcell) & _dip_mask(score).ravel()] = CLS_SPECTRUM
-    return RegionGrid(
-        rect=rect,
-        nx=nx,
-        ny=ny,
-        classes=classes.reshape(ny, nx),
-        score=score,
-        scanned=(fam, grid, v),
-    )
+    xr = _read_x(x, fam.dim)
+    classes, tau, _ = _local_cells(fam, xr, grid, centers, 0.5 * min(w, h))
+    scanned = (fam, grid, xr.x)
+    return _mark_dips(rect, nx, ny, classes, tau, tau <= LOCAL_CAL_FACTOR * rcell, scanned)
 
 
 @dataclass(frozen=True)
@@ -458,7 +461,7 @@ def local_spectral_space_member(scan: RegionGrid, region: Region | str) -> Membe
         raise InputError(
             f"rect {scan.rect} does not cover the spectral-radius disk (radius {r:.3e})"
         )
-    if not x.any():
+    if _read_x(x, fam.dim).zero:
         return MembershipAnswer(
             member=True,
             inconclusive=False,
@@ -509,14 +512,15 @@ class SvepReport:
 
 
 def _candidate_tails(
-    fam: OperatorFamily, grid: HGrid, name: str, candidate: Callable, mesh: Sequence, x
+    fam: OperatorFamily, grid: HGrid, name: str, candidate: Callable, mesh: Sequence, xr: _ReadX
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A candidate solution family y_h(lambda) over the mesh and the h-grid tail.
 
-    The candidate is called once per mesh point.  Returns (values,
-    residuals, norms): the values y_h(lambda) of shape (tail, len(mesh),
-    dim), and the (tail, len(mesh)) tails of ||(lambda I - F(h)) y_h - x||
-    (x = 0 for the SVEP probe) and ||y_h||, one column per mesh point for
+    The candidate is called once per mesh point, and its values are read
+    at the scale of xr.v: times 2**xr.k.  Returns (values, residuals,
+    norms): those values y_h(lambda) of shape (tail, len(mesh), dim), and
+    the (tail, len(mesh)) tails of ||(lambda I - F(h)) y_h - v|| (v = 0
+    for the SVEP probe) and ||y_h||, one column per mesh point for
     `verdict_arrays`.  An empty mesh, a non-finite mesh point, a
     candidate of another dimension (named by name) and one whose values
     overflow (`_tail_eval`) are input errors.
@@ -533,10 +537,12 @@ def _candidate_tails(
         if vf.dim != fam.dim:
             raise DimensionMismatchError(f"{name} has dim {vf.dim} != {fam.dim}")
         vals.append(_tail_eval(vf, grid).mats)
-    vals = np.stack(vals, axis=1)
     shifted = lams[:, None, None] * np.eye(fam.dim, dtype=complex) - mats[:, None]
-    resid = (shifted @ vals[..., None])[..., 0] - x
-    return vals, np.linalg.norm(resid, axis=-1), np.linalg.norm(vals, axis=-1)
+    # A candidate far larger than x overflows at the scale of v: its tails are inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.ldexp(np.stack(vals, axis=1).view(float), xr.k).view(complex)
+        resid = (shifted @ vals[..., None])[..., 0] - xr.v
+        return vals, np.linalg.norm(resid, axis=-1), np.linalg.norm(vals, axis=-1)
 
 
 def svep_falsification_probe(
@@ -552,10 +558,11 @@ def svep_falsification_probe(
     hitting is reported as "not falsified", never as a proof.
     """
     results = []
+    zero = _read_x(np.zeros(fam.dim), fam.dim)
     for w in witnesses:
         name = f"witness {w.name}"
-        _, resids, norms = _candidate_tails(fam, grid, name, w.fn, mesh, 0.0)
-        res_codes = verdict_arrays(resids, EPS_TAIL, ZERO_FLOOR)[0]
+        _, resids, norms = _candidate_tails(fam, grid, name, w.fn, mesh, zero)
+        res_codes = verdict_arrays(resids, zero.eps_res, zero.floor_res)[0]
         norm_codes = verdict_arrays(norms, EPS_TAIL, ZERO_FLOOR)[0]
         res_ok = bool((res_codes == 0).all())
         positive = bool(np.isin(norm_codes, (1, 2)).any())
@@ -610,20 +617,20 @@ def local_extension_uniqueness_check(
     Rejects (PreconditionError) unless both candidates have vanishing
     residual tails ||(lambda I - F(h)) y_h(lambda) - x|| at every mesh
     point; then tests ||x_h(lambda) - y_h(lambda)|| -> 0 pointwise.  Each
-    candidate is evaluated once per mesh point.
+    candidate is evaluated once per mesh point, and x is read by `_read_x`.
     """
-    v = as_vector(x, dim=fam.dim)
-    eps_res = EPS_TAIL * max(1.0, float(np.linalg.norm(v)))
+    xr = _read_x(x, fam.dim)
     values = []
     for name, sol in (("first candidate", sol1), ("second candidate", sol2)):
-        vals, resids, _ = _candidate_tails(fam, grid, name, sol, mesh, v)
-        codes, res_max, _, _ = verdict_arrays(resids, eps_res, ZERO_FLOOR)
+        vals, resids, _ = _candidate_tails(fam, grid, name, sol, mesh, xr)
+        with np.errstate(invalid="ignore"):  # inf - inf in an inf tail's trend
+            codes, res_max, _, _ = verdict_arrays(resids, xr.eps_res, xr.floor_res)
         if (codes != 0).any():
             k = int(np.argmax(codes != 0))
             raise PreconditionError(
                 f"{name} violates the residual condition at "
                 f"{complex(mesh[k])}: verdict {VERDICT_CODES[int(codes[k])]}, "
-                f"tail max {res_max[k]:.3e}"
+                f"tail max {math.ldexp(res_max[k], -xr.k):.3e}"
             )
         values.append(vals)
     diff = np.linalg.norm(values[0] - values[1], axis=-1)
@@ -632,5 +639,5 @@ def local_extension_uniqueness_check(
         verdicts=tuple(VERDICT_CODES[c] for c in codes.tolist()),
         all_to_zero=bool((codes == 0).all()),
         # Python's max, started at 0.0, passes over a NaN tail max.
-        worst_tail_max=max([0.0, *diff_max.tolist()]),
+        worst_tail_max=math.ldexp(max([0.0, *diff_max.tolist()]), -xr.k),
     )

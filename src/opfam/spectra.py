@@ -9,12 +9,11 @@ tail of singular values vanishing at h -> 0 certifies spectrum membership
 (necessary direction).  Points that resolve neither way are Undetermined.
 
 Grid scans classify cell centers.  Because a point test cannot see a
-measure-zero spectrum from a generic cell center, grids additionally mark
-cells whose sigma tail sits flat below the cell radius and is a local
-minimum of the sigma field: the pseudospectral reading of "the spectrum
-meets this cell" at the grid's resolution.  The thresholds are the module
-constants, and classification is deterministic given family, h-grid,
-rectangle and resolution.
+measure-zero spectrum from a generic cell center, both grid scans (this
+module's and `local`'s) end in one marking step, `_mark_dips`: the
+pseudospectral reading of "the spectrum meets this cell" at the grid's
+resolution.  The thresholds are the module constants, and classification
+is deterministic given family, h-grid, rectangle and resolution.
 """
 
 from __future__ import annotations
@@ -200,13 +199,9 @@ def probe_resolvent(fam: OperatorFamily, lam: complex, grid: HGrid) -> Resolvent
     inverse norms 1 / sigma_min.  Spectrum when the sigma tail vanishes
     and the Neumann certificate does not hold.  Undetermined absorbs the
     rest.  `family_spectrum_grid` applies the same rule at every cell
-    center, plus its dip test.
+    center, plus its marking step.
     """
-    return _probe(_tail_eval(fam, grid), lam)
-
-
-def _probe(tail: _Tail, lam: complex) -> ResolventProbe:
-    """probe_resolvent on an evaluated tail (see `_tail_eval`)."""
+    tail = _tail_eval(fam, grid)
     if not np.isfinite(lam):
         raise InputError(f"probe point {lam} is not finite")
     lams = np.array([lam], dtype=complex)
@@ -339,19 +334,27 @@ def _dip_mask(score: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _mark_dips(rect, nx: int, ny: int, classes, score, flat_low, scanned=None) -> RegionGrid:
+    """The marking step of both grid scans, and the grid they return.
+
+    classes, score and flat_low (each scan's calibration against the cell
+    size) hold one entry per cell.  A flat-low cell that is a dip of the
+    score field (`_dip_mask`) becomes Spectrum in classes: the spectrum
+    meets it at the scan's resolution, unseen by a point test at its center.
+    """
+    score = score.reshape(ny, nx)
+    classes[flat_low & _dip_mask(score).ravel()] = CLS_SPECTRUM
+    return RegionGrid(rect, nx, ny, classes.reshape(ny, nx), score, scanned)
+
+
 def family_spectrum_grid(
-    fam: OperatorFamily,
-    rect,
-    nx: int,
-    ny: int,
-    grid: HGrid,
+    fam: OperatorFamily, rect, nx: int, ny: int, grid: HGrid
 ) -> RegionGrid:
     """Classify every cell center of an nx-by-ny scan over `rect`.
 
-    Each center gets the point rule of `probe_resolvent`.  A cell is
-    Spectrum too when its sigma tail sits flat at or below the cell
-    half-diagonal and the cell is a local minimum of the sigma field (the
-    spectrum, if any, meets this cell at the scan's resolution).
+    Each center gets the point rule of `probe_resolvent`, and the marking
+    step (`_mark_dips`) takes the cells whose sigma tail sits flat at or
+    below the cell half-diagonal, with the minimum tail sigma as score.
     """
     rect, _, _, rcell, lams = _scan_setup(rect, nx, ny, grid.tail)
     tail = _tail_eval(fam, grid)
@@ -380,18 +383,14 @@ def family_spectrum_grid(
         workers = min(_usable_cores(), len(tasks))
         with ThreadPoolExecutor(workers, thread_name_prefix="opfam-sigma") as pool:
             list(pool.map(task, tasks))
-    score = score.reshape(ny, nx)
-    classes[flat_low & _dip_mask(score).ravel()] = CLS_SPECTRUM
-
+    marked = _mark_dips(rect, nx, ny, classes, score, flat_low)
     spec_cells = np.abs(lams[classes == CLS_SPECTRUM])
     if spec_cells.size and spec_cells.max() > tail.norms.max() + 2.0 * rcell + 1e-9:
         raise InvariantError(
             "spectrum cell found outside the norm-bound disk; "
             "classification is inconsistent"
         )
-    return RegionGrid(
-        rect=rect, nx=nx, ny=ny, classes=classes.reshape(ny, nx), score=score
-    )
+    return marked
 
 
 def spectral_radius_bound(fam: OperatorFamily, grid: HGrid) -> RadiusBound:
@@ -410,13 +409,13 @@ def resolvent_identity_residual(
     Both points must classify Resolvent; the residual
     R(lam,h) - R(mu,h) - (mu - lam) R(lam,h) R(mu,h) then vanishes.
     """
-    tail = _tail_eval(fam, grid)
     for point in (lam, mu):
-        probe = _probe(tail, point)
+        probe = probe_resolvent(fam, point, grid)
         if probe.classification != RESOLVENT:
             raise PreconditionError(
                 f"{point} classified {probe.classification}, needs Resolvent"
             )
+    tail = _tail_eval(fam, grid)
     r_lam = _tail_inverses(tail.mats, lam)
     r_mu = _tail_inverses(tail.mats, mu)
     resid = r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)

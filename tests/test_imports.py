@@ -134,6 +134,47 @@ def test_the_evaluation_check_sees_a_second_path():
     assert _grid_evaluations(tree) == ["eval_stack (line 1)", "tail_samples (line 1)"]
 
 
+def _readers(name: str, sources: dict[str, str]) -> list[str]:
+    """The module-level functions, classes and imports that read name.
+
+    A function or class reads it when its body loads the name or reads it
+    as an attribute; an import reads it when it imports the name.
+    """
+    found = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            reads = any(
+                (isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+                or (isinstance(n, ast.Attribute) and n.attr == name)
+                or (isinstance(n, ast.alias) and n.name == name)
+                for n in ast.walk(node)
+            )
+            if reads:
+                found.append(f"{module}: {getattr(node, 'name', f'line {node.lineno}')}")
+    return found
+
+
+def test_only_the_marking_step_reads_the_dip_mask():
+    # Both grid scans mark their dips in one step, `spectra._mark_dips`,
+    # so a change to how cells are marked has one place to go.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _readers("_dip_mask", sources) == ["spectra.py: _mark_dips"]
+
+
+def test_the_dip_mask_check_sees_a_second_reader():
+    sources = {
+        "spectra.py": "def _dip_mask(s):\n    return s\n"
+        "def _mark_dips(s):\n    return _dip_mask(s)\n",
+        "local.py": "from .spectra import _dip_mask\nfrom . import spectra\n"
+        "def scan(s):\n    return spectra._dip_mask(s)\n",
+    }
+    assert _readers("_dip_mask", sources) == [
+        "spectra.py: _mark_dips",
+        "local.py: line 1",
+        "local.py: scan",
+    ]
+
+
 def test_every_module_of_the_readme_table_is_an_attribute_of_the_package():
     # A package-level name must not shadow a module: `import opfam.bracket
     # as m` binds getattr(opfam, "bracket").

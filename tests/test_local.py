@@ -31,6 +31,7 @@ from opfam.local import (
     Witness,
     WitnessResult,
     _candidate_tails,
+    _read_x,
     family_local_probe,
     family_local_spectrum_grid,
     local_extension_uniqueness_check,
@@ -149,6 +150,107 @@ def test_local_classes_do_not_depend_on_the_scale_of_x(grid):
         # ||x|| underflows to 0 at c = 1e-170, yet x is not the zero vector.
         answer = local_spectral_space_member(scaled, "disc 0.5,0.5,0.1")
         assert (answer.member, answer.n_support_cells) == (False, 2), c
+    # The exact oracle, the extension and the uniqueness check read x the
+    # same way, and report weights, values and tail maxima in its units:
+    # at a power-of-two c, exactly c times those at unit scale.
+    a = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
+    x = np.array([1.0, 0.5j])
+    lam = 3.0 + 1.0j
+    exact = local_spectrum_exact(a, x)
+    assert len(exact.support) == 2
+    for c in (2.0**-600, 1e-170, 9e153):
+        points = local_spectrum_exact(a, c * x).support_points()
+        assert np.array_equal(points, exact.support_points()), c
+    c = 2.0**-600
+    weights = [w for _, w in local_spectrum_exact(a, c * x).support]
+    assert weights == [c * w for _, w in exact.support]
+    ext = maximal_extension_eval(a, x, lam)
+    assert np.array_equal(maximal_extension_eval(a, c * x, lam), c * ext)
+
+    def candidate(scale, drift):
+        y = np.linalg.solve(lam * np.eye(2) - a, x)
+        return lambda _: VectorFamily.from_terms(
+            2, [(CoeffFn.const(), scale * y), (CoeffFn.pow_h(1.0), scale * drift * x)]
+        )
+
+    fam = OperatorFamily.constant(a)
+    unit, scaled = (
+        local_extension_uniqueness_check(
+            fam, s * x, candidate(s, 0.0), candidate(s, 1.0), [lam], grid
+        )
+        for s in (1.0, c)
+    )
+    assert unit.all_to_zero and unit.worst_tail_max > 0.0
+    assert scaled.verdicts == unit.verdicts
+    assert scaled.worst_tail_max == c * unit.worst_tail_max
+    # A candidate 2**600 times larger than x overflows at the scale x is
+    # read in, and fails the residual test without a warning.
+    wide = candidate(1.0, 0.0)
+    with pytest.raises(PreconditionError, match="first candidate"):
+        local_extension_uniqueness_check(fam, c * x, wide, candidate(c, 0.0), [lam], grid)
+
+
+_DIAG = np.diag([1.0, 2.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_x_whose_norm_underflows_is_read_by_its_entries(grid):
+    # ||x|| underflows to 0, yet x is not the zero vector: the exact
+    # oracle, the extension and the scan all see its support at 1.
+    x = np.array([1e-170, 0.0])
+    exact = local_spectrum_exact(_DIAG, x)
+    assert not exact.zero_vector
+    assert np.array_equal(exact.support_points(), [1.0])
+    direct = np.linalg.solve(3.0 * np.eye(2) - _DIAG, x)
+    assert np.allclose(maximal_extension_eval(_DIAG, x, 3.0), direct, rtol=1e-9, atol=1e-185)
+    scan = family_local_spectrum_grid(OperatorFamily.constant(_DIAG), x, RECT, 24, 24, grid)
+    marked = scan.cells_with_class(CLS_SPECTRUM)
+    assert len(marked) == 4
+    assert np.all(np.abs(marked - 1.0) <= np.hypot(*scan.cell_size()))
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_local_rule_refuses_an_x_whose_norm_overflows(grid):
+    x = np.array([1e200, 0.0])
+    fam = OperatorFamily.constant(_DIAG)
+    calls = (
+        lambda: local_spectrum_exact(_DIAG, x),
+        lambda: maximal_extension_eval(_DIAG, x, 3.0),
+        lambda: family_local_probe(fam, x, 3.0, 0.05, grid),
+        lambda: family_local_spectrum_grid(fam, x, RECT, 24, 24, grid),
+    )
+    for call in calls:
+        with pytest.raises(InputError, match="the norm of x overflows"):
+            call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_uniqueness_check_refuses_an_x_whose_norm_overflows(grid):
+    # Before any candidate is read: a residual against such an x overflows.
+    fam = OperatorFamily.constant(_DIAG)
+
+    def sol(lam):
+        return VectorFamily.constant(np.array([1.0, 0.0]))
+
+    with pytest.raises(InputError, match="the norm of x overflows"):
+        local_extension_uniqueness_check(fam, np.array([1e200, 0.0]), sol, sol, [3.0], grid)
+
+
+@pytest.mark.filterwarnings("error")
+def test_uniqueness_check_scales_its_residual_floor_with_x(grid):
+    # The exact solution's residual is rounding, about eps ||x||: the
+    # residual floor scales with ||x|| here as it does in the local probe.
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    fam = OperatorFamily.constant(a)
+    x = 1e6 * np.arange(1.0, 5.0) / np.sqrt(30.0)
+
+    def exact(lam):
+        return VectorFamily.constant(np.linalg.solve(lam * np.eye(4) - a, x))
+
+    assert family_local_probe(fam, x, 8.0, 0.05, grid).classification == LOCAL_RESOLVENT
+    rep = local_extension_uniqueness_check(fam, x, exact, exact, [8.0, 8.0 + 1.0j, -7.5j], grid)
+    assert rep.all_to_zero and rep.worst_tail_max == 0.0
 
 
 def test_family_local_grid_matches_exact_support(grid):
@@ -445,12 +547,13 @@ def _uniqueness_reference(fam, x, sol1, sol2, mesh, grid):
     hs = grid.tail_samples()
     mats = _tail_eval(fam, grid).mats
     eps_res = 1e-7 * max(1.0, float(np.linalg.norm(v)))
+    floor_res = 1e-10 * max(1.0, float(np.linalg.norm(v)))
     stacks = {}
     for name, sol in (("first", sol1), ("second", sol2)):
         for k, lam in enumerate(mesh):
             vals = stacks[name, k] = sol(lam).eval_stack(hs)
             resid = _residual_tail(mats, vals, lam) - v
-            stats = tail_stats(np.linalg.norm(resid, axis=1), eps_tail=eps_res)
+            stats = tail_stats(np.linalg.norm(resid, axis=1), eps_res, floor_res)
             if stats.limit_verdict != TO_ZERO:
                 raise PreconditionError(
                     f"{name} candidate violates the residual condition at "
@@ -610,7 +713,7 @@ def test_candidate_tails_reduce_like_one_sequence_tail_stats(grid):
         def candidate(lam, _terms=terms):
             return VectorFamily.from_terms(4, [(c, lam * a) for c, a in _terms])
 
-        _, resids, norms = _candidate_tails(fam, grid, "c", candidate, mesh, x)
+        _, resids, norms = _candidate_tails(fam, grid, "c", candidate, mesh, _read_x(x, 4))
         for tails in (resids, norms):
             _, tail_max, tail_min, trend = verdict_arrays(tails, 1e-7, 1e-10)
             for k in range(len(mesh)):
