@@ -89,7 +89,8 @@ def _read_x(x, dim: int) -> _ReadX:
     in x, an x whose largest entry modulus lies outside X_PEAK_RANGE is
     read as v = 2**k x with largest entry modulus in [1, 2), and a rule
     scales the values it reports back by 2**-k; otherwise v = x, k = 0.
-    The residual tolerances are EPS_TAIL and ZERO_FLOOR times max(1, ||v||).
+    The residual and difference tolerances are EPS_TAIL and ZERO_FLOOR
+    times max(1, ||v||).
     """
     given = as_vector(x, dim=dim).copy()
     given.setflags(write=False)
@@ -616,8 +617,9 @@ def local_extension_uniqueness_check(
 
     Rejects (PreconditionError) unless both candidates have vanishing
     residual tails ||(lambda I - F(h)) y_h(lambda) - x|| at every mesh
-    point; then tests ||x_h(lambda) - y_h(lambda)|| -> 0 pointwise.  Each
-    candidate is evaluated once per mesh point, and x is read by `_read_x`.
+    point; then tests ||x_h(lambda) - y_h(lambda)|| -> 0 pointwise at the
+    same x-scaled tolerances.  Each candidate is evaluated once per mesh
+    point, and x is read by `_read_x`.
     """
     xr = _read_x(x, fam.dim)
     values = []
@@ -634,7 +636,7 @@ def local_extension_uniqueness_check(
             )
         values.append(vals)
     diff = np.linalg.norm(values[0] - values[1], axis=-1)
-    codes, diff_max, _, _ = verdict_arrays(diff, EPS_TAIL, ZERO_FLOOR)
+    codes, diff_max, _, _ = verdict_arrays(diff, xr.eps_res, xr.floor_res)
     return UniquenessReport(
         verdicts=tuple(VERDICT_CODES[c] for c in codes.tolist()),
         all_to_zero=bool((codes == 0).all()),

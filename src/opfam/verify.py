@@ -3,7 +3,8 @@
 Each check runs on deterministically generated instances (the config seed
 fully determines them), produces one or more records, each checking the
 claim CLAIMS names for its id, and never consults wall-clock time, so the
-machine report is byte-identical across runs and thread counts.  Runtime
+machine report is byte-identical across runs, thread counts and core
+counts (`run_suite` runs the checks on every usable core).  Runtime
 budgets are asserted by the test suite around these same functions, not
 inside them.
 
@@ -14,17 +15,23 @@ is nonzero iff some check fails.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
 import os
+import signal
 import sys
+import threading
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import Pipe, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import local as loc
+from . import spectra
 from .bracket import (
     EQUIVALENT,
     N_MAX,
@@ -1491,35 +1498,155 @@ def _clean(text: str) -> str:
     return text.replace("|", "/").replace("\n", " ")
 
 
-def run_suite(cfg: ScenarioConfig) -> ReportBundle:
-    """Run the configured checks in registry order and bundle the records.
+def _crash(check_id: str, instance: str, details: str) -> list[CheckResult]:
+    """The one fail record of a check that did not give its own records."""
+    return [replace(_result(check_id, instance, False, [], details=details), anchor="check-raised")]
 
-    Each record gets its claim anchor from CLAIMS.  A check that raises,
-    or emits a record id CLAIMS lacks, becomes one fail record naming the
-    exception (its traceback goes to stderr); the remaining checks still
-    run.
+
+def _run_check(cfg: ScenarioConfig, pos: int) -> tuple[list[CheckResult], str]:
+    """(records, traceback text) of the check at registry position pos.
+
+    Each record gets its claim anchor from CLAIMS.  A check that raises, or
+    emits a record id CLAIMS lacks, gives one fail record naming the
+    exception, and its traceback text; otherwise the text is empty.
+    """
+    check_id, _, fn = CHECKS[pos]
+    try:
+        return [replace(r, anchor=CLAIMS[r.check_id]) for r in fn(cfg, pos)], ""
+    except Exception as exc:
+        details = f"{type(exc).__name__}: {exc}"
+        return _crash(check_id, "check raised an exception", details), traceback.format_exc()
+
+
+def _helpers(count: int) -> int:
+    """How many workers to fork beside the caller for count checks.
+
+    One per further usable core, capped by the checks; none without
+    os.fork, or while another thread runs: a forked child would inherit
+    that thread's locks in whatever state they are.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    return max(min(spectra._usable_cores(), count) - 1, 0)
+
+
+def _take(ends, lock, back: bool) -> int | None:
+    """Take the next index of [front, back) from one end; None once they meet."""
+    with lock:
+        front, rear = ends[0], ends[1]
+        if front >= rear:
+            return None
+        if back:
+            ends[1] = rear - 1
+            return rear - 1
+        ends[0] = front + 1
+        return front
+
+
+def _work(cfg: ScenarioConfig, selected: list[int], ends, lock, conn) -> None:
+    """A forked worker: take checks from the back and send their results.
+
+    It sends a check's position when it takes it and (position, records,
+    traceback text) when the check ends, and leaves through os._exit, so it
+    never returns into the caller's stack.
+    """
+    status = 1
+    try:
+        while (i := _take(ends, lock, back=True)) is not None:
+            conn.send(selected[i])
+            conn.send((selected[i], *_run_check(cfg, selected[i])))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _died(check_id: str, status: int) -> list[CheckResult]:
+    code = os.waitstatus_to_exitcode(status)
+    how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+    return _crash(check_id, "the worker running the check died", f"worker ended with {how}")
+
+
+def _run_checks(cfg: ScenarioConfig, selected: list[int]) -> dict:
+    """Run the checks at the selected registry positions on every usable core.
+
+    The caller takes checks from the front of `selected` and `_helpers`
+    forked workers take them from the back, under one shared pair of
+    indices, until the two ends meet; the caller takes its first check
+    before any worker exists.  Returns position -> (records, traceback
+    text).  A worker that dies gives one fail record, naming its exit
+    status, for the check it took and did not report.  Every worker is
+    reaped before this returns or raises; on an exception in the caller
+    (KeyboardInterrupt too) the workers are killed first.
+    """
+    helpers = _helpers(len(selected))
+    if helpers:
+        shared = multiprocessing.get_context("fork").Array("i", [0, len(selected)])
+        ends, lock = shared.get_obj(), shared.get_lock()
+    else:
+        ends, lock = [0, len(selected)], contextlib.nullcontext()
+    done = {}
+    workers = {}  # connection -> [pid, position taken and not yet reported]
+    try:
+        i = _take(ends, lock, back=False)
+        for _ in range(helpers):
+            reader, writer = Pipe(duplex=False)
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the rest run on fewer cores
+                reader.close()
+                writer.close()
+                break
+            if pid == 0:
+                _work(cfg, selected, ends, lock, writer)
+            writer.close()
+            workers[reader] = [pid, None]
+        while i is not None:
+            done[selected[i]] = _run_check(cfg, selected[i])
+            i = _take(ends, lock, back=False)
+        while workers:
+            for conn in wait(list(workers)):
+                try:
+                    message = conn.recv()
+                except EOFError:
+                    pid, pos = workers.pop(conn)
+                    conn.close()
+                    status = os.waitpid(pid, 0)[1]
+                    if pos is not None:
+                        done[pos] = (_died(CHECKS[pos][0], status), "")
+                    continue
+                if isinstance(message, int):
+                    workers[conn][1] = message
+                else:
+                    done[message[0]] = message[1:]
+                    workers[conn][1] = None
+    finally:
+        for conn, (pid, _) in workers.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            conn.close()
+    return done
+
+
+def run_suite(cfg: ScenarioConfig) -> ReportBundle:
+    """Run the configured checks on every usable core and bundle the records.
+
+    Records are gathered in registry order, and the tracebacks of checks
+    that raised go to stderr in that order, so the report is the same at
+    any core count.  Each record gets its claim anchor from CLAIMS; a
+    check that raises, or emits a record id CLAIMS lacks, becomes one fail
+    record naming the exception, and the remaining checks still run.
     """
     wanted = set(cfg.suites) if cfg.suites else set(ALL_SUITES)
     unknown = wanted - set(ALL_SUITES)
     if unknown:
         raise InputError(f"unknown suites {sorted(unknown)}; valid: {ALL_SUITES}")
+    selected = [pos for pos, (_, suite, _) in enumerate(CHECKS) if suite in wanted]
+    done = _run_checks(cfg, selected)
     results: list[CheckResult] = []
-    for pos, (check_id, suite, fn) in enumerate(CHECKS):
-        if suite not in wanted:
-            continue
-        try:
-            records = [replace(r, anchor=CLAIMS[r.check_id]) for r in fn(cfg, pos)]
-        except Exception as exc:
-            traceback.print_exc(file=sys.stderr)
-            crash = _result(
-                check_id,
-                "check raised an exception",
-                False,
-                [],
-                details=f"{type(exc).__name__}: {exc}",
-            )
-            records = [replace(crash, anchor="check-raised")]
-        results.extend(replace(r, suite=suite) for r in records)
+    for pos in selected:
+        records, trace = done[pos]
+        sys.stderr.write(trace)
+        results.extend(replace(r, suite=CHECKS[pos][1]) for r in records)
     bundle = ReportBundle(config=cfg, results=tuple(results))
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)

@@ -175,6 +175,54 @@ def test_the_dip_mask_check_sees_a_second_reader():
     ]
 
 
+def _process_starters(tree: ast.Module) -> list[str]:
+    """Calls of fork, imports of multiprocessing and uses of ProcessPoolExecutor."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "fork":
+                found.append((node.lineno, "fork"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            if any((m or "").split(".")[0] == "multiprocessing" for m in modules):
+                found.append((node.lineno, "multiprocessing"))
+        names = (getattr(node, attr, None) for attr in ("id", "attr", "name"))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and "ProcessPoolExecutor" in names:
+            found.append((node.lineno, "ProcessPoolExecutor"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_only_verify_starts_processes():
+    # `verify.run_suite` forks the one pool of the package: its workers run
+    # checks beside the caller, and nothing else starts a process.
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        starters = _process_starters(ast.parse(path.read_text(encoding="utf-8")))
+        if starters:
+            found[path.name] = starters
+    assert list(found) == ["verify.py"]
+    assert not [s for s in found["verify.py"] if s.startswith("ProcessPoolExecutor")]
+
+
+def test_the_process_check_sees_a_second_forker():
+    tree = ast.parse(
+        "import os, multiprocessing.pool\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "pid = os.fork()\n"
+        "from multiprocessing import Pipe\n"
+        "pool = ProcessPoolExecutor(2)\n"
+        "fork = os.getpid()\n"
+    )
+    assert _process_starters(tree) == [
+        "multiprocessing (line 1)",
+        "ProcessPoolExecutor (line 2)",
+        "fork (line 3)",
+        "multiprocessing (line 4)",
+        "ProcessPoolExecutor (line 5)",
+    ]
+
+
 def test_every_module_of_the_readme_table_is_an_attribute_of_the_package():
     # A package-level name must not shadow a module: `import opfam.bracket
     # as m` binds getattr(opfam, "bracket").

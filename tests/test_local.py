@@ -253,6 +253,25 @@ def test_uniqueness_check_scales_its_residual_floor_with_x(grid):
     assert rep.all_to_zero and rep.worst_tail_max == 0.0
 
 
+@pytest.mark.parametrize("s", [1.0, 1e6, 1e8, 1e9])
+def test_uniqueness_check_scales_its_difference_floor_with_x(grid, s):
+    # Two exact solutions computed two ways differ by rounding, about
+    # eps ||x||, so their difference is tested at the x-scaled tolerances.
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    fam = OperatorFamily.constant(a)
+    x = s * np.arange(1.0, 5.0) / np.sqrt(30.0)
+
+    def solved(lam):
+        return VectorFamily.constant(np.linalg.solve(lam * np.eye(4) - a, x))
+
+    def inverted(lam):
+        return VectorFamily.constant(np.linalg.inv(lam * np.eye(4) - a) @ x)
+
+    rep = local_extension_uniqueness_check(fam, x, solved, inverted, [8.0, 8.0 + 1.0j, -7.5j], grid)
+    assert rep.verdicts == (TO_ZERO,) * 3
+
+
 def test_family_local_grid_matches_exact_support(grid):
     const = OperatorFamily.constant(np.diag([1.0, 2.0]))
     e1 = np.array([1.0, 0.0], dtype=complex)
@@ -564,7 +583,7 @@ def _uniqueness_reference(fam, x, sol1, sol2, mesh, grid):
     worst = 0.0
     for k in range(len(mesh)):
         diff = stacks["first", k] - stacks["second", k]
-        stats = tail_stats(np.linalg.norm(diff, axis=1))
+        stats = tail_stats(np.linalg.norm(diff, axis=1), eps_res, floor_res)
         verdicts.append(stats.limit_verdict)
         worst = max(worst, stats.tail_max)
     return UniquenessReport(

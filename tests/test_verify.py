@@ -1,10 +1,15 @@
 import dataclasses
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import time
 
 import pytest
 
-from opfam import verify
+import opfam
+from opfam import spectra, verify
 from opfam.bracket import NOT_EQUIVALENT
 from opfam.errors import InputError
 from opfam.families import BOUNDED_POSITIVE, HGrid
@@ -139,6 +144,130 @@ def test_crashing_check_becomes_one_fail_record(monkeypatch, tmp_path, capsys):
     assert f"check={crash_id}|" in report
     assert "repro=opfam verify --seed 5 --suite linalg" in report
     assert crash_id in (tmp_path / "rep" / "summary.txt").read_text()
+
+
+def _verify_report(out_dir, pin: bool) -> bytes:
+    src = os.path.dirname(os.path.dirname(opfam.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cpu = min(os.sched_getaffinity(0))
+    argv = ["verify", "--seed", "42", "--suite", "bracket,family,linalg", "--out", str(out_dir)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "opfam.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=300,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pin else None,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return (out_dir / "report.txt").read_bytes()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or spectra._usable_cores() < 2,
+    reason="needs CPU affinity and two usable cores",
+)
+def test_the_worker_count_cannot_move_a_byte(tmp_path):
+    # Pinned to one CPU the run forks no worker; unpinned it forks one per
+    # further usable core.
+    assert _verify_report(tmp_path / "pinned", True) == _verify_report(tmp_path / "free", False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def worker_takes_last(monkeypatch, tmp_path):
+    """Patch the linalg suite so a worker runs its last check as `last`.
+
+    The caller's first check waits until the last check has started in
+    another process, so the last check runs in a worker on any machine
+    that can fork; two usable cores are assumed so one worker is forked.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(spectra, "_usable_cores", lambda: 2)
+    selected = [k for k, entry in enumerate(CHECKS) if entry[1] == "linalg"]
+    first, last = selected[0], selected[-1]
+    started = tmp_path / "last-started"
+    caller = os.getpid()
+
+    def install(last_fn, first_fn=None):
+        patched = list(CHECKS)
+        first_id, suite, real_first = CHECKS[first]
+
+        def wait_then_first(cfg, idx):
+            deadline = time.monotonic() + 60
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.002)
+            return (first_fn or real_first)(cfg, idx)
+
+        def in_worker(cfg, idx):
+            assert os.getpid() != caller, "the last check ran in the caller"
+            started.touch()
+            return last_fn(cfg, idx)
+
+        patched[first] = (first_id, suite, wait_then_first)
+        patched[last] = (CHECKS[last][0], suite, in_worker)
+        monkeypatch.setattr(verify, "CHECKS", tuple(patched))
+        return CHECKS[last][0]
+
+    return install
+
+
+def test_a_check_that_raises_in_a_worker_is_one_fail_record(worker_takes_last, capsys):
+    clean = run_suite(ScenarioConfig(seed=5, suites=("linalg",)))
+
+    def crash(cfg, idx):
+        raise RuntimeError("synthetic crash in a worker")
+
+    crash_id = worker_takes_last(crash)
+    bundle = run_suite(ScenarioConfig(seed=5, suites=("linalg",)))
+    _assert_no_child_left()
+    assert [r for r in bundle.results if r.check_id != crash_id] == [
+        r for r in clean.results if r.check_id != crash_id
+    ]
+    (failed,) = [r for r in bundle.results if r.check_id == crash_id]
+    assert failed.verdict == FAIL and failed.anchor == "check-raised"
+    assert failed.details == "RuntimeError: synthetic crash in a worker"
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "synthetic crash in a worker" in err
+
+
+def test_a_worker_that_dies_gives_one_fail_record_naming_its_status(worker_takes_last):
+    clean = run_suite(ScenarioConfig(seed=5, suites=("linalg",)))
+
+    def die(cfg, idx):
+        os._exit(3)
+
+    dead_id = worker_takes_last(die)
+    bundle = run_suite(ScenarioConfig(seed=5, suites=("linalg",)))
+    _assert_no_child_left()
+    assert [r.check_id for r in bundle.results] == [r.check_id for r in clean.results]
+    assert [r for r in bundle.results if r.check_id != dead_id] == [
+        r for r in clean.results if r.check_id != dead_id
+    ]
+    (failed,) = [r for r in bundle.results if r.check_id == dead_id]
+    assert failed.verdict == FAIL and failed.anchor == "check-raised"
+    assert failed.details == "worker ended with exit status 3"
+
+
+def test_an_interrupt_in_the_caller_propagates_and_reaps_the_workers(worker_takes_last):
+    def interrupt(cfg, idx):
+        raise KeyboardInterrupt
+
+    def long_check(cfg, idx):
+        time.sleep(60)
+        return []
+
+    worker_takes_last(long_check, interrupt)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(ScenarioConfig(seed=5, suites=("linalg",)))
+    _assert_no_child_left()
+    # The worker was terminated, not waited for.
+    assert time.monotonic() - t0 < 30
 
 
 def _run_check(check_id: str) -> dict:
