@@ -16,6 +16,7 @@ with an explicit Inconclusive zone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -222,6 +223,19 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
+@functools.cache
+def _fit_steps(m: int) -> tuple[np.ndarray, float]:
+    """The centred steps k - mean(k), k = 0..m-1, and their sum of squares.
+
+    The fixed part of every line fit through m samples: made once per m,
+    read-only.
+    """
+    k = np.arange(m, dtype=float)
+    kc = k - k.mean()
+    kc.setflags(write=False)
+    return kc, float((kc**2).sum())
+
+
 def _log10_fit(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares line through log10(values) per step, column-wise.
 
@@ -232,9 +246,7 @@ def _log10_fit(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     time, so no (m, n) array but the logs is made.
     """
     m, n = values.shape
-    k = np.arange(m, dtype=float)
-    kc = k - k.mean()
-    denom = float((kc**2).sum())
+    kc, denom = _fit_steps(m)
     logs = np.maximum(values, 1e-300)
     np.log10(logs, out=logs)
     means = _row_sums(logs) / m

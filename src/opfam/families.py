@@ -26,6 +26,7 @@ from .bracket import (
     INCONCLUSIVE,
     N_MAX,
     EquivalenceReport,
+    _fit_steps,
     _log10_fit,
     _roots_from_norms,
     bracket_norms,
@@ -86,8 +87,9 @@ class CoeffFn:
         value = np.asarray(hs, dtype=float) ** self.exponent
         value = value.astype(complex)
         if self.rate:
-            # exp(-inf) = 0 is the right value where rate / h overflows.
-            with np.errstate(over="ignore"):
+            # exp(-inf) = 0 is the right value where rate / h overflows, and
+            # at h = 0, where it is the coefficient's limit.
+            with np.errstate(over="ignore", divide="ignore"):
                 value *= np.exp(-self.rate / np.asarray(hs, dtype=float))
         return value
 
@@ -154,17 +156,31 @@ class _TermSum:
         return np.zeros(lead + self.terms[0][1].shape, dtype=complex)
 
     def __call__(self, h: float) -> np.ndarray:
+        """F(h) at one h in [0, 1]; at h = 0 each coefficient takes its limit."""
+        if not 0.0 <= h <= 1.0:
+            raise InputError(f"h must lie in [0, 1], got {h!r}")
         return self.eval_stack([h])[0]
 
     def eval_stack(self, hs: np.ndarray) -> np.ndarray:
         """Evaluate at many h values at once; returns shape (len(hs), *term shape)."""
         hs = np.asarray(hs, dtype=float)
-        out = self._zeros(hs.shape[0])
         # A sum past the float range is inf, which every caller refuses or
         # turns into its overflow verdict.
         with np.errstate(over="ignore"):
-            for coeff, arr in self.terms:
-                out += coeff.eval_many(hs).reshape((-1,) + (1,) * arr.ndim) * arr
+            return self._sum([coeff.eval_many(hs) for coeff, _ in self.terms])
+
+    def _sum(self, columns: list[np.ndarray]) -> np.ndarray:
+        """sum_j columns[j] * T_j, term by term in order: the one term-sum loop.
+
+        columns[j] holds c_j(h) at each sample (`eval_stack` computes them,
+        `_grid_eval` reads them off the grid).  One buffer takes every
+        term's products.  The caller holds errstate(over="ignore").
+        """
+        out = self._zeros(len(columns[0]))
+        products = np.empty_like(out)
+        lead = (-1,) + (1,) * (out.ndim - 1)
+        for col, (_, arr) in zip(columns, self.terms):
+            out += np.multiply(col.reshape(lead), arr, out=products)
         return out
 
     def __add__(self, other: Self) -> Self:
@@ -287,6 +303,25 @@ class HGrid:
     def tail_samples(self) -> np.ndarray:
         return self._samples[-self.tail :]
 
+    @functools.cached_property
+    def _columns(self) -> dict[tuple[float, float, bool], np.ndarray]:
+        return {}
+
+    def column(self, coeff: CoeffFn, tail: bool) -> np.ndarray:
+        """coeff at the tail samples (tail=True) or at every sample.
+
+        Computed once per grid and coefficient, and kept read-only while
+        the grid lives: every family evaluated on the grid reads it.  The
+        key holds the coefficient's two floats, which hash and compare as
+        a CoeffFn does, without a Python-level call.
+        """
+        key = (coeff.exponent, coeff.rate, tail)
+        col = self._columns.get(key)
+        if col is None:
+            hs = self.tail_samples() if tail else self._samples
+            col = self._columns[key] = _frozen(coeff.eval_many(hs))
+        return col
+
     @staticmethod
     def parse(text: str) -> "HGrid":
         parts = text.split(":")
@@ -377,19 +412,34 @@ def _finite_norms(stack: np.ndarray, norms) -> np.ndarray:
     """norms(stack), or InputError when the stack or its norms are not finite.
 
     The one overflow rule of sampled families: values that overflow make
-    every tail tolerance and verdict meaningless.
+    every tail tolerance and verdict meaningless.  The caller holds
+    errstate(over="ignore"), so an overflowing norm is refused quietly.
     """
     if np.isfinite(stack).all():
-        with np.errstate(over="ignore"):
-            out = norms(stack)
+        out = norms(stack)
         if np.isfinite(out).all():
             return out
     raise InputError("family values overflow on the h-grid")
 
 
+def _grid_eval(
+    fam: OperatorFamily | VectorFamily, grid: HGrid, tail: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """F(h_k) and their norms over the grid tail (tail=True) or every sample.
+
+    The family layer's one evaluation on an h-grid: the coefficient
+    columns come from the grid (`HGrid.column`), and one errstate covers
+    the term sum, the overflow rule (`_finite_norms`) and the norms.
+    """
+    columns = [grid.column(coeff, tail) for coeff, _ in fam.terms]
+    with np.errstate(over="ignore"):
+        stack = fam._sum(columns)
+        return stack, _finite_norms(stack, fam._norms)
+
+
 def norm_samples(fam: OperatorFamily | VectorFamily, grid: HGrid) -> np.ndarray:
     """||F(h_k)|| (or ||x(h_k)||) over the whole grid."""
-    return _finite_norms(fam.eval_stack(grid.samples()), fam._norms)
+    return _grid_eval(fam, grid, tail=False)[1]
 
 
 class _Tail:
@@ -451,8 +501,7 @@ def _tail_eval(fam: OperatorFamily | VectorFamily, grid: HGrid) -> _Tail:
     """
     tail = fam._tails.get(grid)
     if tail is None:
-        mats = fam.eval_stack(grid.tail_samples())
-        tail = fam._tails[grid] = _Tail(mats, _finite_norms(mats, fam._norms))
+        tail = fam._tails[grid] = _Tail(*_grid_eval(fam, grid, tail=True))
     return tail
 
 
@@ -562,7 +611,8 @@ def commute_in_limit(f: OperatorFamily, g: OperatorFamily, grid: HGrid) -> TailS
     fs, gs = _tail_eval(f, grid).mats, _tail_eval(g, grid).mats
     with np.errstate(over="ignore", invalid="ignore"):
         commutators = fs @ gs - gs @ fs
-    return tail_stats(_finite_norms(commutators, op_norms))
+        norms = _finite_norms(commutators, op_norms)
+    return tail_stats(norms)
 
 
 @dataclass(frozen=True)
@@ -634,8 +684,7 @@ def _inner_limit_estimates(
     vmax = per_h.max(axis=0)
     at_floor = vmax <= zero_floor
     logs, means, slope = _log10_fit(per_h)
-    k = np.arange(len(per_h), dtype=float)
-    fit = means + slope * (k - k.mean())[:, None]
+    fit = means + slope * _fit_steps(len(per_h))[0][:, None]
     fit_dev = np.abs(logs - fit).max(axis=0)
     decays = ~at_floor & (slope < DECAY_CERT_SLOPE) & (fit_dev <= DECAY_CERT_FIT)
     return np.where(at_floor | decays, 0.0, vmax), at_floor, decays

@@ -50,9 +50,15 @@ def rng_for(seed: int, *salt: int) -> np.random.Generator:
 
 
 def random_matrix(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    re = rng.uniform(-1.0, 1.0, (dim, dim))
-    im = rng.uniform(-1.0, 1.0, (dim, dim))
-    return scale * (re + 1j * im)
+    # One draw of both parts: the same numbers, in the same order, as a draw
+    # of the real part followed by one of the imaginary part.
+    parts = rng.uniform(-1.0, 1.0, (2, dim, dim))
+    out = np.empty((dim, dim), dtype=complex)
+    out.real = parts[0]
+    out.imag = parts[1]
+    if scale != 1:
+        out *= scale
+    return out
 
 
 def random_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

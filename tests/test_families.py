@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from opfam import families
 from opfam.bracket import EQUIVALENT, NOT_EQUIVALENT
 from opfam.errors import DimensionMismatchError, InputError
 from opfam.families import (
@@ -487,13 +489,13 @@ def test_norm_tests_reject_an_overflowing_family(grid):
 def test_null_and_commutation_tests_evaluate_the_tail_alone(monkeypatch):
     grid = HGrid(count=40, tail=9)
     sizes = []
-    for cls in (OperatorFamily, VectorFamily):
 
-        def counting(self, hs, _original=cls.eval_stack):
-            sizes.append(len(hs))
-            return _original(self, hs)
+    def counting(fam, grid, tail, _original=families._grid_eval):
+        stack, norms = _original(fam, grid, tail)
+        sizes.append(len(stack))
+        return stack, norms
 
-        monkeypatch.setattr(cls, "eval_stack", counting)
+    monkeypatch.setattr(families, "_grid_eval", counting)
     # Norms overflow at h = 1 only, outside the tail.
     big = np.diag([1e308, 0.0])
     f = OperatorFamily.from_terms(2, [(CoeffFn.const(), big), (CoeffFn.pow_h(1.0), big)])
@@ -619,6 +621,91 @@ def test_family_norms_take_one_svd_per_distinct_sample(grid, svd_mats):
     assert svd_mats == [1]
 
 
+def _grid_eval_families():
+    rng = np.random.default_rng(SEED + 5)
+    a, b = _rand(rng, 3), _rand(rng, 3)
+    # The constant term's product there is -0.0 + 0.5i; the sum starts at +0.0.
+    a[0, 1] = complex(-0.0, 0.5)
+    x, y = a[0], b[1]
+    terms = [
+        CoeffFn.const(),
+        CoeffFn.pow_h(0.0),
+        CoeffFn.pow_h(1.5),
+        # 0 over the whole tail, and not at h = 1.
+        CoeffFn.exp_inv(1.0),
+        CoeffFn.pow_h(1.0) * CoeffFn.exp_inv(0.25),
+    ]
+    ops = [a, b, a @ b, b, 1e3 * a]
+    vecs = [x, y, x, y, 1e3 * x]
+    return [
+        OperatorFamily.from_terms(3, list(zip(terms, ops))),
+        VectorFamily.from_terms(3, list(zip(terms, vecs))),
+        OperatorFamily.constant(a),
+        VectorFamily.constant(x),
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", range(4), ids=["operator", "vector", "const", "const-vector"])
+def test_grid_evaluation_has_the_bytes_of_eval_stack(index):
+    fam = _grid_eval_families()[index]
+    first, second = HGrid(), HGrid()
+    for grid in (first, second, first):
+        for tail, hs in ((True, grid.tail_samples()), (False, grid.samples())):
+            stack, norms = families._grid_eval(fam, grid, tail)
+            expected = fam.eval_stack(hs)
+            assert stack.tobytes() == expected.tobytes()
+            assert norms.tobytes() == fam._norms(expected).tobytes()
+        assert families._tail_eval(fam, grid).mats.tobytes() == stack[-grid.tail :].tobytes()
+    if index >= 2:
+        # -0.0 + 0.5i alone at that entry: the sum holds +0.0, as 0 + (-0.0) does.
+        entry = stack[:, 0, 1] if index == 2 else stack[:, 1]
+        assert not np.signbit(entry.real).any() and (entry.imag == 0.5).all()
+    # Columns are made once per grid and coefficient, and kept read-only;
+    # they do not take part in the grid's equality.
+    coeff = fam.terms[0][0]
+    assert first.column(coeff, True) is first.column(coeff, True)
+    assert not first.column(coeff, False).flags.writeable
+    assert first == second and hash(first) == hash(second)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cls", [OperatorFamily, VectorFamily])
+def test_grid_evaluation_refuses_an_overflowing_sum_with_the_overflow_error(grid, cls):
+    full = np.full((2, 2), 1e308) if cls is OperatorFamily else np.full(2, 1e308)
+    fam = cls.from_terms(2, [(CoeffFn.const(), full), (CoeffFn.pow_h(0.0), full)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert np.isinf(fam.eval_stack(grid.samples())).all()
+    for tail in (True, False):
+        with pytest.raises(InputError, match="^family values overflow on the h-grid$"):
+            families._grid_eval(fam, grid, tail)
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluating_at_h_zero_gives_the_limit_and_h_outside_the_unit_interval_is_refused():
+    ones = np.ones((2, 2))
+    fam = OperatorFamily.from_terms(
+        2,
+        [
+            (CoeffFn.const(), np.eye(2)),
+            (CoeffFn.exp_inv(1.0), ones),
+            (CoeffFn.pow_h(2.0) * CoeffFn.exp_inv(3.0), ones),
+            (CoeffFn.pow_h(1.0), ones),
+        ],
+    )
+    vec = VectorFamily.from_terms(2, [(CoeffFn.const(), [1.0, 0.0]), (CoeffFn.exp_inv(2.0), [1.0, 1.0])])
+    assert fam(0.0).tobytes() == np.eye(2, dtype=complex).tobytes()
+    assert vec(0.0).tobytes() == np.array([1.0, 0.0], dtype=complex).tobytes()
+    assert fam(1.0).tobytes() == fam.eval_stack([1.0])[0].tobytes()
+    col = CoeffFn.exp_inv(1.0).eval_many([0.0, 1.0])
+    assert col.tobytes() == np.array([0.0, math.exp(-1.0)], dtype=complex).tobytes()
+    for bad in (-0.5, 1.5, -math.inf, math.inf, math.nan):
+        for f in (fam, vec):
+            with pytest.raises(InputError, match=r"^h must lie in \[0, 1\], got "):
+                f(bad)
+
+
 def test_family_eval_against_direct_sum(grid):
     rng = np.random.default_rng(SEED)
     a, b = _rand(rng, 3), _rand(rng, 3)
@@ -633,19 +720,14 @@ def test_family_eval_against_direct_sum(grid):
 
 @pytest.fixture()
 def eval_calls(monkeypatch):
-    """Families passed to OperatorFamily.eval_stack or VectorFamily.eval_stack,
-    one entry per call."""
+    """Families evaluated on an h-grid (`families._grid_eval`), one entry per call."""
     calls = []
 
-    def counting(original):
-        def wrapper(self, hs):
-            calls.append(self)
-            return original(self, hs)
+    def counting(fam, grid, tail, _original=families._grid_eval):
+        calls.append(fam)
+        return _original(fam, grid, tail)
 
-        return wrapper
-
-    for cls in (OperatorFamily, VectorFamily):
-        monkeypatch.setattr(cls, "eval_stack", counting(cls.eval_stack))
+    monkeypatch.setattr(families, "_grid_eval", counting)
     return calls
 
 

@@ -11,6 +11,7 @@ from opfam.generators import (
     draw_eigenvalues,
     generate_pair,
     random_diagonalizable,
+    random_matrix,
     rng_for,
     supported_vector,
 )
@@ -103,3 +104,15 @@ def test_random_diagonalizable_and_support():
     x = supported_vector(rng, projections)
     assert all(np.linalg.norm(p @ x) >= 0.25 for p in projections)
     assert np.linalg.norm(x) == pytest.approx(1.0)
+
+
+def test_random_matrix_draws_the_bytes_of_scale_times_re_plus_i_im():
+    for scale in (1, 1.0, 0.3, 1e-3, 2.5, 1e300, 1e-300):
+        for d in range(2, 9):
+            rng, ref = np.random.default_rng(d), np.random.default_rng(d)
+            for _ in range(20):
+                got = random_matrix(rng, d, scale)
+                re = ref.uniform(-1.0, 1.0, (d, d))
+                im = ref.uniform(-1.0, 1.0, (d, d))
+                assert got.tobytes() == (scale * (re + 1j * im)).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state

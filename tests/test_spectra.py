@@ -323,7 +323,7 @@ def test_scan_budget_is_checked_before_the_family_is_evaluated(grid, monkeypatch
     def unreachable(*args, **kwargs):
         raise AssertionError("family evaluated")
 
-    monkeypatch.setattr(OperatorFamily, "eval_stack", unreachable)
+    monkeypatch.setattr(families, "_grid_eval", unreachable)
     with pytest.raises(InputError, match="budget"):
         family_spectrum_grid(fam, (-1, 1, -1, 1), 4096, 4096, grid)
     # A local scan probes 9 points per cell, so 1024^2 is already too much.
