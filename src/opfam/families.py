@@ -25,6 +25,7 @@ import scipy.linalg
 from .bracket import (
     INCONCLUSIVE,
     N_MAX,
+    OVERFLOW_LIMIT,
     EquivalenceReport,
     _fit_steps,
     _log10_fit,
@@ -538,7 +539,7 @@ def _radius_bound(mats: np.ndarray) -> RadiusBound:
             with np.errstate(over="ignore", invalid="ignore"):
                 power = power @ mats
         norms = op_norms(power) if np.isfinite(power).all() else np.array([np.inf])
-        if not np.all(np.isfinite(norms)) or norms.max() > 1e300:
+        if not np.all(np.isfinite(norms)) or norms.max() > OVERFLOW_LIMIT:
             return RadiusBound(
                 value=float("inf"),
                 roots=np.full(RADIUS_ORDERS, np.inf),

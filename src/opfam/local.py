@@ -179,10 +179,23 @@ def maximal_extension_eval(a, x, lam: complex) -> np.ndarray:
 
 
 _RING_POINTS = 8
-# Cells one block of a local scan holds, probed in one kernel pass: 8190
-# points, whole stencils only, so no pass has fewer than the 9 points of a
-# cell.
+# The distinct probe points one block of a local scan solves at most, in
+# one kernel pass: the 9 points of 910 cells that share none.
 _BLOCK_CELLS = 910
+_BLOCK_POINTS = _BLOCK_CELLS * (1 + _RING_POINTS)
+# Slots 1 and 3, the ring's 0 and 90 degree points.  A cell's 180 degree
+# point (slot 5) is its left neighbour's slot 1 and its 270 degree point
+# (slot 7) its lower neighbour's slot 3 when the ring reaches that cell
+# edge and the two sums round alike.
+_EDGE_SLOTS = slice(1, 4, 2)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where two arrays of (real, imaginary) int64 bit pairs hold the same complex number.
+
+    The bitwise rule of `linalg._run_starts`, so -0.0 != +0.0.
+    """
+    return (a[..., 0] == b[..., 0]) & (a[..., 1] == b[..., 1])
 
 
 def _ring_offsets(radius: float) -> np.ndarray:
@@ -321,21 +334,65 @@ def _probe_samples(
     return norms, resids
 
 
+def _shared_slots(
+    centers: np.ndarray, offsets: np.ndarray, lo: int, nx: int, edge_bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells from lo on that one block probes, and the points they share.
+
+    Returns (left, lower, edge_bits): whether each cell's slot 5 is its
+    left neighbour's slot 1 and its slot 7 its lower neighbour's slot 3,
+    for as many whole rows as keep the block's distinct points within
+    _BLOCK_POINTS (part of a row when one row alone holds more), and the
+    int64 bits of slots 1 and 3 of the nx cells before the next block.
+    edge_bits holds those of the nx cells before lo (never read before the
+    first row).
+    """
+    n = len(centers)
+    # No cell shares more than two of its points.
+    hi = min(n, lo + _BLOCK_POINTS // (len(offsets) - 2))
+    bits = (offsets[[1, 3, 5, 7], None] + centers[lo:hi]).view(np.int64).reshape(4, hi - lo, 2)
+    near = np.concatenate((edge_bits, bits[:2]), axis=1)  # cells lo - nx .. hi
+    left = _same_bits(bits[2], near[0, nx - 1 : -1])
+    left[-lo % nx :: nx] = False  # the first cell of a row
+    lower = _same_bits(bits[3], near[1, : hi - lo])
+    lower[: max(0, nx - lo)] = False  # the first row
+    solves = len(offsets) - left.view(np.int8) - lower.view(np.int8)
+    m = int(np.searchsorted(np.cumsum(solves), _BLOCK_POINTS, side="right"))
+    if lo + m < n and (lo + m) // nx * nx > lo:
+        m = (lo + m) // nx * nx - lo  # whole rows
+    return left[:m], lower[:m], near[:, m : m + nx].copy()
+
+
 def _local_cells(
-    fam: OperatorFamily, xr: _ReadX, grid: HGrid, centers: np.ndarray, ring_r: float
+    fam: OperatorFamily,
+    xr: _ReadX,
+    grid: HGrid,
+    centers: np.ndarray,
+    ring_r: float,
+    nx: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The point rule of `family_local_probe` for every cell center.
 
-    Each cell is probed at its center and on a circle of radius ring_r
-    around it, for the x read as xr.v.  Returns (class codes, tau, number
-    of failing probe points), where tau is the stencil median of ||v||
-    over the norm tail max; the zero vector is LocalResolvent everywhere
-    with tau = inf.  The solution-norm cap is B_MAX_FACTOR ||v|| / scale.
-    The cells go through in blocks of _BLOCK_CELLS, all in one kernel work
-    buffer of 1.5 d + 3 complex rows of the block's points (3.4 MiB at
-    d = 16), and a block's tails are reduced to its cells' results before
-    the next block is probed; every point's verdict reads its own tails
-    alone, so the blocks change no result.
+    The centers are cell rows of nx cells each, lowest row first.  Each
+    cell is probed at its center and on a circle of radius ring_r around
+    it, for the x read as xr.v.  Returns (class codes, tau, number of
+    failing stencil slots), where tau is the stencil median of ||v|| over
+    the norm tail max; the zero vector is LocalResolvent everywhere with
+    tau = inf.  The solution-norm cap is B_MAX_FACTOR ||v|| / scale.
+
+    A cell's slot 5 is its left neighbour's slot 1 and its slot 7 its
+    lower neighbour's slot 3 wherever the two points are bitwise equal,
+    compared through an int64 view of both parts by the
+    `linalg._run_starts` rule (so -0.0 != +0.0): such a point is solved
+    once, and its class and score fill both slots.  The cells go through
+    in blocks of whole rows (a row that alone holds more is cut) of at
+    most _BLOCK_POINTS distinct points, all in one kernel work buffer of
+    1.5 d + 3 complex rows of the block's points (3.4 MiB at d = 16), and
+    a block's tails are reduced to its cells' results before the next
+    block is probed.  Slots 1 and 3 of the last nx cells carry over, so
+    points are shared across block edges too.  Every point's verdict
+    reads its own tails alone, so neither the blocks nor the sharing
+    change a result.
     """
     tail = _tail_eval(fam, grid)
     n = len(centers)
@@ -343,28 +400,63 @@ def _local_cells(
         return np.full(n, CLS_RESOLVENT, dtype=np.int8), np.full(n, np.inf), 0
     norm_cap = B_MAX_FACTOR * xr.norm / tail.scale
     offsets = _ring_offsets(ring_r)
-    stencil = (-1, len(offsets))
-    classes = np.full(n, CLS_UNDETERMINED, dtype=np.int8)
+    slots = len(offsets)
+    classes = np.empty(n, dtype=np.int8)
     tau = np.empty(n)
-    work = np.empty(_work_per_point(fam.dim) * len(offsets) * min(n, _BLOCK_CELLS))
+    work = np.empty(_work_per_point(fam.dim) * min(n * slots, _BLOCK_POINTS))
 
-    def verdicts(cells: slice) -> int:
-        points = (centers[cells, None] + offsets).ravel()
+    def verdicts(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The class and the score ||v|| / (norm tail max) of each point."""
         norms, resids = _probe_samples(tail, xr.v, points, work)
         res_codes, _, _, _ = verdict_arrays(resids, xr.eps_res, xr.floor_res)
         norm_codes, norm_max, _, norm_trend = verdict_arrays(norms, xr.eps_res, xr.floor_res)
         good = (res_codes == 0) & (norm_max <= norm_cap) & (norm_trend <= TREND_FLAT_TOL)
-        bad = np.isin(res_codes, (1, 2)) | (norm_codes == 2) | (norm_max > norm_cap)
+        bad = (res_codes == 1) | (res_codes == 2) | (norm_codes == 2) | (norm_max > norm_cap)
+        point_cls = np.full(len(points), CLS_UNDETERMINED, dtype=np.int8)
+        point_cls[good] = CLS_RESOLVENT
+        point_cls[bad] = CLS_SPECTRUM
+        return point_cls, xr.norm / np.maximum(norm_max, 1e-300)
+
+    # Slots 1 and 3 of the nx cells before the block: their points' int64
+    # bits, classes and scores (zeros before the first row, never read).
+    edges = [
+        np.zeros((2, nx, 2), dtype=np.int64),
+        np.zeros((2, nx), dtype=np.int8),
+        np.zeros((2, nx)),
+    ]
+
+    def probe(lo: int) -> tuple[int, int]:
+        """Probe one block from cell lo on: (its cells, its failing slots)."""
+        left, lower, edges[0] = _shared_slots(centers, offsets, lo, nx, edges[0])
+        m = len(left)
+        keep = np.ones((slots, m), dtype=bool)
+        keep[5] = ~left
+        keep[7] = ~lower
+        stencils = []
+        for i, solved in enumerate(verdicts((offsets[:, None] + centers[lo : lo + m])[keep]), 1):
+            stencil = np.empty((slots, m), dtype=solved.dtype)
+            stencil[keep] = solved
+            shared = np.concatenate((edges[i], stencil[_EDGE_SLOTS]), axis=1)
+            np.copyto(stencil[5], shared[0, nx - 1 : -1], where=left)
+            np.copyto(stencil[7], shared[1, :m], where=lower)
+            edges[i] = shared[:, m:].copy()
+            stencils.append(stencil)
+        # The class codes rise from Spectrum to Resolvent, so a cell's class
+        # is the lowest of its stencil's: Spectrum if some point is bad,
+        # Resolvent if all are good.
+        point_cls, score = stencils
+        classes[lo : lo + m] = point_cls.min(axis=0)
         # Median over the stencil: robust against isolated zeros of the
         # local extension, which can make single probe points look
         # deceptively tame.
-        tau[cells] = np.median((xr.norm / np.maximum(norm_max, 1e-300)).reshape(stencil), axis=1)
-        block = classes[cells]  # a view: its writes land in classes
-        block[good.reshape(stencil).all(axis=1)] = CLS_RESOLVENT
-        block[bad.reshape(stencil).any(axis=1)] = CLS_SPECTRUM
-        return int(bad.sum())
+        tau[lo : lo + m] = np.median(score, axis=0)
+        return m, int(np.count_nonzero(point_cls == CLS_SPECTRUM))
 
-    bad_points = sum(verdicts(slice(lo, lo + _BLOCK_CELLS)) for lo in range(0, n, _BLOCK_CELLS))
+    bad_points = lo = 0
+    while lo < n:
+        m, bad = probe(lo)
+        bad_points += bad
+        lo += m
     return classes, tau, bad_points
 
 
@@ -395,7 +487,7 @@ def family_local_probe(
             f"need a finite lam0 and a finite nbhd_r > 0, got {lam0} and {nbhd_r}"
         )
     xr = _read_x(x, fam.dim)
-    classes, _, bad = _local_cells(fam, xr, grid, np.array([lam0], dtype=complex), nbhd_r)
+    classes, _, bad = _local_cells(fam, xr, grid, np.array([lam0], dtype=complex), nbhd_r, 1)
     return LocalProbe(
         lam=complex(lam0),
         nbhd_r=nbhd_r,
@@ -418,7 +510,7 @@ def family_local_spectrum_grid(
     """
     rect, w, h, rcell, centers = _scan_setup(rect, nx, ny, grid.tail * (1 + _RING_POINTS))
     xr = _read_x(x, fam.dim)
-    classes, tau, _ = _local_cells(fam, xr, grid, centers, 0.5 * min(w, h))
+    classes, tau, _ = _local_cells(fam, xr, grid, centers, 0.5 * min(w, h), nx)
     scanned = (fam, grid, xr.x)
     return _mark_dips(rect, nx, ny, classes, tau, tau <= LOCAL_CAL_FACTOR * rcell, scanned)
 

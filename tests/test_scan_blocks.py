@@ -92,7 +92,8 @@ def _whole_local_grid(fam, x, rect, nx, ny, grid):
 
 # (nx, ny) with nx != ny and a cell count just below or just above a
 # multiple of a task or a block: sigma tasks of 1024 points at orders 2
-# and 6 and of 256 at order 16; local blocks of 910 cells.
+# and 6 and of 256 at order 16; local blocks of 910 cells that share no
+# point (8190 points).
 _SHAPES_1024 = [(33, 31), (41, 25), (91, 90), (241, 34)]
 _SPECTRUM_SHAPES = {2: _SHAPES_1024, 6: _SHAPES_1024, 16: [(17, 15), (27, 19), (89, 23), (41, 50)]}
 _LOCAL_SHAPES = [(101, 9), (48, 19), (17, 107)]
@@ -125,10 +126,8 @@ def test_local_grid_bytes_match_the_whole_array_scan(d, grid):
     assert (g.classes == CLS_SPECTRUM).any()
 
 
-def test_no_local_scan_runs_a_one_point_kernel_pass(grid, monkeypatch):
-    # 11 x 331 cells are 9 * 3641 = 4 * 8192 + 1 probe points: a scan that
-    # cut its points into kernel chunks of 8192 would solve the last alone,
-    # and numpy sums a lone column's norm in another order than a batch's.
+def _recording_probe(monkeypatch):
+    """The point count of every `_triangular_probe` pass, in call order."""
     sizes = []
     probe = local._triangular_probe
 
@@ -137,11 +136,131 @@ def test_no_local_scan_runs_a_one_point_kernel_pass(grid, monkeypatch):
         probe(t, b, points, *args)
 
     monkeypatch.setattr(local, "_triangular_probe", recording)
+    return sizes
+
+
+def _distinct_points(rect, nx, ny):
+    """The number of bitwise-distinct stencil points of a local scan."""
+    _, w, h, _, centers = spectra._scan_setup(rect, nx, ny, 9)
+    points = centers[:, None] + local._ring_offsets(0.5 * min(w, h))
+    return len(np.unique(points.view(np.int64).reshape(-1, 2), axis=0))
+
+
+def test_no_local_scan_runs_a_one_point_kernel_pass(grid, monkeypatch):
+    # 11 x 331 cells are 9 * 3641 = 4 * 8192 + 1 stencil slots: a scan that
+    # cut its points into kernel chunks of 8192 would solve the last alone,
+    # and numpy sums a lone column's norm in another order than a batch's.
+    # Each distinct point is solved once: cells 6/331 wide and 6/11 high
+    # share their 0 and 180 degree points along the rows.
+    sizes = _recording_probe(monkeypatch)
     rng = np.random.default_rng(SEED)
     fam = OperatorFamily.constant(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     family_local_spectrum_grid(fam, np.ones(8), RECT, 331, 11, grid)
-    assert sum(sizes) == 9 * 11 * 331
+    distinct = _distinct_points(RECT, 331, 11)
+    assert distinct < 9 * 11 * 331
+    assert sum(sizes) == distinct
     assert min(sizes) >= 2
+
+
+def test_a_local_scan_solves_each_distinct_point_once(grid, monkeypatch):
+    # Square cells 6/64 wide: a cell's 180 and 270 degree points are its
+    # left and lower neighbours' 0 and 90 degree points, bitwise, except
+    # beside the axes, where a ring point's rounding error of a few 1e-18
+    # moves the sum.  So 7812 of 36864 stencil slots need no solve, across
+    # the blocks' edges as well, and no pass solves more than 8190 points.
+    sizes = _recording_probe(monkeypatch)
+    rng = np.random.default_rng(SEED)
+    fam = _drift_family(rng, 2)
+    x = rng.normal(size=2) + 1j * rng.normal(size=2)
+    family_local_spectrum_grid(fam, x, RECT, 64, 64, grid)
+    distinct = len(spectra._tail_eval(fam, grid).distinct)
+    assert distinct > 1
+    assert _distinct_points(RECT, 64, 64) == 29052
+    assert sum(sizes) == 29052 * distinct
+    assert max(sizes) <= local._BLOCK_POINTS == 8190
+
+
+# (rect, nx, ny) of local scans whose stencils share all (up to the rounding
+# beside the axes), 6.1 % and, on one axis only, some of their points.
+_SHARING_SCANS = [
+    (RECT, 64, 64),
+    ((-2.0, 2.0, -2.0, 2.0), 48, 48),
+    ((-3.0, 3.0, -2.0, 2.0), 40, 40),
+]
+
+
+@pytest.mark.parametrize("d", (2, 6, 16))
+def test_shared_stencil_points_keep_the_whole_array_bytes(d, grid):
+    rng = np.random.default_rng(SEED + 29 * d)
+    fam = _drift_family(rng, d)
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for rect, nx, ny in _SHARING_SCANS:
+        assert _distinct_points(rect, nx, ny) < 9 * nx * ny
+        g = family_local_spectrum_grid(fam, x, rect, nx, ny, grid)
+        classes, score = _whole_local_grid(fam, x, rect, nx, ny, grid)
+        assert g.classes.tobytes() == classes.tobytes(), (rect, nx, ny)
+        assert g.score.tobytes() == score.tobytes(), (rect, nx, ny)
+        assert (g.classes == CLS_SPECTRUM).any()
+
+
+def test_a_row_longer_than_a_block_shares_its_points_across_blocks(grid, monkeypatch):
+    # 1200 square cells to a row: about 9500 distinct points, more than one
+    # block holds, so rows are cut; the cut still shares its edge points.
+    sizes = _recording_probe(monkeypatch)
+    rng = np.random.default_rng(SEED)
+    fam = OperatorFamily.constant(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    rect = (-3.0, 3.0, -0.02, 0.02)
+    family_local_spectrum_grid(fam, np.ones(3), rect, 1200, 8, grid)
+    distinct = _distinct_points(rect, 1200, 8)
+    assert distinct > 8 * local._BLOCK_POINTS  # some row needs two passes
+    assert sum(sizes) == distinct
+    assert max(sizes) <= local._BLOCK_POINTS
+    fam = _drift_family(rng, 2)
+    x = rng.normal(size=2) + 1j * rng.normal(size=2)
+    g = family_local_spectrum_grid(fam, x, rect, 1200, 8, grid)
+    classes, score = _whole_local_grid(fam, x, rect, 1200, 8, grid)
+    assert g.classes.tobytes() == classes.tobytes()
+    assert g.score.tobytes() == score.tobytes()
+
+
+@pytest.mark.parametrize("d", (2, 6))
+def test_a_single_row_of_cells_shares_no_point(d, grid, monkeypatch):
+    # Cells 0.15 wide and 0.1 high: the ring (radius 0.05) reaches no left
+    # or right edge, and the row has no lower neighbour.  Scans take at
+    # least 8 rows, so the row is matched against its cells probed one by
+    # one, as `family_local_probe` probes them.
+    sizes = _recording_probe(monkeypatch)
+    rng = np.random.default_rng(SEED + d)
+    fam = _drift_family(rng, d)
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    w, h, centers = spectra._cell_grid((-3.0, 3.0, -0.05, 0.05), 40, 1)
+    xr = local._read_x(x, d)
+    r = 0.5 * min(w, h)
+    row = local._local_cells(fam, xr, grid, centers.ravel(), r, 40)
+    assert sum(sizes) == 9 * 40 * len(spectra._tail_eval(fam, grid).distinct)
+    cells = [local._local_cells(fam, xr, grid, c[None], r, 1) for c in centers.ravel()]
+    assert row[0].tobytes() == np.concatenate([c[0] for c in cells]).tobytes()
+    assert row[1].tobytes() == np.concatenate([c[1] for c in cells]).tobytes()
+    assert row[2] == sum(c[2] for c in cells)
+
+
+def test_local_probe_bad_points_are_pinned(grid):
+    # Constant diagonal families whose eigenvalues sit on stencil points of
+    # the probe (exactly, or 1e-10 off: a norm over the cap); the counts
+    # are those of the scans that solved every slot on its own.
+    lam0, r = 0.5 - 0.25j, 0.25
+    points = lam0 + local._ring_offsets(r)
+    cases = [
+        (points[[0, 1, 3, 6]], np.ones(4), 4),
+        (points[[2, 5, 7]] + 1e-10, np.array([1.0, 1j, -1.0]), 3),
+        (points[[4]], np.array([1j]), 1),
+        (points[[4]] + 0.5, np.array([1j]), 0),
+    ]
+    for eigenvalues, x, bad in cases:
+        fam = OperatorFamily.constant(np.diag(eigenvalues))
+        probe = local.family_local_probe(fam, x, lam0, r, grid)
+        assert probe.bad_points == bad
+        assert probe.classification == (local.LOCAL_SPECTRUM if bad else local.LOCAL_RESOLVENT)
 
 
 MIB = 2**20
