@@ -36,7 +36,8 @@ from .bracket import (
     slopes_log10,
 )
 from .errors import DimensionMismatchError, InputError, InvariantError
-from .linalg import _run_starts, as_matrix, as_vector, op_norm, op_norms
+from . import linalg
+from .linalg import as_matrix, as_vector, op_norm, op_norms
 
 if TYPE_CHECKING:
     from typing import Self  # Python >= 3.11; used in annotations only
@@ -364,14 +365,13 @@ def verdict_arrays(
     the lowest code whose condition holds winning.  The trend is -inf
     where the whole tail sits at or below zero_floor.
 
-    A tail whose rows are all bytewise equal (a constant family's) takes
-    its verdict from its first row, with no log: its max and min are that
-    row, and its trend row - row is +0.0 where the row is finite, which is
-    what the fit returns for equal samples, and the fit's NaN (bit for
-    bit, warning included) where it is +inf.
+    One row (m = 1) is a tail of one repeated matrix (`_Tail.rows`), read
+    with no log: its max and min are that row, and its trend row - row is
+    +0.0 where the row is finite and NaN where it is +inf or NaN.  Those
+    are the fit's bytes for bitwise-equal rows, warning included, so equal
+    rows from any other caller get the same verdict from the fit.
     """
-    bits = values.view(np.int64)
-    if (bits[1:] == bits[0]).all():
+    if len(values) == 1:
         row = values[0]
         tail_max, tail_min = row.copy(), row.copy()
         trend = row - row
@@ -453,13 +453,13 @@ class _Tail:
     The rest serves the scans of operator families and is computed on
     first use and kept, so a null or relation test pays for the values and
     their norms alone.  scale = max(1, tail limsup of the family norm)
-    normalizes the scan tolerances.  The kernels work once per distinct
-    matrix by the rule of `op_norms` (`linalg._run_starts`): `distinct`
-    holds the first index of each run of bitwise-equal tail matrices, and
-    `spread` copies that index's rows to the rest of its run, so a
-    constant family costs one matrix, not one per tail sample.
-    `schur(i)` gives the complex Schur factors (T, Q), F(h) = Q T Q*, of a
-    distinct matrix and `radius_bound` the `spectral_radius_bound`.
+    normalizes the scan tolerances.  The scan kernels work once per run of
+    bitwise-equal tail matrices, the one rule of `linalg._run_starts`, read
+    here and in `op_norms`: they fill one row per `distinct` index (a run's
+    first) and `rows` hands those to the tail verdicts, so a constant
+    family costs one matrix and one row.  `schur(i)` gives the complex
+    Schur factors (T, Q), F(h) = Q T Q*, of a distinct matrix and
+    `radius_bound` the `spectral_radius_bound`.
     """
 
     def __init__(self, mats: np.ndarray, norms: np.ndarray):
@@ -474,8 +474,12 @@ class _Tail:
         return max(1.0, float(self.norms.max()))
 
     @functools.cached_property
+    def _starts(self) -> np.ndarray:
+        return linalg._run_starts(self.mats)
+
+    @functools.cached_property
     def distinct(self) -> list[int]:
-        return np.flatnonzero(_run_starts(self.mats)).tolist()
+        return np.flatnonzero(self._starts).tolist()
 
     def schur(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         if i not in self._schur:
@@ -487,11 +491,15 @@ class _Tail:
     def radius_bound(self) -> RadiusBound:
         return _radius_bound(self.mats)
 
-    def spread(self, *rows: np.ndarray) -> None:
-        """Fill, in place, the rows of repeated matrices from their first copy."""
-        for lo, hi in zip(self.distinct, self.distinct[1:] + [len(self.mats)]):
-            for arr in rows:
-                arr[lo + 1 : hi] = arr[lo]
+    def rows(self, per_run: np.ndarray) -> np.ndarray:
+        """A kernel's rows, one per run, as the tail verdicts take them.
+
+        One row for a constant tail; otherwise one per tail matrix, gathered
+        by its run index.
+        """
+        if len(per_run) in (1, len(self.mats)):
+            return per_run
+        return per_run[np.cumsum(self._starts) - 1]
 
 
 def _tail_eval(fam: OperatorFamily | VectorFamily, grid: HGrid) -> _Tail:

@@ -144,6 +144,8 @@ def local_spectrum_exact(
     """
     m = as_matrix(a)
     xr = _read_x(x, m.shape[0])
+    if decomp is not None and decomp.dim != m.shape[0]:
+        raise DimensionMismatchError(f"decomp has dim {decomp.dim} != matrix dim {m.shape[0]}")
     if xr.zero:
         return LocalSpectrumReport(x=xr.x, support=(), zero_vector=True)
     if decomp is None:
@@ -300,7 +302,8 @@ def _probe_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solution norms and residuals at every probe point over the tail matrices.
 
-    Returns (norms, residuals), each of shape (len(tail.mats), len(points)).
+    Returns (norms, residuals), each with one row per distinct tail
+    matrix as `_Tail.rows` hands them on, so a constant tail gives one row.
     With F(h) = Q T Q* (`_Tail.schur`), y = Q z solves
     (lambda I - F(h)) y = x where (lambda I - T) z = Q* x, and Q is
     unitary, so ||y|| = ||z|| and the residual has the norm of its
@@ -308,21 +311,17 @@ def _probe_samples(
     exact eigenvalue hit) are re-solved, by `_min_norm_solve_stack`.  The
     points go through `_triangular_probe` in one pass per distinct matrix,
     in one float64 work buffer of `_work_per_point(d)` elements per point:
-    `work` when given, else one allocated here.  The rows of the repeated matrices are copies, so a constant
-    family's tails have bytewise-equal rows and `verdict_arrays` reads
-    them off one row.
+    `work` when given, else one allocated here.
     """
     mats = tail.mats
     d = mats.shape[-1]
     ident = np.eye(d, dtype=complex)
-    norms = np.empty((len(mats), len(points)))
-    resids = np.empty((len(mats), len(points)))
+    norms, resids = np.empty((2, len(tail.distinct), len(points)))
     if work is None:
         work = np.empty(_work_per_point(d) * len(points))
-    for i in tail.distinct:
+    for i, norm, resid in zip(tail.distinct, norms, resids):
         t, q = tail.schur(i)
         b = (q.conj() * x[:, None]).sum(axis=0)
-        norm, resid = norms[i], resids[i]
         _triangular_probe(t, b, points, work, norm, resid)
         hit = ~(np.isfinite(norm) & np.isfinite(resid))
         if hit.any():
@@ -330,8 +329,7 @@ def _probe_samples(
             y = _min_norm_solve_stack(stack, x)
             norm[hit] = np.linalg.norm(y, axis=1)
             resid[hit] = np.linalg.norm((stack @ y[..., None])[..., 0] - x, axis=1)
-    tail.spread(norms, resids)
-    return norms, resids
+    return tail.rows(norms), tail.rows(resids)
 
 
 def _shared_slots(

@@ -145,27 +145,21 @@ def _task_points(d: int) -> int:
 def _sigma_task(tail: _Tail, lams: np.ndarray) -> np.ndarray:
     """Smallest singular values of (lam I - F(h)) over the tail matrices.
 
-    Returns shape (len(tail.mats), len(lams)).  Order-2 matrices take the
-    closed form of `_sigma_min2`; every other order takes numpy's batched
-    SVD of the shifted matrices, built in one buffer by the operations of
-    `lam * I - F(h)`: lam times I, then F(h) subtracted in place, signed
-    zeros included.  Every point is computed alone by the same arithmetic,
-    so its bytes do not depend on the other points of the task.
+    One row per distinct tail matrix, handed on by `_Tail.rows`, so a
+    constant tail gives one row.  Order-2 matrices take the closed form of
+    `_sigma_min2`; every other order takes numpy's batched SVD of the
+    shifted matrices, built by the operations of `lam * I - F(h)`: lam
+    times I, then F(h) subtracted, signed zeros included.  Every point is
+    computed alone by the same arithmetic, so its bytes do not depend on
+    the other points of the task.
     """
-    out = np.empty((len(tail.mats), len(lams)))
-    d = tail.mats.shape[-1]
-    if d == 2:
-        for i in tail.distinct:
-            out[i] = _sigma_min2(tail.mats[i], lams)
+    mats = tail.mats[tail.distinct]
+    if mats.shape[-1] == 2:
+        rows = [_sigma_min2(m, lams) for m in mats]
     else:
-        ident = np.eye(d, dtype=complex)
-        shifted = np.empty((len(lams), d, d), dtype=complex)
-        for i in tail.distinct:
-            np.multiply(lams[:, None, None], ident, out=shifted)
-            np.subtract(shifted, tail.mats[i], out=shifted)
-            out[i] = np.linalg.svd(shifted, compute_uv=False)[:, -1]
-    tail.spread(out)
-    return out
+        scaled = lams[:, None, None] * np.eye(mats.shape[-1], dtype=complex)
+        rows = [np.linalg.svd(scaled - m, compute_uv=False)[:, -1] for m in mats]
+    return tail.rows(np.array(rows))
 
 
 def _classify(sig, tail_norms, scale: float, lams: np.ndarray):
@@ -207,7 +201,7 @@ def probe_resolvent(fam: OperatorFamily, lam: complex, grid: HGrid) -> Resolvent
     lams = np.array([lam], dtype=complex)
     sig = _sigma_task(tail, lams)
     classes, _, neumann = _classify(sig, tail.norms, tail.scale, lams)
-    column = sig[:, 0]
+    column = np.resize(sig[:, 0], len(tail.mats))  # a constant tail's one row, repeated
     # ||(lam I - F(h))^-1|| = 1 / sigma_min, infinite where lam I - F(h)
     # is singular.
     with np.errstate(divide="ignore"):

@@ -275,7 +275,7 @@ def _verdicts_and_warnings(values):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         verdicts = verdict_arrays(values, EPS_TAIL, ZERO_FLOOR)
-    return verdicts, {w.category for w in caught}
+    return verdicts, {(w.category, str(w.message)) for w in caught}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -286,15 +286,35 @@ def _verdicts_and_warnings(values):
     ),
 )
 def test_equal_rows_take_the_verdict_bits_of_the_log_fit(m, row):
-    # Bytewise-equal rows take the one-row path alone and the log fit in a
-    # batch with a column that moves; both give the same bytes and warnings.
+    # One row takes the one-row rule, and m bytewise-equal rows take the log
+    # fit alone and in a batch with a column that moves; all three give the
+    # same bytes and warnings.
     equal = np.tile(row, (m, 1))
     batch = np.hstack([equal, np.arange(1.0, m + 1.0)[:, None]])
-    alone, alone_warned = _verdicts_and_warnings(equal)
-    fitted, fit_warned = _verdicts_and_warnings(batch)
-    for a, b in zip(alone, fitted):
-        assert a.tobytes() == b[: len(row)].tobytes()
-    assert alone_warned == fit_warned
+    one, one_warned = _verdicts_and_warnings(equal[:1])
+    for values in (equal, batch):
+        fitted, fit_warned = _verdicts_and_warnings(values)
+        for a, b in zip(one, fitted):
+            assert a.tobytes() == b[: len(row)].tobytes()
+        assert one_warned == fit_warned
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0.5, -0.0, 1e-12, 3e-11, 1e5], [np.inf, np.inf], [np.nan, 2.0]],
+    ids=["negative-zero", "inf", "nan"],
+)
+def test_the_log_fit_of_equal_rows_gives_the_one_row_bytes(row, grid):
+    # verdict_arrays reads the one-row rule from the shape of its input, so
+    # equal rows from any other caller take the fit: same bytes, and for
+    # +inf the same RuntimeWarning (inf - inf in the trend).
+    row = np.array(row)
+    one, one_warned = _verdicts_and_warnings(row[None])
+    fitted, fit_warned = _verdicts_and_warnings(np.tile(row, (grid.tail, 1)))
+    for a, b in zip(one, fitted):
+        assert a.tobytes() == b.tobytes()
+    assert one_warned == fit_warned
+    assert bool(one_warned) == bool(np.isinf(row).any())
 
 
 def test_limsup_norm_examples(grid):

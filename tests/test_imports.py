@@ -175,6 +175,29 @@ def test_the_dip_mask_check_sees_a_second_reader():
     ]
 
 
+def test_only_op_norms_and_the_family_tail_read_the_run_rule():
+    # `linalg._run_starts` is the one test for repeated tail matrices:
+    # `op_norms` takes one SVD per run, and `families._Tail` gives the scan
+    # kernels their runs and gathers their rows.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _readers("_run_starts", sources) == ["families.py: _Tail", "linalg.py: op_norms"]
+
+
+def test_the_run_rule_check_sees_a_second_reader():
+    sources = {
+        "linalg.py": "def _run_starts(s):\n    return s\n"
+        "def op_norms(s):\n    return _run_starts(s)\n",
+        "families.py": "from . import linalg\n"
+        "class _Tail:\n    def runs(self):\n        return linalg._run_starts(self)\n",
+        "verdicts.py": "def equal_rows(v):\n    return linalg._run_starts(v).sum() == 1\n",
+    }
+    assert _readers("_run_starts", sources) == [
+        "linalg.py: op_norms",
+        "families.py: _Tail",
+        "verdicts.py: equal_rows",
+    ]
+
+
 def _process_starters(tree: ast.Module) -> list[str]:
     """Calls of fork, imports of multiprocessing and uses of ProcessPoolExecutor."""
     found = []

@@ -23,6 +23,7 @@ from opfam.families import (
     verdict_arrays,
 )
 from opfam.generators import PAIR_KINDS, generate_pair, rng_for
+from opfam.linalg import spectral_decomp
 from opfam.local import (
     LOCAL_RESOLVENT,
     LOCAL_SPECTRUM,
@@ -67,6 +68,13 @@ def test_local_spectrum_exact_examples():
     assert np.allclose(_supports(local_spectrum_exact(j, [1.0, 0.0])), [0.0], atol=1e-7)
     zero = local_spectrum_exact(a, [0.0, 0.0])
     assert zero.zero_vector and zero.support == ()
+
+
+def test_local_spectrum_exact_refuses_a_decomposition_of_another_dimension():
+    decomp = spectral_decomp(np.diag([1.0, 2.0, 3.0]))
+    for x in ([1.0, 1.0], [0.0, 0.0]):
+        with pytest.raises(DimensionMismatchError, match="dim 3 != matrix dim 2"):
+            local_spectrum_exact(np.diag([1.0, 2.0]), x, decomp=decomp)
 
 
 def test_maximal_extension_examples():

@@ -200,9 +200,9 @@ def _reference_probe_samples(tail, x, points, triangular_probe):
     """`_probe_samples` over a reference triangular probe, one pass per matrix."""
     mats = tail.mats
     ident = np.eye(mats.shape[-1], dtype=complex)
-    norms = np.empty((len(mats), len(points)))
-    resids = np.empty((len(mats), len(points)))
-    for i in tail.distinct:
+    norms = np.empty((len(tail.distinct), len(points)))
+    resids = np.empty((len(tail.distinct), len(points)))
+    for j, i in enumerate(tail.distinct):
         t, q = tail.schur(i)
         b = (q.conj() * x[:, None]).sum(axis=0)
         norm, resid = triangular_probe(t, b, points)
@@ -212,10 +212,9 @@ def _reference_probe_samples(tail, x, points, triangular_probe):
             y = _min_norm_solve_stack(stack, x)
             norm[hit] = np.linalg.norm(y, axis=1)
             resid[hit] = np.linalg.norm((stack @ y[..., None])[..., 0] - x, axis=1)
-        norms[i] = norm
-        resids[i] = resid
-    tail.spread(norms, resids)
-    return norms, resids
+        norms[j] = norm
+        resids[j] = resid
+    return tail.rows(norms), tail.rows(resids)
 
 
 def _assert_same_bytes(tail, x, points):

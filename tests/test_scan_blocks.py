@@ -15,7 +15,7 @@ from opfam.families import (
     OperatorFamily,
     verdict_arrays,
 )
-from opfam.linalg import as_vector
+from opfam.linalg import _run_starts, as_vector
 from opfam.local import family_local_spectrum_grid
 from opfam.spectra import CLS_RESOLVENT, CLS_SPECTRUM, CLS_UNDETERMINED, family_spectrum_grid
 
@@ -35,21 +35,20 @@ def _drift_family(rng, d):
 
 
 def _whole_sigma_tails(tail, lams):
-    out = np.empty((len(tail.mats), len(lams)))
+    out = np.empty((len(tail.distinct), len(lams)))
     d = tail.mats.shape[-1]
     for lo in range(0, len(lams), 1024):
         lam_task = lams[lo : lo + 1024]
         if d == 2:
-            for i in tail.distinct:
-                out[i, lo : lo + 1024] = spectra._sigma_min2(tail.mats[i], lam_task)
+            for j, i in enumerate(tail.distinct):
+                out[j, lo : lo + 1024] = spectra._sigma_min2(tail.mats[i], lam_task)
             continue
         shifted = lam_task[:, None, None] * np.eye(d, dtype=complex)
         diff = np.empty_like(shifted)
-        for i in tail.distinct:
+        for j, i in enumerate(tail.distinct):
             np.subtract(shifted, tail.mats[i], out=diff)
-            out[i, lo : lo + 1024] = np.linalg.svd(diff, compute_uv=False)[:, -1]
-    tail.spread(out)
-    return out
+            out[j, lo : lo + 1024] = np.linalg.svd(diff, compute_uv=False)[:, -1]
+    return tail.rows(out)
 
 
 def _whole_spectrum_grid(fam, rect, nx, ny, grid):
@@ -124,6 +123,73 @@ def test_local_grid_bytes_match_the_whole_array_scan(d, grid):
         assert g.classes.tobytes() == classes.tobytes(), (nx, ny)
         assert g.score.tobytes() == score.tobytes(), (nx, ny)
     assert (g.classes == CLS_SPECTRUM).any()
+
+
+def _partly_repeated_family(rng, d):
+    """A + h**1.5 B with B nonzero in one entry.
+
+    On the default grid h**1.5 B stops moving that entry of A within the
+    tail, so the last tail matrices repeat and the first ones do not.
+    """
+    b = np.zeros((d, d), dtype=complex)
+    b[0, 0] = rng.uniform(0.5, 1.0)
+    a = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+    return OperatorFamily.from_terms(d, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.5), b)])
+
+
+@pytest.mark.parametrize("d", (2, 6))
+def test_partly_repeated_tails_keep_the_whole_array_bytes(d, grid):
+    # More than one run of equal tail matrices but fewer runs than tail
+    # samples: the kernels' rows are gathered to one per tail sample.
+    rng = np.random.default_rng(SEED + d)
+    fam = _partly_repeated_family(rng, d)
+    tail = spectra._tail_eval(fam, grid)
+    runs = int(_run_starts(tail.mats).sum())
+    assert 1 < runs < grid.tail
+    assert len(tail.distinct) == runs
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    nx, ny = 33, 31
+    g = family_spectrum_grid(fam, RECT, nx, ny, grid)
+    classes, score = _whole_spectrum_grid(fam, RECT, nx, ny, grid)
+    assert g.classes.tobytes() == classes.tobytes()
+    assert g.score.tobytes() == score.tobytes()
+    g = family_local_spectrum_grid(fam, x, RECT, nx, ny, grid)
+    classes, score = _whole_local_grid(fam, x, RECT, nx, ny, grid)
+    assert g.classes.tobytes() == classes.tobytes()
+    assert g.score.tobytes() == score.tobytes()
+    # The probe holds one sigma per tail sample, each its own matrix's.
+    lams = np.array([0.3 - 0.2j])
+    sigma = spectra.probe_resolvent(fam, lams[0], grid).tail_sigma
+    assert sigma.tobytes() == _whole_sigma_tails(tail, lams)[:, 0].tobytes()
+    ident = np.eye(d, dtype=complex)
+    own = [
+        spectra._sigma_min2(m, lams)[0]
+        if d == 2
+        else np.linalg.svd(lams[0] * ident - m, compute_uv=False)[-1]
+        for m in tail.mats
+    ]
+    assert sigma.tobytes() == np.array(own).tobytes()
+
+
+def test_a_constant_tail_reaches_the_verdicts_as_one_row(grid, monkeypatch):
+    rows = []
+
+    def recording(values, *args):
+        rows.append(len(values))
+        return verdict_arrays(values, *args)
+
+    monkeypatch.setattr(spectra, "verdict_arrays", recording)
+    monkeypatch.setattr(local, "verdict_arrays", recording)
+    rng = np.random.default_rng(SEED)
+    x = rng.normal(size=2) + 1j * rng.normal(size=2)
+    const = OperatorFamily.constant(rng.uniform(-1, 1, (2, 2)))
+    for fam, tail_rows in ((const, 1), (_partly_repeated_family(rng, 2), grid.tail)):
+        rows.clear()
+        family_spectrum_grid(fam, RECT, 8, 8, grid)
+        family_local_spectrum_grid(fam, x, RECT, 8, 8, grid)
+        assert rows and set(rows) == {tail_rows}
+        probe = spectra.probe_resolvent(fam, 0.3 - 0.2j, grid)
+        assert len(probe.tail_sigma) == grid.tail
 
 
 def _recording_probe(monkeypatch):

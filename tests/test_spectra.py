@@ -245,8 +245,8 @@ def test_spectrum_scan_runs_one_svd_pass_per_distinct_tail_matrix(grid, monkeypa
 
 
 def test_a_constant_family_takes_its_scan_verdicts_without_a_log_fit(grid, monkeypatch):
-    # A constant family's tail rows are byte copies, so every verdict of its
-    # scans is read off one row; a drifting family's tails need the fit.
+    # A constant family's scans hand every verdict one row, read with no
+    # fit; a drifting family's tails need the fit.
     fits = []
     original = families.slopes_log10
 
@@ -503,7 +503,7 @@ def test_sigma_bytes_independent_of_worker_count(grid, sigma_workers, monkeypatc
             # closed form at order 2, LAPACK's SVD at every other order.
             kernel = _closed_form_sigma_min2 if d == 2 else _svd_sigma_min
             reference = np.stack([kernel(m, lams) for m in tail.mats])
-            assert task(tail, lams).tobytes() == reference.tobytes()
+            assert task(tail, lams).tobytes() == tail.rows(reference[tail.distinct]).tobytes()
             results = []
             for workers in (1, 3):
                 sigma_workers(workers)
