@@ -2,9 +2,13 @@
 
 CSV schema: `re,im,class,min_tail_sigma` with class in {R, S, U}, one row
 per cell ordered by ascending im then ascending re; floats use shortest
-round-trip reprs.  PGM (plain P2): 0 = Spectrum, 128 = Undetermined,
-255 = Resolvent, top row at max im.  SVG: one filled rect per cell plus a
-three-color legend.  Identical grids produce byte-identical files.
+round-trip reprs.  For spectrum grids `min_tail_sigma` is exact on cells
+whose sigma was computed and a certified lower bound on cells settled by
+certified skipping (`spectra.family_spectrum_grid`); local grids write
+their local score there.  PGM (plain P2): 0 = Spectrum, 128 =
+Undetermined, 255 = Resolvent, top row at max im.  SVG: one filled rect
+per cell plus a three-color legend.  Identical grids produce
+byte-identical files.
 """
 
 from __future__ import annotations

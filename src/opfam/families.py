@@ -397,7 +397,12 @@ def tail_stats(
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 3:
         raise InputError("need a 1-d array of at least 3 tail samples")
-    codes, tail_max, tail_min, trend = verdict_arrays(v[:, None], eps_tail, zero_floor)
+    return _stats_of(v, eps_tail, zero_floor, verdict_arrays(v[:, None], eps_tail, zero_floor))
+
+
+def _stats_of(v: np.ndarray, eps_tail: float, zero_floor: float, verdicts) -> TailStats:
+    """The TailStats of tail samples v from their one-column `verdict_arrays`."""
+    codes, tail_max, tail_min, trend = verdicts
     return TailStats(
         values=v,
         eps_tail=eps_tail,

@@ -14,6 +14,13 @@ module's and `local`'s) end in one marking step, `_mark_dips`: the
 pseudospectral reading of "the spectrum meets this cell" at the grid's
 resolution.  The thresholds are the module constants, and classification
 is deterministic given family, h-grid, rectangle and resolution.
+
+A spectrum scan takes sigma only where a cell's class is in doubt: the
+tail min of sigma is 1-Lipschitz in lambda, so one computed value
+settles a whole block of cells as Resolvent (certified skipping, in
+`family_spectrum_grid`).  Its scores are exact on computed cells and
+certified lower bounds on settled ones; its classes are those of
+computing every cell.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .families import (
     RadiusBound,
     TailStats,
     _Tail,
+    _stats_of,
     _tail_eval,
     asymptotically_equivalent,
     tail_stats,
@@ -62,6 +70,7 @@ DIP_MIN_SLACK = 0.05
 DIP_MEDIAN_BETA = 0.6
 # Most tail samples (tail length x probe points) one grid scan may take.
 SCAN_SAMPLE_BUDGET = 2**24
+_EPS = float(np.finfo(float).eps)
 
 # Probe points one sigma task holds: at most _SIGMA_TASK, and no more than
 # fit their shifted matrices lam I - F(h) in _SIGMA_TASK_BYTES (see
@@ -69,6 +78,9 @@ SCAN_SAMPLE_BUDGET = 2**24
 # the same at any core count, and each worker holds one task at a time.
 _SIGMA_TASK = 1024
 _SIGMA_TASK_BYTES = 2**20
+# A spectrum scan's certified skipping starts from blocks of this many
+# cells a side (see `family_spectrum_grid`).
+_SKIP_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +154,26 @@ def _task_points(d: int) -> int:
     return max(1, min(_SIGMA_TASK, _SIGMA_TASK_BYTES // (16 * d * d)))
 
 
+def _skip_margin(tail: _Tail, corners: np.ndarray) -> float:
+    """How far a bound read from computed sigmas may sit above the exact one.
+
+    Each computed sigma_min(lam I - F(h)) is taken to be within
+    E = 8 d**2 eps (|lam| + scale) of the exact one, |lam| + scale being a
+    bound on ||lam I - F(h)||.  The order-2 closed form stays within
+    8 eps sigma_max (a test holds it there), a quarter of E.  LAPACK's SVD
+    stays within p(d) eps sigma_max, p a modest function of d (LAPACK
+    Users' Guide, 3rd ed., sec. 4.9, whose own estimate takes p = 1), and
+    forming lam I - F(h) adds at most eps sqrt(d) sigma_max; 8 d**2 leaves
+    a wide allowance over both.  A bound compares two computed sigmas, the
+    representative's and the one its cell would have had, so the margin is
+    2 E at the largest |lam| of the scan, a corner centre's.  The three
+    roundings of the bound itself fit in that allowance.
+    """
+    d = tail.mats.shape[-1]
+    lam_max = float(np.abs(corners).max())
+    return 16.0 * d * d * _EPS * (lam_max + tail.scale)
+
+
 def _sigma_task(tail: _Tail, lams: np.ndarray) -> np.ndarray:
     """Smallest singular values of (lam I - F(h)) over the tail matrices.
 
@@ -200,7 +232,7 @@ def probe_resolvent(fam: OperatorFamily, lam: complex, grid: HGrid) -> Resolvent
         raise InputError(f"probe point {lam} is not finite")
     lams = np.array([lam], dtype=complex)
     sig = _sigma_task(tail, lams)
-    classes, _, neumann = _classify(sig, tail.norms, tail.scale, lams)
+    classes, verdicts, neumann = _classify(sig, tail.norms, tail.scale, lams)
     column = np.resize(sig[:, 0], len(tail.mats))  # a constant tail's one row, repeated
     # ||(lam I - F(h))^-1|| = 1 / sigma_min, infinite where lam I - F(h)
     # is singular.
@@ -211,7 +243,7 @@ def probe_resolvent(fam: OperatorFamily, lam: complex, grid: HGrid) -> Resolvent
         tail_sigma=column,
         tail_resnorm=resnorm,
         classification=_CLASS_NAMES[int(classes[0])],
-        sigma_stats=tail_stats(column, DELTA_RES * tail.scale, SIGMA_FLOOR_REL * tail.scale),
+        sigma_stats=_stats_of(column, DELTA_RES * tail.scale, SIGMA_FLOOR_REL * tail.scale, verdicts),
         neumann=bool(neumann[0]),
     )
 
@@ -251,8 +283,10 @@ class RegionGrid:
 
     classes: (ny, nx) int8 with 0=Spectrum, 1=Undetermined, 2=Resolvent
     (for local-spectrum grids, 0 means LocalSpectrum and 2 LocalResolvent).
-    score: the per-cell scalar that drove classification (min tail sigma
-    for spectrum grids; the distance-like local score for local grids).
+    score: the per-cell scalar that drove classification (for spectrum
+    grids the min tail sigma, exact where it was computed and a certified
+    lower bound on cells settled by skipping; the distance-like local
+    score for local grids).
     Cells are indexed [iy, ix] with im ascending in iy and re in ix;
     centers sit at the cell midpoints.  scanned is (family, h-grid,
     read-only x) for a local scan, None for other grids.
@@ -341,22 +375,19 @@ def _mark_dips(rect, nx: int, ny: int, classes, score, flat_low, scanned=None) -
     return RegionGrid(rect, nx, ny, classes.reshape(ny, nx), score, scanned)
 
 
-def family_spectrum_grid(
-    fam: OperatorFamily, rect, nx: int, ny: int, grid: HGrid
-) -> RegionGrid:
-    """Classify every cell center of an nx-by-ny scan over `rect`.
+def _skipping_scan(tail: _Tail, lams: np.ndarray, nx: int, ny: int, rcell: float):
+    """Classes, scores and flat-low mask of `family_spectrum_grid`'s cells.
 
-    Each center gets the point rule of `probe_resolvent`, and the marking
-    step (`_mark_dips`) takes the cells whose sigma tail sits flat at or
-    below the cell half-diagonal, with the minimum tail sigma as score.
+    The tree of certified skipping: each level's representatives, then
+    the cells left, go through the sigma tasks as one batch.  Its working
+    mask is freed on return, before the marking step's peak.
     """
-    rect, _, _, rcell, lams = _scan_setup(rect, nx, ny, grid.tail)
-    tail = _tail_eval(fam, grid)
-    classes = np.empty(len(lams), dtype=np.int8)
+    classes = np.full(len(lams), CLS_RESOLVENT, dtype=np.int8)
     score = np.empty(len(lams))
-    flat_low = np.empty(len(lams), dtype=bool)
+    flat_low = np.zeros(len(lams), dtype=bool)
+    todo = np.ones(len(lams), dtype=bool)  # neither computed nor settled
 
-    def task(cells: slice) -> None:
+    def task(cells: np.ndarray) -> None:
         points = lams[cells]
         sig = _sigma_task(tail, points)
         cls, (_, tail_max, tail_min, trend), _ = _classify(sig, tail.norms, tail.scale, points)
@@ -364,11 +395,12 @@ def family_spectrum_grid(
         score[cells] = tail_min
         flat_low[cells] = (tail_max <= rcell) & (trend <= TREND_FLAT_TOL)
 
-    step = _task_points(tail.mats.shape[-1])
-    tasks = [slice(lo, lo + step) for lo in range(0, len(lams), step)]
-    if len(tasks) == 1:
-        task(tasks[0])
-    else:
+    def compute(cells: np.ndarray) -> None:
+        todo[cells] = False
+        tasks = [cells[lo : lo + step] for lo in range(0, len(cells), step)]
+        if len(tasks) <= 1:
+            list(map(task, tasks))
+            return
         # One thread per usable core (at most one per task), started and
         # ended inside this call; the SVD and the ufuncs release the GIL.
         # Reading every result re-raises a task's error, map cancels the
@@ -377,6 +409,67 @@ def family_spectrum_grid(
         workers = min(_usable_cores(), len(tasks))
         with ThreadPoolExecutor(workers, thread_name_prefix="opfam-sigma") as pool:
             list(pool.map(task, tasks))
+
+    step = _task_points(tail.mats.shape[-1])
+    floor = max(3.0 * rcell, DELTA_RES * tail.scale)
+    margin = _skip_margin(tail, lams[[0, nx - 1, -nx, -1]])
+    lam2, todo2, score2 = lams.reshape(ny, nx), todo.reshape(ny, nx), score.reshape(ny, nx)
+    size = _SKIP_BLOCK
+    active = np.ones((-(-ny // size), -(-nx // size)), dtype=bool)
+    while size > 2:
+        blocks = np.flatnonzero(active)
+        y0, x0 = np.divmod(blocks, active.shape[1])
+        y0, x0 = y0 * size, x0 * size
+        y1, x1 = np.minimum(y0 + size, ny), np.minimum(x0 + size, nx)
+        reps = (y0 + y1 - 1) // 2 * nx + (x0 + x1 - 1) // 2
+        compute(reps[todo[reps]])
+        # The farthest cell centre from a representative is a corner of
+        # its block: centres share their real parts down a column and
+        # their imaginary parts along a row.
+        p = lams[reps]
+        corners = (lam2[y0, x0], lam2[y0, x1 - 1], lam2[y1 - 1, x0], lam2[y1 - 1, x1 - 1])
+        far = np.max([np.abs(c - p) for c in corners], axis=0)
+        settled = score[reps] - far - margin > floor
+        for b in np.flatnonzero(settled):
+            block = (slice(y0[b], y1[b]), slice(x0[b], x1[b]))
+            open_cells = todo2[block]
+            dist = np.abs(lam2[block][open_cells] - p[b])
+            score2[block][open_cells] = score[reps[b]] - dist - margin
+            todo2[block] = False
+        active.flat[blocks[settled]] = False
+        size //= 2
+        active = active.repeat(2, axis=0).repeat(2, axis=1)[: -(-ny // size), : -(-nx // size)]
+    compute(np.flatnonzero(todo))
+    return classes, score, flat_low
+
+
+def family_spectrum_grid(
+    fam: OperatorFamily, rect, nx: int, ny: int, grid: HGrid
+) -> RegionGrid:
+    """Classify every cell center of an nx-by-ny scan over `rect`.
+
+    Each center gets the point rule of `probe_resolvent`, and the marking
+    step (`_mark_dips`) takes the cells whose sigma tail sits flat at or
+    below the cell half-diagonal, with the minimum tail sigma as score.
+
+    Certified skipping: the score is 1-Lipschitz in lambda (Weyl), so
+    sigma computed at one cell bounds it below over a disk.  The scan
+    takes 16 x 16 blocks of cells, computes sigma at one cell near each
+    block's middle and settles the block as Resolvent when that bound
+    exceeds T = max(3 rcell, DELTA_RES * scale) at every cell, with
+    `_skip_margin` for the kernels' rounding; otherwise it splits the
+    block in four, down to 4 x 4 blocks, and computes the cells of the
+    2 x 2 blocks left.  A settled cell's tail minimum then passes
+    DELTA_RES * scale, so the point rule gives it Resolvent.  It is not
+    flat-low (score above rcell), nor an 8-neighbour of a flat-low cell
+    (whose neighbours' scores are at most 3 rcell), so every score a dip
+    test reads is computed.  Classes are those of computing every cell;
+    a computed cell's score has the bytes it would have alone, and a
+    settled cell's score is its certified lower bound.
+    """
+    rect, _, _, rcell, lams = _scan_setup(rect, nx, ny, grid.tail)
+    tail = _tail_eval(fam, grid)
+    classes, score, flat_low = _skipping_scan(tail, lams, nx, ny, rcell)
     marked = _mark_dips(rect, nx, ny, classes, score, flat_low)
     spec_cells = np.abs(lams[classes == CLS_SPECTRUM])
     if spec_cells.size and spec_cells.max() > tail.norms.max() + 2.0 * rcell + 1e-9:

@@ -20,6 +20,19 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(scope="session")
+def tight_rect():
+    """Return a function giving a rectangle 2e-7 wide around an eigenvalue
+    of a matrix: no sigma there reaches DELTA_RES, so a spectrum scan of a
+    family near that matrix settles no block and computes every cell."""
+
+    def rect(a):
+        mu = np.linalg.eigvals(a)[0]
+        return (mu.real - 1e-7, mu.real + 1e-7, mu.imag - 1e-7, mu.imag + 1e-7)
+
+    return rect
+
+
 @pytest.fixture()
 def svd_mats(monkeypatch):
     """Numbers of matrices handed to np.linalg.svd, one entry per call."""

@@ -89,6 +89,46 @@ def _whole_local_grid(fam, x, rect, nx, ny, grid):
     return classes.reshape(ny, nx), score
 
 
+def _skipping_scan(fam, rect, nx, ny, grid, monkeypatch):
+    """The spectrum grid, and which of its cells had sigma computed.
+
+    Fails if any cell's sigma tails are computed twice.
+    """
+    points = []
+    task = spectra._sigma_task
+
+    def recording(tail, lams):
+        points.append(lams.copy())
+        return task(tail, lams)
+
+    monkeypatch.setattr(spectra, "_sigma_task", recording)
+    g = family_spectrum_grid(fam, rect, nx, ny, grid)
+    monkeypatch.setattr(spectra, "_sigma_task", task)
+    index = {z: i for i, z in enumerate(g.centers().ravel().tolist())}
+    cells = [index[z] for z in np.concatenate(points).tolist()]
+    assert len(set(cells)) == len(cells)
+    computed = np.zeros(nx * ny, dtype=bool)
+    computed[cells] = True
+    return g, computed.reshape(ny, nx)
+
+
+def _assert_matches_the_whole_array_scan(fam, rect, nx, ny, grid, monkeypatch):
+    """Classes byte-equal to the whole-array scan; a computed cell's score
+    byte-equal to its tail minimum there; a settled cell Resolvent with a
+    score between T and that tail minimum.  Returns the computed mask."""
+    g, computed = _skipping_scan(fam, rect, nx, ny, grid, monkeypatch)
+    classes, score = _whole_spectrum_grid(fam, rect, nx, ny, grid)
+    assert g.classes.tobytes() == classes.tobytes(), (nx, ny)
+    assert g.score[computed].tobytes() == score[computed].tobytes(), (nx, ny)
+    settled = ~computed
+    rcell = 0.5 * float(np.hypot(*g.cell_size()))
+    floor = max(3.0 * rcell, spectra.DELTA_RES * spectra._tail_eval(fam, grid).scale)
+    assert (g.classes[settled] == CLS_RESOLVENT).all()
+    assert (g.score[settled] <= score[settled]).all()
+    assert (g.score[settled] > floor).all()
+    return g, computed
+
+
 # (nx, ny) with nx != ny and a cell count just below or just above a
 # multiple of a task or a block: sigma tasks of 1024 points at orders 2
 # and 6 and of 256 at order 16; local blocks of 910 cells that share no
@@ -99,16 +139,60 @@ _LOCAL_SHAPES = [(101, 9), (48, 19), (17, 107)]
 
 
 @pytest.mark.parametrize("d", (2, 6, 16))
-def test_spectrum_grid_bytes_match_the_whole_array_scan(d, grid):
+def test_spectrum_grid_bytes_match_the_whole_array_scan(d, grid, monkeypatch):
     assert spectra._task_points(d) == (256 if d == 16 else 1024)
     rng = np.random.default_rng(SEED + d)
     fam = _drift_family(rng, d)
+    skipped = 0
     for nx, ny in _SPECTRUM_SHAPES[d]:
-        g = family_spectrum_grid(fam, RECT, nx, ny, grid)
-        classes, score = _whole_spectrum_grid(fam, RECT, nx, ny, grid)
-        assert g.classes.tobytes() == classes.tobytes(), (nx, ny)
-        assert g.score.tobytes() == score.tobytes(), (nx, ny)
+        g, computed = _assert_matches_the_whole_array_scan(fam, RECT, nx, ny, grid, monkeypatch)
+        skipped += int((~computed).sum())
     assert (g.classes == CLS_SPECTRUM).any()
+    assert skipped > 0
+
+
+def _first_representatives(rect, nx, ny):
+    """Centres of the representatives of the first two skipping levels'
+    lower-left blocks (16 and 8 cells a side)."""
+    centers = spectra._cell_grid(rect, nx, ny)[2]
+    return [centers[(min(s, ny) - 1) // 2, (min(s, nx) - 1) // 2] for s in (16, 8)]
+
+
+# (d, nx, ny, rect): shapes that are not multiples of 16, nx != ny, and
+# the smallest scan, 8 x 8.
+_SKIPPING_CASES = [
+    (2, 8, 8, (-2.0, 2.0, -2.0, 2.0)),
+    (3, 23, 17, (-2.5, 1.5, -1.0, 2.0)),
+    (4, 17, 40, (-3.0, 3.0, -2.0, 2.0)),
+    (5, 8, 29, (-1.0, 2.0, -3.0, 1.0)),
+    (6, 33, 31, (-3.0, 3.0, -3.0, 3.0)),
+    (9, 50, 19, (-2.0, 3.0, -2.0, 2.5)),
+    (12, 21, 9, (-3.0, 2.0, -1.5, 1.5)),
+    (16, 19, 27, (-3.0, 3.0, -3.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("drift", (False, True))
+def test_skipping_keeps_the_classes_of_a_flat_scan(drift, grid, monkeypatch):
+    # Random families with eigenvalues of A at the first representatives
+    # (where the representative's own sigma vanishes), on an edge and at
+    # a corner of the rectangle, and the rest drawn inside it.
+    rng = np.random.default_rng(SEED + 31 * drift)
+    skipped = 0
+    for d, nx, ny, rect in _SKIPPING_CASES:
+        re_min, re_max, im_min, im_max = rect
+        on_edges = [complex(re_min, rng.uniform(im_min, im_max)), complex(re_max, im_min)]
+        eigs = np.array(_first_representatives(rect, nx, ny) + on_edges)[:d]
+        rest = rng.uniform(re_min, re_max, d - len(eigs)) + 1j * rng.uniform(im_min, im_max, d - len(eigs))
+        v = np.eye(d) + 0.3 * (rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d)))
+        a = v @ np.diag(np.concatenate([eigs, rest])) @ np.linalg.inv(v)
+        terms = [(CoeffFn.const(), a)]
+        if drift:
+            terms.append((CoeffFn.pow_h(1.0), 0.5 * rng.uniform(-1, 1, (d, d))))
+        fam = OperatorFamily.from_terms(d, terms)
+        _, computed = _assert_matches_the_whole_array_scan(fam, rect, nx, ny, grid, monkeypatch)
+        skipped += int((~computed).sum())
+    assert skipped > 0
 
 
 @pytest.mark.parametrize("d", (2, 6, 16))
@@ -138,7 +222,7 @@ def _partly_repeated_family(rng, d):
 
 
 @pytest.mark.parametrize("d", (2, 6))
-def test_partly_repeated_tails_keep_the_whole_array_bytes(d, grid):
+def test_partly_repeated_tails_keep_the_whole_array_bytes(d, grid, monkeypatch):
     # More than one run of equal tail matrices but fewer runs than tail
     # samples: the kernels' rows are gathered to one per tail sample.
     rng = np.random.default_rng(SEED + d)
@@ -149,10 +233,7 @@ def test_partly_repeated_tails_keep_the_whole_array_bytes(d, grid):
     assert len(tail.distinct) == runs
     x = rng.normal(size=d) + 1j * rng.normal(size=d)
     nx, ny = 33, 31
-    g = family_spectrum_grid(fam, RECT, nx, ny, grid)
-    classes, score = _whole_spectrum_grid(fam, RECT, nx, ny, grid)
-    assert g.classes.tobytes() == classes.tobytes()
-    assert g.score.tobytes() == score.tobytes()
+    _assert_matches_the_whole_array_scan(fam, RECT, nx, ny, grid, monkeypatch)
     g = family_local_spectrum_grid(fam, x, RECT, nx, ny, grid)
     classes, score = _whole_local_grid(fam, x, RECT, nx, ny, grid)
     assert g.classes.tobytes() == classes.tobytes()
@@ -349,24 +430,31 @@ def two_workers(monkeypatch):
     monkeypatch.setattr(spectra, "_usable_cores", lambda: 2)
 
 
-def test_spectrum_scan_memory_is_bounded_by_its_tasks(grid, two_workers):
+def test_spectrum_scan_memory_is_bounded_by_its_tasks(grid, two_workers, tight_rect):
     rng = np.random.default_rng(SEED)
+    # Scans around an eigenvalue of F(0) settle no block: every cell goes
+    # through the sigma tasks.
     # Order 16: two workers hold one task of 256 shifted matrices (1 MiB)
     # each, where 1024-point tasks held 2 x 4 MiB each.
-    # Every task is submitted at once: what a cell adds is its results, not
-    # its sigma tail (64 x 64 cells are 16 tasks, 128 x 128 are 64).
+    # Every task of a batch is submitted at once: what a cell adds is its
+    # results, not its sigma tail (the last batch of a 64 x 64 scan is 15
+    # tasks, of a 128 x 128 one 59).
     fam = _drift_family(rng, 16)
-    small = _traced_peak(lambda: family_spectrum_grid(fam, RECT, 64, 64, grid))
-    large = _traced_peak(lambda: family_spectrum_grid(fam, RECT, 128, 128, grid))
+    rect = tight_rect(fam.terms[0][1])
+    small = _traced_peak(lambda: family_spectrum_grid(fam, rect, 64, 64, grid))
+    large = _traced_peak(lambda: family_spectrum_grid(fam, rect, 128, 128, grid))
     assert large < 6 * MIB
     assert (large - small) / (128**2 - 64**2) < 64
     # Order 2: what a cell adds is its results and the dip mask's
     # neighbors, not its sigma tail and the tail verdict's temporaries.
     fam = _drift_family(rng, 2)
-    small = _traced_peak(lambda: family_spectrum_grid(fam, RECT, 64, 64, grid))
-    large = _traced_peak(lambda: family_spectrum_grid(fam, RECT, 256, 256, grid))
+    rect = tight_rect(fam.terms[0][1])
+    small = _traced_peak(lambda: family_spectrum_grid(fam, rect, 64, 64, grid))
+    large = _traced_peak(lambda: family_spectrum_grid(fam, rect, 256, 256, grid))
     assert small < 2 * MIB
     assert (large - small) / (256**2 - 64**2) < 160
+    # Over (-3, 3)^2 most cells are settled, and a scan holds less.
+    assert _traced_peak(lambda: family_spectrum_grid(fam, RECT, 256, 256, grid)) < large
 
 
 def test_local_scan_memory_is_bounded_by_its_blocks(grid):

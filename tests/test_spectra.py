@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import os
 import sys
 import threading
@@ -14,6 +16,7 @@ from opfam.families import (
     CoeffFn,
     HGrid,
     OperatorFamily,
+    tail_stats,
 )
 from opfam.fileio import save_family
 from opfam.linalg import op_norm, op_norms
@@ -88,6 +91,60 @@ def test_probe_inverse_norms_are_the_reciprocal_singular_values(grid):
     p = probe_resolvent(OperatorFamily.constant(np.diag([1.0, 2.0])), 1.0, grid)
     assert p.classification == SPECTRUM
     assert np.all(p.tail_resnorm == np.inf)
+
+
+def _probe_as_before(fam, lam, grid):
+    """probe_resolvent as built when its sigma_stats came from a second
+    tail verdict, `tail_stats` of the probe's sigma column."""
+    tail = spectra._tail_eval(fam, grid)
+    lams = np.array([lam], dtype=complex)
+    sig = spectra._sigma_task(tail, lams)
+    classes, _, neumann = _classify(sig, tail.norms, tail.scale, lams)
+    column = np.resize(sig[:, 0], len(tail.mats))
+    with np.errstate(divide="ignore"):
+        resnorm = 1.0 / column
+    return spectra.ResolventProbe(
+        lam=complex(lam),
+        tail_sigma=column,
+        tail_resnorm=resnorm,
+        classification=spectra._CLASS_NAMES[int(classes[0])],
+        sigma_stats=tail_stats(
+            column, spectra.DELTA_RES * tail.scale, spectra.SIGMA_FLOOR_REL * tail.scale
+        ),
+        neumann=bool(neumann[0]),
+    )
+
+
+def _field_bytes(obj) -> dict:
+    """A dataclass's fields, floats and arrays as their bytes (NaN and -0.0
+    included), nested dataclasses field by field."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if dataclasses.is_dataclass(v):
+            v = _field_bytes(v)
+        elif isinstance(v, (float, complex, np.ndarray)):
+            v = (type(v), np.shape(v), np.asarray(v).tobytes())
+        out[f.name] = v
+    return out
+
+
+@pytest.mark.parametrize("case", ["constant", "drifting", "neumann", "vanishing"])
+def test_a_probe_takes_its_sigma_stats_from_its_one_verdict(grid, case):
+    rng = np.random.default_rng(SEED)
+    a, b = _rand(rng, 3), _rand(rng, 3)
+    drift = OperatorFamily.from_terms(3, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
+    fam, points, verdict = {
+        "constant": (OperatorFamily.constant(a), [0.3 - 0.2j, 2.0, *np.linalg.eigvals(a)], None),
+        "drifting": (drift, [0.3 - 0.2j, 1.5j, -2.0], None),
+        "neumann": (drift, [1.01 * spectra._tail_eval(drift, grid).norms.max()], None),
+        "vanishing": (flip_family(), [0.0], TO_ZERO),
+    }[case]
+    for lam in points:
+        probe = probe_resolvent(fam, lam, grid)
+        assert _field_bytes(probe) == _field_bytes(_probe_as_before(fam, lam, grid)), lam
+        assert probe.neumann == (case == "neumann")
+        assert verdict in (None, probe.sigma_stats.limit_verdict)
 
 
 def test_probe_neumann_certificate(grid):
@@ -224,24 +281,35 @@ def test_neumann_certificate_beats_a_vanishing_tail():
     assert classes[0] == CLS_RESOLVENT
 
 
-def test_spectrum_scan_runs_one_svd_pass_per_distinct_tail_matrix(grid, monkeypatch):
-    passes = []
-    original = np.linalg.svd
+def test_spectrum_scan_computes_no_cell_twice_per_distinct_tail_matrix(grid, monkeypatch):
+    # Each level of the skipping tree is one batch of points, and each
+    # batch one SVD pass per distinct tail matrix; no cell is in two batches.
+    passes, batches = [], []
+    svd, task = np.linalg.svd, spectra._sigma_task
 
     def counting(a, *args, **kwargs):
-        if np.shape(a)[0] == 64:  # the shifted stacks of an 8x8 scan
-            passes.append(a.shape)
-        return original(a, *args, **kwargs)
+        passes.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    def recording(tail, lams):
+        batches.append(lams.copy())
+        return task(tail, lams)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(spectra, "_sigma_task", recording)
     rng = np.random.default_rng(SEED)
     a, b = _rand(rng, 3), _rand(rng, 3)
-    family_spectrum_grid(OperatorFamily.constant(a), (-3, 3, -3, 3), 8, 8, grid)
-    assert len(passes) == 1
-    passes.clear()
     drift = OperatorFamily.from_terms(3, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
-    family_spectrum_grid(drift, (-3, 3, -3, 3), 8, 8, grid)
-    assert len(passes) == grid.tail
+    assert len(spectra._tail_eval(drift, grid).distinct) == grid.tail
+    for fam, distinct in ((OperatorFamily.constant(a), 1), (drift, grid.tail)):
+        spectra._tail_eval(fam, grid)  # its norms take SVDs of their own
+        passes.clear()
+        batches.clear()
+        family_spectrum_grid(fam, (-3, 3, -3, 3), 8, 8, grid)
+        points = np.concatenate(batches)
+        assert len(np.unique(points)) == len(points)
+        assert len(passes) == distinct * len(batches)
+        assert sum(passes) == distinct * len(points)
 
 
 def test_a_constant_family_takes_its_scan_verdicts_without_a_log_fit(grid, monkeypatch):
@@ -481,24 +549,28 @@ def sigma_workers(monkeypatch):
     sys.setswitchinterval(interval)
 
 
-def test_sigma_bytes_independent_of_worker_count(grid, sigma_workers, monkeypatch):
-    threads = set()
+def test_sigma_bytes_independent_of_worker_count(grid, sigma_workers, tight_rect, monkeypatch):
+    threads, batches = set(), []
     task = spectra._sigma_task
 
-    def recording(*args):
+    def recording(tail, lams):
         threads.add(threading.current_thread().name)
-        return task(*args)
+        batches.append(lams.copy())
+        return task(tail, lams)
 
     monkeypatch.setattr(spectra, "_sigma_task", recording)
     rng = np.random.default_rng(SEED)
-    # 3 * 1024 + 28 cells: four tasks at orders 2 and 6, thirteen at 16.
-    rect, nx, ny = (-3, 3, -3, 3), 62, 50
-    lams = spectra._cell_grid(rect, nx, ny)[2].ravel()
+    # 3 * 1024 + 28 cells.  Over (-3, 3)^2 most blocks settle.  Around an
+    # eigenvalue none does, and the last level's 2820 points are three
+    # tasks at orders 2 and 6 and twelve at 16.
+    nx, ny = 62, 50
     for d in (2, 6, 16):
         a, b = _rand(rng, d), _rand(rng, d)
         drift = OperatorFamily.from_terms(d, [(CoeffFn.const(), a), (CoeffFn.pow_h(1.0), b)])
-        for fam in (OperatorFamily.constant(a), drift):
+        tight = tight_rect(a)
+        for fam, rect in itertools.product((OperatorFamily.constant(a), drift), ((-3, 3, -3, 3), tight)):
             tail = spectra._tail_eval(fam, grid)
+            lams = spectra._cell_grid(rect, nx, ny)[2].ravel()
             # The formula of the kernel, one batch per tail matrix: the
             # closed form at order 2, LAPACK's SVD at every other order.
             kernel = _closed_form_sigma_min2 if d == 2 else _svd_sigma_min
@@ -508,35 +580,46 @@ def test_sigma_bytes_independent_of_worker_count(grid, sigma_workers, monkeypatc
             for workers in (1, 3):
                 sigma_workers(workers)
                 threads.clear()
+                batches.clear()
                 g = family_spectrum_grid(fam, rect, nx, ny, grid)
                 results.append(g.classes.tobytes() + g.score.tobytes())
-                assert threads and all(t.startswith("opfam-sigma") for t in threads)
+                pooled = {t for t in threads if t.startswith("opfam-sigma")}
+                assert threads - pooled <= {threading.current_thread().name}
+                assert pooled or rect != tight
             assert results[0] == results[1], (d, len(tail.distinct))
-            # The score is the tail minimum of the reference sigma tails.
-            assert g.score.tobytes() == reference.min(axis=0).tobytes()
+            # A computed cell's score is the tail minimum of the reference
+            # sigma tails; a settled cell's is a lower bound of it.
+            computed = np.isin(lams, np.concatenate(batches))
+            tail_min = reference.min(axis=0)
+            score = g.score.ravel()
+            assert score[computed].tobytes() == tail_min[computed].tobytes()
+            assert (score[~computed] <= tail_min[~computed]).all()
+            assert computed.all() == (rect == tight)
 
 
-def test_a_sigma_task_error_reaches_the_caller(grid, sigma_workers, monkeypatch):
+def test_a_sigma_task_error_reaches_the_caller(grid, sigma_workers, tight_rect, monkeypatch):
     calls = []
     lock = threading.Lock()
     task = spectra._sigma_task
 
     def failing(*args):
+        pooled = threading.current_thread().name.startswith("opfam-sigma")
         with lock:
-            calls.append(None)
-            third = len(calls) == 3
-        if third:
-            raise RuntimeError("third sigma task")
+            calls.append(pooled)
+            second = pooled and calls.count(True) == 2
+        if second:
+            raise RuntimeError("second pooled sigma task")
         return task(*args)
 
     monkeypatch.setattr(spectra, "_sigma_task", failing)
     sigma_workers(3)
     rng = np.random.default_rng(SEED)
-    fam = OperatorFamily.constant(_rand(rng, 6))
-    # 62 x 50 cells: four tasks of 1024 points on three workers.
-    with pytest.raises(RuntimeError, match="third sigma task"):
-        family_spectrum_grid(fam, (-3, 3, -3, 3), 62, 50, grid)
-    assert len(calls) >= 3
+    a = _rand(rng, 6)
+    # 62 x 50 cells around an eigenvalue: the last level's 2820 points are
+    # three tasks of at most 1024 points on three workers.
+    with pytest.raises(RuntimeError, match="second pooled sigma task"):
+        family_spectrum_grid(OperatorFamily.constant(a), tight_rect(a), 62, 50, grid)
+    assert calls.count(True) >= 2
     assert not [t for t in threading.enumerate() if t.name.startswith("opfam-sigma")]
 
 
@@ -552,9 +635,8 @@ class Recording(spectra.ThreadPoolExecutor):
         super().__init__(max_workers, **kwargs)
 spectra.ThreadPoolExecutor = Recording
 assert cli.main({argv!r}) == 0
-(workers,) = pools
 with open({out!r}, "rb") as fh:
-    print(hashlib.sha256(fh.read()).hexdigest(), workers)
+    print(hashlib.sha256(fh.read()).hexdigest(), max(pools, default=1))
 """
 
 
@@ -575,7 +657,8 @@ def test_spectrum_csv_bytes_independent_of_usable_cores(tmp_path, thread_fingerp
 
     def run(pin: bool, blas_threads: int) -> tuple[str, int]:
         out = str(tmp_path / f"{pin}-{blas_threads}.csv")
-        # 64 x 64 cells: four sigma tasks, sixteen at order 16.
+        # 64 x 64 cells: each batch of the skipping tree is one task at
+        # orders 2 and 6; at order 16 the last (2637 points) is eleven.
         argv = ["spectrum", "--family", fam_path, "--rect=-3:3:-3:3", "--res", "64", "--out", out]
         script = _CSV_FINGERPRINT.format(pin=pin, argv=argv, out=out)
         digest, workers = thread_fingerprint(script, blas_threads).split()
@@ -594,7 +677,8 @@ import opfam, opfam.cli, opfam.verify
 from opfam.families import HGrid, OperatorFamily
 print(threading.active_count())
 fam = OperatorFamily.constant(np.diag([1.0, 2.0j]))
-opfam.spectra.family_spectrum_grid(fam, (-3, 3, -3, 3), 64, 64, HGrid())
+# Around the eigenvalue 1 no block settles: the last level runs on the pool.
+opfam.spectra.family_spectrum_grid(fam, (1 - 1e-7, 1 + 1e-7, -1e-7, 1e-7), 64, 64, HGrid())
 print([t.name for t in threading.enumerate() if t.name.startswith("opfam-sigma")])
 """
 
@@ -610,11 +694,12 @@ import numpy as np
 from opfam.families import HGrid, OperatorFamily
 from opfam.spectra import family_spectrum_grid
 fam = OperatorFamily.constant(np.diag([1.0, 2.0j]))
-first = family_spectrum_grid(fam, (-3, 3, -3, 3), 64, 64, HGrid())
+rect = (1 - 1e-7, 1 + 1e-7, -1e-7, 1e-7)  # no block settles: the pool runs
+first = family_spectrum_grid(fam, rect, 64, 64, HGrid())
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)  # a stuck child ends itself
-    g = family_spectrum_grid(fam, (-3, 3, -3, 3), 64, 64, HGrid())
+    g = family_spectrum_grid(fam, rect, 64, 64, HGrid())
     os._exit(0 if (g.classes == first.classes).all() else 1)
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
